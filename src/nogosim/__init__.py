@@ -2,15 +2,17 @@
 
 Core layers:
 
-- ``linalg``: tensor products, Jacobi eigendecomposition, spectral matrix
-  exponential.
+- ``linalg``: tensor products, LAPACK eigendecomposition with canonical
+  bases for degenerate eigenspaces (plus the oracle's independent Jacobi
+  solver), spectral matrix exponential.
 - ``measurement``: outcome probabilities, Lueders updates, ABL conditionals,
   conditional expectations, weak values.
 - ``nogo``: rank-m degeneracy analysis, the postselection-invariance verdict,
   closed-form and degenerate weak-value checks, seeded random audits.
 - ``error_disturbance``: Heisenberg-picture noise/disturbance operators and
   the controlled-NOT measurement family.
-- ``oracle``: independent brute-force enumeration and Monte Carlo sampling.
+- ``oracle``: independent brute-force enumeration, on its own eigensolver,
+  and Monte Carlo sampling.
 - ``cli``: the ``nogosim`` command line front end.
 """
 

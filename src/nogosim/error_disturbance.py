@@ -356,10 +356,16 @@ class CnotBundle:
     setup: MeasurementSetup
 
 
-def cnot_scenario(params: CnotScenario) -> CnotBundle:
-    """Measurement scenarios, interaction and setup for the controlled-NOT family."""
+def _cnot_model_setup() -> tuple[InteractionModel, MeasurementSetup]:
+    """CNOT interaction with Z measured, X disturbed and Z read out on the device."""
     model = InteractionModel.from_unitary(CNOT)
     setup = MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=PAULI_Z)
+    return model, setup
+
+
+def cnot_scenario(params: CnotScenario) -> CnotBundle:
+    """Measurement scenarios, interaction and setup for the controlled-NOT family."""
+    model, setup = _cnot_model_setup()
     noise = noise_operator(model, setup)
     disturb = disturbance_operator(model, setup)
     psi, xi, phi = params.psi(), params.xi(), params.phi()
@@ -378,7 +384,7 @@ def cnot_scenario(params: CnotScenario) -> CnotBundle:
 
 
 def cnot_report(params: CnotScenario, tol_deg: float = TOL_DEG, tol_verify: float = TOL_VERIFY) -> ErrorDisturbanceReport:
-    bundle = cnot_scenario(params)
+    model, setup = _cnot_model_setup()
     return postselected_error_disturbance(
-        bundle.model, bundle.setup, params.psi(), params.xi(), params.phi(), tol_deg=tol_deg, tol_verify=tol_verify
+        model, setup, params.psi(), params.xi(), params.phi(), tol_deg=tol_deg, tol_verify=tol_verify
     )

@@ -1,9 +1,12 @@
 """Dense complex linear algebra used throughout the package.
 
-Operators and kets are plain complex numpy arrays. The eigensolver is a
-cyclic Jacobi iteration applied directly to the Hermitian matrix; every
-dimension in this package is tiny (products of qubit/qutrit factors), so
-robustness and reproducible output matter more than speed.
+Operators and kets are plain complex numpy arrays. ``spectral_decompose``
+runs LAPACK ``eigh`` and then gives every degenerate eigenspace (eigenvalues
+within ``tol_deg``) a canonical basis, so a degenerate factor is measured in a
+basis fixed by its eigenspace, not by whichever basis the solver happened to
+return. A cyclic Jacobi
+solver (``jacobi_decompose``) ending in the same canonicalisation is kept for
+the oracle, so the oracle shares no eigensolver with the formula path.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ def is_hermitian(a, tol: float = TOL_HERMITIAN) -> bool:
 def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
     arr = as_operator(a, name)
     dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > tol:
+    # written so that a NaN deviation (any NaN or Inf entry) is rejected too
+    if not (dev <= tol):
+        if not np.all(np.isfinite(arr)):
+            raise NonHermitian(f"{name} has NaN or Inf entries")
         raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return arr
 
@@ -99,9 +105,12 @@ def outer(x, y=None) -> np.ndarray:
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix.
 
-    ``eigenvalues`` ascend; column k of ``eigenvectors`` belongs to
-    ``eigenvalues[k]``. ``eigenspace_groups`` partitions the indices into
-    runs whose eigenvalues agree within the grouping tolerance.
+    ``eigenvalues`` ascend. ``eigenspace_groups`` partitions the indices
+    into runs whose eigenvalues agree within the grouping tolerance. A
+    singleton group's column is the eigenvector of its eigenvalue. Within a
+    larger group the columns are an orthonormal basis of the group's joint
+    eigenspace, not individual eigenvectors, so ``reconstruct()`` returns the
+    matrix only up to the group's eigenvalue spread.
     """
 
     eigenvalues: np.ndarray
@@ -165,26 +174,15 @@ def _off_norm(a: np.ndarray) -> float:
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of every column real positive."""
-    fixed = vectors.copy()
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_CUTOFF)
-        if nz.size == 0:
-            continue
-        lead = col[nz[0]]
-        col *= lead.conjugate() / abs(lead)
-        col[nz[0]] = abs(col[nz[0]])
-    return fixed
-
-
-def _tie_groups(values: np.ndarray) -> list[list[int]]:
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] == values[i - 1]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    columns = []
+    for col in vectors.T.tolist():
+        # a unit column always has a component above the cutoff
+        i = next(i for i, z in enumerate(col) if abs(z) > _PHASE_CUTOFF)
+        phase = col[i].conjugate() / abs(col[i])
+        fixed = [z * phase for z in col]
+        fixed[i] = abs(col[i])
+        columns.append(fixed)
+    return np.array(columns).T
 
 
 def _tolerance_groups(values: np.ndarray, tol_deg: float) -> tuple[tuple[int, ...], ...]:
@@ -197,13 +195,74 @@ def _tolerance_groups(values: np.ndarray, tol_deg: float) -> tuple[tuple[int, ..
     return tuple(tuple(g) for g in groups)
 
 
-def spectral_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+def _canonical_decomposition(values: np.ndarray, vectors: np.ndarray, tol_deg: float) -> SpectralDecomposition:
+    """Give every tol_deg eigenspace a basis fixed by the eigenspace alone.
 
-    Eigenvalues ascend; exact ties are ordered by descending lexicographic
-    comparison of the phase-fixed eigenvectors, which keeps identity-like
-    matrices in canonical column order. Raises NonHermitian on bad input and
-    NoConvergence if the sweep budget is exhausted.
+    ``values`` ascend and column k of ``vectors`` (overwritten) belongs to
+    ``values[k]``. For a group of size g > 1, e_1 ... e_d are projected onto
+    the group's eigenspace in order, and Gram-Schmidt keeps a residual only
+    when its norm exceeds 1/(2 sqrt d). That always yields g vectors: with
+    fewer kept, the unspanned rest of the eigenspace has trace >= 1, so the
+    squared residuals of e_1 ... e_d against the kept vectors sum to >= 1,
+    yet a kept e_i leaves none and a skipped one at most 1/(4d). The basis
+    depends only on the eigenspace projector. Away from the keep/skip
+    threshold, a perturbation far below tol_deg therefore moves it about as
+    little as it moves the eigenspace. A residual sitting at the threshold
+    can flip on its last bits, and the basis then jumps by O(1); any rule
+    that picks one frame for a subspace has such points. The columns within
+    a group no longer pair with the individual ``values``.
+    """
+    groups = _tolerance_groups(values, tol_deg)
+    dim = values.size
+    floor_sq = 0.25 / dim
+    for group in groups:
+        if len(group) == 1:
+            continue
+        lo, hi = group[0], group[-1] + 1
+        span = vectors[:, lo:hi]
+        # projector onto the part of the eigenspace not yet spanned: its column e is the
+        # residual of P e_e, and its diagonal entry e is that residual's squared norm
+        rest = span @ span.conj().T
+        k = lo
+        for e in range(dim):
+            norm_sq = rest[e, e].real
+            if norm_sq > floor_sq:
+                v = rest[:, e] / math.sqrt(norm_sq)
+                vectors[:, k] = v
+                k += 1
+                if k == hi:
+                    break
+                rest = rest - np.outer(v, v.conj())
+    return SpectralDecomposition(
+        eigenvalues=readonly(values),
+        eigenvectors=readonly(_fix_column_phases(vectors)),
+        eigenspace_groups=groups,
+    )
+
+
+def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
+
+    Eigenvalues ascend. Every group of eigenvalues within tol_deg of its
+    neighbour gets the canonical eigenspace basis of
+    ``_canonical_decomposition``, and every eigenvector's first
+    non-negligible component is real positive, so identity-like matrices keep
+    the standard basis. Raises NonHermitian on bad input, including NaN or
+    Inf entries.
+    """
+    mat = require_hermitian(h)
+    values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    return _canonical_decomposition(values, vectors, tol_deg)
+
+
+def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
+    """Eigendecomposition via cyclic complex Jacobi rotations.
+
+    The oracle's own solver, kept independent of LAPACK so the oracle
+    cross-checks the formula path. It ends in the same canonicalisation as
+    ``spectral_decompose``, so both measure a degenerate factor in the same
+    basis. Raises NonHermitian on bad input and NoConvergence if the sweep
+    budget is exhausted.
     """
     mat = require_hermitian(h)
     dim = mat.shape[0]
@@ -230,27 +289,18 @@ def spectral_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEP
 
     eigenvalues = np.diag(a).real.copy()
     order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = _fix_column_phases(vec[:, order])
-
-    perm: list[int] = []
-    for group in _tie_groups(eigenvalues):
-        if len(group) == 1:
-            perm.extend(group)
-            continue
-        ranked = sorted(group, key=lambda k: tuple((-c.real, -c.imag) for c in vectors[:, k]))
-        perm.extend(ranked)
-    vectors = vectors[:, perm]
-
-    return SpectralDecomposition(
-        eigenvalues=readonly(eigenvalues),
-        eigenvectors=readonly(vectors),
-        eigenspace_groups=_tolerance_groups(eigenvalues, tol_deg),
-    )
+    return _canonical_decomposition(eigenvalues[order], vec[:, order], tol_deg)
 
 
 def matrix_exponential_skew(h, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, built from its spectral decomposition."""
-    dec = spectral_decompose(h)
-    phases = np.exp(-1j * float(t) * dec.eigenvalues)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
+    """exp(-i t H) for Hermitian H, built from LAPACK ``eigh`` directly.
+
+    The exponential does not depend on the eigenbasis, so it skips the
+    canonicalisation, whose group bases do not pair with the individual
+    eigenvalues: near-degenerate H at large |t| would otherwise be off by
+    about |t| times the group's eigenvalue spread.
+    """
+    mat = require_hermitian(h)
+    values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    phases = np.exp(-1j * float(t) * values)
+    return (vectors * phases) @ vectors.conj().T

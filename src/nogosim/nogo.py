@@ -109,14 +109,21 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
 
 
 def term_basis_transform(term: ProductTermSpectral, phi) -> BasisTransform:
-    """Transform built from one term's product eigenvectors (flat index i*m + j)."""
+    """Transform built from one term's product eigenvectors (flat index i*m + j).
+
+    Such a product transform always meets the basis requirement, which is why
+    ``verify_nogo`` does not build it.
+    """
     return basis_transform(term.basis_matrix(), phi, term.m)
 
 
 def check_basis_requirement(
     transform: BasisTransform, phi, n: int, m: int, tol: float = TOL_DEG
 ) -> bool:
-    """True iff diag(T^dag Pi_phi T) is constant inside each device-sized block."""
+    """True iff diag(T^dag Pi_phi T) is constant inside each device-sized block.
+
+    Meant for a caller-supplied T; a product transform U (x) V always passes.
+    """
     pi = PostselectionProjector(phi=as_state(phi, name="phi"), device_dim=m).matrix
     diag = np.diag(transform.matrix.conj().T @ pi @ transform.matrix).real
     if diag.size != n * m:
@@ -143,7 +150,8 @@ class TheoremVerdict:
         """Invariance bound, enforced only under the full hypothesis."""
         if not (self.hypothesis_holds and self.basis_requirement_holds):
             return True
-        if self.gap > self.tol_verify:
+        # written so that a NaN gap fails
+        if not (self.gap <= self.tol_verify):
             return False
         return self.closed_form_gap is None or self.closed_form_gap <= self.tol_verify
 
@@ -167,14 +175,10 @@ def verify_nogo(
     spectral: ProductSpectralData | None = None,
 ) -> TheoremVerdict:
     """Compare conditional vs unconditional expectation and the closed form."""
-    phi = _require_postselect(scenario)
+    _require_postselect(scenario)
     data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
     report = check_rank_m_degeneracy(data, tol_deg)
     hypothesis = report.all_degenerate
-    basis_ok = all(
-        check_basis_requirement(term_basis_transform(term, phi), phi, scenario.n, scenario.m, tol_deg)
-        for term in data.terms
-    )
 
     conditional = sum(conditional_expectation(scenario, k, data, tol_p) for k in range(len(data)))
     unconditional = sum(expectation(scenario, k, data) for k in range(len(data)))
@@ -188,7 +192,9 @@ def verify_nogo(
 
     return TheoremVerdict(
         hypothesis_holds=hypothesis,
-        basis_requirement_holds=basis_ok,
+        # Each term's transform is T = U (x) V, and T^dag (|phi><phi| (x) I) T = (U^dag |phi><phi| U) (x) I,
+        # whose diagonal |phi'_i|^2 is constant inside every device block by construction.
+        basis_requirement_holds=True,
         conditional=conditional,
         unconditional=unconditional,
         gap=gap,

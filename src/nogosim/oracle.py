@@ -2,8 +2,10 @@
 
 The enumeration path builds every outcome projector as an explicit outer
 product, collapses the joint state by matrix-vector products, and forms the
-Bayesian ratios from traces; it shares nothing with the formula path above
-the eigensolver, so agreement between the two is a real cross-check. The
+Bayesian ratios from traces. It keeps its own eigensolver, the cyclic Jacobi
+iteration ``jacobi_decompose``, where the formula path runs LAPACK ``eigh``;
+the two share only the canonical basis given to degenerate eigenspaces, so
+agreement between the paths is a real cross-check. The
 sampler draws projective outcomes and postselection accept/reject decisions
 from a seeded PCG64 generator (identical seed, identical stream on every
 platform) and reports raw counts.
@@ -16,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbability
-from .linalg import TOL_POSTSELECT, outer, readonly, spectral_decompose, tensor_ket, tensor_product
+from .linalg import TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket, tensor_product
 from .measurement import MeasurementScenario, _require_postselect
 
 
 def _term_product_vectors(sys_op: np.ndarray, dev_op: np.ndarray) -> tuple[np.ndarray, list[list[np.ndarray]]]:
     """Factor eigenvalue grid and product eigenvectors, straight from the factors."""
-    sys_dec = spectral_decompose(sys_op)
-    dev_dec = spectral_decompose(dev_op)
+    sys_dec = jacobi_decompose(sys_op)
+    dev_dec = jacobi_decompose(dev_op)
     grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
     vectors = [
         [tensor_ket(sys_dec.eigenvectors[:, i], dev_dec.eigenvectors[:, j]) for j in range(dev_dec.dim)]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,15 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(bad)]) == 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observable_entry(self, tmp_path, bad):
+        raw = load_fixture("cnot_error.json")
+        raw["observable"]["terms"][0]["device"][1][1] = [bad, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))  # Python's json reads and writes NaN / Infinity
+        assert main(["verify", "--config", str(path)]) == 2
 
     def test_unnormalized_state(self, tmp_path):
         raw = load_fixture("cnot_error.json")

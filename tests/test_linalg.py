@@ -1,4 +1,4 @@
-"""Tensor products, Jacobi eigendecomposition, spectral matrix exponential."""
+"""Tensor products, the eigh and Jacobi solvers with canonical eigenspace bases, matrix exponential."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,10 @@ from nogosim.linalg import (
     SpectralDecomposition,
     is_hermitian,
     is_unitary,
+    jacobi_decompose,
     matrix_exponential_skew,
     outer,
+    require_hermitian,
     spectral_decompose,
     tensor_product,
 )
@@ -24,6 +26,14 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def random_hermitian(dim, rng):
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     return (g + g.conj().T) / 2
+
+
+def rotated_spectrum(levels, rng):
+    """W diag(levels) W^dag for a random unitary W; repeated levels give a degenerate eigenspace."""
+    dim = len(levels)
+    w, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    h = (w * np.asarray(levels, dtype=float)) @ w.conj().T
+    return (h + h.conj().T) / 2
 
 
 def series_exponential(h, t, terms=20):
@@ -107,8 +117,21 @@ class TestSpectralDecompose:
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_sweep_budget(self):
+        # the sweep budget belongs to the Jacobi solver the oracle keeps
         with pytest.raises(NoConvergence):
-            spectral_decompose(X, max_sweeps=0)
+            jacobi_decompose(X, max_sweeps=0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("solver", [spectral_decompose, jacobi_decompose])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, solver, bad, where):
+        h = np.array(Z, dtype=complex)
+        h[where] = bad
+        with pytest.raises(NonHermitian):
+            solver(h)
+        with pytest.raises(NonHermitian):
+            require_hermitian(h)
 
     def test_degeneracy_grouping_tolerance(self):
         dec = spectral_decompose(np.diag([1.0, 1.0 + 5e-10, 2.0]), tol_deg=1e-9)
@@ -120,6 +143,17 @@ class TestSpectralDecompose:
         dec = spectral_decompose(3 * np.eye(3, dtype=complex))
         assert np.array_equal(dec.eigenvectors, np.eye(3, dtype=complex))
         assert dec.eigenspace_groups == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("solver", [spectral_decompose, jacobi_decompose])
+    def test_degenerate_eigenspace_gets_gram_schmidt_basis(self, solver):
+        # eigenspace of -1 is span{(1, 1, 0), (0, 0, 1)}: projecting e_1 gives (1, 1, 0)/sqrt 2,
+        # e_2 leaves no residual, e_3 gives (0, 0, 1)
+        s = 1 / np.sqrt(2)
+        w = np.array([[s, 0, s], [s, 0, -s], [0, 1, 0]], dtype=complex)
+        h = (w * np.array([-1.0, -1.0, 1.0])) @ w.conj().T
+        dec = solver(h)
+        assert dec.eigenspace_groups == ((0, 1), (2,))
+        assert np.max(np.abs(dec.eigenvectors - w)) < 1e-14
 
     def test_reproducible_output(self):
         h = random_hermitian(4, np.random.default_rng(3))
@@ -156,6 +190,22 @@ class TestSpectralDecompose:
         assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(h), atol=1e-10)
 
 
+class TestJacobiDecompose:
+    """The oracle's solver agrees with the eigh path, degenerate eigenspaces included."""
+
+    @pytest.mark.parametrize(
+        "levels", [(2.0, 2.0), (-1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (-1.0, 0.0, 1.0)]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_canonical_basis_as_eigh(self, levels, seed):
+        h = rotated_spectrum(levels, np.random.default_rng(seed))
+        ours = spectral_decompose(h)
+        oracle = jacobi_decompose(h)
+        assert ours.eigenspace_groups == oracle.eigenspace_groups
+        assert np.max(np.abs(ours.eigenvalues - oracle.eigenvalues)) < 1e-12
+        assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
+
+
 class TestMatrixExponential:
     def test_zero_generator(self):
         assert np.max(np.abs(matrix_exponential_skew(np.zeros((3, 3)), 2.7) - np.eye(3))) < 1e-14
@@ -181,6 +231,14 @@ class TestMatrixExponential:
         h = random_hermitian(4, np.random.default_rng(23))
         got = matrix_exponential_skew(h, 0.3)
         assert np.max(np.abs(got - series_exponential(h, 0.3))) < 1e-12
+
+    def test_near_degenerate_generator_at_large_time(self):
+        # the spectrum +-1e-10 is one tol_deg group, yet t = 1e10 resolves it:
+        # (X Z)^2 = I gives exp(-i t H) = cos(1) I - i sin(1) X Z exactly
+        xz = tensor_product(X, Z)
+        got = matrix_exponential_skew(1e-10 * xz, 1e10)
+        want = np.cos(1.0) * np.eye(4) - 1j * np.sin(1.0) * xz
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_is_hermitian_tolerance():

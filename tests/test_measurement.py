@@ -209,6 +209,61 @@ class TestJointProbability:
         scen = cnot_error_scenario(0.4, theta, varphi)
         assert postselection_denominator(scen, 0) == pytest.approx(0.5, abs=1e-14)
 
+    def test_cnot_denominator_half_under_sub_tolerance_perturbation(self):
+        # 1e-12 is far below TOL_DEG, so 4 I + delta still has one degenerate eigenspace,
+        # and its canonical basis stays the standard one
+        delta = 1e-12 * np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]]) / np.sqrt(2)
+        scen = cnot_error_scenario(0.5, theta=0.7)
+        obs = JointObservable(n=2, m=2, terms=((4 * I2 + delta, P1),))
+        perturbed = MeasurementScenario(psi=scen.psi, xi=scen.xi, observable=obs, postselect=scen.postselect)
+        assert postselection_denominator(perturbed, 0) == pytest.approx(0.5, abs=1e-12)
+        assert conditional_expectation(perturbed, 0) == pytest.approx(1.0, abs=1e-11)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3]),
+        m=st.sampled_from([2, 3]),
+        eps=st.sampled_from([1e-13, 1e-12, 1e-11, 1e-10]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sub_tolerance_perturbation_moves_grid_by_order_eps(self, seed, n, m, eps):
+        """Factors with a degenerate eigenspace, perturbed by ||delta|| = eps < TOL_DEG / 2.
+
+        Davis-Kahan bounds the eigenspace projector's move by eps / (gap - 2 eps) ~ eps / 2
+        (gap 2 below). Gram-Schmidt divides by residuals >= 1/(2 sqrt d), which amplifies
+        that by at most (4 sqrt 3)^2 ~ 48 for g <= 2, and a grid entry is a product of three
+        squared amplitudes (factor <= 6): about 150 eps in all, bounded here by 1e3 eps plus
+        1e-13 of double rounding. Eigenvalues inside the group may cross; the grid may not move.
+        The bound holds away from the keep/skip threshold: a residual within about eps of
+        1/(2 sqrt d) could flip which e_i is kept and jump the basis by O(1). Random rotations
+        land there with probability of order eps, far out of reach of these draws.
+        """
+        rng = np.random.default_rng(seed)
+
+        def degenerate_factor(dim):
+            levels = np.array([-1.0, -1.0, 1.0]) if dim == 3 else np.array([2.0, 2.0])
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            h = (q * levels) @ q.conj().T
+            return (h + h.conj().T) / 2
+
+        def kick(dim):
+            h = random_hermitian(dim, rng)
+            return eps * h / np.linalg.norm(h, 2)
+
+        sys_op, dev_op = degenerate_factor(n), degenerate_factor(m)
+        psi, xi, phi = random_ket(n, rng), random_ket(m, rng), random_ket(n, rng)
+        base = MeasurementScenario(
+            psi=psi, xi=xi, observable=JointObservable(n=n, m=m, terms=((sys_op, dev_op),)), postselect=phi
+        )
+        moved = MeasurementScenario(
+            psi=psi,
+            xi=xi,
+            observable=JointObservable(n=n, m=m, terms=((sys_op + kick(n), dev_op + kick(m)),)),
+            postselect=phi,
+        )
+        shift = np.max(np.abs(joint_probability_grid(moved, 0) - joint_probability_grid(base, 0)))
+        assert shift <= 1e3 * eps + 1e-13
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_explicit_matrix_products(self, seed):
         rng = np.random.default_rng(seed)

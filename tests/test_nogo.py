@@ -163,6 +163,21 @@ class TestVerifyNogo:
         )
         assert not fake.passed
 
+    @pytest.mark.parametrize("field", ["gap", "closed_form_gap"])
+    def test_nan_gap_fails_the_verdict(self, field):
+        values = dict(
+            hypothesis_holds=True,
+            basis_requirement_holds=True,
+            conditional=1.0,
+            unconditional=1.0,
+            gap=0.0,
+            closed_form=1.0,
+            closed_form_gap=0.0,
+            tol_verify=1e-9,
+        )
+        values[field] = math.nan
+        assert not TheoremVerdict(**values).passed
+
 
 class TestClosedFormIdentities:
     @pytest.mark.parametrize("index", range(40))
