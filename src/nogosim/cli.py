@@ -20,7 +20,7 @@ import os
 import sys
 from time import perf_counter
 
-from .config import RunReport, ScenarioConfig, config_sha256, report_json, to_jsonable
+from .config import RunReport, ScenarioConfig, config_sha256, report_json
 from .errors import ConfigError, NogoSimError
 from .error_disturbance import (
     DEFAULT_STRENGTH_GRID,
@@ -216,7 +216,7 @@ def cmd_random_audit(args) -> int:
     )
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(json.dumps(to_jsonable(summary), indent=2, sort_keys=True))
+            handle.write(report_json(summary))
     if summary.mode == "degenerate" and summary.violations > 0:
         return 1
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,13 @@ from .nogo import DegeneracyReport, TheoremVerdict
 def _require_number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _complex_scalar(obj, where: str) -> complex:
@@ -240,4 +247,8 @@ def to_jsonable(obj):
 
 
 def report_json(report) -> str:
-    return json.dumps(to_jsonable(report), indent=2, sort_keys=True)
+    """Sorted, indented JSON; a NaN or Inf value raises NogoSimError instead of yielding invalid JSON."""
+    try:
+        return json.dumps(to_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NogoSimError(f"report has a non-finite value: {exc}") from exc

@@ -12,8 +12,10 @@ device state covers the full analytic family used by the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,6 +282,58 @@ class ErrorDisturbanceReport:
             raise ValueError("squared quantities must be numerically nonnegative")
 
 
+class _SquaredObservables(NamedTuple):
+    """What a (model, setup) pair fixes: the operators and their squares as joint observables."""
+
+    noise: np.ndarray
+    disturb: np.ndarray
+    noise_sq: np.ndarray
+    disturb_sq: np.ndarray
+    error: JointObservable
+    disturbance: JointObservable
+
+
+def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
+    noise = noise_operator(model, setup)
+    disturb = disturbance_operator(model, setup)
+    noise_sq = (noise @ noise + (noise @ noise).conj().T) / 2.0
+    disturb_sq = (disturb @ disturb + (disturb @ disturb).conj().T) / 2.0
+    n, m = setup.n, setup.m
+    return _SquaredObservables(
+        noise=readonly(noise),
+        disturb=readonly(disturb),
+        noise_sq=readonly(noise_sq),
+        disturb_sq=readonly(disturb_sq),
+        error=joint_observable_from_operator(noise_sq, n, m),
+        disturbance=joint_observable_from_operator(disturb_sq, n, m),
+    )
+
+
+def _state_report(
+    ops: _SquaredObservables, psi, xi, phi, tol_deg: float, tol_verify: float, tol_p: float
+) -> ErrorDisturbanceReport:
+    """The per-state half of the report: means, postselected means and gaps."""
+    epsilon_sq = _joint_mean(ops.noise_sq, psi, xi)
+    eta_sq = _joint_mean(ops.disturb_sq, psi, xi)
+    error_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
+    disturbance_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi)
+    error_verdict = verify_nogo(error_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
+    disturbance_verdict = verify_nogo(disturbance_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
+
+    return ErrorDisturbanceReport(
+        epsilon_sq=epsilon_sq,
+        eta_sq=eta_sq,
+        epsilon_sq_post=error_verdict.conditional,
+        eta_sq_post=disturbance_verdict.conditional,
+        noise_op=ops.noise,
+        disturb_op=ops.disturb,
+        nogo_gap_error=abs(error_verdict.conditional - epsilon_sq),
+        nogo_gap_disturbance=abs(disturbance_verdict.conditional - eta_sq),
+        error_verdict=error_verdict,
+        disturbance_verdict=disturbance_verdict,
+    )
+
+
 def postselected_error_disturbance(
     model: InteractionModel,
     setup: MeasurementSetup,
@@ -291,35 +345,7 @@ def postselected_error_disturbance(
     tol_p: float = TOL_POSTSELECT,
 ) -> ErrorDisturbanceReport:
     """Full report: direct means, postselected means, and no-go gaps."""
-    noise = noise_operator(model, setup)
-    disturb = disturbance_operator(model, setup)
-    noise_sq = (noise @ noise + (noise @ noise).conj().T) / 2.0
-    disturb_sq = (disturb @ disturb + (disturb @ disturb).conj().T) / 2.0
-    epsilon_sq = _joint_mean(noise_sq, psi, xi)
-    eta_sq = _joint_mean(disturb_sq, psi, xi)
-
-    n, m = setup.n, setup.m
-    error_scenario = MeasurementScenario(
-        psi=psi, xi=xi, observable=joint_observable_from_operator(noise_sq, n, m), postselect=phi
-    )
-    disturbance_scenario = MeasurementScenario(
-        psi=psi, xi=xi, observable=joint_observable_from_operator(disturb_sq, n, m), postselect=phi
-    )
-    error_verdict = verify_nogo(error_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
-    disturbance_verdict = verify_nogo(disturbance_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
-
-    return ErrorDisturbanceReport(
-        epsilon_sq=epsilon_sq,
-        eta_sq=eta_sq,
-        epsilon_sq_post=error_verdict.conditional,
-        eta_sq_post=disturbance_verdict.conditional,
-        noise_op=readonly(noise),
-        disturb_op=readonly(disturb),
-        nogo_gap_error=abs(error_verdict.conditional - epsilon_sq),
-        nogo_gap_disturbance=abs(disturbance_verdict.conditional - eta_sq),
-        error_verdict=error_verdict,
-        disturbance_verdict=disturbance_verdict,
-    )
+    return _state_report(_squared_observables(model, setup), psi, xi, phi, tol_deg, tol_verify, tol_p)
 
 
 @dataclass(frozen=True)
@@ -363,28 +389,27 @@ def _cnot_model_setup() -> tuple[InteractionModel, MeasurementSetup]:
     return model, setup
 
 
+@functools.cache
+def _cnot_squared_observables() -> _SquaredObservables:
+    """Built once per process: the CNOT operators do not depend on (s, theta, varphi)."""
+    return _squared_observables(*_cnot_model_setup())
+
+
 def cnot_scenario(params: CnotScenario) -> CnotBundle:
     """Measurement scenarios, interaction and setup for the controlled-NOT family."""
     model, setup = _cnot_model_setup()
-    noise = noise_operator(model, setup)
-    disturb = disturbance_operator(model, setup)
+    ops = _cnot_squared_observables()
     psi, xi, phi = params.psi(), params.xi(), params.phi()
-    error_scenario = MeasurementScenario(
-        psi=psi, xi=xi, observable=joint_observable_from_operator(noise @ noise, 2, 2), postselect=phi
-    )
-    disturbance_scenario = MeasurementScenario(
-        psi=psi, xi=xi, observable=joint_observable_from_operator(disturb @ disturb, 2, 2), postselect=phi
-    )
     return CnotBundle(
-        error_scenario=error_scenario,
-        disturbance_scenario=disturbance_scenario,
+        error_scenario=MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi),
+        disturbance_scenario=MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi),
         model=model,
         setup=setup,
     )
 
 
 def cnot_report(params: CnotScenario, tol_deg: float = TOL_DEG, tol_verify: float = TOL_VERIFY) -> ErrorDisturbanceReport:
-    model, setup = _cnot_model_setup()
-    return postselected_error_disturbance(
-        model, setup, params.psi(), params.xi(), params.phi(), tol_deg=tol_deg, tol_verify=tol_verify
+    """Equals postselected_error_disturbance on the CNOT model and setup, with the operators built once."""
+    return _state_report(
+        _cnot_squared_observables(), params.psi(), params.xi(), params.phi(), tol_deg, tol_verify, TOL_POSTSELECT
     )

@@ -58,7 +58,8 @@ def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
     """Coerce to a normalized ket; unnormalized input is rejected."""
     arr = as_ket(v, name)
     norm_sq = float(np.vdot(arr, arr).real)
-    if abs(norm_sq - 1.0) > tol:
+    # written so that a NaN norm (any NaN or Inf amplitude) is rejected too
+    if not (abs(norm_sq - 1.0) <= tol):
         raise ValueError(f"{name} must be normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
     return arr
 

@@ -62,6 +62,9 @@ class JointObservable:
                 raise DimensionMismatch(f"device factor {idx} is {dev_op.shape}, expected {(self.m, self.m)}")
             frozen.append((readonly(sys_op), readonly(dev_op)))
         object.__setattr__(self, "terms", tuple(frozen))
+        # product_spectral's memo, keyed by tol_deg; a plain attribute rather than a
+        # field, so fields(), __eq__ and repr see only n, m and terms
+        object.__setattr__(self, "_spectral", {})
 
     @classmethod
     def from_terms(cls, terms) -> "JointObservable":
@@ -122,16 +125,25 @@ class ProductSpectralData:
 
 
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """Per-term factor decomposition; the grid entry (i, j) is u_i * v_j."""
-    entries = []
-    for sys_op, dev_op in observable.terms:
-        sys_dec = spectral_decompose(sys_op, tol_deg)
-        dev_dec = spectral_decompose(dev_op, tol_deg)
-        grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
-        entries.append(
-            ProductTermSpectral(system=sys_dec, device=dev_dec, eigenvalue_grid=readonly(grid))
-        )
-    return ProductSpectralData(terms=tuple(entries))
+    """Per-term factor decomposition; the grid entry (i, j) is u_i * v_j.
+
+    Computed once per observable and tol_deg, then returned from a memo on the
+    observable: its factors are read-only, so the result is a pure function of
+    (terms, tol_deg), and every array in it is read-only, so callers can share it.
+    """
+    memo = observable._spectral
+    data = memo.get(tol_deg)
+    if data is None:
+        entries = []
+        for sys_op, dev_op in observable.terms:
+            sys_dec = spectral_decompose(sys_op, tol_deg)
+            dev_dec = spectral_decompose(dev_op, tol_deg)
+            grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
+            entries.append(
+                ProductTermSpectral(system=sys_dec, device=dev_dec, eigenvalue_grid=readonly(grid))
+            )
+        data = memo[tol_deg] = ProductSpectralData(terms=tuple(entries))
+    return data
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,36 @@ class TestVerify:
         path.write_text(json.dumps(raw))  # Python's json reads and writes NaN / Infinity
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_amplitude(self, tmp_path, capsys, bad):
+        raw = load_fixture("generic_violation.json")
+        raw["psi"][0] = [bad, 0.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        raw = load_fixture("generic_violation.json")
+        raw["tolerances"] = {"deg": 10**400}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_report_is_not_emitted(self, tmp_path, capsys):
+        # finite entries whose eigenvalue products overflow: the gap is inf - inf = NaN
+        raw = load_fixture("generic_violation.json")
+        for term in raw["observable"]["terms"]:
+            for side in ("system", "device"):
+                term[side] = [[[1e200 * re, 1e200 * im] for re, im in row] for row in term[side]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_unnormalized_state(self, tmp_path):
         raw = load_fixture("cnot_error.json")
         raw["psi"] = [[1.0, 0.0], [1.0, 0.0]]

@@ -1,10 +1,12 @@
 """Noise/disturbance operators, mean squares, and the controlled-NOT family."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nogosim import error_disturbance, measurement
 from nogosim.errors import DimensionMismatch, NonHermitian
 from nogosim.error_disturbance import (
     CNOT,
@@ -16,6 +18,8 @@ from nogosim.error_disturbance import (
     ErrorDisturbanceReport,
     InteractionModel,
     MeasurementSetup,
+    _cnot_model_setup,
+    _cnot_squared_observables,
     cnot_report,
     cnot_scenario,
     disturbance_operator,
@@ -28,8 +32,8 @@ from nogosim.error_disturbance import (
     noise_operator,
     postselected_error_disturbance,
 )
-from nogosim.linalg import matrix_exponential_skew, tensor_product
-from nogosim.measurement import MeasurementScenario, observable_expectation
+from nogosim.linalg import TOL_DEG, matrix_exponential_skew, tensor_product
+from nogosim.measurement import MeasurementScenario, observable_expectation, product_spectral
 from nogosim.nogo import check_rank_m_degeneracy
 
 I2 = np.eye(2, dtype=complex)
@@ -332,6 +336,48 @@ class TestCnotScenarioBuilder:
         bundle = cnot_scenario(CnotScenario(strength=0.5))
         for scen in (bundle.error_scenario, bundle.disturbance_scenario):
             assert check_rank_m_degeneracy(scen.spectral()).all_degenerate
+
+
+class TestCnotCache:
+    @pytest.mark.parametrize("tol_deg", [TOL_DEG, 1e-7])
+    @pytest.mark.parametrize(
+        "s, theta, varphi", [(0.0, 0.0, 0.0), (0.37, 0.7, 0.3), (0.8, 1.1, 2.5), (1.0, math.pi / 2, math.pi)]
+    )
+    def test_report_equals_uncached_path(self, s, theta, varphi, tol_deg):
+        params = CnotScenario(strength=s, theta=theta, varphi=varphi)
+        cached = cnot_report(params, tol_deg=tol_deg)
+        fresh = postselected_error_disturbance(
+            *_cnot_model_setup(), params.psi(), params.xi(), params.phi(), tol_deg=tol_deg
+        )
+        for f in dataclasses.fields(ErrorDisturbanceReport):
+            a, b = getattr(cached, f.name), getattr(fresh, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    def test_sweep_point_decomposes_nothing(self, monkeypatch):
+        cnot_report(CnotScenario(strength=0.2))
+        calls = []
+        monkeypatch.setattr(measurement, "spectral_decompose", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(error_disturbance, "joint_observable_from_operator", lambda *a, **k: calls.append(a))
+        cnot_report(CnotScenario(strength=0.6, theta=0.4, varphi=1.0))
+        cnot_scenario(CnotScenario(strength=0.6))
+        assert calls == []
+
+    def test_cached_arrays_are_read_only(self):
+        ops = _cnot_squared_observables()
+        assert _cnot_squared_observables() is ops
+        arrays = [ops.noise, ops.disturb, ops.noise_sq, ops.disturb_sq]
+        for obs in (ops.error, ops.disturbance):
+            arrays += [factor for term in obs.terms for factor in term]
+            for term in product_spectral(obs):
+                arrays += [term.eigenvalue_grid]
+                for dec in (term.system, term.device):
+                    arrays += [dec.eigenvalues, dec.eigenvectors]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestInteractionModel:

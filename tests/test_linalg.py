@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nogosim.errors import NoConvergence, NonHermitian
 from nogosim.linalg import (
     SpectralDecomposition,
+    as_state,
     is_hermitian,
     is_unitary,
     jacobi_decompose,
@@ -44,6 +45,13 @@ def series_exponential(h, t, terms=20):
         term = term @ (-1j * t * h) / k
         acc = acc + term
     return acc
+
+
+class TestAsState:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError):
+            as_state([bad, 0.0])
 
 
 class TestTensorProduct:

@@ -1,5 +1,6 @@
 """Outcome statistics, ABL conditionals, Lueders updates, weak values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestProductSpectral:
                 want = pa if a == b else np.zeros((6, 6))
                 assert np.max(np.abs(pa @ pb - want)) < 1e-10
         assert np.max(np.abs(sum(projectors) - np.eye(6))) < 1e-10
+
+    def test_memoized_per_tol_deg(self):
+        obs = JointObservable(n=2, m=2, terms=((np.diag([0.0, 1e-8]), Z),))
+        coarse = product_spectral(obs, 1e-7)
+        fine = product_spectral(obs, 1e-9)
+        assert product_spectral(obs, 1e-7) is coarse
+        assert product_spectral(obs, 1e-9) is fine
+        assert coarse[0].system.eigenspace_groups == ((0, 1),)
+        assert fine[0].system.eigenspace_groups == ((0,), (1,))
+
+    def test_memo_is_not_a_field(self):
+        obs = JointObservable(n=2, m=2, terms=((I2, Z),))
+        before = repr(obs)
+        product_spectral(obs)
+        assert repr(obs) == before
+        assert [f.name for f in dataclasses.fields(obs)] == ["n", "m", "terms"]
 
     def test_rejects_non_hermitian_terms(self):
         with pytest.raises(NonHermitian):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nogosim import measurement
 from nogosim.errors import NotCanonical, NotRankMDegenerate, OrthogonalPostselection
 from nogosim.measurement import (
     JointObservable,
@@ -295,6 +296,25 @@ def test_random_scenario_postselection_floor():
         data = product_spectral(scen.observable)
         for k in range(len(data)):
             assert float(joint_probability_grid(scen, k, data).sum()) >= 1e-6
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, degenerate):
+    calls = []
+    original = measurement.spectral_decompose
+
+    def counting(h, tol_deg):
+        calls.append(h.shape)
+        return original(h, tol_deg)
+
+    monkeypatch.setattr(measurement, "spectral_decompose", counting)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        calls.clear()
+        # a zero floor accepts the first draw
+        scen = random_scenario(rng, 3, 2, degenerate=degenerate, min_postselect=0.0)
+        verify_nogo(scen)
+        assert len(calls) == 2 * scen.observable.num_terms
 
 
 def test_random_hermitian_statistics():
