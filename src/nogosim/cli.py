@@ -20,7 +20,7 @@ import os
 import sys
 from time import perf_counter
 
-from .config import RunReport, ScenarioConfig, config_sha256, report_json
+from .config import RunReport, ScenarioConfig, config_sha256, report_json, require_tolerance
 from .errors import ConfigError, NogoSimError
 from .error_disturbance import (
     DEFAULT_STRENGTH_GRID,
@@ -53,14 +53,16 @@ def _env_default(builtin: float) -> float:
     if raw is None:
         return builtin
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"NOGO_DEFAULT_TOL is not a number: {raw!r}") from exc
+    return require_tolerance(value, "NOGO_DEFAULT_TOL")
 
 
-def _resolve_tol(flag_value: float | None, config_value: float | None, builtin: float) -> float:
+def _resolve_tol(flag_value: float | None, flag: str, config_value: float | None, builtin: float) -> float:
+    """Flag, then config (validated on load), then environment, then built-in default."""
     if flag_value is not None:
-        return flag_value
+        return require_tolerance(flag_value, flag)
     if config_value is not None:
         return config_value
     return _env_default(builtin)
@@ -102,8 +104,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_verify(args) -> int:
     t0 = perf_counter()
     config = ScenarioConfig.from_path(args.config)
-    tol_deg = _resolve_tol(args.tol_deg, config.tol_deg, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, config.tol_verify, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", config.tol_deg, TOL_DEG)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", config.tol_verify, TOL_VERIFY)
 
     scenario = config.scenario()
     if config.phi is None:
@@ -139,8 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cnot_sweep(args) -> int:
-    tol_deg = _resolve_tol(args.tol_deg, None, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, None, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
     s_grid = parse_grid(args.s_grid, "--s-grid") if args.s_grid else list(DEFAULT_STRENGTH_GRID)
     theta_grid = parse_grid(args.theta_grid, "--theta-grid") if args.theta_grid else list(DEFAULT_THETA_GRID)
     varphi_grid = parse_grid(args.varphi_grid, "--varphi-grid") if args.varphi_grid else list(DEFAULT_VARPHI_GRID)
@@ -188,8 +190,8 @@ def cmd_cnot_sweep(args) -> int:
 def cmd_random_audit(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
-    tol_deg = _resolve_tol(args.tol_deg, None, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, None, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
     n = m = None
     if args.dims:
         parts = args.dims.split(",")
@@ -228,7 +230,10 @@ def cmd_sample(args) -> int:
     if config.phi is None:
         raise ConfigError("sample needs a 'phi' postselection state")
     seed = args.seed if args.seed is not None else (config.seed if config.seed is not None else 0)
-    result = sample_two_step(scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards)
+    try:
+        result = sample_two_step(scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards)
+    except ValueError as exc:  # --shots, --shards, --seed or --term out of range
+        raise ConfigError(str(exc)) from exc
     grid = product_spectral(scenario.observable)[args.term].eigenvalue_grid
     payload = {
         "seed": result.seed,

@@ -36,6 +36,14 @@ def _require_number(obj, where: str) -> float:
     return value
 
 
+def require_tolerance(obj, where: str) -> float:
+    """A finite, non-negative number; a NaN tolerance would let every ``x > tol`` gate pass."""
+    value = _require_number(obj, where)
+    if value < 0.0:
+        raise ConfigError(f"{where}: expected a non-negative tolerance, got {value!r}")
+    return value
+
+
 def _complex_scalar(obj, where: str) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ConfigError(f"{where}: complex entries must be [re, im] pairs")
@@ -99,9 +107,9 @@ class ScenarioConfig:
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         # absent entries stay None so the CLI can fall back to env/builtin defaults
-        tol_deg = _require_number(tolerances["deg"], "tolerances.deg") if "deg" in tolerances else None
-        tol_verify = _require_number(tolerances["verify"], "tolerances.verify") if "verify" in tolerances else None
-        tol_post = _require_number(tolerances.get("postselect", TOL_POSTSELECT), "tolerances.postselect")
+        tol_deg = require_tolerance(tolerances["deg"], "tolerances.deg") if "deg" in tolerances else None
+        tol_verify = require_tolerance(tolerances["verify"], "tolerances.verify") if "verify" in tolerances else None
+        tol_post = require_tolerance(tolerances.get("postselect", TOL_POSTSELECT), "tolerances.postselect")
 
         seed = raw.get("seed")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):

@@ -68,14 +68,14 @@ def _term_degeneracy(grid: np.ndarray, tol_deg: float) -> TermDegeneracy:
     lows = grid.min(axis=0)
     highs = grid.max(axis=0)
     spreads = highs - lows
-    bad = np.flatnonzero(spreads > tol_deg)
-    if bad.size == 0:
+    within = spreads <= tol_deg  # False for a NaN spread or tolerance
+    if within.all():
         return TermDegeneracy(
             is_rank_m_degenerate=True,
             column_eigenvalues=readonly(grid.mean(axis=0)),
             witness=None,
         )
-    j = int(bad[0])
+    j = int(np.argmin(within))  # first column outside tol_deg
     i_lo = int(np.argmin(grid[:, j]))
     i_hi = int(np.argmax(grid[:, j]))
     i, i2 = sorted((i_lo, i_hi))

@@ -8,7 +8,8 @@ the two share only the canonical basis given to degenerate eigenspaces, so
 agreement between the paths is a real cross-check. The
 sampler draws projective outcomes and postselection accept/reject decisions
 from a seeded PCG64 generator (identical seed, identical stream on every
-platform) and reports raw counts.
+platform) and reports raw counts, equal to those of a ``Generator.choice``
+draw followed by an accept draw on the same seed (see ``_accepted_counts``).
 """
 
 from __future__ import annotations
@@ -84,6 +85,54 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
     )
 
 
+#: ``Generator.choice`` accepts probabilities whose sum is within this of 1.
+_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _outcome_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of ``probs``, built as ``Generator.choice(p=probs)`` builds it."""
+    if not abs(probs.sum() - 1.0) <= _SUM_ATOL:  # also rejects NaN and Inf entries
+        raise ValueError("outcome probabilities are not a distribution")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _accepted_counts(seed: int, shots: int, shards: int, cdf: np.ndarray, accept_probs: np.ndarray) -> np.ndarray:
+    """Accepted shots per outcome, summed over ``shards`` near-equal shards.
+
+    Shard s draws its outcome uniforms u and then its acceptance uniforms v
+    from the generator seeded by (seed, s). Shot t draws outcome j when
+    cdf[j-1] <= u[t] < cdf[j] (lower bound 0 for j = 0) and is accepted when
+    v[t] < accept_probs[j]. Those are the comparisons
+    ``searchsorted(cdf, u, side="right")`` inside ``Generator.choice`` makes
+    on the same uniforms, so a shard's counts equal
+    ``bincount(drawn[rng.random(size) < accept_probs[drawn]])`` with
+    ``drawn = rng.choice(k, size, p)``. The shards share one set of buffers,
+    so a call allocates and first touches them once.
+    """
+    base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
+    u_buf = np.empty(base + (extra > 0))
+    v_buf = np.empty_like(u_buf)
+    hit_buf = np.empty(u_buf.size, dtype=bool)
+    test_buf = np.empty_like(hit_buf)
+    counts = np.zeros(cdf.size, dtype=np.int64)
+    for shard in range(shards):
+        size = base + (shard < extra)
+        u, v, hit, test = u_buf[:size], v_buf[:size], hit_buf[:size], test_buf[:size]
+        rng = np.random.default_rng((seed, shard))
+        rng.random(out=u)
+        rng.random(out=v)
+        lower = 0.0
+        for j, (upper, accept) in enumerate(zip(cdf, accept_probs)):
+            np.greater_equal(u, lower, out=hit)
+            hit &= np.less(u, upper, out=test)
+            hit &= np.less(v, accept, out=test)
+            counts[j] += np.count_nonzero(hit)
+            lower = upper
+    return counts
+
+
 @dataclass(frozen=True)
 class SamplingResult:
     """Counts of postselection-accepted outcomes for one term."""
@@ -119,6 +168,10 @@ def sample_two_step(
         raise ValueError("shots must be at least 1")
     if shards < 1 or shards > shots:
         raise ValueError("shards must be in [1, shots]")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if not 0 <= term < scenario.observable.num_terms:
+        raise ValueError(f"term must be in [0, {scenario.observable.num_terms})")
     phi = _require_postselect(scenario)
     n, m = scenario.n, scenario.m
     psi_joint = scenario.joint_state()
@@ -138,17 +191,7 @@ def sample_two_step(
     outcome_probs = np.clip(outcome_probs, 0.0, None)
     outcome_probs /= outcome_probs.sum()
     accept_probs = np.clip(accept_probs, 0.0, 1.0)
-
-    counts = np.zeros(n * m, dtype=np.int64)
-    base = shots // shards
-    sizes = [base + (1 if s < shots % shards else 0) for s in range(shards)]
-    for shard_index, size in enumerate(sizes):
-        if size == 0:
-            continue
-        rng = np.random.default_rng((int(seed), shard_index))
-        drawn = rng.choice(n * m, size=size, p=outcome_probs)
-        accepted_mask = rng.random(size) < accept_probs[drawn]
-        counts += np.bincount(drawn[accepted_mask], minlength=n * m)
+    counts = _accepted_counts(int(seed), shots, shards, _outcome_cdf(outcome_probs), accept_probs)
 
     return SamplingResult(
         seed=int(seed),

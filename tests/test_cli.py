@@ -3,15 +3,17 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import nogosim
-from nogosim.cli import main, parse_grid
+from nogosim.cli import build_parser, main, parse_grid
 from nogosim.errors import ConfigError
 
 FIXTURES = Path(nogosim.__file__).parent / "fixtures"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_fixture(name):
@@ -170,6 +172,46 @@ class TestVerify:
         monkeypatch.setenv("NOGO_DEFAULT_TOL", "not-a-number")
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tol-deg", "nan"],
+            ["--tol-deg", "inf"],
+            ["--tol-deg", "-1e-9"],
+            ["--tol-verify", "nan"],
+            ["--tol-verify", "-inf"],
+        ],
+    )
+    def test_bad_tolerance_flag(self, capsys, flags):
+        assert main(["verify", "--config", str(FIXTURES / "generic_violation.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags[0] in captured.err
+
+    @pytest.mark.parametrize("key,bad", [("deg", -1.0), ("verify", -1e-9), ("postselect", -1.0), ("deg", math.nan)])
+    def test_bad_config_tolerance(self, tmp_path, key, bad):
+        raw = load_fixture("generic_violation.json")
+        raw["tolerances"] = {key: bad}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "-1"])
+    def test_bad_env_tolerance(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv("NOGO_DEFAULT_TOL", bad)
+        raw = load_fixture("generic_violation.json")
+        raw.pop("tolerances", None)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+
+    def test_zero_tolerance_is_allowed(self, tmp_path):
+        # the CNOT error grid 4*I (x) diag(0, 1) is exactly column-constant
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(FIXTURES / "cnot_error.json"), "--tol-deg", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["degeneracy"]["terms"][0]["is_rank_m_degenerate"] is True
+
 
 class TestCnotSweep:
     def test_default_grid_csv(self, tmp_path):
@@ -212,6 +254,10 @@ class TestCnotSweep:
     def test_bad_grid_spec(self):
         assert main(["cnot-sweep", "--s-grid", "a:b:c"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-verify"])
+    def test_nan_tolerance(self, flag):
+        assert main(["cnot-sweep", "--s-grid", "0.5", flag, "nan"]) == 2
+
 
 class TestRandomAudit:
     def test_degenerate_mode(self, tmp_path, capsys):
@@ -235,6 +281,10 @@ class TestRandomAudit:
 
     def test_zero_count_is_usage_error(self):
         assert main(["random-audit", "--count", "0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-verify"])
+    def test_nan_tolerance(self, flag):
+        assert main(["random-audit", "--count", "1", flag, "nan"]) == 2
 
     def test_bad_dims(self):
         assert main(["random-audit", "--count", "1", "--dims", "2"]) == 2
@@ -284,6 +334,20 @@ class TestSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 7  # the fixture's seed field
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--term", "5"], ["--term", "-1"], ["--shots", "0"], ["--shards", "0"], ["--seed", "-1"]],
+        ids=["term-past-end", "negative-term", "zero-shots", "zero-shards", "negative-seed"],
+    )
+    def test_bad_flag_is_usage_error(self, capsys, flags):
+        code = main(["sample", "--config", str(FIXTURES / "cnot_error.json"), "--shots", "100", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert flags[0].lstrip("-") in captured.err  # the message names the offending flag
+
 
 class TestParser:
     def test_unknown_command_exits_two(self):
@@ -306,3 +370,27 @@ def test_sweep_stdout_when_no_out(capsys):
     assert lines[0].startswith("s,theta,varphi,epsilon_sq")
     values = lines[1].split(",")
     assert float(values[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """Long options per subcommand, from the README's CLI synopsis block."""
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "nogosim", line
+        synopsis[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return synopsis
+
+
+def _parser_long_options() -> dict[str, set[str]]:
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_readme_synopsis_lists_every_long_option():
+    assert _readme_synopsis() == _parser_long_options()

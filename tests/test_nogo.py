@@ -79,6 +79,13 @@ class TestDegeneracyCheck:
         assert check_rank_m_degeneracy(product_spectral(obs), tol_deg=1e-9).all_degenerate
         assert not check_rank_m_degeneracy(product_spectral(obs), tol_deg=1e-12).all_degenerate
 
+    @pytest.mark.parametrize("system", [np.diag([1.0, 2.0]), 4 * np.eye(2)], ids=["generic", "exactly-degenerate"])
+    def test_nan_tolerance_marks_no_term_degenerate(self, system):
+        obs = JointObservable(n=2, m=2, terms=((system.astype(complex), P1),))
+        report = check_rank_m_degeneracy(product_spectral(obs), math.nan)
+        assert not report.terms[0].is_rank_m_degenerate
+        assert not report.all_degenerate
+
 
 class TestBasisRequirement:
     def test_canonical_transform_always_passes(self):

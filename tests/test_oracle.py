@@ -1,10 +1,16 @@
 """Brute-force enumeration and Monte Carlo sampling against the formula path."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import nogosim
+from nogosim import oracle
+from nogosim.config import ScenarioConfig
 from nogosim.errors import MissingPostselection, ZeroProbability
 from nogosim.measurement import (
     JointObservable,
@@ -17,7 +23,7 @@ from nogosim.measurement import (
     product_spectral,
 )
 from nogosim.nogo import instance_rng, random_scenario
-from nogosim.oracle import enumerate_two_step, sample_two_step
+from nogosim.oracle import _accepted_counts, _outcome_cdf, enumerate_two_step, sample_two_step
 
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -132,9 +138,93 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_two_step(scen, shots=10, seed=1, shards=11)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"term": 1}, {"term": -1}, {"seed": -1}, {"shards": 0}],
+        ids=["term-past-end", "negative-term", "negative-seed", "zero-shards"],
+    )
+    def test_rejects_out_of_range_arguments(self, kwargs):
+        scen = cnot_error_scenario(0.5)  # one term
+        with pytest.raises(ValueError):
+            sample_two_step(scen, **{"shots": 10, "seed": 1, **kwargs})
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_rejects_a_non_distribution(self, monkeypatch):
+        # zero eigenvectors give every outcome probability 0, so normalizing yields NaN
+        def zero_vectors(sys_op, dev_op):
+            return None, [[np.zeros(4, dtype=complex)] * 2] * 2
+
+        monkeypatch.setattr(oracle, "_term_product_vectors", zero_vectors)
+        with pytest.raises(ValueError):
+            sample_two_step(cnot_error_scenario(0.5), shots=10, seed=1)
+
     def test_empirical_frequencies_track_formula(self):
         rng = instance_rng(55, 1)
         scen = random_scenario(rng, 2, 2, degenerate=False, num_terms=1, min_postselect=1e-2)
         result = sample_two_step(scen, shots=200_000, seed=4)
         target = abl_conditional_grid(scen, 0)
         assert np.max(np.abs(result.frequencies() - target)) < 0.01
+
+
+FIXTURES = Path(nogosim.__file__).parent / "fixtures"
+
+#: (fixture, shots, seed, shards, counts, accepted), recorded with the
+#: ``Generator.choice``-based sampler that the counting kernel replaced.
+GOLDEN_SAMPLES = [
+    ("cnot_disturbance.json", 1, 0, 1, [[0, 0], [1, 0]], 1),
+    ("cnot_disturbance.json", 1, 5, 1, [[0, 0], [0, 0]], 0),
+    ("cnot_disturbance.json", 7, 3, 7, [[3, 0], [1, 0]], 4),
+    ("cnot_disturbance.json", 1000, 7, 1, [[245, 14], [239, 13]], 511),
+    ("cnot_disturbance.json", 10001, 42, 4, [[2381, 166], [2360, 159]], 5066),
+    ("cnot_disturbance.json", 25000, 2024, 3, [[5884, 379], [5851, 408]], 12522),
+    ("cnot_error.json", 1, 0, 1, [[0, 0], [1, 0]], 1),
+    ("cnot_error.json", 1, 5, 1, [[0, 0], [0, 0]], 0),
+    ("cnot_error.json", 7, 3, 7, [[3, 0], [0, 1]], 4),
+    ("cnot_error.json", 1000, 7, 1, [[192, 67], [192, 60]], 511),
+    ("cnot_error.json", 10001, 42, 4, [[1923, 624], [1933, 586]], 5066),
+    ("cnot_error.json", 25000, 2024, 3, [[4718, 1545], [4730, 1529]], 12522),
+    ("generic_violation.json", 1, 0, 1, [[0, 0, 0], [0, 0, 0]], 0),
+    ("generic_violation.json", 1, 5, 1, [[0, 0, 0], [0, 0, 0]], 0),
+    ("generic_violation.json", 7, 3, 7, [[1, 2, 1], [0, 0, 0]], 4),
+    ("generic_violation.json", 1000, 7, 1, [[48, 76, 288], [11, 20, 70]], 513),
+    ("generic_violation.json", 10001, 42, 4, [[457, 753, 2977], [146, 194, 786]], 5313),
+    ("generic_violation.json", 25000, 2024, 3, [[1176, 1706, 7549], [321, 472, 1984]], 13208),
+]
+
+
+class TestSamplingStream:
+    """The sampler's counts are pinned to the stream of earlier versions."""
+
+    @pytest.mark.parametrize(
+        "name,shots,seed,shards,counts,accepted",
+        GOLDEN_SAMPLES,
+        ids=[f"{row[0]}-{row[1]}-{row[2]}-{row[3]}" for row in GOLDEN_SAMPLES],
+    )
+    def test_golden_counts(self, name, shots, seed, shards, counts, accepted):
+        scen = ScenarioConfig.from_path(FIXTURES / name).scenario()
+        result = sample_two_step(scen, shots=shots, seed=seed, shards=shards)
+        assert result.counts.tolist() == counts
+        assert result.accepted == accepted
+
+    @given(data=st.data(), size=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_shard_counts_equal_choice_then_accept(self, data, size, seed):
+        k = data.draw(st.integers(1, 9), label="k")
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), label="weights")
+        for index in data.draw(st.sets(st.sampled_from([0, k // 2, k - 1])), label="zeroed"):
+            weights[index] = 0.0
+        assume(sum(weights) > 0.0)
+        accept = np.array(
+            data.draw(
+                st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=k, max_size=k),
+                label="accept",
+            )
+        )
+        probs = np.array(weights) / sum(weights)
+
+        # reference: one shard of the sampler as it was written with Generator.choice
+        rng = np.random.default_rng((seed, 0))
+        drawn = rng.choice(k, size=size, p=probs)
+        expected = np.bincount(drawn[rng.random(size) < accept[drawn]], minlength=k)
+
+        assert _accepted_counts(seed, size, 1, _outcome_cdf(probs), accept).tolist() == expected.tolist()
