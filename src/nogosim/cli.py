@@ -190,6 +190,8 @@ def cmd_cnot_sweep(args) -> int:
 def cmd_random_audit(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
     tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
     n = m = None

@@ -165,8 +165,11 @@ def disturbance_operator(model: InteractionModel, setup: MeasurementSetup) -> np
     return (op + op.conj().T) / 2.0
 
 
-def _joint_mean(op: np.ndarray, psi, xi) -> float:
-    state = tensor_ket(as_state(psi, name="psi"), as_state(xi, name="xi"))
+def _joint_state(psi, xi) -> np.ndarray:
+    return tensor_ket(as_state(psi, name="psi"), as_state(xi, name="xi"))
+
+
+def _joint_mean(op: np.ndarray, state: np.ndarray) -> float:
     if op.shape[0] != state.size:
         raise DimensionMismatch("operator does not act on the joint state")
     return float(np.vdot(state, op @ state).real)
@@ -174,12 +177,12 @@ def _joint_mean(op: np.ndarray, psi, xi) -> float:
 
 def mean_square_error(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
     noise = noise_operator(model, setup)
-    return _joint_mean(noise @ noise, psi, xi)
+    return _joint_mean(noise @ noise, _joint_state(psi, xi))
 
 
 def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
     disturb = disturbance_operator(model, setup)
-    return _joint_mean(disturb @ disturb, psi, xi)
+    return _joint_mean(disturb @ disturb, _joint_state(psi, xi))
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -313,8 +316,9 @@ def _state_report(
     ops: _SquaredObservables, psi, xi, phi, tol_deg: float, tol_verify: float, tol_p: float
 ) -> ErrorDisturbanceReport:
     """The per-state half of the report: means, postselected means and gaps."""
-    epsilon_sq = _joint_mean(ops.noise_sq, psi, xi)
-    eta_sq = _joint_mean(ops.disturb_sq, psi, xi)
+    state = _joint_state(psi, xi)
+    epsilon_sq = _joint_mean(ops.noise_sq, state)
+    eta_sq = _joint_mean(ops.disturb_sq, state)
     error_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
     disturbance_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi)
     error_verdict = verify_nogo(error_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)

@@ -92,7 +92,8 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def tensor_ket(x, y) -> np.ndarray:
-    return np.kron(as_ket(x), as_ket(y))
+    """x (x) y; the same products x_i * y_j as ``np.kron``, without its reshaping overhead."""
+    return np.outer(as_ket(x), as_ket(y)).reshape(-1)
 
 
 def outer(x, y=None) -> np.ndarray:

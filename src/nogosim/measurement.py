@@ -15,6 +15,7 @@ paths can be compared in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class JointObservable:
         # product_spectral's memo, keyed by tol_deg; a plain attribute rather than a
         # field, so fields(), __eq__ and repr see only n, m and terms
         object.__setattr__(self, "_spectral", {})
+        # the oracle's own per-term memo (oracle._term_product_vectors), kept apart from
+        # _spectral so the oracle shares no decomposition with the formula path
+        object.__setattr__(self, "_oracle_terms", {})
 
     @classmethod
     def from_terms(cls, terms) -> "JointObservable":
@@ -116,6 +120,11 @@ class ProductTermSpectral:
 @dataclass(frozen=True)
 class ProductSpectralData:
     terms: tuple[ProductTermSpectral, ...]
+
+    def __post_init__(self):
+        # nogo.check_rank_m_degeneracy's memo, keyed by tol_deg; a plain attribute
+        # like JointObservable._spectral, so fields(), __eq__ and repr see only terms
+        object.__setattr__(self, "_degeneracy", {})
 
     def __getitem__(self, k: int) -> ProductTermSpectral:
         return self.terms[k]
@@ -222,14 +231,52 @@ def device_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
     return term.device.eigenvectors.conj().T @ ket
 
 
+class _TermWeights(NamedTuple):
+    """|psi'_i|^2, |xi'_j|^2 and |phi'_i|^2 of one term (phi None without postselection)."""
+
+    psi: np.ndarray
+    xi: np.ndarray
+    phi: np.ndarray | None
+
+    def outcome_grid(self) -> np.ndarray:
+        """P(r_ij) = |psi'_i|^2 |xi'_j|^2."""
+        return np.outer(self.psi, self.xi)
+
+    def joint_grid(self) -> np.ndarray:
+        """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2."""
+        return np.outer(self.psi * self.phi, self.xi)
+
+
+def _term_weights(
+    term: ProductTermSpectral, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray | None = None
+) -> _TermWeights:
+    """The one pass over a term's amplitudes that every statistic of the term is built from."""
+    return _TermWeights(
+        psi=np.abs(system_amplitudes(term, psi)) ** 2,
+        xi=np.abs(device_amplitudes(term, xi)) ** 2,
+        phi=None if phi is None else np.abs(system_amplitudes(term, phi)) ** 2,
+    )
+
+
+def _grid_mean(term: ProductTermSpectral, grid: np.ndarray) -> float:
+    """sum_ij r_ij p_ij over a probability grid of the term."""
+    return float(np.sum(term.eigenvalue_grid * grid))
+
+
+def _conditioned(joint: np.ndarray, tol_p: float) -> np.ndarray:
+    """Joint grid divided by its total, the postselection probability."""
+    denom = float(np.sum(joint))
+    if denom <= tol_p:
+        raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
+    return joint / denom
+
+
 def outcome_probability_grid(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> np.ndarray:
     """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid."""
     term = _resolve_spectral(scenario, spectral)[k]
-    psi_amp = np.abs(system_amplitudes(term, scenario.psi)) ** 2
-    xi_amp = np.abs(device_amplitudes(term, scenario.xi)) ** 2
-    return np.outer(psi_amp, xi_amp)
+    return _term_weights(term, scenario.psi, scenario.xi).outcome_grid()
 
 
 def outcome_probability(
@@ -241,8 +288,7 @@ def outcome_probability(
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
     """Mean of one term: sum_ij r_ij P(r_ij)."""
     data = _resolve_spectral(scenario, spectral)
-    grid = outcome_probability_grid(scenario, k, data)
-    return float(np.sum(data[k].eigenvalue_grid * grid))
+    return _grid_mean(data[k], outcome_probability_grid(scenario, k, data))
 
 
 def observable_expectation(scenario: MeasurementScenario, spectral: ProductSpectralData | None = None) -> float:
@@ -275,10 +321,7 @@ def joint_probability_grid(
     """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid."""
     phi = _require_postselect(scenario)
     term = _resolve_spectral(scenario, spectral)[k]
-    psi_amp = np.abs(system_amplitudes(term, scenario.psi)) ** 2
-    xi_amp = np.abs(device_amplitudes(term, scenario.xi)) ** 2
-    phi_amp = np.abs(system_amplitudes(term, phi)) ** 2
-    return np.outer(psi_amp * phi_amp, xi_amp)
+    return _term_weights(term, scenario.psi, scenario.xi, phi).joint_grid()
 
 
 def joint_probability(
@@ -300,11 +343,7 @@ def abl_conditional_grid(
     spectral: ProductSpectralData | None = None,
     tol_p: float = TOL_POSTSELECT,
 ) -> np.ndarray:
-    joint = joint_probability_grid(scenario, k, spectral)
-    denom = float(np.sum(joint))
-    if denom <= tol_p:
-        raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
-    return joint / denom
+    return _conditioned(joint_probability_grid(scenario, k, spectral), tol_p)
 
 
 def abl_conditional_probability(
@@ -327,8 +366,7 @@ def conditional_expectation(
 ) -> float:
     """Postselected mean of one term: sum_ij r_ij P(r_ij | phi, rho)."""
     data = _resolve_spectral(scenario, spectral)
-    cond = abl_conditional_grid(scenario, k, data, tol_p)
-    return float(np.sum(data[k].eigenvalue_grid * cond))
+    return _grid_mean(data[k], abl_conditional_grid(scenario, k, data, tol_p))
 
 
 def observable_conditional_expectation(

@@ -33,10 +33,10 @@ from .measurement import (
     PostselectionProjector,
     ProductSpectralData,
     ProductTermSpectral,
+    _conditioned,
+    _grid_mean,
     _require_postselect,
-    conditional_expectation,
-    device_amplitudes,
-    expectation,
+    _term_weights,
     joint_probability_grid,
     product_spectral,
     weak_value,
@@ -87,9 +87,18 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
 
     The check runs on the product grid itself, not on the factor spectra, so
     a zero device eigenvalue makes its column degenerate regardless of the
-    system factor.
+    system factor. The report is computed once per spectral data and tol_deg,
+    then returned from a memo on the data: its grids are read-only, so the
+    report is a pure function of (spectral, tol_deg), and it is immutable, so
+    callers can share it.
     """
-    return DegeneracyReport(terms=tuple(_term_degeneracy(t.eigenvalue_grid, tol_deg) for t in spectral.terms))
+    memo = spectral._degeneracy
+    report = memo.get(tol_deg)
+    if report is None:
+        report = memo[tol_deg] = DegeneracyReport(
+            terms=tuple(_term_degeneracy(t.eigenvalue_grid, tol_deg) for t in spectral.terms)
+        )
+    return report
 
 
 @dataclass(frozen=True)
@@ -156,15 +165,19 @@ class TheoremVerdict:
         return self.closed_form_gap is None or self.closed_form_gap <= self.tol_verify
 
 
-def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
-    """sum_k sum_j rtilde_j |xi'_j|^2 over degenerate terms."""
+def _closed_form(report: DegeneracyReport, device_weights) -> float:
+    """sum_k sum_j rtilde_j |xi'_j|^2, given each term's |xi'_j|^2."""
     total = 0.0
-    for term, verdict in zip(spectral.terms, report.terms):
+    for verdict, xi_weights in zip(report.terms, device_weights):
         if verdict.column_eigenvalues is None:
             raise NotRankMDegenerate("closed form is undefined for a non-degenerate term")
-        xi_amp = np.abs(device_amplitudes(term, scenario.xi)) ** 2
-        total += float(np.dot(verdict.column_eigenvalues, xi_amp))
+        total += float(np.dot(verdict.column_eigenvalues, xi_weights))
     return total
+
+
+def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
+    """sum_k sum_j rtilde_j |xi'_j|^2 over degenerate terms."""
+    return _closed_form(report, [_term_weights(term, scenario.psi, scenario.xi).xi for term in spectral.terms])
 
 
 def verify_nogo(
@@ -174,20 +187,26 @@ def verify_nogo(
     tol_p: float = TOL_POSTSELECT,
     spectral: ProductSpectralData | None = None,
 ) -> TheoremVerdict:
-    """Compare conditional vs unconditional expectation and the closed form."""
-    _require_postselect(scenario)
+    """Compare conditional vs unconditional expectation and the closed form.
+
+    Both means and the closed form come from one pass over each term's
+    amplitudes; they equal the sums of ``conditional_expectation``,
+    ``expectation`` and ``closed_form_value`` over the terms.
+    """
+    phi = _require_postselect(scenario)
     data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
     report = check_rank_m_degeneracy(data, tol_deg)
     hypothesis = report.all_degenerate
 
-    conditional = sum(conditional_expectation(scenario, k, data, tol_p) for k in range(len(data)))
-    unconditional = sum(expectation(scenario, k, data) for k in range(len(data)))
+    weights = [_term_weights(term, scenario.psi, scenario.xi, phi) for term in data.terms]
+    conditional = sum(_grid_mean(term, _conditioned(w.joint_grid(), tol_p)) for term, w in zip(data.terms, weights))
+    unconditional = sum(_grid_mean(term, w.outcome_grid()) for term, w in zip(data.terms, weights))
     gap = abs(conditional - unconditional)
 
     closed = None
     closed_gap = None
     if hypothesis:
-        closed = closed_form_value(scenario, data, report)
+        closed = _closed_form(report, [w.xi for w in weights])
         closed_gap = max(abs(closed - conditional), abs(closed - unconditional))
 
     return TheoremVerdict(
@@ -344,6 +363,8 @@ def random_audit(
         raise ValueError(f"unknown audit mode {mode!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
     instances = []
     violations = 0

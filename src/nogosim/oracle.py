@@ -20,19 +20,33 @@ import numpy as np
 
 from .errors import ZeroProbability
 from .linalg import TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket, tensor_product
-from .measurement import MeasurementScenario, _require_postselect
+from .measurement import JointObservable, MeasurementScenario, _require_postselect
 
 
-def _term_product_vectors(sys_op: np.ndarray, dev_op: np.ndarray) -> tuple[np.ndarray, list[list[np.ndarray]]]:
-    """Factor eigenvalue grid and product eigenvectors, straight from the factors."""
-    sys_dec = jacobi_decompose(sys_op)
-    dev_dec = jacobi_decompose(dev_op)
-    grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
-    vectors = [
-        [tensor_ket(sys_dec.eigenvectors[:, i], dev_dec.eigenvectors[:, j]) for j in range(dev_dec.dim)]
-        for i in range(sys_dec.dim)
-    ]
-    return grid, vectors
+def _term_product_vectors(
+    observable: JointObservable, k: int
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
+    """Factor eigenvalue grid and product eigenvectors of term k, straight from the factors.
+
+    Decomposed once per observable and term by the oracle's own solver, then
+    returned from the observable's ``_oracle_terms`` memo, which is separate
+    from ``product_spectral``'s. The factors are read-only and so is the
+    result, so the enumeration and the sampler can share it.
+    """
+    memo = observable._oracle_terms
+    entry = memo.get(k)
+    if entry is None:
+        sys_op, dev_op = observable.terms[k]
+        sys_dec = jacobi_decompose(sys_op)
+        dev_dec = jacobi_decompose(dev_op)
+        grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
+        sys_vecs, dev_vecs = sys_dec.eigenvectors, dev_dec.eigenvectors
+        vectors = tuple(
+            tuple(readonly(tensor_ket(sys_vecs[:, i], dev_vecs[:, j])) for j in range(dev_dec.dim))
+            for i in range(sys_dec.dim)
+        )
+        entry = memo[k] = (readonly(grid), vectors)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,8 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
     num_terms = scenario.observable.num_terms
     joint = np.zeros((num_terms, n, m))
     values = np.zeros((num_terms, n, m))
-    for k, (sys_op, dev_op) in enumerate(scenario.observable.terms):
-        grid, vectors = _term_product_vectors(sys_op, dev_op)
+    for k in range(num_terms):
+        grid, vectors = _term_product_vectors(scenario.observable, k)
         values[k] = grid
         for i in range(n):
             for j in range(m):
@@ -177,8 +191,7 @@ def sample_two_step(
     psi_joint = scenario.joint_state()
     pi = tensor_product(outer(phi), np.eye(m))
 
-    sys_op, dev_op = scenario.observable.terms[term]
-    _, vectors = _term_product_vectors(sys_op, dev_op)
+    _, vectors = _term_product_vectors(scenario.observable, term)
     outcome_probs = np.zeros(n * m)
     accept_probs = np.zeros(n * m)
     for i in range(n):

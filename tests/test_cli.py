@@ -9,8 +9,16 @@ from pathlib import Path
 import pytest
 
 import nogosim
-from nogosim.cli import build_parser, main, parse_grid
+from nogosim.cli import SWEEP_COLUMNS, build_parser, main, parse_grid
+from nogosim.error_disturbance import (
+    DEFAULT_STRENGTH_GRID,
+    DEFAULT_THETA_GRID,
+    DEFAULT_VARPHI_GRID,
+    CnotScenario,
+    cnot_report,
+)
 from nogosim.errors import ConfigError
+from nogosim.nogo import instance_rng, random_scenario, verify_nogo
 
 FIXTURES = Path(nogosim.__file__).parent / "fixtures"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -245,6 +253,27 @@ class TestCnotSweep:
             for key, value in j_row.items():
                 assert float(c_row[key]) == value
 
+    def test_default_grid_rows_equal_the_library(self, capsys):
+        assert main(["cnot-sweep"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert tuple(rows[0]) == SWEEP_COLUMNS
+        points = [(s, t, v) for s in DEFAULT_STRENGTH_GRID for t in DEFAULT_THETA_GRID for v in DEFAULT_VARPHI_GRID]
+        assert len(rows) - 1 == len(points)
+        for row, (s, theta, varphi) in zip(rows[1:], points):
+            report = cnot_report(CnotScenario(strength=s, theta=theta, varphi=varphi))
+            expected = (
+                s,
+                theta,
+                varphi,
+                report.epsilon_sq,
+                report.epsilon_sq_post,
+                report.eta_sq,
+                report.eta_sq_post,
+                report.nogo_gap_error,
+                report.nogo_gap_disturbance,
+            )
+            assert tuple(float(value) for value in row) == expected
+
     def test_invalid_strength_grid(self):
         assert main(["cnot-sweep", "--s-grid", "0:2:5"]) == 2
 
@@ -281,6 +310,30 @@ class TestRandomAudit:
 
     def test_zero_count_is_usage_error(self):
         assert main(["random-audit", "--count", "0"]) == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["random-audit", "--count", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "--seed" in captured.err
+
+    @pytest.mark.parametrize("mode", ["degenerate", "generic"])
+    def test_instance_lines_carry_the_library_gap(self, capsys, mode):
+        assert main(["random-audit", "--count", "50", "--seed", "5", "--mode", mode]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == 50
+        for index, line in enumerate(lines):
+            found = re.fullmatch(
+                r"instance (\d+) seed=\(5,(\d+)\) n=(\d) m=(\d) hypothesis=(\w+) basis=True gap=(\S+)", line
+            )
+            assert found is not None, line
+            rng = instance_rng(5, index)
+            n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            verdict = verify_nogo(random_scenario(rng, n, m, degenerate=(mode == "degenerate")))
+            assert found.groups()[:5] == (str(index), str(index), str(n), str(m), str(verdict.hypothesis_holds))
+            assert float(found.group(6)) == verdict.gap
 
     @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-verify"])
     def test_nan_tolerance(self, flag):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nogosim import error_disturbance, measurement
+from nogosim import error_disturbance, measurement, nogo
 from nogosim.errors import DimensionMismatch, NonHermitian
 from nogosim.error_disturbance import (
     CNOT,
@@ -361,6 +361,8 @@ class TestCnotCache:
         calls = []
         monkeypatch.setattr(measurement, "spectral_decompose", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(error_disturbance, "joint_observable_from_operator", lambda *a, **k: calls.append(a))
+        # the degeneracy verdict is memoized with the spectral data, so it is not re-derived either
+        monkeypatch.setattr(nogo, "_term_degeneracy", lambda *a, **k: calls.append(a))
         cnot_report(CnotScenario(strength=0.6, theta=0.4, varphi=1.0))
         cnot_scenario(CnotScenario(strength=0.6))
         assert calls == []

@@ -16,6 +16,7 @@ from nogosim.linalg import (
     outer,
     require_hermitian,
     spectral_decompose,
+    tensor_ket,
     tensor_product,
 )
 
@@ -264,3 +265,13 @@ def test_spectral_decomposition_is_readonly():
     assert isinstance(dec, SpectralDecomposition)
     with pytest.raises(ValueError):
         dec.eigenvalues[0] = 5.0
+
+
+@given(
+    x=st.lists(st.complex_numbers(max_magnitude=1e100, allow_nan=False), min_size=1, max_size=4),
+    y=st.lists(st.complex_numbers(max_magnitude=1e100, allow_nan=False), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_tensor_ket_is_bitwise_kron(x, y):
+    x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
+    assert tensor_ket(x, y).tobytes() == np.kron(x, y).tobytes()

@@ -1,15 +1,20 @@
 """Degeneracy reports, basis requirement, invariance verdicts, corollaries."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nogosim import measurement
 from nogosim.errors import NotCanonical, NotRankMDegenerate, OrthogonalPostselection
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
+    conditional_expectation,
+    expectation,
     joint_probability_grid,
     product_spectral,
     system_amplitudes,
@@ -21,6 +26,7 @@ from nogosim.nogo import (
     check_basis_requirement,
     check_rank_m_degeneracy,
     canonical_closed_form,
+    closed_form_value,
     degenerate_weak_value,
     instance_rng,
     random_audit,
@@ -85,6 +91,23 @@ class TestDegeneracyCheck:
         report = check_rank_m_degeneracy(product_spectral(obs), math.nan)
         assert not report.terms[0].is_rank_m_degenerate
         assert not report.all_degenerate
+
+    def test_memoized_per_tol_deg(self):
+        data = product_spectral(JointObservable(n=2, m=2, terms=((np.diag([0.0, 1e-8]), I2),)))
+        coarse = check_rank_m_degeneracy(data, 1e-7)
+        fine = check_rank_m_degeneracy(data, 1e-9)
+        assert check_rank_m_degeneracy(data, 1e-7) is coarse
+        assert check_rank_m_degeneracy(data, 1e-9) is fine
+        assert coarse.all_degenerate
+        assert not fine.all_degenerate
+        assert not check_rank_m_degeneracy(data, math.nan).all_degenerate
+
+    def test_memo_is_not_a_field(self):
+        data = product_spectral(JointObservable(n=2, m=2, terms=((I2, Z),)))
+        before = repr(data)
+        check_rank_m_degeneracy(data)
+        assert repr(data) == before
+        assert [f.name for f in dataclasses.fields(data)] == ["terms"]
 
 
 class TestBasisRequirement:
@@ -295,6 +318,11 @@ class TestRandomAudit:
         with pytest.raises(ValueError):
             random_audit(count=1, seed=1, mode="other")
 
+    def test_rejects_negative_seed(self):
+        # numpy's default_rng raises on a negative seed too, but only inside the loop and with its own message
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            random_audit(count=1, seed=-1, mode="degenerate")
+
 
 def test_random_scenario_postselection_floor():
     rng = np.random.default_rng(8)
@@ -330,3 +358,31 @@ def test_random_hermitian_statistics():
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     ket = random_ket(4, rng)
     assert np.vdot(ket, ket).real == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    m=st.sampled_from([1, 2, 3]),
+    num_terms=st.integers(1, 3),
+    degenerate=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_verdict_equals_the_public_per_term_sums(seed, n, m, num_terms, degenerate):
+    """One amplitude pass per term gives exactly the sums of the public per-term functions."""
+    scen = random_scenario(np.random.default_rng(seed), n, m, degenerate=degenerate, num_terms=num_terms)
+    data = product_spectral(scen.observable)
+    report = check_rank_m_degeneracy(data)
+    conditional = sum(conditional_expectation(scen, k, data) for k in range(len(data)))
+    unconditional = sum(expectation(scen, k, data) for k in range(len(data)))
+    verdict = verify_nogo(scen)
+    assert verdict.conditional == conditional
+    assert verdict.unconditional == unconditional
+    assert verdict.gap == abs(conditional - unconditional)
+    assert verdict.hypothesis_holds == report.all_degenerate
+    if report.all_degenerate:
+        closed = closed_form_value(scen, data, report)
+        assert verdict.closed_form == closed
+        assert verdict.closed_form_gap == max(abs(closed - conditional), abs(closed - unconditional))
+    else:
+        assert verdict.closed_form is None and verdict.closed_form_gap is None

@@ -22,7 +22,7 @@ from nogosim.measurement import (
     postselection_denominator,
     product_spectral,
 )
-from nogosim.nogo import instance_rng, random_scenario
+from nogosim.nogo import instance_rng, random_hermitian, random_ket, random_scenario
 from nogosim.oracle import _accepted_counts, _outcome_cdf, enumerate_two_step, sample_two_step
 
 I2 = np.eye(2, dtype=complex)
@@ -157,6 +157,29 @@ class TestSampling:
         monkeypatch.setattr(oracle, "_term_product_vectors", zero_vectors)
         with pytest.raises(ValueError):
             sample_two_step(cnot_error_scenario(0.5), shots=10, seed=1)
+
+    def test_enumeration_and_sampling_decompose_each_factor_once(self, monkeypatch):
+        calls = []
+        original = oracle.jacobi_decompose
+
+        def counting(h, *args, **kwargs):
+            calls.append(h.shape)
+            return original(h, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "jacobi_decompose", counting)
+        rng = np.random.default_rng(31)
+        terms = tuple((random_hermitian(3, rng), random_hermitian(2, rng)) for _ in range(3))
+        scen = MeasurementScenario(
+            psi=random_ket(3, rng),
+            xi=random_ket(2, rng),
+            observable=JointObservable(n=3, m=2, terms=terms),
+            postselect=random_ket(3, rng),
+        )
+        enumerate_two_step(scen)
+        sample_two_step(scen, shots=100, seed=1, term=1)
+        sample_two_step(scen, shots=100, seed=2, term=0)
+        assert len(calls) == 2 * scen.observable.num_terms
+        assert scen.observable._spectral == {}  # the formula path's memo stays untouched
 
     def test_empirical_frequencies_track_formula(self):
         rng = instance_rng(55, 1)
