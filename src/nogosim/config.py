@@ -95,11 +95,10 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
-        try:
-            n = int(raw["n"])
-            m = int(raw["m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("configuration needs integer fields 'n' and 'm'") from exc
+        n, m = raw.get("n"), raw.get("m")
+        # int() would truncate 2.9, parse "2" and turn true into 1; reject them as 'seed' is rejected
+        if any(isinstance(dim, bool) or not isinstance(dim, int) for dim in (n, m)):
+            raise ConfigError("configuration needs integer fields 'n' and 'm'")
         if n < 1 or m < 1:
             raise ConfigError("'n' and 'm' must be positive")
 

@@ -175,14 +175,18 @@ def _joint_mean(op: np.ndarray, state: np.ndarray) -> float:
     return float(np.vdot(state, op @ state).real)
 
 
+def _hermitian_square(op: np.ndarray) -> np.ndarray:
+    """(op^2 + (op^2)^dag) / 2: the one square behind both the mean squares and the report."""
+    sq = op @ op
+    return (sq + sq.conj().T) / 2.0
+
+
 def mean_square_error(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    noise = noise_operator(model, setup)
-    return _joint_mean(noise @ noise, _joint_state(psi, xi))
+    return _joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(psi, xi))
 
 
 def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    disturb = disturbance_operator(model, setup)
-    return _joint_mean(disturb @ disturb, _joint_state(psi, xi))
+    return _joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(psi, xi))
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -299,8 +303,8 @@ class _SquaredObservables(NamedTuple):
 def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
     noise = noise_operator(model, setup)
     disturb = disturbance_operator(model, setup)
-    noise_sq = (noise @ noise + (noise @ noise).conj().T) / 2.0
-    disturb_sq = (disturb @ disturb + (disturb @ disturb).conj().T) / 2.0
+    noise_sq = _hermitian_square(noise)
+    disturb_sq = _hermitian_square(disturb)
     n, m = setup.n, setup.m
     return _SquaredObservables(
         noise=readonly(noise),
@@ -316,11 +320,11 @@ def _state_report(
     ops: _SquaredObservables, psi, xi, phi, tol_deg: float, tol_verify: float, tol_p: float
 ) -> ErrorDisturbanceReport:
     """The per-state half of the report: means, postselected means and gaps."""
-    state = _joint_state(psi, xi)
-    epsilon_sq = _joint_mean(ops.noise_sq, state)
-    eta_sq = _joint_mean(ops.disturb_sq, state)
     error_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
     disturbance_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi)
+    state = error_scenario.joint_state()
+    epsilon_sq = _joint_mean(ops.noise_sq, state)
+    eta_sq = _joint_mean(ops.disturb_sq, state)
     error_verdict = verify_nogo(error_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
     disturbance_verdict = verify_nogo(disturbance_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
 

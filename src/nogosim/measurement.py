@@ -70,15 +70,6 @@ class JointObservable:
         # _spectral so the oracle shares no decomposition with the formula path
         object.__setattr__(self, "_oracle_terms", {})
 
-    @classmethod
-    def from_terms(cls, terms) -> "JointObservable":
-        terms = list(terms)
-        sys0 = as_operator(terms[0][0]) if terms else None
-        dev0 = as_operator(terms[0][1]) if terms else None
-        if sys0 is None:
-            raise DimensionMismatch("observable needs at least one term")
-        return cls(n=sys0.shape[0], m=dev0.shape[0], terms=tuple(terms))
-
     @property
     def num_terms(self) -> int:
         return len(self.terms)
@@ -289,11 +280,6 @@ def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectral
     """Mean of one term: sum_ij r_ij P(r_ij)."""
     data = _resolve_spectral(scenario, spectral)
     return _grid_mean(data[k], outcome_probability_grid(scenario, k, data))
-
-
-def observable_expectation(scenario: MeasurementScenario, spectral: ProductSpectralData | None = None) -> float:
-    data = _resolve_spectral(scenario, spectral)
-    return sum(expectation(scenario, k, data) for k in range(len(data)))
 
 
 def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:

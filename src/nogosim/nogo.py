@@ -22,7 +22,6 @@ from .linalg import (
     TOL_POSTSELECT,
     TOL_VERIFY,
     as_operator,
-    as_state,
     is_unitary,
     readonly,
     spectral_decompose,
@@ -37,7 +36,7 @@ from .measurement import (
     _grid_mean,
     _require_postselect,
     _term_weights,
-    joint_probability_grid,
+    postselection_denominator,
     product_spectral,
     weak_value,
 )
@@ -113,7 +112,7 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
     mat = as_operator(columns, "transformation matrix")
     if not is_unitary(mat):
         raise ValueError("transformation matrix is not unitary within 1e-10")
-    pi = PostselectionProjector(phi=as_state(phi, name="phi"), device_dim=device_dim).matrix
+    pi = PostselectionProjector(phi=phi, device_dim=device_dim).matrix
     return BasisTransform(matrix=readonly(mat), transformed_projector=readonly(mat.conj().T @ pi @ mat))
 
 
@@ -126,15 +125,13 @@ def term_basis_transform(term: ProductTermSpectral, phi) -> BasisTransform:
     return basis_transform(term.basis_matrix(), phi, term.m)
 
 
-def check_basis_requirement(
-    transform: BasisTransform, phi, n: int, m: int, tol: float = TOL_DEG
-) -> bool:
+def check_basis_requirement(transform: BasisTransform, n: int, m: int, tol: float = TOL_DEG) -> bool:
     """True iff diag(T^dag Pi_phi T) is constant inside each device-sized block.
 
-    Meant for a caller-supplied T; a product transform U (x) V always passes.
+    Reads the transformed projector the transform was built with. Meant for a
+    caller-supplied T; a product transform U (x) V always passes.
     """
-    pi = PostselectionProjector(phi=as_state(phi, name="phi"), device_dim=m).matrix
-    diag = np.diag(transform.matrix.conj().T @ pi @ transform.matrix).real
+    diag = np.diag(transform.transformed_projector).real
     if diag.size != n * m:
         raise ValueError(f"transform acts on dim {diag.size}, expected {n * m}")
     blocks = diag.reshape(n, m)
@@ -168,9 +165,9 @@ class TheoremVerdict:
 def _closed_form(report: DegeneracyReport, device_weights) -> float:
     """sum_k sum_j rtilde_j |xi'_j|^2, given each term's |xi'_j|^2."""
     total = 0.0
-    for verdict, xi_weights in zip(report.terms, device_weights):
+    for idx, (verdict, xi_weights) in enumerate(zip(report.terms, device_weights)):
         if verdict.column_eigenvalues is None:
-            raise NotRankMDegenerate("closed form is undefined for a non-degenerate term")
+            raise NotRankMDegenerate(f"term {idx} grid is not column-constant; witness {verdict.witness}")
         total += float(np.dot(verdict.column_eigenvalues, xi_weights))
     return total
 
@@ -233,19 +230,15 @@ def canonical_closed_form(
     must be constant (NotRankMDegenerate otherwise); then the value is
     sum_k sum_j rtilde_j |xi_j|^2 with the raw device amplitudes.
     """
-    xi_amp = np.abs(scenario.xi) ** 2
-    total = 0.0
+    verdicts = []
     for idx, (sys_op, dev_op) in enumerate(scenario.observable.terms):
         for name, op in (("system", sys_op), ("device", dev_op)):
             off = op - np.diag(np.diag(op))
             if float(np.max(np.abs(off))) > tol_diag:
                 raise NotCanonical(f"{name} factor {idx} is not diagonal in the canonical basis")
-        grid = np.outer(np.diag(sys_op).real, np.diag(dev_op).real)
-        verdict = _term_degeneracy(grid, tol_deg)
-        if verdict.column_eigenvalues is None:
-            raise NotRankMDegenerate(f"term {idx} grid is not column-constant; witness {verdict.witness}")
-        total += float(np.dot(verdict.column_eigenvalues, xi_amp))
-    return total
+        verdicts.append(_term_degeneracy(np.outer(np.diag(sys_op).real, np.diag(dev_op).real), tol_deg))
+    xi_weights = np.abs(scenario.xi) ** 2
+    return _closed_form(DegeneracyReport(terms=tuple(verdicts)), [xi_weights] * len(verdicts))
 
 
 def degenerate_weak_value(
@@ -313,7 +306,7 @@ def random_scenario(
             postselect=random_ket(n, rng),
         )
         data = scenario.spectral()
-        denominators = [float(np.sum(joint_probability_grid(scenario, k, data))) for k in range(len(data))]
+        denominators = [postselection_denominator(scenario, k, data) for k in range(len(data))]
         if min(denominators) >= min_postselect:
             return scenario
     raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {max_tries} tries")

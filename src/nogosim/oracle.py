@@ -1,11 +1,14 @@
 """Brute-force reference paths for the two-step measurement process.
 
-The enumeration path builds every outcome projector as an explicit outer
-product, collapses the joint state by matrix-vector products, and forms the
-Bayesian ratios from traces. It keeps its own eigensolver, the cyclic Jacobi
-iteration ``jacobi_decompose``, where the formula path runs LAPACK ``eigh``;
-the two share only the canonical basis given to degenerate eigenspaces, so
-agreement between the paths is a real cross-check. The
+Enumeration and sampling share one weight pass (``_outcome_weights``): it
+builds every outcome projector as an explicit outer product, collapses the
+joint ket by a matrix-vector product, and reads P(i, j) and
+P(i, j and postselection) off the collapsed ket with the explicit
+postselection projector |phi><phi| (x) I. The enumeration forms the Bayesian
+ratios from those weights. The oracle keeps its own eigensolver, the cyclic
+Jacobi iteration ``jacobi_decompose``, where the formula path runs LAPACK
+``eigh``; the two share only the canonical basis given to degenerate
+eigenspaces, so agreement between the paths is a real cross-check. The
 sampler draws projective outcomes and postselection accept/reject decisions
 from a seeded PCG64 generator (identical seed, identical stream on every
 platform) and reports raw counts, equal to those of a ``Generator.choice``
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbability
-from .linalg import TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket, tensor_product
-from .measurement import JointObservable, MeasurementScenario, _require_postselect
+from .linalg import TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket
+from .measurement import JointObservable, MeasurementScenario, PostselectionProjector, _require_postselect
 
 
 def _term_product_vectors(
@@ -62,25 +65,35 @@ class EnumerationResult:
         return float(np.sum(self.values[k] * self.conditional[k]))
 
 
+def _outcome_weights(vectors, psi_joint: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(i, j) and P(i, j and postselection) per outcome of one term.
+
+    The projector |v_ij><v_ij| collapses |Psi> to c_ij; then
+    P(i, j) = <c_ij|c_ij> and P(i, j and postselection) = <c_ij|Pi|c_ij>.
+    """
+    n, m = len(vectors), len(vectors[0])
+    outcome = np.zeros((n, m))
+    joint = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            collapsed = outer(vectors[i][j]) @ psi_joint
+            outcome[i, j] = np.vdot(collapsed, collapsed).real
+            joint[i, j] = np.vdot(collapsed, pi @ collapsed).real
+    return outcome, joint
+
+
 def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT) -> EnumerationResult:
     """Collapse-then-postselect enumeration over every outcome of every term."""
     phi = _require_postselect(scenario)
-    n, m = scenario.n, scenario.m
     psi_joint = scenario.joint_state()
-    rho = np.outer(psi_joint, psi_joint.conj())
-    pi = tensor_product(outer(phi), np.eye(m))
-
+    pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
     num_terms = scenario.observable.num_terms
-    joint = np.zeros((num_terms, n, m))
-    values = np.zeros((num_terms, n, m))
+    joint = np.zeros((num_terms, scenario.n, scenario.m))
+    values = np.zeros_like(joint)
     for k in range(num_terms):
         grid, vectors = _term_product_vectors(scenario.observable, k)
         values[k] = grid
-        for i in range(n):
-            for j in range(m):
-                proj = outer(vectors[i][j])
-                collapsed = proj @ rho @ proj
-                joint[k, i, j] = float(np.trace(pi @ collapsed).real)
+        joint[k] = _outcome_weights(vectors, psi_joint, pi)[1]
 
     denominators = joint.sum(axis=(1, 2))
     if np.all(denominators <= tol_p):
@@ -187,28 +200,19 @@ def sample_two_step(
     if not 0 <= term < scenario.observable.num_terms:
         raise ValueError(f"term must be in [0, {scenario.observable.num_terms})")
     phi = _require_postselect(scenario)
-    n, m = scenario.n, scenario.m
     psi_joint = scenario.joint_state()
-    pi = tensor_product(outer(phi), np.eye(m))
-
+    pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
     _, vectors = _term_product_vectors(scenario.observable, term)
-    outcome_probs = np.zeros(n * m)
-    accept_probs = np.zeros(n * m)
-    for i in range(n):
-        for j in range(m):
-            collapsed = outer(vectors[i][j]) @ psi_joint
-            p = float(np.vdot(collapsed, collapsed).real)
-            outcome_probs[i * m + j] = p
-            if p > 0.0:
-                accept_probs[i * m + j] = float(np.vdot(collapsed, pi @ collapsed).real) / p
-    outcome_probs = np.clip(outcome_probs, 0.0, None)
+    outcome, joint = _outcome_weights(vectors, psi_joint, pi)
+    accept_probs = np.divide(joint, outcome, out=np.zeros_like(joint), where=outcome > 0.0)
+    accept_probs = np.clip(accept_probs, 0.0, 1.0).reshape(-1)
+    outcome_probs = np.clip(outcome, 0.0, None).reshape(-1)
     outcome_probs /= outcome_probs.sum()
-    accept_probs = np.clip(accept_probs, 0.0, 1.0)
     counts = _accepted_counts(int(seed), shots, shards, _outcome_cdf(outcome_probs), accept_probs)
 
     return SamplingResult(
         seed=int(seed),
         shots=int(shots),
-        counts=readonly(counts.reshape(n, m)),
+        counts=readonly(counts.reshape(outcome.shape)),
         accepted=int(counts.sum()),
     )

@@ -204,6 +204,19 @@ class TestVerify:
         path.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    @pytest.mark.parametrize("kind", ["float", "string", "bool"])
+    def test_non_integer_dimension(self, tmp_path, capsys, key, kind):
+        # int() would read 2.9 and "2" as 2 and true as 1, so each must be rejected by type
+        raw = load_fixture("generic_violation.json")
+        raw[key] = {"float": raw[key] + 0.9, "string": str(raw[key]), "bool": True}[kind]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer fields 'n' and 'm'" in captured.err
+
     @pytest.mark.parametrize("bad", ["nan", "-inf", "-1"])
     def test_bad_env_tolerance(self, tmp_path, monkeypatch, bad):
         monkeypatch.setenv("NOGO_DEFAULT_TOL", bad)

@@ -33,7 +33,7 @@ from nogosim.error_disturbance import (
     postselected_error_disturbance,
 )
 from nogosim.linalg import TOL_DEG, matrix_exponential_skew, tensor_product
-from nogosim.measurement import MeasurementScenario, observable_expectation, product_spectral
+from nogosim.measurement import MeasurementScenario, expectation, product_spectral
 from nogosim.nogo import check_rank_m_degeneracy
 
 I2 = np.eye(2, dtype=complex)
@@ -198,9 +198,31 @@ class TestMeanSquares:
         obs = joint_observable_from_operator(noise_sq, 2, 2)
         scen = MeasurementScenario(psi=psi, xi=xi, observable=obs)
         assert mean_square_error(model, setup, psi, xi) == pytest.approx(
-            observable_expectation(scen), abs=1e-10
+            sum(expectation(scen, k) for k in range(obs.num_terms)), abs=1e-10
         )
 
+
+    def test_mean_squares_equal_the_report(self):
+        # one Hermitian square serves both routes, so the values agree exactly, not just to rounding
+        rng = np.random.default_rng(2024)
+        cases = []
+        for _ in range(300):
+            n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            model = InteractionModel.from_hamiltonians(
+                random_hermitian(n, rng), random_hermitian(m, rng), float(rng.uniform(0.1, 2.0))
+            )
+            setup = MeasurementSetup(
+                measured=random_hermitian(n, rng), disturbed=random_hermitian(n, rng), readout=random_hermitian(m, rng)
+            )
+            cases.append((model, setup, random_ket(n, rng), random_ket(m, rng), random_ket(n, rng)))
+        model, setup = _cnot_model_setup()
+        for s in (0.0, 0.3, 0.5, 0.9, 1.0):
+            params = CnotScenario(strength=s, theta=0.7, varphi=0.3)
+            cases.append((model, setup, params.psi(), params.xi(), params.phi()))
+        for model, setup, psi, xi, phi in cases:
+            report = postselected_error_disturbance(model, setup, psi, xi, phi)
+            assert mean_square_error(model, setup, psi, xi) == report.epsilon_sq
+            assert mean_square_disturbance(model, setup, psi, xi) == report.eta_sq
 
 class TestJointObservableFromOperator:
     @pytest.mark.parametrize("seed", range(6))

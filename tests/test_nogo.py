@@ -115,7 +115,7 @@ class TestBasisRequirement:
         rng = np.random.default_rng(5)
         phi = random_ket(2, rng)
         tr = basis_transform(np.eye(4), phi, 2)
-        assert check_basis_requirement(tr, phi, 2, 2)
+        assert check_basis_requirement(tr, 2, 2)
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, np.pi / 4, np.pi / 2])
     @pytest.mark.parametrize("varphi", [0.0, np.pi / 3])
@@ -128,7 +128,7 @@ class TestBasisRequirement:
         diag = np.diag(tr.transformed_projector).real
         expected = [math.cos(theta) ** 2] * 2 + [math.sin(theta) ** 2] * 2
         assert np.max(np.abs(diag - expected)) < 1e-12
-        assert check_basis_requirement(tr, phi, 2, 2)
+        assert check_basis_requirement(tr, 2, 2)
 
     def test_block_mixing_transform_fails(self):
         # frozen counterexample: rotate flat indices 1 <-> 2 (different system blocks)
@@ -141,13 +141,13 @@ class TestBasisRequirement:
         tr = basis_transform(t_mix, phi, 2)
         diag = np.diag(tr.transformed_projector).real
         assert np.allclose(diag, [0.3, 0.5, 0.5, 0.7])
-        assert not check_basis_requirement(tr, phi, 2, 2)
+        assert not check_basis_requirement(tr, 2, 2)
 
     def test_term_transform_from_factor_eigenvectors(self):
         scen = cnot_error_scenario(0.5, theta=0.7)
         term = product_spectral(scen.observable)[0]
         tr = term_basis_transform(term, scen.postselect)
-        assert check_basis_requirement(tr, scen.postselect, 2, 2)
+        assert check_basis_requirement(tr, 2, 2)
 
 
 class TestVerifyNogo:
@@ -252,10 +252,17 @@ class TestCanonicalClosedForm:
             canonical_closed_form(scen)
 
     def test_non_degenerate_grid_rejected(self):
-        obs = JointObservable(n=2, m=2, terms=((np.diag([1.0, 2.0]), I2),))
-        scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs, postselect=[1, 0])
-        with pytest.raises(NotRankMDegenerate):
-            canonical_closed_form(scen)
+        # diag(1, 2) (x) I has grid rows (1, 1) and (2, 2): column 0 varies between rows 0 and 1
+        skewed = (np.diag([1.0, 2.0]), I2)
+        for terms, idx in (((skewed,), 0), (((I2, Z), skewed), 1)):
+            obs = JointObservable(n=2, m=2, terms=terms)
+            scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs, postselect=[1, 0])
+            message = rf"term {idx} .*witness \(0, 1, 0\)"
+            with pytest.raises(NotRankMDegenerate, match=message):
+                canonical_closed_form(scen)
+            data = product_spectral(obs)
+            with pytest.raises(NotRankMDegenerate, match=message):
+                closed_form_value(scen, data, check_rank_m_degeneracy(data))
 
 
 class TestDegenerateWeakValue:
