@@ -64,6 +64,18 @@ def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
     return arr
 
 
+def require_states(kets: np.ndarray, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
+    """``as_state`` on every row of a (B, d) stack, screened in one pass.
+
+    ``np.vecdot`` forms each row's norm with the dot ``np.vdot`` forms for a
+    lone ket, so the first row the screen fails raises ``as_state``'s error.
+    """
+    within = abs(np.vecdot(kets, kets).real - 1.0) <= tol  # False for a NaN norm too
+    if not within.all():
+        as_state(kets[int(within.argmin())], tol, name)
+    return kets
+
+
 def is_hermitian(a, tol: float = TOL_HERMITIAN) -> bool:
     arr = as_operator(a)
     return float(np.max(np.abs(arr - arr.conj().T))) <= tol
@@ -77,6 +89,21 @@ def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> 
         if not np.all(np.isfinite(arr)):
             raise NonHermitian(f"{name} has NaN or Inf entries")
         raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    return arr
+
+
+def require_hermitian_stack(stack, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
+    """``require_hermitian`` on every matrix of a (B, d, d) stack, screened in one pass.
+
+    Each matrix's deviation is the one ``require_hermitian`` computes, so the
+    first matrix the screen fails raises ``require_hermitian``'s error.
+    """
+    arr = np.asarray(stack, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise DimensionMismatch(f"{name} must be a stack of square matrices, got shape {arr.shape}")
+    within = abs(arr - arr.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol  # False for a NaN deviation too
+    if not within.all():
+        require_hermitian(arr[int(within.argmin())], tol, name)
     return arr
 
 
@@ -119,6 +146,18 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     eigenspace_groups: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # V^dag, read-only: amplitudes in this eigenbasis are ``adjoint @ ket``. A plain
+        # attribute rather than a field, like measurement.JointObservable's memo, so
+        # fields(), __eq__ and repr see only the three fields above. Formed here, once:
+        # every decomposition on the formula path feeds amplitude matvecs, and a lazy
+        # property's first access cost more than this. C-contiguous, the layout of
+        # eigenvectors.conj().T for the column-major eigenvectors the decompositions
+        # below return, so each matvec keeps its bits.
+        adjoint = np.ascontiguousarray(self.eigenvectors.conj().T)
+        adjoint.setflags(write=False)
+        object.__setattr__(self, "adjoint", adjoint)
+
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
@@ -132,7 +171,7 @@ class SpectralDecomposition:
         return cols @ cols.conj().T
 
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return (self.eigenvectors * self.eigenvalues) @ self.adjoint
 
 
 def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
@@ -174,34 +213,73 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component of every column real positive."""
-    columns = []
-    for col in vectors.T.tolist():
-        # a unit column always has a component above the cutoff
-        i = next(i for i, z in enumerate(col) if abs(z) > _PHASE_CUTOFF)
-        phase = col[i].conjugate() / abs(col[i])
-        fixed = [z * phase for z in col]
-        fixed[i] = abs(col[i])
-        columns.append(fixed)
-    return np.array(columns).T
+def _fixed_columns(vectors: np.ndarray) -> np.ndarray:
+    """The columns of every matrix in a (B, d, d) stack, as rows, each with its first
+    non-negligible component made real positive.
+
+    The phase is applied in Python complex arithmetic, one column at a time:
+    numpy's complex multiply rounds differently from Python's.
+    """
+    stack = []
+    for columns in vectors.transpose(0, 2, 1).tolist():
+        rows = []
+        for col in columns:
+            # a unit column always has a component above the cutoff
+            for i, z in enumerate(col):
+                size = abs(z)
+                if size > _PHASE_CUTOFF:
+                    break
+            phase = z.conjugate() / size
+            fixed = [c * phase for c in col]
+            fixed[i] = size
+            rows.append(fixed)
+        stack.append(rows)
+    return np.array(stack, dtype=complex)
 
 
-def _tolerance_groups(values: np.ndarray, tol_deg: float) -> tuple[tuple[int, ...], ...]:
+def _tolerance_groups(merged: list[bool]) -> tuple[tuple[int, ...], ...]:
+    """Runs of indices; ``merged[i]`` joins index i + 1 to the run of index i."""
     groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] <= tol_deg:
+    for i, joined in enumerate(merged, start=1):
+        if joined:
             groups[-1].append(i)
         else:
             groups.append([i])
     return tuple(tuple(g) for g in groups)
 
 
-def _canonical_decomposition(values: np.ndarray, vectors: np.ndarray, tol_deg: float) -> SpectralDecomposition:
-    """Give every tol_deg eigenspace a basis fixed by the eigenspace alone.
+def _gram_schmidt(vectors: np.ndarray, group: tuple[int, ...]) -> None:
+    """Overwrite a group's columns of ``vectors`` with the canonical basis of their span."""
+    dim = vectors.shape[0]
+    floor_sq = 0.25 / dim
+    lo, hi = group[0], group[-1] + 1
+    span = vectors[:, lo:hi]
+    # projector onto the part of the eigenspace not yet spanned: its column e is the
+    # residual of P e_e, and its diagonal entry e is that residual's squared norm
+    rest = span @ span.conj().T
+    k = lo
+    for e in range(dim):
+        norm_sq = rest[e, e].real
+        if norm_sq > floor_sq:
+            v = rest[:, e] / math.sqrt(norm_sq)
+            vectors[:, k] = v
+            k += 1
+            if k == hi:
+                break
+            rest = rest - np.outer(v, v.conj())
 
-    ``values`` ascend and column k of ``vectors`` (overwritten) belongs to
-    ``values[k]``. For a group of size g > 1, e_1 ... e_d are projected onto
+
+def _canonical_stack(
+    values: np.ndarray, vectors: np.ndarray, tol_deg: float
+) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], np.ndarray]:
+    """Give every tol_deg eigenspace of every matrix in a stack a basis fixed by the eigenspace alone.
+
+    ``values`` (B, d) ascend along each row and column k of ``vectors[b]``
+    (B, d, d; overwritten) belongs to ``values[b, k]``. Returns each matrix's
+    eigenspace groups and the (B, d, d) stack whose row k of matrix b is its
+    canonical column k. Each matrix is canonicalised on its own.
+
+    For a group of size g > 1, e_1 ... e_d are projected onto
     the group's eigenspace in order, and Gram-Schmidt keeps a residual only
     when its norm exceeds 1/(2 sqrt d). That always yields g vectors: with
     fewer kept, the unspanned rest of the eigenspace has trace >= 1, so the
@@ -214,47 +292,63 @@ def _canonical_decomposition(values: np.ndarray, vectors: np.ndarray, tol_deg: f
     that picks one frame for a subspace has such points. The columns within
     a group no longer pair with the individual ``values``.
     """
-    groups = _tolerance_groups(values, tol_deg)
-    dim = values.size
-    floor_sq = 0.25 / dim
-    for group in groups:
-        if len(group) == 1:
+    singles = tuple(zip(range(values.shape[-1])))
+    stack_groups = []
+    for b, row in enumerate(values.tolist()):
+        merged = [hi - lo <= tol_deg for lo, hi in zip(row, row[1:])]
+        if not any(merged):
+            stack_groups.append(singles)
             continue
-        lo, hi = group[0], group[-1] + 1
-        span = vectors[:, lo:hi]
-        # projector onto the part of the eigenspace not yet spanned: its column e is the
-        # residual of P e_e, and its diagonal entry e is that residual's squared norm
-        rest = span @ span.conj().T
-        k = lo
-        for e in range(dim):
-            norm_sq = rest[e, e].real
-            if norm_sq > floor_sq:
-                v = rest[:, e] / math.sqrt(norm_sq)
-                vectors[:, k] = v
-                k += 1
-                if k == hi:
-                    break
-                rest = rest - np.outer(v, v.conj())
+        groups = _tolerance_groups(merged)
+        for group in groups:
+            if len(group) > 1:
+                _gram_schmidt(vectors[b], group)
+        stack_groups.append(groups)
+    return tuple(stack_groups), _fixed_columns(vectors)
+
+
+def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Eigenvalues, canonical columns as rows, and groups of a checked (B, d, d) stack; one LAPACK call."""
+    values, vectors = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
+    groups, columns = _canonical_stack(values, vectors, tol_deg)
+    return values, columns, groups
+
+
+def _decomposition(values: np.ndarray, columns: np.ndarray, groups) -> SpectralDecomposition:
+    """One matrix's decomposition from its (d,) values and (d, d) canonical columns as rows."""
     return SpectralDecomposition(
-        eigenvalues=readonly(values),
-        eigenvectors=readonly(_fix_column_phases(vectors)),
-        eigenspace_groups=groups,
+        eigenvalues=readonly(values), eigenvectors=readonly(columns.T), eigenspace_groups=groups
     )
+
+
+def spectral_decompose_stack(
+    stack, tol_deg: float = TOL_DEG, name: str = "operator"
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """``spectral_decompose`` of every matrix in a (B, d, d) stack.
+
+    Returns the (B, d) ascending eigenvalues, the (B, d, d) adjoints V^dag of
+    the canonical eigenvectors and each matrix's eigenspace groups. Stacked
+    ``eigh`` runs LAPACK on each matrix in turn and each matrix is
+    canonicalised on its own, so every entry equals that of
+    ``spectral_decompose`` on the matrix alone. Raises ``require_hermitian``'s
+    NonHermitian for the first bad matrix.
+    """
+    values, columns, groups = _decompose(require_hermitian_stack(stack, name=name), tol_deg)
+    return values, columns.conj(), groups
 
 
 def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
 
-    Eigenvalues ascend. Every group of eigenvalues within tol_deg of its
-    neighbour gets the canonical eigenspace basis of
-    ``_canonical_decomposition``, and every eigenvector's first
+    The B = 1 case of ``spectral_decompose_stack``. Eigenvalues ascend. Every
+    group of eigenvalues within tol_deg of its neighbour gets the canonical
+    eigenspace basis of ``_canonical_stack``, and every eigenvector's first
     non-negligible component is real positive, so identity-like matrices keep
     the standard basis. Raises NonHermitian on bad input, including NaN or
     Inf entries.
     """
-    mat = require_hermitian(h)
-    values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return _canonical_decomposition(values, vectors, tol_deg)
+    values, columns, groups = _decompose(require_hermitian(h)[None], tol_deg)
+    return _decomposition(values[0], columns[0], groups[0])
 
 
 def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
@@ -291,7 +385,8 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
 
     eigenvalues = np.diag(a).real.copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return _canonical_decomposition(eigenvalues[order], vec[:, order], tol_deg)
+    groups, columns = _canonical_stack(eigenvalues[order][None], vec[:, order][None], tol_deg)
+    return _decomposition(eigenvalues[order], columns[0], groups[0])
 
 
 def matrix_exponential_skew(h, t: float) -> np.ndarray:

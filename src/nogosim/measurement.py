@@ -215,11 +215,11 @@ def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:
 
 def system_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
     """Components of a system ket in the term's system eigenbasis."""
-    return term.system.eigenvectors.conj().T @ ket
+    return term.system.adjoint @ ket
 
 
 def device_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
-    return term.device.eigenvectors.conj().T @ ket
+    return term.device.adjoint @ ket
 
 
 class _TermWeights(NamedTuple):
@@ -254,11 +254,15 @@ def _grid_mean(term: ProductTermSpectral, grid: np.ndarray) -> float:
     return float(np.sum(term.eigenvalue_grid * grid))
 
 
+def _require_denominator(denom: float, tol_p: float) -> None:
+    if denom <= tol_p:
+        raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
+
+
 def _conditioned(joint: np.ndarray, tol_p: float) -> np.ndarray:
     """Joint grid divided by its total, the postselection probability."""
     denom = float(np.sum(joint))
-    if denom <= tol_p:
-        raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
+    _require_denominator(denom, tol_p)
     return joint / denom
 
 
@@ -393,8 +397,7 @@ def eigenbasis_conditional_expectation(
         value = float(np.mean(dec.eigenvalues[list(group)]))
         numerator += value * weight
         denominator += weight
-    if denominator <= tol_p:
-        raise ZeroProbability(f"postselection probability {denominator:.3e} at or below cutoff {tol_p:.1e}")
+    _require_denominator(denominator, tol_p)
     return numerator / denominator
 
 

@@ -12,11 +12,13 @@ lives here too.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotCanonical, NotRankMDegenerate, ZeroProbability
+from .errors import DimensionMismatch, NotCanonical, NotRankMDegenerate, ZeroProbability
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
@@ -24,7 +26,9 @@ from .linalg import (
     as_operator,
     is_unitary,
     readonly,
+    require_states,
     spectral_decompose,
+    spectral_decompose_stack,
 )
 from .measurement import (
     JointObservable,
@@ -34,6 +38,7 @@ from .measurement import (
     ProductTermSpectral,
     _conditioned,
     _grid_mean,
+    _require_denominator,
     _require_postselect,
     _term_weights,
     postselection_denominator,
@@ -43,6 +48,10 @@ from .measurement import (
 
 #: Postselection probability below which audit draws are rejected.
 MIN_AUDIT_POSTSELECT = 1e-6
+#: Draws per instance before ``random_scenario`` and ``random_audit`` give up.
+MAX_DRAW_TRIES = 256
+#: Instances ``random_audit`` draws and evaluates together; bounds its working arrays for any count.
+AUDIT_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -63,11 +72,13 @@ class DegeneracyReport:
         return all(t.is_rank_m_degenerate for t in self.terms)
 
 
+def _columns_within(grids: np.ndarray, tol_deg: float) -> np.ndarray:
+    """Whether each column of each (..., n, m) grid spreads by at most tol_deg along i."""
+    return grids.max(axis=-2) - grids.min(axis=-2) <= tol_deg  # False for a NaN spread or tolerance
+
+
 def _term_degeneracy(grid: np.ndarray, tol_deg: float) -> TermDegeneracy:
-    lows = grid.min(axis=0)
-    highs = grid.max(axis=0)
-    spreads = highs - lows
-    within = spreads <= tol_deg  # False for a NaN spread or tolerance
+    within = _columns_within(grid, tol_deg)
     if within.all():
         return TermDegeneracy(
             is_rank_m_degenerate=True,
@@ -112,7 +123,13 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
     mat = as_operator(columns, "transformation matrix")
     if not is_unitary(mat):
         raise ValueError("transformation matrix is not unitary within 1e-10")
-    pi = PostselectionProjector(phi=phi, device_dim=device_dim).matrix
+    projector = PostselectionProjector(phi=phi, device_dim=device_dim)
+    pi = projector.matrix
+    if pi.shape != mat.shape:
+        raise DimensionMismatch(
+            f"phi has dim {projector.phi.size}, so with device_dim {device_dim} its projector acts on "
+            f"dim {pi.shape[0]}, but the transformation matrix acts on dim {mat.shape[0]}"
+        )
     return BasisTransform(matrix=readonly(mat), transformed_projector=readonly(mat.conj().T @ pi @ mat))
 
 
@@ -193,27 +210,30 @@ def verify_nogo(
     phi = _require_postselect(scenario)
     data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
     report = check_rank_m_degeneracy(data, tol_deg)
-    hypothesis = report.all_degenerate
 
     weights = [_term_weights(term, scenario.psi, scenario.xi, phi) for term in data.terms]
     conditional = sum(_grid_mean(term, _conditioned(w.joint_grid(), tol_p)) for term, w in zip(data.terms, weights))
     unconditional = sum(_grid_mean(term, w.outcome_grid()) for term, w in zip(data.terms, weights))
-    gap = abs(conditional - unconditional)
+    return _verdict(
+        conditional, unconditional, report if report.all_degenerate else None, [w.xi for w in weights], tol_verify
+    )
 
+
+def _verdict(conditional: float, unconditional: float, report, device_weights, tol_verify: float) -> TheoremVerdict:
+    """The verdict on both means; ``report`` is the degeneracy report when the hypothesis holds, else None."""
     closed = None
     closed_gap = None
-    if hypothesis:
-        closed = _closed_form(report, [w.xi for w in weights])
+    if report is not None:
+        closed = _closed_form(report, device_weights)
         closed_gap = max(abs(closed - conditional), abs(closed - unconditional))
-
     return TheoremVerdict(
-        hypothesis_holds=hypothesis,
+        hypothesis_holds=report is not None,
         # Each term's transform is T = U (x) V, and T^dag (|phi><phi| (x) I) T = (U^dag |phi><phi| U) (x) I,
         # whose diagonal |phi'_i|^2 is constant inside every device block by construction.
         basis_requirement_holds=True,
         conditional=conditional,
         unconditional=unconditional,
-        gap=gap,
+        gap=abs(conditional - unconditional),
         closed_form=closed,
         closed_form_gap=closed_gap,
         tol_verify=tol_verify,
@@ -258,20 +278,78 @@ def degenerate_weak_value(
 
 # --- random instance generation -------------------------------------------------
 
+def _hermitian(normals: np.ndarray, dim: int) -> np.ndarray:
+    """(G + G^dag)/2 per row of (..., 2 dim^2) normals, G = (re + i im)/sqrt(2) with the
+    dim^2 real parts first, then the dim^2 imaginary parts."""
+    shape = normals.shape[:-1] + (dim, dim)
+    g = (normals[..., : dim * dim].reshape(shape) + 1j * normals[..., dim * dim :].reshape(shape)) / np.sqrt(2.0)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """(G + G^dag)/2 with i.i.d. standard complex Gaussian entries."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return (g + g.conj().T) / 2.0
+    return _hermitian(rng.standard_normal(2 * dim * dim), dim)
+
+
+def _unit(normals: np.ndarray) -> np.ndarray:
+    """A unit ket per row of (..., 2 dim) normals: re + i im over its norm, the dim real parts first.
+
+    The norm is ``np.linalg.norm``'s, sqrt(x.dot(x) + y.dot(y)) over the real
+    and imaginary views; ``np.vecdot`` makes the same BLAS dot call per ket, so
+    a ket of a stack gets the bits it gets alone.
+    """
+    dim = normals.shape[-1] // 2
+    v = normals[..., :dim] + 1j * normals[..., dim:]
+    x, y = v.real, v.imag
+    return v / np.sqrt(np.vecdot(x, x) + np.vecdot(y, y))[..., None]
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _unit(rng.standard_normal(2 * dim))
 
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for audit instance (seed, index); replayable in isolation."""
     return np.random.default_rng((int(seed), int(index)))
+
+
+def _no_draw(min_postselect: float, max_tries: int) -> ZeroProbability:
+    return ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {max_tries} tries")
+
+
+# One attempt reads, from its generator: K unless fixed, then the normals of the
+# K terms (``_term_draws`` each; ``_factors`` builds them), then those of psi, xi
+# and phi (``_ket_dims``; ``random_ket`` or ``_unit`` builds each).
+
+def _term_draws(n: int, m: int, degenerate: bool) -> int:
+    """Normals per term: c_k (degenerate) or the system factor's 2 n^2, then the device factor's 2 m^2."""
+    return (1 if degenerate else 2 * n * n) + 2 * m * m
+
+
+def _ket_dims(n: int, m: int) -> tuple[int, int, int]:
+    """The dims of psi, xi and phi, in draw order."""
+    return n, m, n
+
+
+def _draw_attempt(
+    rng: np.random.Generator, n: int, m: int, degenerate: bool, num_terms: int | None = None, kets: bool = False
+) -> tuple[int, np.ndarray]:
+    """K and one ``standard_normal`` call with the normals of the attempt's factors, and with kets=True of its kets.
+
+    Successive ``standard_normal`` calls read one stream, so one call of the
+    total size draws the numbers that ``random_ket`` would draw next.
+    """
+    k = num_terms if num_terms is not None else int(rng.integers(1, 3))
+    size = k * _term_draws(n, m, degenerate) + (2 * sum(_ket_dims(n, m)) if kets else 0)
+    return k, rng.standard_normal(size)
+
+
+def _factors(normals: np.ndarray, n: int, m: int, k: int, degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, K, n, n) system and (B, K, m, m) device factors from (B, K * ``_term_draws``) normals."""
+    terms = normals.reshape(normals.shape[0], k, -1)
+    if degenerate:
+        return terms[..., :1, None] * np.eye(n, dtype=complex), _hermitian(terms[..., 1:], m)
+    return _hermitian(terms[..., : 2 * n * n], n), _hermitian(terms[..., 2 * n * n :], m)
 
 
 def random_scenario(
@@ -281,7 +359,7 @@ def random_scenario(
     degenerate: bool,
     num_terms: int | None = None,
     min_postselect: float = MIN_AUDIT_POSTSELECT,
-    max_tries: int = 256,
+    max_tries: int = MAX_DRAW_TRIES,
 ) -> MeasurementScenario:
     """Random pure-product scenario with postselection.
 
@@ -291,25 +369,141 @@ def random_scenario(
     falls below min_postselect on any term are rejected and retried.
     """
     for _ in range(max_tries):
-        k_count = num_terms if num_terms is not None else int(rng.integers(1, 3))
-        terms = []
-        for _ in range(k_count):
-            if degenerate:
-                sys_op = float(rng.standard_normal()) * np.eye(n, dtype=complex)
-            else:
-                sys_op = random_hermitian(n, rng)
-            terms.append((sys_op, random_hermitian(m, rng)))
+        k_count, normals = _draw_attempt(rng, n, m, degenerate, num_terms)
+        sys_ops, dev_ops = _factors(normals[None], n, m, k_count, degenerate)
+        # one random_ket call per ket: perfbench's tracer counts attempts by these calls
+        psi, xi, phi = (random_ket(dim, rng) for dim in _ket_dims(n, m))
         scenario = MeasurementScenario(
-            psi=random_ket(n, rng),
-            xi=random_ket(m, rng),
-            observable=JointObservable(n=n, m=m, terms=tuple(terms)),
-            postselect=random_ket(n, rng),
+            psi=psi,
+            xi=xi,
+            observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
+            postselect=phi,
         )
         data = scenario.spectral()
         denominators = [postselection_denominator(scenario, k, data) for k in range(len(data))]
         if min(denominators) >= min_postselect:
             return scenario
-    raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {max_tries} tries")
+    raise _no_draw(min_postselect, max_tries)
+
+
+# --- the audit's array engine ----------------------------------------------------
+
+def _amplitude_weights(adjoints: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """|<e_i|ket>|^2 per (B, K, d, d) adjoint and (B, d) ket: one matvec per matrix, as for a single term."""
+    return np.abs((adjoints @ kets[:, None, :, None])[..., 0]) ** 2
+
+
+def _grid_sums(grids: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each (n, m) grid; one row per grid adds in the order np.sum adds a lone grid."""
+    return grids.reshape(grids.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+class _AuditGroup(NamedTuple):
+    """B attempts with one (n, m, K), evaluated together; row b is one attempt."""
+
+    denominators: np.ndarray  # (B, K) postselection probability after each term
+    conditional: list  # per attempt, the K postselected term means
+    unconditional: list  # per attempt, the K plain term means
+    hypothesis: list  # per attempt, whether every term's grid is column-constant
+    grids: np.ndarray  # (B, K, n, m) eigenvalue grids r_ij
+    xi: np.ndarray  # (B, K, m) |xi'_j|^2
+
+
+def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> _AuditGroup:
+    """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
+
+    Every step is the scalar one on stacks: the factors are built, checked and
+    decomposed per stack, the weights come from stacked matvecs, and every
+    grid is reduced by its own row, so row b holds the bits of ``verify_nogo``
+    on the scenario ``random_scenario`` builds from row b.
+    """
+    count = raw.shape[0]
+    factor_draws = k * _term_draws(n, m, degenerate)
+    sys_ops, dev_ops = _factors(raw[:, :factor_draws], n, m, k, degenerate)
+    ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
+    psi, xi, phi = (
+        require_states(_unit(part), name=name)
+        for part, name in zip(np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1), ("psi", "xi", "postselect"))
+    )
+
+    sys_values, sys_adjoints, _ = spectral_decompose_stack(sys_ops.reshape(-1, n, n), tol_deg, "system factor")
+    dev_values, dev_adjoints, _ = spectral_decompose_stack(dev_ops.reshape(-1, m, m), tol_deg, "device factor")
+    sys_adjoints = sys_adjoints.reshape(count, k, n, n)
+    w_psi = _amplitude_weights(sys_adjoints, psi)
+    w_phi = _amplitude_weights(sys_adjoints, phi)
+    w_xi = _amplitude_weights(dev_adjoints.reshape(count, k, m, m), xi)
+    grids = sys_values.reshape(count, k, n)[..., :, None] * dev_values.reshape(count, k, m)[..., None, :]
+
+    joint = (w_psi * w_phi)[..., :, None] * w_xi[..., None, :]
+    denominators = _grid_sums(joint)
+    # a vanishing denominator is rejected per instance before its mean is read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conditional = _grid_sums(grids * (joint / denominators[..., None, None]))
+    unconditional = _grid_sums(grids * (w_psi[..., :, None] * w_xi[..., None, :]))
+    return _AuditGroup(
+        denominators=denominators,
+        conditional=conditional.tolist(),
+        unconditional=unconditional.tolist(),
+        hypothesis=_columns_within(grids, tol_deg).all(axis=(1, 2)).tolist(),
+        grids=grids,
+        xi=w_xi,
+    )
+
+
+def _group_verdict(group: _AuditGroup, b: int, tol_deg: float, tol_verify: float) -> TheoremVerdict:
+    """``verify_nogo``'s verdict on attempt b of a group."""
+    for denom in group.denominators[b].tolist():
+        _require_denominator(denom, TOL_POSTSELECT)
+    report = None
+    if group.hypothesis[b]:
+        report = DegeneracyReport(terms=tuple(_term_degeneracy(grid, tol_deg) for grid in group.grids[b]))
+    # Python's sum over the term means, as in verify_nogo
+    return _verdict(sum(group.conditional[b]), sum(group.unconditional[b]), report, group.xi[b], tol_verify)
+
+
+def _audit_chunk(
+    seed: int, indices: range, n, m, degenerate: bool, tol_deg: float, tol_verify: float, min_postselect: float
+) -> list[tuple[int, int, int, TheoremVerdict]]:
+    """(index, n, m, verdict) per instance, equal to ``random_scenario`` plus ``verify_nogo`` on its stream.
+
+    Every instance's first attempt is drawn from its own ``instance_rng`` and
+    evaluated in (n, m, K) groups. A rejected instance is then redrawn alone,
+    on its own stream, in index order, so the first failing instance raises
+    the scalar path's error.
+    """
+    rngs, dims = [], []
+    for idx in indices:
+        rng = instance_rng(seed, idx)
+        dims_n = n if n is not None else int(rng.integers(2, 4))
+        dims_m = m if m is not None else int(rng.integers(2, 4))
+        rngs.append(rng)
+        dims.append((dims_n, dims_m))
+
+    members = defaultdict(list)
+    for pos, (rng, (dims_n, dims_m)) in enumerate(zip(rngs, dims)):
+        k, raw = _draw_attempt(rng, dims_n, dims_m, degenerate, kets=True)
+        members[(dims_n, dims_m, k)].append((pos, raw))
+    located = [None] * len(rngs)
+    for (dims_n, dims_m, k), rows in members.items():
+        group = _audit_group(np.stack([raw for _, raw in rows]), dims_n, dims_m, k, degenerate, tol_deg)
+        accepted = (group.denominators.min(axis=1) >= min_postselect).tolist()
+        for b, (pos, _) in enumerate(rows):
+            located[pos] = (group, b, accepted[b])
+
+    results = []
+    for pos, idx in enumerate(indices):
+        group, b, accepted = located[pos]
+        dims_n, dims_m = dims[pos]
+        tries = 1
+        while not accepted:
+            if tries == MAX_DRAW_TRIES:
+                raise _no_draw(min_postselect, MAX_DRAW_TRIES)
+            k, raw = _draw_attempt(rngs[pos], dims_n, dims_m, degenerate, kets=True)
+            group, b = _audit_group(raw[None], dims_n, dims_m, k, degenerate, tol_deg), 0
+            accepted = bool(group.denominators.min() >= min_postselect)
+            tries += 1
+        results.append((idx, dims_n, dims_m, _group_verdict(group, b, tol_deg, tol_verify)))
+    return results
 
 
 @dataclass(frozen=True)
@@ -350,7 +544,10 @@ def random_audit(
     mode="degenerate" draws hypothesis-satisfying instances and counts bound
     violations; mode="generic" draws unrestricted instances and only reports
     gaps. Instance index i uses the generator seeded by (seed, i); dims are
-    drawn from {2, 3} per instance unless pinned by n and m.
+    drawn from {2, 3} per instance unless pinned by n and m. Every instance
+    equals ``random_scenario`` plus ``verify_nogo`` on its own generator, so
+    it replays alone; the instances are evaluated in array groups of equal
+    (n, m, K), AUDIT_CHUNK instances at a time.
     """
     if mode not in ("degenerate", "generic"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -358,32 +555,31 @@ def random_audit(
         raise ValueError("count must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if (n is not None and n < 1) or (m is not None and m < 1):
+        raise DimensionMismatch("system and device dimensions must be positive")
 
     instances = []
     violations = 0
     gaps = []
-    for idx in range(count):
-        rng = instance_rng(seed, idx)
-        dims_n = n if n is not None else int(rng.integers(2, 4))
-        dims_m = m if m is not None else int(rng.integers(2, 4))
-        scenario = random_scenario(
-            rng, dims_n, dims_m, degenerate=(mode == "degenerate"), min_postselect=min_postselect
-        )
-        verdict = verify_nogo(scenario, tol_deg=tol_deg, tol_verify=tol_verify)
-        if not verdict.passed:
-            violations += 1
-        gaps.append(verdict.gap)
-        instances.append(
-            AuditInstance(
-                index=idx,
-                n=dims_n,
-                m=dims_m,
-                hypothesis_holds=verdict.hypothesis_holds,
-                basis_requirement_holds=verdict.basis_requirement_holds,
-                gap=verdict.gap,
-                closed_form_gap=verdict.closed_form_gap,
+    for start in range(0, count, AUDIT_CHUNK):
+        chunk = range(start, min(count, start + AUDIT_CHUNK))
+        for idx, dims_n, dims_m, verdict in _audit_chunk(
+            seed, chunk, n, m, mode == "degenerate", tol_deg, tol_verify, min_postselect
+        ):
+            if not verdict.passed:
+                violations += 1
+            gaps.append(verdict.gap)
+            instances.append(
+                AuditInstance(
+                    index=idx,
+                    n=dims_n,
+                    m=dims_m,
+                    hypothesis_holds=verdict.hypothesis_holds,
+                    basis_requirement_holds=verdict.basis_requirement_holds,
+                    gap=verdict.gap,
+                    closed_form_gap=verdict.closed_form_gap,
+                )
             )
-        )
     gap_arr = np.asarray(gaps)
     return AuditSummary(
         mode=mode,

@@ -1,11 +1,13 @@
 """Tensor products, the eigh and Jacobi solvers with canonical eigenspace bases, matrix exponential."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim.errors import NoConvergence, NonHermitian
+from nogosim.errors import DimensionMismatch, NoConvergence, NonHermitian
 from nogosim.linalg import (
     SpectralDecomposition,
     as_state,
@@ -15,7 +17,9 @@ from nogosim.linalg import (
     matrix_exponential_skew,
     outer,
     require_hermitian,
+    require_states,
     spectral_decompose,
+    spectral_decompose_stack,
     tensor_ket,
     tensor_product,
 )
@@ -258,6 +262,103 @@ def test_is_hermitian_tolerance():
 def test_outer_matches_manual():
     v = np.array([1.0, 1j]) / np.sqrt(2)
     assert np.max(np.abs(outer(v) - np.array([[0.5, -0.5j], [0.5j, 0.5]]))) < 1e-15
+
+
+def mixed_stack(dim, rng):
+    """c * I, exactly and nearly degenerate, generic and diagonal matrices of one dimension."""
+    mats = [2.5 * np.eye(dim, dtype=complex), -0.7 * np.eye(dim, dtype=complex)]
+    for _ in range(4):
+        mats.append(random_hermitian(dim, rng))
+        levels = np.sort(rng.standard_normal(dim))
+        mats.append(rotated_spectrum(levels, rng))
+        if dim > 1:
+            tied = levels.copy()
+            tied[1] = tied[0]
+            mats.append(rotated_spectrum(tied, rng))
+            near = levels.copy()
+            near[1] = near[0] + 3e-11
+            mats.append(rotated_spectrum(near, rng))
+            mats.append(np.diag(tied).astype(complex))
+    return mats
+
+
+class TestSpectralDecomposeStack:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_spectral_decompose_bit_for_bit(self, dim, seed):
+        mats = mixed_stack(dim, np.random.default_rng(seed))
+        values, adjoints, groups = spectral_decompose_stack(np.stack(mats))
+        assert len(groups) == len(mats)
+        if dim > 1:
+            assert len(set(groups)) > 1  # the stack mixes grouped and ungrouped spectra
+        for b, h in enumerate(mats):
+            dec = spectral_decompose(h)
+            assert values[b].tobytes() == dec.eigenvalues.tobytes()
+            assert adjoints[b].tobytes() == dec.adjoint.tobytes()
+            assert np.ascontiguousarray(adjoints[b].conj().T).tobytes() == np.ascontiguousarray(dec.eigenvectors).tobytes()
+            assert groups[b] == dec.eigenspace_groups
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_keeps_require_hermitian_message(self, bad):
+        h = np.array(Z, dtype=complex)
+        h[0, 1] = bad
+        with pytest.raises(NonHermitian) as single:
+            require_hermitian(h)
+        with pytest.raises(NonHermitian) as stacked:
+            spectral_decompose_stack(np.stack([Z, h, X]))
+        assert str(stacked.value) == str(single.value) == "operator has NaN or Inf entries"
+
+    def test_non_hermitian_names_the_first_bad_matrix(self):
+        first = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        second = np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NonHermitian) as single:
+            require_hermitian(first, name="system factor")
+        with pytest.raises(NonHermitian) as stacked:
+            spectral_decompose_stack(np.stack([Z, first, second]), name="system factor")
+        assert str(stacked.value) == str(single.value)
+        assert "deviates from Hermiticity by 1.000e+00" in str(single.value)
+
+    def test_rejects_a_lone_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            spectral_decompose_stack(Z)
+
+
+def test_require_states_checks_every_row():
+    kets = np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex)
+    assert require_states(kets) is kets
+    with pytest.raises(ValueError) as stacked:
+        require_states(np.vstack([kets, [[1.0, 1.0]]]), name="psi")
+    with pytest.raises(ValueError) as single:
+        as_state([1.0, 1.0], name="psi")
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError):
+        require_states(np.array([[np.nan, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_require_states_screens_with_the_norm_as_state_computes(dim):
+    # a row fails the screen exactly when as_state rejects it alone
+    rng = np.random.default_rng(dim)
+    kets = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    kets[::3] *= 1.0 + 1e-12 * rng.standard_normal((100, 1))
+    alone = np.array([np.vdot(ket, ket).real for ket in kets])
+    assert np.vecdot(kets, kets).real.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_adjoint_is_stored_once_readonly_and_outside_the_fields(dim):
+    rng = np.random.default_rng(dim)
+    for h in mixed_stack(dim, rng):
+        dec = spectral_decompose(h)
+        assert dec.adjoint is dec.adjoint
+        assert dec.adjoint.flags.c_contiguous and not dec.adjoint.flags.writeable
+        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert (dec.adjoint @ ket).tobytes() == (dec.eigenvectors.conj().T @ ket).tobytes()
+    assert [f.name for f in dataclasses.fields(dec)] == ["eigenvalues", "eigenvectors", "eigenspace_groups"]
+    assert "adjoint" not in repr(dec)
+    assert jacobi_decompose(h).adjoint.flags.c_contiguous
 
 
 def test_spectral_decomposition_is_readonly():

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim import measurement
-from nogosim.errors import NotCanonical, NotRankMDegenerate, OrthogonalPostselection
+from nogosim import measurement, nogo
+from nogosim.errors import (
+    DimensionMismatch,
+    NotCanonical,
+    NotRankMDegenerate,
+    OrthogonalPostselection,
+    ZeroProbability,
+)
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -21,6 +27,7 @@ from nogosim.measurement import (
     device_amplitudes,
 )
 from nogosim.nogo import (
+    AuditInstance,
     TheoremVerdict,
     basis_transform,
     check_basis_requirement,
@@ -142,6 +149,11 @@ class TestBasisRequirement:
         diag = np.diag(tr.transformed_projector).real
         assert np.allclose(diag, [0.3, 0.5, 0.5, 0.7])
         assert not check_basis_requirement(tr, 2, 2)
+
+    @pytest.mark.parametrize("phi, device_dim", [([1, 0, 0], 2), ([1, 0], 3), ([1.0], 2)])
+    def test_phi_and_device_dim_must_match_the_transform(self, phi, device_dim):
+        with pytest.raises(DimensionMismatch, match="phi has dim"):
+            basis_transform(np.eye(4), phi, device_dim)
 
     def test_term_transform_from_factor_eigenvectors(self):
         scen = cnot_error_scenario(0.5, theta=0.7)
@@ -325,10 +337,82 @@ class TestRandomAudit:
         with pytest.raises(ValueError):
             random_audit(count=1, seed=1, mode="other")
 
+    def test_rejects_non_positive_pinned_dims(self):
+        with pytest.raises(DimensionMismatch):
+            random_audit(count=1, seed=1, mode="degenerate", n=0, m=2)
+
     def test_rejects_negative_seed(self):
         # numpy's default_rng raises on a negative seed too, but only inside the loop and with its own message
         with pytest.raises(ValueError, match="seed must be non-negative"):
             random_audit(count=1, seed=-1, mode="degenerate")
+
+
+def per_instance_audit(count, seed, mode, n=None, m=None, min_postselect=nogo.MIN_AUDIT_POSTSELECT):
+    """``random_audit``'s instances, each from ``random_scenario`` and ``verify_nogo`` on its own stream."""
+    instances = []
+    for index in range(count):
+        rng = instance_rng(seed, index)
+        dims_n = n if n is not None else int(rng.integers(2, 4))
+        dims_m = m if m is not None else int(rng.integers(2, 4))
+        scen = random_scenario(rng, dims_n, dims_m, degenerate=(mode == "degenerate"), min_postselect=min_postselect)
+        verdict = verify_nogo(scen)
+        instances.append(
+            AuditInstance(
+                index=index,
+                n=dims_n,
+                m=dims_m,
+                hypothesis_holds=verdict.hypothesis_holds,
+                basis_requirement_holds=verdict.basis_requirement_holds,
+                gap=verdict.gap,
+                closed_form_gap=verdict.closed_form_gap,
+            )
+        )
+    return instances
+
+
+def assert_same_instances(summary, reference):
+    assert len(summary.instances) == len(reference)
+    for got, want in zip(summary.instances, reference):
+        for field in dataclasses.fields(AuditInstance):
+            assert getattr(got, field.name) == getattr(want, field.name), (got, want)
+            assert type(getattr(got, field.name)) is type(getattr(want, field.name))
+
+
+class TestArrayAuditEqualsPerInstancePath:
+    @pytest.mark.parametrize("mode", ["degenerate", "generic"])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_mixed_dims(self, mode, seed):
+        assert_same_instances(random_audit(80, seed, mode), per_instance_audit(80, seed, mode))
+
+    @pytest.mark.parametrize("mode", ["degenerate", "generic"])
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (3, 1), (4, 2)])
+    def test_pinned_dims(self, mode, dims):
+        n, m = dims
+        assert_same_instances(random_audit(40, 3, mode, n=n, m=m), per_instance_audit(40, 3, mode, n=n, m=m))
+
+    @pytest.mark.parametrize("mode", ["degenerate", "generic"])
+    def test_redraws_on_each_instance_stream(self, mode, monkeypatch):
+        redraws = []
+        original = nogo._draw_attempt
+        monkeypatch.setattr(
+            nogo, "_draw_attempt", lambda *args, **kwargs: redraws.append(args) or original(*args, **kwargs)
+        )
+        summary = random_audit(100, 5, mode, min_postselect=0.2)
+        assert len(redraws) > 100  # some instances fell below the floor and were drawn again
+        assert_same_instances(summary, per_instance_audit(100, 5, mode, min_postselect=0.2))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_groups_cross_chunk_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(nogo, "AUDIT_CHUNK", chunk)
+        for mode in ("degenerate", "generic"):
+            assert_same_instances(random_audit(30, 9, mode), per_instance_audit(30, 9, mode))
+
+    def test_unreachable_floor_raises_like_the_scalar_path(self):
+        with pytest.raises(ZeroProbability) as scalar:
+            per_instance_audit(3, 1, "degenerate", min_postselect=1.1)
+        with pytest.raises(ZeroProbability) as array:
+            random_audit(3, 1, "degenerate", min_postselect=1.1)
+        assert str(array.value) == str(scalar.value)
 
 
 def test_random_scenario_postselection_floor():
@@ -357,6 +441,37 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
         scen = random_scenario(rng, 3, 2, degenerate=degenerate, min_postselect=0.0)
         verify_nogo(scen)
         assert len(calls) == 2 * scen.observable.num_terms
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_draws_equal_the_per_matrix_formulas(dim):
+    # the formulas random_hermitian and random_ket used before they took stacks
+    rng = np.random.default_rng(dim)
+    normals = rng.standard_normal((50, 2 * dim * dim))
+    ket_normals = rng.standard_normal((50, 2 * dim))
+    hermitians = nogo._hermitian(normals, dim)
+    kets = nogo._unit(ket_normals)
+    for b in range(50):
+        re, im = normals[b, : dim * dim].reshape(dim, dim), normals[b, dim * dim :].reshape(dim, dim)
+        g = (re + 1j * im) / np.sqrt(2.0)
+        assert hermitians[b].tobytes() == ((g + g.conj().T) / 2.0).tobytes()
+        v = ket_normals[b, :dim] + 1j * ket_normals[b, dim:]
+        assert kets[b].tobytes() == (v / np.linalg.norm(v)).tobytes()
+        assert nogo._unit(ket_normals[b]).tobytes() == kets[b].tobytes()
+
+
+def test_one_draw_call_reads_what_separate_calls_read():
+    # one call reads what one draw call per factor part and per ket part used to read, in that order
+    for degenerate in (True, False):
+        one, separate = np.random.default_rng(4), np.random.default_rng(4)
+        k, normals = nogo._draw_attempt(one, 3, 2, degenerate, kets=True)
+        assert k == int(separate.integers(1, 3))
+        parts = []
+        for _ in range(k):
+            parts.append(separate.standard_normal(1 if degenerate else 18))
+            parts += [separate.standard_normal(4), separate.standard_normal(4)]
+        parts += [separate.standard_normal(dim) for dim in (3, 3, 2, 2, 3, 3)]
+        assert normals.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_random_hermitian_statistics():
