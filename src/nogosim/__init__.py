@@ -56,7 +56,6 @@ from .measurement import (
     expectation,
     joint_probability,
     luders_update,
-    observable_conditional_expectation,
     outcome_probability,
     product_spectral,
     weak_value,

@@ -283,10 +283,8 @@ class ErrorDisturbanceReport:
     nogo_gap_disturbance: float
     error_verdict: TheoremVerdict
     disturbance_verdict: TheoremVerdict
-
-    def __post_init__(self):
-        if self.epsilon_sq < -1e-12 or self.eta_sq < -1e-12:
-            raise ValueError("squared quantities must be numerically nonnegative")
+    # No sign check: epsilon_sq and eta_sq are <Psi|(S^2 + S^2 dag)/2|Psi> = ||S Psi||^2 >= 0 in exact arithmetic,
+    # and their rounding error, about ||S||^2 eps, can put a zero value below any floor that does not scale with S.
 
 
 class _SquaredObservables(NamedTuple):

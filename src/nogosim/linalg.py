@@ -64,18 +64,6 @@ def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
     return arr
 
 
-def require_states(kets: np.ndarray, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
-    """``as_state`` on every row of a (B, d) stack, screened in one pass.
-
-    ``np.vecdot`` forms each row's norm with the dot ``np.vdot`` forms for a
-    lone ket, so the first row the screen fails raises ``as_state``'s error.
-    """
-    within = abs(np.vecdot(kets, kets).real - 1.0) <= tol  # False for a NaN norm too
-    if not within.all():
-        as_state(kets[int(within.argmin())], tol, name)
-    return kets
-
-
 def is_hermitian(a, tol: float = TOL_HERMITIAN) -> bool:
     arr = as_operator(a)
     return float(np.max(np.abs(arr - arr.conj().T))) <= tol
@@ -89,21 +77,6 @@ def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> 
         if not np.all(np.isfinite(arr)):
             raise NonHermitian(f"{name} has NaN or Inf entries")
         raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
-    return arr
-
-
-def require_hermitian_stack(stack, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
-    """``require_hermitian`` on every matrix of a (B, d, d) stack, screened in one pass.
-
-    Each matrix's deviation is the one ``require_hermitian`` computes, so the
-    first matrix the screen fails raises ``require_hermitian``'s error.
-    """
-    arr = np.asarray(stack, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatch(f"{name} must be a stack of square matrices, got shape {arr.shape}")
-    within = abs(arr - arr.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol  # False for a NaN deviation too
-    if not within.all():
-        require_hermitian(arr[int(within.argmin())], tol, name)
     return arr
 
 
@@ -308,7 +281,13 @@ def _canonical_stack(
 
 
 def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Eigenvalues, canonical columns as rows, and groups of a checked (B, d, d) stack; one LAPACK call."""
+    """Eigenvalues, canonical columns as rows, and groups of a Hermitian (B, d, d) stack; one LAPACK call.
+
+    Stacked ``eigh`` runs LAPACK on each matrix in turn and ``_canonical_stack``
+    canonicalises each matrix on its own, so row b holds the bits of matrix b
+    decomposed alone. The caller vouches for Hermiticity: ``spectral_decompose``
+    checks outside input, the audit builds its factors Hermitian.
+    """
     values, vectors = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
     groups, columns = _canonical_stack(values, vectors, tol_deg)
     return values, columns, groups
@@ -321,26 +300,10 @@ def _decomposition(values: np.ndarray, columns: np.ndarray, groups) -> SpectralD
     )
 
 
-def spectral_decompose_stack(
-    stack, tol_deg: float = TOL_DEG, name: str = "operator"
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """``spectral_decompose`` of every matrix in a (B, d, d) stack.
-
-    Returns the (B, d) ascending eigenvalues, the (B, d, d) adjoints V^dag of
-    the canonical eigenvectors and each matrix's eigenspace groups. Stacked
-    ``eigh`` runs LAPACK on each matrix in turn and each matrix is
-    canonicalised on its own, so every entry equals that of
-    ``spectral_decompose`` on the matrix alone. Raises ``require_hermitian``'s
-    NonHermitian for the first bad matrix.
-    """
-    values, columns, groups = _decompose(require_hermitian_stack(stack, name=name), tol_deg)
-    return values, columns.conj(), groups
-
-
 def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix via LAPACK ``eigh``.
 
-    The B = 1 case of ``spectral_decompose_stack``. Eigenvalues ascend. Every
+    The B = 1 case of ``_decompose``. Eigenvalues ascend. Every
     group of eigenvalues within tol_deg of its neighbour gets the canonical
     eigenspace basis of ``_canonical_stack``, and every eigenvector's first
     non-negligible component is real positive, so identity-like matrices keep

@@ -223,7 +223,10 @@ def device_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
 
 
 class _TermWeights(NamedTuple):
-    """|psi'_i|^2, |xi'_j|^2 and |phi'_i|^2 of one term (phi None without postselection)."""
+    """|psi'_i|^2, |xi'_j|^2 and |phi'_i|^2 of one term (phi None without postselection).
+
+    The arrays may carry leading stack axes; the grids keep them and form the products ``np.outer`` forms.
+    """
 
     psi: np.ndarray
     xi: np.ndarray
@@ -231,11 +234,11 @@ class _TermWeights(NamedTuple):
 
     def outcome_grid(self) -> np.ndarray:
         """P(r_ij) = |psi'_i|^2 |xi'_j|^2."""
-        return np.outer(self.psi, self.xi)
+        return self.psi[..., :, None] * self.xi[..., None, :]
 
     def joint_grid(self) -> np.ndarray:
         """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2."""
-        return np.outer(self.psi * self.phi, self.xi)
+        return (self.psi * self.phi)[..., :, None] * self.xi[..., None, :]
 
 
 def _term_weights(
@@ -287,16 +290,20 @@ def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectral
 
 
 def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
-    """Tr[P rho] for a general density operator."""
+    """Tr[P rho] for a general density operator; NaN or Inf entries are rejected."""
     rho = as_operator(rho, "rho")
     projector = as_operator(projector, "projector")
     if rho.shape != projector.shape:
         raise DimensionMismatch("rho and projector dimensions differ")
+    # a NaN entry can leave the trace finite (off the diagonal) or make it NaN, which passes any `<=` gate
+    for name, arr in (("rho", rho), ("projector", projector)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has NaN or Inf entries")
     return float(np.trace(projector @ rho).real)
 
 
 def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POSTSELECT) -> np.ndarray:
-    """State update rho -> P rho P / Tr[P rho P] after outcome P."""
+    """State update rho -> P rho P / Tr[P rho P] after outcome P; NaN or Inf input raises ValueError."""
     prob = projective_probability(rho, projector)
     if prob <= tol_p:
         raise ZeroProbability(f"outcome probability {prob:.3e} at or below cutoff {tol_p:.1e}")
@@ -357,16 +364,6 @@ def conditional_expectation(
     """Postselected mean of one term: sum_ij r_ij P(r_ij | phi, rho)."""
     data = _resolve_spectral(scenario, spectral)
     return _grid_mean(data[k], abl_conditional_grid(scenario, k, data, tol_p))
-
-
-def observable_conditional_expectation(
-    scenario: MeasurementScenario,
-    spectral: ProductSpectralData | None = None,
-    tol_p: float = TOL_POSTSELECT,
-) -> float:
-    """Sum of per-term conditional expectations over all terms."""
-    data = _resolve_spectral(scenario, spectral)
-    return sum(conditional_expectation(scenario, k, data, tol_p) for k in range(len(data)))
 
 
 def eigenbasis_conditional_expectation(

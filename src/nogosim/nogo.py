@@ -23,12 +23,11 @@ from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
     TOL_VERIFY,
+    _decompose,
     as_operator,
     is_unitary,
     readonly,
-    require_states,
     spectral_decompose,
-    spectral_decompose_stack,
 )
 from .measurement import (
     JointObservable,
@@ -41,6 +40,7 @@ from .measurement import (
     _require_denominator,
     _require_postselect,
     _term_weights,
+    _TermWeights,
     postselection_denominator,
     product_spectral,
     weak_value,
@@ -313,8 +313,8 @@ def instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
-def _no_draw(min_postselect: float, max_tries: int) -> ZeroProbability:
-    return ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {max_tries} tries")
+def _no_draw(min_postselect: float) -> ZeroProbability:
+    return ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
 
 
 # One attempt reads, from its generator: K unless fixed, then the normals of the
@@ -359,16 +359,16 @@ def random_scenario(
     degenerate: bool,
     num_terms: int | None = None,
     min_postselect: float = MIN_AUDIT_POSTSELECT,
-    max_tries: int = MAX_DRAW_TRIES,
 ) -> MeasurementScenario:
     """Random pure-product scenario with postselection.
 
     degenerate=True draws terms c_k * I (x) M_k, which satisfy the
     column-constancy hypothesis by construction; degenerate=False draws
     generic Hermitian system factors. Draws whose postselection probability
-    falls below min_postselect on any term are rejected and retried.
+    falls below min_postselect on any term are rejected and redrawn, up to
+    MAX_DRAW_TRIES times.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAW_TRIES):
         k_count, normals = _draw_attempt(rng, n, m, degenerate, num_terms)
         sys_ops, dev_ops = _factors(normals[None], n, m, k_count, degenerate)
         # one random_ket call per ket: perfbench's tracer counts attempts by these calls
@@ -383,7 +383,7 @@ def random_scenario(
         denominators = [postselection_denominator(scenario, k, data) for k in range(len(data))]
         if min(denominators) >= min_postselect:
             return scenario
-    raise _no_draw(min_postselect, max_tries)
+    raise _no_draw(min_postselect)
 
 
 # --- the audit's array engine ----------------------------------------------------
@@ -412,7 +412,7 @@ class _AuditGroup(NamedTuple):
 def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> _AuditGroup:
     """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
 
-    Every step is the scalar one on stacks: the factors are built, checked and
+    Every step is the scalar one on stacks: the factors are built and
     decomposed per stack, the weights come from stacked matvecs, and every
     grid is reduced by its own row, so row b holds the bits of ``verify_nogo``
     on the scenario ``random_scenario`` builds from row b.
@@ -420,33 +420,33 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     count = raw.shape[0]
     factor_draws = k * _term_draws(n, m, degenerate)
     sys_ops, dev_ops = _factors(raw[:, :factor_draws], n, m, k, degenerate)
+    # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
+    sys_values, sys_columns, _ = _decompose(sys_ops.reshape(-1, n, n), tol_deg)
+    dev_values, dev_columns, _ = _decompose(dev_ops.reshape(-1, m, m), tol_deg)
+    # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
-    psi, xi, phi = (
-        require_states(_unit(part), name=name)
-        for part, name in zip(np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1), ("psi", "xi", "postselect"))
+    psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
+    sys_adjoints = sys_columns.conj().reshape(count, k, n, n)
+    weights = _TermWeights(
+        psi=_amplitude_weights(sys_adjoints, psi),
+        xi=_amplitude_weights(dev_columns.conj().reshape(count, k, m, m), xi),
+        phi=_amplitude_weights(sys_adjoints, phi),
     )
-
-    sys_values, sys_adjoints, _ = spectral_decompose_stack(sys_ops.reshape(-1, n, n), tol_deg, "system factor")
-    dev_values, dev_adjoints, _ = spectral_decompose_stack(dev_ops.reshape(-1, m, m), tol_deg, "device factor")
-    sys_adjoints = sys_adjoints.reshape(count, k, n, n)
-    w_psi = _amplitude_weights(sys_adjoints, psi)
-    w_phi = _amplitude_weights(sys_adjoints, phi)
-    w_xi = _amplitude_weights(dev_adjoints.reshape(count, k, m, m), xi)
     grids = sys_values.reshape(count, k, n)[..., :, None] * dev_values.reshape(count, k, m)[..., None, :]
 
-    joint = (w_psi * w_phi)[..., :, None] * w_xi[..., None, :]
+    joint = weights.joint_grid()
     denominators = _grid_sums(joint)
     # a vanishing denominator is rejected per instance before its mean is read
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = _grid_sums(grids * (joint / denominators[..., None, None]))
-    unconditional = _grid_sums(grids * (w_psi[..., :, None] * w_xi[..., None, :]))
+    unconditional = _grid_sums(grids * weights.outcome_grid())
     return _AuditGroup(
         denominators=denominators,
         conditional=conditional.tolist(),
         unconditional=unconditional.tolist(),
         hypothesis=_columns_within(grids, tol_deg).all(axis=(1, 2)).tolist(),
         grids=grids,
-        xi=w_xi,
+        xi=weights.xi,
     )
 
 
@@ -497,7 +497,7 @@ def _audit_chunk(
         tries = 1
         while not accepted:
             if tries == MAX_DRAW_TRIES:
-                raise _no_draw(min_postselect, MAX_DRAW_TRIES)
+                raise _no_draw(min_postselect)
             k, raw = _draw_attempt(rngs[pos], dims_n, dims_m, degenerate, kets=True)
             group, b = _audit_group(raw[None], dims_n, dims_m, k, degenerate, tol_deg), 0
             accepted = bool(group.denominators.min() >= min_postselect)

@@ -96,8 +96,6 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
         joint[k] = _outcome_weights(vectors, psi_joint, pi)[1]
 
     denominators = joint.sum(axis=(1, 2))
-    if np.all(denominators <= tol_p):
-        raise ZeroProbability("postselection is incompatible with every outcome of every term")
     conditional = np.zeros_like(joint)
     for k in range(num_terms):
         if denominators[k] <= tol_p:

@@ -1,18 +1,22 @@
 """Noise/disturbance operators, mean squares, and the controlled-NOT family."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from nogosim import error_disturbance, measurement, nogo
+from nogosim.cli import main
+from nogosim.config import encode_complex_array
 from nogosim.errors import DimensionMismatch, NonHermitian
 from nogosim.error_disturbance import (
     CNOT,
     DEFAULT_THETA_GRID,
     DEFAULT_VARPHI_GRID,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     CnotScenario,
     ErrorDisturbanceReport,
@@ -49,6 +53,20 @@ def random_hermitian(dim, rng):
 def random_ket(dim, rng):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def rotated_strong_cnot(v_angle, w_angle, scale):
+    """(model, setup, psi, xi, phi) of the CNOT family at strength 1 in the frame V (x) W, observables scaled."""
+    v = matrix_exponential_skew(PAULI_Y, v_angle)
+    w = matrix_exponential_skew((PAULI_X + PAULI_Z) / math.sqrt(2), w_angle)
+    frame = np.kron(v, w)
+    setup = MeasurementSetup(
+        measured=scale * v @ PAULI_Z @ v.conj().T,
+        disturbed=scale * v @ PAULI_X @ v.conj().T,
+        readout=scale * w @ PAULI_Z @ w.conj().T,
+    )
+    model = InteractionModel.from_unitary(frame @ CNOT @ frame.conj().T)
+    return model, setup, np.array([1.0, 1.0j]) / math.sqrt(2), w[:, 0], np.array([1.0, 0.0])
 
 
 class TestHeisenbergEvolve:
@@ -317,21 +335,35 @@ class TestPostselectedReport:
         assert report.epsilon_sq >= -1e-12
         assert report.eta_sq >= -1e-12
 
-    def test_report_rejects_negative_squares(self):
-        good = cnot_report(CnotScenario(strength=0.5))
-        with pytest.raises(ValueError):
-            ErrorDisturbanceReport(
-                epsilon_sq=-1.0,
-                eta_sq=good.eta_sq,
-                epsilon_sq_post=good.epsilon_sq_post,
-                eta_sq_post=good.eta_sq_post,
-                noise_op=good.noise_op,
-                disturb_op=good.disturb_op,
-                nogo_gap_error=good.nogo_gap_error,
-                nogo_gap_disturbance=good.nogo_gap_disturbance,
-                error_verdict=good.error_verdict,
-                disturbance_verdict=good.disturbance_verdict,
-            )
+    def test_rounding_below_zero_is_reported(self):
+        # epsilon^2 = ||S Psi||^2 is 0 here; its rounding, about ||S||^2 eps, fell below -1e-12
+        report = postselected_error_disturbance(*rotated_strong_cnot(0.5, 0.9, 200.0))
+        assert abs(report.epsilon_sq) <= 1e-9
+        assert report.eta_sq == pytest.approx(2 * 200.0**2, rel=1e-13)
+
+    def test_verify_reports_rounding_below_zero(self, tmp_path, capsys):
+        model, setup, psi, xi, phi = rotated_strong_cnot(0.5, 0.9, 200.0)
+        error = error_disturbance._squared_observables(model, setup).error
+        raw = {
+            "n": 2,
+            "m": 2,
+            "psi": encode_complex_array(psi),
+            "xi": encode_complex_array(xi),
+            "phi": encode_complex_array(phi),
+            "observable": {
+                "terms": [
+                    {"system": encode_complex_array(sys_op), "device": encode_complex_array(dev_op)}
+                    for sys_op, dev_op in error.terms
+                ]
+            },
+            "interaction": {"unitary": encode_complex_array(model.unitary)},
+            "setup": {name: encode_complex_array(getattr(setup, name)) for name in ("measured", "disturbed", "readout")},
+        }
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["error_disturbance"]["epsilon_sq"]) <= 1e-9
 
 
 class TestCnotScenarioBuilder:

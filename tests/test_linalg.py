@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim.errors import DimensionMismatch, NoConvergence, NonHermitian
+from nogosim.errors import NoConvergence, NonHermitian
 from nogosim.linalg import (
+    TOL_DEG,
     SpectralDecomposition,
+    _decompose,
     as_state,
     is_hermitian,
     is_unitary,
@@ -17,9 +19,7 @@ from nogosim.linalg import (
     matrix_exponential_skew,
     outer,
     require_hermitian,
-    require_states,
     spectral_decompose,
-    spectral_decompose_stack,
     tensor_ket,
     tensor_product,
 )
@@ -287,7 +287,8 @@ class TestSpectralDecomposeStack:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_spectral_decompose_bit_for_bit(self, dim, seed):
         mats = mixed_stack(dim, np.random.default_rng(seed))
-        values, adjoints, groups = spectral_decompose_stack(np.stack(mats))
+        values, columns, groups = _decompose(np.stack(mats), TOL_DEG)
+        adjoints = columns.conj()
         assert len(groups) == len(mats)
         if dim > 1:
             assert len(set(groups)) > 1  # the stack mixes grouped and ungrouped spectra
@@ -297,54 +298,6 @@ class TestSpectralDecomposeStack:
             assert adjoints[b].tobytes() == dec.adjoint.tobytes()
             assert np.ascontiguousarray(adjoints[b].conj().T).tobytes() == np.ascontiguousarray(dec.eigenvectors).tobytes()
             assert groups[b] == dec.eigenspace_groups
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
-    def test_non_finite_keeps_require_hermitian_message(self, bad):
-        h = np.array(Z, dtype=complex)
-        h[0, 1] = bad
-        with pytest.raises(NonHermitian) as single:
-            require_hermitian(h)
-        with pytest.raises(NonHermitian) as stacked:
-            spectral_decompose_stack(np.stack([Z, h, X]))
-        assert str(stacked.value) == str(single.value) == "operator has NaN or Inf entries"
-
-    def test_non_hermitian_names_the_first_bad_matrix(self):
-        first = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        second = np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(NonHermitian) as single:
-            require_hermitian(first, name="system factor")
-        with pytest.raises(NonHermitian) as stacked:
-            spectral_decompose_stack(np.stack([Z, first, second]), name="system factor")
-        assert str(stacked.value) == str(single.value)
-        assert "deviates from Hermiticity by 1.000e+00" in str(single.value)
-
-    def test_rejects_a_lone_matrix(self):
-        with pytest.raises(DimensionMismatch):
-            spectral_decompose_stack(Z)
-
-
-def test_require_states_checks_every_row():
-    kets = np.array([[1.0, 0.0], [0.6, 0.8j]], dtype=complex)
-    assert require_states(kets) is kets
-    with pytest.raises(ValueError) as stacked:
-        require_states(np.vstack([kets, [[1.0, 1.0]]]), name="psi")
-    with pytest.raises(ValueError) as single:
-        as_state([1.0, 1.0], name="psi")
-    assert str(stacked.value) == str(single.value)
-    with pytest.raises(ValueError):
-        require_states(np.array([[np.nan, 0.0]], dtype=complex))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_require_states_screens_with_the_norm_as_state_computes(dim):
-    # a row fails the screen exactly when as_state rejects it alone
-    rng = np.random.default_rng(dim)
-    kets = rng.standard_normal((300, dim)) + 1j * rng.standard_normal((300, dim))
-    kets /= np.linalg.norm(kets, axis=1)[:, None]
-    kets[::3] *= 1.0 + 1e-12 * rng.standard_normal((100, 1))
-    alone = np.array([np.vdot(ket, ket).real for ket in kets])
-    assert np.vecdot(kets, kets).real.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

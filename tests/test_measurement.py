@@ -27,7 +27,6 @@ from nogosim.measurement import (
     joint_probability,
     joint_probability_grid,
     luders_update,
-    observable_conditional_expectation,
     outcome_probability,
     outcome_probability_grid,
     postselection_denominator,
@@ -35,6 +34,7 @@ from nogosim.measurement import (
     projective_probability,
     weak_value,
 )
+from nogosim.nogo import verify_nogo
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,6 +205,20 @@ class TestLudersUpdate:
         with pytest.raises(ZeroProbability):
             luders_update(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "rho, projector, name",
+        [
+            (np.diag([1.0, np.nan]), np.diag([1.0, 0.0]), "rho"),  # Tr[P rho] is NaN
+            (np.diag([1.0, np.inf]), np.diag([0.0, 1.0]), "rho"),  # Tr[P rho] is inf
+            (np.array([[1.0, np.nan], [np.nan, 0.0]]), np.diag([1.0, 0.0]), "rho"),  # Tr[P rho] is 1
+            (np.diag([1.0, 0.0]), np.diag([1.0, np.nan]), "projector"),
+        ],
+        ids=["nan", "inf", "off-diagonal-nan", "nan-projector"],
+    )
+    def test_non_finite_input_is_rejected(self, rho, projector, name):
+        with pytest.raises(ValueError, match=f"^{name} has NaN or Inf entries$"):
+            luders_update(rho, projector)
+
     def test_mixed_state_update(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         rho = 0.5 * np.diag([1.0, 0.0]) + 0.5 * outer(plus)
@@ -371,7 +385,7 @@ class TestConditionalExpectation:
 
     def test_single_term_equals_observable_sum(self):
         scen = cnot_error_scenario(0.5)
-        assert observable_conditional_expectation(scen) == conditional_expectation(scen, 0)
+        assert verify_nogo(scen).conditional == conditional_expectation(scen, 0)
 
     def test_two_copies_double_the_value(self):
         base = cnot_error_scenario(0.5)
@@ -381,7 +395,7 @@ class TestConditionalExpectation:
             observable=JointObservable(n=2, m=2, terms=((4 * I2, P1), (4 * I2, P1))),
             postselect=base.postselect,
         )
-        assert observable_conditional_expectation(doubled) == pytest.approx(
+        assert verify_nogo(doubled).conditional == pytest.approx(
             2 * conditional_expectation(base, 0), rel=1e-15
         )
 
@@ -393,8 +407,8 @@ class TestConditionalExpectation:
             observable=JointObservable(n=2, m=2, terms=((2 * I2, I2), (-2 * I2, Z))),
             postselect=base.postselect,
         )
-        lhs = observable_conditional_expectation(base)
-        rhs = observable_conditional_expectation(split)
+        lhs = verify_nogo(base).conditional
+        rhs = verify_nogo(split).conditional
         assert lhs == pytest.approx(2 * (1 - 0.35), abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-12)
 

@@ -16,6 +16,7 @@ from nogosim.errors import (
     OrthogonalPostselection,
     ZeroProbability,
 )
+from nogosim.linalg import as_state
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -458,6 +459,12 @@ def test_stacked_draws_equal_the_per_matrix_formulas(dim):
         v = ket_normals[b, :dim] + 1j * ket_normals[b, dim:]
         assert kets[b].tobytes() == (v / np.linalg.norm(v)).tobytes()
         assert nogo._unit(ket_normals[b]).tobytes() == kets[b].tobytes()
+    # the guarantees the audit relies on instead of checking what it builds
+    c_identities, _ = nogo._factors(rng.standard_normal((50, 3 * (1 + 2 * dim * dim))), dim, dim, 3, True)
+    for h in (*hermitians, *c_identities.reshape(-1, dim, dim)):
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
+    for ket in kets:
+        as_state(ket)
 
 
 def test_one_draw_call_reads_what_separate_calls_read():
