@@ -88,6 +88,7 @@ from .error_disturbance import (
     MeasurementSetup,
     cnot_report,
     cnot_scenario,
+    cnot_sweep,
     disturbance_operator,
     first_order_expansion,
     heisenberg_evolve,

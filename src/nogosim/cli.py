@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,7 @@ from .error_disturbance import (
     DEFAULT_STRENGTH_GRID,
     DEFAULT_THETA_GRID,
     DEFAULT_VARPHI_GRID,
-    CnotScenario,
-    cnot_report,
+    cnot_sweep,
     postselected_error_disturbance,
 )
 from .linalg import TOL_DEG, TOL_VERIFY
@@ -153,26 +153,11 @@ def cmd_cnot_sweep(args) -> int:
         if not math.isfinite(value):
             raise ConfigError("angle grids must be finite")
 
-    rows = []
-    for s in s_grid:
-        for theta in theta_grid:
-            for varphi in varphi_grid:
-                report = cnot_report(
-                    CnotScenario(strength=s, theta=theta, varphi=varphi), tol_deg=tol_deg, tol_verify=tol_verify
-                )
-                rows.append(
-                    (
-                        s,
-                        theta,
-                        varphi,
-                        report.epsilon_sq,
-                        report.epsilon_sq_post,
-                        report.eta_sq,
-                        report.eta_sq_post,
-                        report.nogo_gap_error,
-                        report.nogo_gap_disturbance,
-                    )
-                )
+    reports = cnot_sweep(s_grid, theta_grid, varphi_grid, tol_deg=tol_deg, tol_verify=tol_verify)
+    rows = [
+        (*point, r.epsilon_sq, r.epsilon_sq_post, r.eta_sq, r.eta_sq_post, r.nogo_gap_error, r.nogo_gap_disturbance)
+        for point, r in zip(itertools.product(s_grid, theta_grid, varphi_grid), reports)
+    ]
 
     if args.format == "json":
         payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]

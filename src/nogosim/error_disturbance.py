@@ -33,8 +33,8 @@ from .linalg import (
     tensor_ket,
     tensor_product,
 )
-from .measurement import JointObservable, MeasurementScenario
-from .nogo import TheoremVerdict, verify_nogo
+from .measurement import JointObservable, MeasurementScenario, _product_grid, _require_postselect, product_spectral
+from .nogo import TheoremVerdict, _observable_means, _row_verdict
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -169,10 +169,11 @@ def _joint_state(psi, xi) -> np.ndarray:
     return tensor_ket(as_state(psi, name="psi"), as_state(xi, name="xi"))
 
 
-def _joint_mean(op: np.ndarray, state: np.ndarray) -> float:
-    if op.shape[0] != state.size:
+def _joint_mean(op: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """<state|op|state> per state of a (..., d) stack; ``np.vecdot`` adds what ``np.vdot`` adds."""
+    if op.shape[0] != state.shape[-1]:
         raise DimensionMismatch("operator does not act on the joint state")
-    return float(np.vdot(state, op @ state).real)
+    return np.vecdot(state, (op @ state[..., None])[..., 0]).real
 
 
 def _hermitian_square(op: np.ndarray) -> np.ndarray:
@@ -182,11 +183,11 @@ def _hermitian_square(op: np.ndarray) -> np.ndarray:
 
 
 def mean_square_error(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return _joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(psi, xi))
+    return float(_joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(psi, xi)))
 
 
 def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return _joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(psi, xi))
+    return float(_joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(psi, xi)))
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -314,30 +315,38 @@ def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _S
     )
 
 
-def _state_report(
+def _state_reports(
     ops: _SquaredObservables, psi, xi, phi, tol_deg: float, tol_verify: float, tol_p: float
-) -> ErrorDisturbanceReport:
-    """The per-state half of the report: means, postselected means and gaps."""
-    error_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
-    disturbance_scenario = MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi)
-    state = error_scenario.joint_state()
-    epsilon_sq = _joint_mean(ops.noise_sq, state)
-    eta_sq = _joint_mean(ops.disturb_sq, state)
-    error_verdict = verify_nogo(error_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
-    disturbance_verdict = verify_nogo(disturbance_scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=tol_p)
+) -> list[ErrorDisturbanceReport]:
+    """The per-state half of the report, per row of checked (B, n), (B, m), (B, n) ket stacks.
 
-    return ErrorDisturbanceReport(
-        epsilon_sq=epsilon_sq,
-        eta_sq=eta_sq,
-        epsilon_sq_post=error_verdict.conditional,
-        eta_sq_post=disturbance_verdict.conditional,
-        noise_op=ops.noise,
-        disturb_op=ops.disturb,
-        nogo_gap_error=abs(error_verdict.conditional - epsilon_sq),
-        nogo_gap_disturbance=abs(disturbance_verdict.conditional - eta_sq),
-        error_verdict=error_verdict,
-        disturbance_verdict=disturbance_verdict,
-    )
+    Row b holds the bits of its kets alone. Its denominators are checked
+    before row b + 1's, the error side's first.
+    """
+    state = _product_grid(psi, xi).reshape(len(psi), -1)
+    epsilon_sq = _joint_mean(ops.noise_sq, state).tolist()
+    eta_sq = _joint_mean(ops.disturb_sq, state).tolist()
+    sides = [
+        _observable_means(product_spectral(obs, tol_deg), psi, xi, phi, tol_deg) for obs in (ops.error, ops.disturbance)
+    ]
+    reports = []
+    for b in range(len(psi)):
+        error_verdict, disturbance_verdict = (_row_verdict(*side, b, tol_verify, tol_p) for side in sides)
+        reports.append(
+            ErrorDisturbanceReport(
+                epsilon_sq=epsilon_sq[b],
+                eta_sq=eta_sq[b],
+                epsilon_sq_post=error_verdict.conditional,
+                eta_sq_post=disturbance_verdict.conditional,
+                noise_op=ops.noise,
+                disturb_op=ops.disturb,
+                nogo_gap_error=abs(error_verdict.conditional - epsilon_sq[b]),
+                nogo_gap_disturbance=abs(disturbance_verdict.conditional - eta_sq[b]),
+                error_verdict=error_verdict,
+                disturbance_verdict=disturbance_verdict,
+            )
+        )
+    return reports
 
 
 def postselected_error_disturbance(
@@ -350,8 +359,11 @@ def postselected_error_disturbance(
     tol_verify: float = TOL_VERIFY,
     tol_p: float = TOL_POSTSELECT,
 ) -> ErrorDisturbanceReport:
-    """Full report: direct means, postselected means, and no-go gaps."""
-    return _state_report(_squared_observables(model, setup), psi, xi, phi, tol_deg, tol_verify, tol_p)
+    """Full report: direct means, postselected means, and no-go gaps; one ``MeasurementScenario`` checks the kets."""
+    ops = _squared_observables(model, setup)
+    checked = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
+    kets = checked.psi, checked.xi, _require_postselect(checked)
+    return _state_reports(ops, *(ket[None] for ket in kets), tol_deg, tol_verify, tol_p)[0]
 
 
 @dataclass(frozen=True)
@@ -415,7 +427,28 @@ def cnot_scenario(params: CnotScenario) -> CnotBundle:
 
 
 def cnot_report(params: CnotScenario, tol_deg: float = TOL_DEG, tol_verify: float = TOL_VERIFY) -> ErrorDisturbanceReport:
-    """Equals postselected_error_disturbance on the CNOT model and setup, with the operators built once."""
-    return _state_report(
-        _cnot_squared_observables(), params.psi(), params.xi(), params.phi(), tol_deg, tol_verify, TOL_POSTSELECT
-    )
+    """Equals postselected_error_disturbance on the CNOT model and setup, and the one-point ``cnot_sweep``."""
+    psi, xi = as_state(params.psi(), name="psi"), as_state(params.xi(), name="xi")
+    phi = as_state(params.phi(), name="postselect")
+    ops = _cnot_squared_observables()
+    return _state_reports(ops, psi[None], xi[None], phi[None], tol_deg, tol_verify, TOL_POSTSELECT)[0]
+
+
+def cnot_sweep(
+    s_grid, theta_grid, varphi_grid, tol_deg: float = TOL_DEG, tol_verify: float = TOL_VERIFY
+) -> list[ErrorDisturbanceReport]:
+    """``cnot_report`` at every (s, theta, varphi), s slowest and varphi fastest, as one stack.
+
+    psi is checked once, xi once per strength and phi once per (theta, varphi)
+    pair. The kets go by grid position, not by value: 0.0 == -0.0, yet the two
+    can give phi different sign bits.
+    """
+    psi = as_state(CnotScenario(0.0).psi(), name="psi")
+    xis = [as_state(CnotScenario(s).xi(), name="xi") for s in s_grid]
+    # phi depends on the angles alone
+    phis = [as_state(CnotScenario(0.0, t, v).phi(), name="postselect") for t in theta_grid for v in varphi_grid]
+    if not (xis and phis):
+        return []
+    # rows in s, theta, varphi order
+    stacks = [psi] * (len(xis) * len(phis)), [x for x in xis for _ in phis], phis * len(xis)
+    return _state_reports(_cnot_squared_observables(), *map(np.array, stacks), tol_deg, tol_verify, TOL_POSTSELECT)

@@ -81,6 +81,11 @@ class JointObservable:
         return total
 
 
+def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i * y_j over the last axes of two stacks: per row, the products ``np.outer`` forms."""
+    return x[..., :, None] * y[..., None, :]
+
+
 @dataclass(frozen=True)
 class ProductTermSpectral:
     """Factor eigensystems of one product term and the eigenvalue grid r_ij = u_i * v_j."""
@@ -138,7 +143,7 @@ def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> P
         for sys_op, dev_op in observable.terms:
             sys_dec = spectral_decompose(sys_op, tol_deg)
             dev_dec = spectral_decompose(dev_op, tol_deg)
-            grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
+            grid = _product_grid(sys_dec.eigenvalues, dev_dec.eigenvalues)
             entries.append(
                 ProductTermSpectral(system=sys_dec, device=dev_dec, eigenvalue_grid=readonly(grid))
             )
@@ -225,7 +230,7 @@ def device_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
 class _TermWeights(NamedTuple):
     """|psi'_i|^2, |xi'_j|^2 and |phi'_i|^2 of one term (phi None without postselection).
 
-    The arrays may carry leading stack axes; the grids keep them and form the products ``np.outer`` forms.
+    The arrays may carry leading stack axes; the grids keep them.
     """
 
     psi: np.ndarray
@@ -234,27 +239,35 @@ class _TermWeights(NamedTuple):
 
     def outcome_grid(self) -> np.ndarray:
         """P(r_ij) = |psi'_i|^2 |xi'_j|^2."""
-        return self.psi[..., :, None] * self.xi[..., None, :]
+        return _product_grid(self.psi, self.xi)
 
     def joint_grid(self) -> np.ndarray:
         """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2."""
-        return (self.psi * self.phi)[..., :, None] * self.xi[..., None, :]
+        return _product_grid(self.psi * self.phi, self.xi)
+
+
+def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """|<e_i|ket>|^2 per ket of a (..., d) stack, against V^dag alone or one per ket: one matvec per ket."""
+    return np.abs((adjoint @ ket[..., None])[..., 0]) ** 2
 
 
 def _term_weights(
-    term: ProductTermSpectral, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray | None = None
+    system: np.ndarray, device: np.ndarray, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray | None = None
 ) -> _TermWeights:
-    """The one pass over a term's amplitudes that every statistic of the term is built from."""
+    """The one pass over a term's amplitudes, given its factors' V^dag; every statistic of the term comes from it."""
     return _TermWeights(
-        psi=np.abs(system_amplitudes(term, psi)) ** 2,
-        xi=np.abs(device_amplitudes(term, xi)) ** 2,
-        phi=None if phi is None else np.abs(system_amplitudes(term, phi)) ** 2,
+        psi=_weights(system, psi), xi=_weights(device, xi), phi=None if phi is None else _weights(system, phi)
     )
+
+
+def _grid_sums(grids: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each (n, m) grid of a stack, with the bits np.sum gives a lone grid (the axes add as one row)."""
+    return grids.sum(axis=(-2, -1))
 
 
 def _grid_mean(term: ProductTermSpectral, grid: np.ndarray) -> float:
     """sum_ij r_ij p_ij over a probability grid of the term."""
-    return float(np.sum(term.eigenvalue_grid * grid))
+    return float(_grid_sums(term.eigenvalue_grid * grid))
 
 
 def _require_denominator(denom: float, tol_p: float) -> None:
@@ -264,9 +277,41 @@ def _require_denominator(denom: float, tol_p: float) -> None:
 
 def _conditioned(joint: np.ndarray, tol_p: float) -> np.ndarray:
     """Joint grid divided by its total, the postselection probability."""
-    denom = float(np.sum(joint))
+    denom = float(_grid_sums(joint))
     _require_denominator(denom, tol_p)
     return joint / denom
+
+
+class _Means(NamedTuple):
+    """What a verdict reads: per term, a list or stack with one entry per row of the kets."""
+
+    denominators: tuple  # the postselection probabilities
+    conditional: tuple  # the postselected term means
+    unconditional: tuple  # the plain term means
+    xi: tuple  # the (B, m) |xi'_j|^2
+
+
+def _means(terms, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray) -> _Means:
+    """Both means of every term under postselection on phi, one amplitude pass per term.
+
+    The kets are single or (B, d) stacks; single kets are the B = 1 case.
+    ``terms`` gives (system V^dag, device V^dag, r_ij) per term, shared by every
+    row or one per row. Each value is a row sum of one grid, so row b holds the
+    bits of its kets alone (and of ``_conditioned`` and ``_grid_mean``). A
+    vanishing denominator leaves a NaN or Inf mean, which the caller rejects
+    with ``_require_denominator`` before reading it.
+    """
+    if psi.ndim == 1:
+        return _means(terms, psi[None], xi[None], phi[None])
+    columns = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for system, device, grid in terms:
+            w = _term_weights(system, device, psi, xi, phi)
+            joint = w.joint_grid()
+            denom = _grid_sums(joint)
+            conditional = _grid_sums(grid * (joint / denom[:, None, None]))
+            columns.append((denom.tolist(), conditional.tolist(), _grid_sums(grid * w.outcome_grid()).tolist(), w.xi))
+    return _Means(*zip(*columns))
 
 
 def outcome_probability_grid(
@@ -274,7 +319,7 @@ def outcome_probability_grid(
 ) -> np.ndarray:
     """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid."""
     term = _resolve_spectral(scenario, spectral)[k]
-    return _term_weights(term, scenario.psi, scenario.xi).outcome_grid()
+    return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi).outcome_grid()
 
 
 def outcome_probability(
@@ -318,7 +363,7 @@ def joint_probability_grid(
     """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid."""
     phi = _require_postselect(scenario)
     term = _resolve_spectral(scenario, spectral)[k]
-    return _term_weights(term, scenario.psi, scenario.xi, phi).joint_grid()
+    return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi, phi).joint_grid()
 
 
 def joint_probability(
@@ -331,7 +376,7 @@ def postselection_denominator(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> float:
     """Total probability of passing postselection after the term-k measurement."""
-    return float(np.sum(joint_probability_grid(scenario, k, spectral)))
+    return float(_grid_sums(joint_probability_grid(scenario, k, spectral)))
 
 
 def abl_conditional_grid(

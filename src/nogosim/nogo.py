@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +34,12 @@ from .measurement import (
     PostselectionProjector,
     ProductSpectralData,
     ProductTermSpectral,
-    _conditioned,
-    _grid_mean,
+    _Means,
+    _means,
+    _product_grid,
     _require_denominator,
     _require_postselect,
-    _term_weights,
-    _TermWeights,
+    _weights,
     postselection_denominator,
     product_spectral,
     weak_value,
@@ -191,7 +190,7 @@ def _closed_form(report: DegeneracyReport, device_weights) -> float:
 
 def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
     """sum_k sum_j rtilde_j |xi'_j|^2 over degenerate terms."""
-    return _closed_form(report, [_term_weights(term, scenario.psi, scenario.xi).xi for term in spectral.terms])
+    return _closed_form(report, [_weights(term.device.adjoint, scenario.xi) for term in spectral.terms])
 
 
 def verify_nogo(
@@ -209,22 +208,26 @@ def verify_nogo(
     """
     phi = _require_postselect(scenario)
     data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
+    return _row_verdict(*_observable_means(data, scenario.psi, scenario.xi, phi, tol_deg), 0, tol_verify, tol_p)
+
+
+def _observable_means(data: ProductSpectralData, psi, xi, phi, tol_deg: float) -> tuple:
+    """``_means`` over an observable's terms, and its degeneracy report when the hypothesis holds, else None."""
     report = check_rank_m_degeneracy(data, tol_deg)
-
-    weights = [_term_weights(term, scenario.psi, scenario.xi, phi) for term in data.terms]
-    conditional = sum(_grid_mean(term, _conditioned(w.joint_grid(), tol_p)) for term, w in zip(data.terms, weights))
-    unconditional = sum(_grid_mean(term, w.outcome_grid()) for term, w in zip(data.terms, weights))
-    return _verdict(
-        conditional, unconditional, report if report.all_degenerate else None, [w.xi for w in weights], tol_verify
-    )
+    terms = [(t.system.adjoint, t.device.adjoint, t.eigenvalue_grid) for t in data.terms]
+    return _means(terms, psi, xi, phi), report if report.all_degenerate else None
 
 
-def _verdict(conditional: float, unconditional: float, report, device_weights, tol_verify: float) -> TheoremVerdict:
-    """The verdict on both means; ``report`` is the degeneracy report when the hypothesis holds, else None."""
+def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float) -> TheoremVerdict:
+    """The verdict on row b of ``_means``: each denominator checked in order, then the means added by ``sum``."""
+    for denom in means.denominators:
+        _require_denominator(denom[b], tol_p)
+    conditional = sum(term[b] for term in means.conditional)
+    unconditional = sum(term[b] for term in means.unconditional)
     closed = None
     closed_gap = None
     if report is not None:
-        closed = _closed_form(report, device_weights)
+        closed = _closed_form(report, [term[b] for term in means.xi])
         closed_gap = max(abs(closed - conditional), abs(closed - unconditional))
     return TheoremVerdict(
         hypothesis_holds=report is not None,
@@ -388,34 +391,14 @@ def random_scenario(
 
 # --- the audit's array engine ----------------------------------------------------
 
-def _amplitude_weights(adjoints: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """|<e_i|ket>|^2 per (B, K, d, d) adjoint and (B, d) ket: one matvec per matrix, as for a single term."""
-    return np.abs((adjoints @ kets[:, None, :, None])[..., 0]) ** 2
-
-
-def _grid_sums(grids: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each (n, m) grid; one row per grid adds in the order np.sum adds a lone grid."""
-    return grids.reshape(grids.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-class _AuditGroup(NamedTuple):
-    """B attempts with one (n, m, K), evaluated together; row b is one attempt."""
-
-    denominators: np.ndarray  # (B, K) postselection probability after each term
-    conditional: list  # per attempt, the K postselected term means
-    unconditional: list  # per attempt, the K plain term means
-    hypothesis: list  # per attempt, whether every term's grid is column-constant
-    grids: np.ndarray  # (B, K, n, m) eigenvalue grids r_ij
-    xi: np.ndarray  # (B, K, m) |xi'_j|^2
-
-
-def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> _AuditGroup:
+def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[_Means, list]:
     """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
 
-    Every step is the scalar one on stacks: the factors are built and
-    decomposed per stack, the weights come from stacked matvecs, and every
-    grid is reduced by its own row, so row b holds the bits of ``verify_nogo``
-    on the scenario ``random_scenario`` builds from row b.
+    The factors are built and decomposed per stack, and ``_means`` runs on each
+    term slot's per-row adjoints and grids, so row b holds the bits of
+    ``verify_nogo`` on the scenario ``random_scenario`` builds from row b. Also
+    returns each row's degeneracy report when its grids are column-constant,
+    else None.
     """
     count = raw.shape[0]
     factor_draws = k * _term_draws(n, m, degenerate)
@@ -426,39 +409,18 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
-    sys_adjoints = sys_columns.conj().reshape(count, k, n, n)
-    weights = _TermWeights(
-        psi=_amplitude_weights(sys_adjoints, psi),
-        xi=_amplitude_weights(dev_columns.conj().reshape(count, k, m, m), xi),
-        phi=_amplitude_weights(sys_adjoints, phi),
+    grids = _product_grid(sys_values.reshape(count, k, n), dev_values.reshape(count, k, m))
+    # the canonical columns come as rows, so their conjugates are the adjoints V^dag; axis 1 runs over term slots
+    slots = zip(
+        sys_columns.conj().reshape(count, k, n, n).swapaxes(0, 1),
+        dev_columns.conj().reshape(count, k, m, m).swapaxes(0, 1),
+        grids.swapaxes(0, 1),
     )
-    grids = sys_values.reshape(count, k, n)[..., :, None] * dev_values.reshape(count, k, m)[..., None, :]
-
-    joint = weights.joint_grid()
-    denominators = _grid_sums(joint)
-    # a vanishing denominator is rejected per instance before its mean is read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conditional = _grid_sums(grids * (joint / denominators[..., None, None]))
-    unconditional = _grid_sums(grids * weights.outcome_grid())
-    return _AuditGroup(
-        denominators=denominators,
-        conditional=conditional.tolist(),
-        unconditional=unconditional.tolist(),
-        hypothesis=_columns_within(grids, tol_deg).all(axis=(1, 2)).tolist(),
-        grids=grids,
-        xi=weights.xi,
-    )
-
-
-def _group_verdict(group: _AuditGroup, b: int, tol_deg: float, tol_verify: float) -> TheoremVerdict:
-    """``verify_nogo``'s verdict on attempt b of a group."""
-    for denom in group.denominators[b].tolist():
-        _require_denominator(denom, TOL_POSTSELECT)
-    report = None
-    if group.hypothesis[b]:
-        report = DegeneracyReport(terms=tuple(_term_degeneracy(grid, tol_deg) for grid in group.grids[b]))
-    # Python's sum over the term means, as in verify_nogo
-    return _verdict(sum(group.conditional[b]), sum(group.unconditional[b]), report, group.xi[b], tol_verify)
+    reports = [
+        DegeneracyReport(terms=tuple(_term_degeneracy(grid, tol_deg) for grid in row)) if holds else None
+        for row, holds in zip(grids, _columns_within(grids, tol_deg).all(axis=(1, 2)).tolist())
+    ]
+    return _means(slots, psi, xi, phi), reports
 
 
 def _audit_chunk(
@@ -486,23 +448,21 @@ def _audit_chunk(
     located = [None] * len(rngs)
     for (dims_n, dims_m, k), rows in members.items():
         group = _audit_group(np.stack([raw for _, raw in rows]), dims_n, dims_m, k, degenerate, tol_deg)
-        accepted = (group.denominators.min(axis=1) >= min_postselect).tolist()
         for b, (pos, _) in enumerate(rows):
-            located[pos] = (group, b, accepted[b])
+            located[pos] = (*group, b)
 
     results = []
     for pos, idx in enumerate(indices):
-        group, b, accepted = located[pos]
+        means, reports, b = located[pos]
         dims_n, dims_m = dims[pos]
         tries = 1
-        while not accepted:
+        while not min(term[b] for term in means.denominators) >= min_postselect:
             if tries == MAX_DRAW_TRIES:
                 raise _no_draw(min_postselect)
             k, raw = _draw_attempt(rngs[pos], dims_n, dims_m, degenerate, kets=True)
-            group, b = _audit_group(raw[None], dims_n, dims_m, k, degenerate, tol_deg), 0
-            accepted = bool(group.denominators.min() >= min_postselect)
+            (means, reports), b = _audit_group(raw[None], dims_n, dims_m, k, degenerate, tol_deg), 0
             tries += 1
-        results.append((idx, dims_n, dims_m, _group_verdict(group, b, tol_deg, tol_verify)))
+        results.append((idx, dims_n, dims_m, _row_verdict(means, reports[b], b, tol_verify, TOL_POSTSELECT)))
     return results
 
 

@@ -287,6 +287,23 @@ class TestCnotSweep:
             )
             assert tuple(float(value) for value in row) == expected
 
+    def test_signed_zero_angles_print_their_own_points(self, capsys):
+        assert main(["cnot-sweep", "--s-grid", "0.3,1", "--theta-grid=-0.0,0.0", "--varphi-grid", "0.7"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [row[:3] for row in rows] == [[s, t, "0.7"] for s in ("0.3", "1.0") for t in ("-0.0", "0.0")]
+        for row in rows:
+            s, theta, varphi = (float(value) for value in row[:3])
+            report = cnot_report(CnotScenario(strength=s, theta=theta, varphi=varphi))
+            expected = (
+                report.epsilon_sq,
+                report.epsilon_sq_post,
+                report.eta_sq,
+                report.eta_sq_post,
+                report.nogo_gap_error,
+                report.nogo_gap_disturbance,
+            )
+            assert tuple(float(value) for value in row[3:]) == expected
+
     def test_invalid_strength_grid(self):
         assert main(["cnot-sweep", "--s-grid", "0:2:5"]) == 2
 

@@ -1,16 +1,20 @@
 """Noise/disturbance operators, mean squares, and the controlled-NOT family."""
 
 import dataclasses
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nogosim import error_disturbance, measurement, nogo
+from nogosim import error_disturbance, linalg, measurement, nogo
 from nogosim.cli import main
 from nogosim.config import encode_complex_array
-from nogosim.errors import DimensionMismatch, NonHermitian
+from nogosim.errors import DimensionMismatch, NonHermitian, ZeroProbability
 from nogosim.error_disturbance import (
     CNOT,
     DEFAULT_THETA_GRID,
@@ -24,8 +28,10 @@ from nogosim.error_disturbance import (
     MeasurementSetup,
     _cnot_model_setup,
     _cnot_squared_observables,
+    _state_reports,
     cnot_report,
     cnot_scenario,
+    cnot_sweep,
     disturbance_operator,
     first_order_expansion,
     heisenberg_evolve,
@@ -36,7 +42,7 @@ from nogosim.error_disturbance import (
     noise_operator,
     postselected_error_disturbance,
 )
-from nogosim.linalg import TOL_DEG, matrix_exponential_skew, tensor_product
+from nogosim.linalg import TOL_DEG, TOL_POSTSELECT, TOL_VERIFY, matrix_exponential_skew, tensor_product
 from nogosim.measurement import MeasurementScenario, expectation, product_spectral
 from nogosim.nogo import check_rank_m_degeneracy
 
@@ -434,6 +440,76 @@ class TestCnotCache:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def assert_same_report(a, b):
+    """Every field equal, floats and verdicts down to the sign of zero (their reprs), arrays element for element."""
+    for f in dataclasses.fields(ErrorDisturbanceReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y and repr(x) == repr(y), f.name
+
+
+# grid values: the family's end points and repeats, both signs of zero, and arbitrary floats
+STRENGTHS = st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0), min_size=1, max_size=3)
+ANGLES = st.lists(st.sampled_from([0.0, -0.0, math.pi / 4]) | st.floats(-7.0, 7.0), min_size=1, max_size=3)
+
+
+class TestCnotSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(s_grid=STRENGTHS, theta_grid=ANGLES, varphi_grid=ANGLES, tol_deg=st.sampled_from([TOL_DEG, 1e-7]))
+    def test_rows_equal_cnot_report(self, s_grid, theta_grid, varphi_grid, tol_deg):
+        reports = cnot_sweep(s_grid, theta_grid, varphi_grid, tol_deg=tol_deg)
+        points = list(itertools.product(s_grid, theta_grid, varphi_grid))
+        assert len(reports) == len(points)
+        for (s, theta, varphi), report in zip(points, reports):
+            assert_same_report(report, cnot_report(CnotScenario(s, theta, varphi), tol_deg=tol_deg))
+
+    def test_one_point_sweep_is_cnot_report(self):
+        params = CnotScenario(0.37, 0.7, 0.3)
+        (report,) = cnot_sweep([params.strength], [params.theta], [params.varphi])
+        assert_same_report(report, cnot_report(params))
+
+    def test_empty_grid_gives_no_rows(self):
+        assert cnot_sweep([], [0.1], [0.2]) == []
+        assert cnot_sweep([0.5], [0.1], []) == []
+
+    def test_first_vanishing_row_raises_as_that_row_alone(self):
+        kets = [(p.psi(), p.xi(), p.phi()) for p in (CnotScenario(0.2, 0.3, 0.1), CnotScenario(0.9, 1.1, 2.0))]
+        # psi = |0> and phi = |1>: the error observable's system factor is diagonal, so the denominator is exactly 0
+        kets.append((np.array([1.0, 0.0]), CnotScenario(0.5).xi(), np.array([0.0, 1.0])))
+        # a later row below the cutoff but not zero, whose message would differ
+        kets.append((np.array([1.0, 0.0]), CnotScenario(0.5).xi(), np.array([1e-7, math.sqrt(1.0 - 1e-14)])))
+        psi, xi, phi = (np.array(column, dtype=complex) for column in zip(*kets))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the vanishing row's 0/0 raises no numpy warning either
+            with pytest.raises(ZeroProbability) as stacked:
+                _state_reports(_cnot_squared_observables(), psi, xi, phi, TOL_DEG, TOL_VERIFY, TOL_POSTSELECT)
+        with pytest.raises(ZeroProbability) as alone:
+            postselected_error_disturbance(*_cnot_model_setup(), psi[2], xi[2], phi[2])
+        assert str(stacked.value) == str(alone.value) == "postselection probability 0.000e+00 at or below cutoff 1.0e-12"
+
+    def test_each_distinct_ket_is_checked_once(self, monkeypatch):
+        cnot_report(CnotScenario(0.1))  # builds the cached observables and spectral data first
+        names = []
+        check = linalg.as_state
+
+        def counted(*args, **kwargs):
+            names.append(kwargs.get("name"))
+            return check(*args, **kwargs)
+
+        for module in (linalg, measurement, nogo, error_disturbance):
+            if hasattr(module, "as_state"):
+                monkeypatch.setattr(module, "as_state", counted)
+        cnot_report(CnotScenario(0.4, 0.2, 1.0))
+        assert names == ["psi", "xi", "postselect"]
+        names.clear()
+        # repeated values and both zeros: the kets go by grid position, 1 + |s| + |theta| |varphi| checks
+        s_grid, theta_grid, varphi_grid = [0.5, 0.5, 1.0], [0.0, -0.0], [1.0, 1.0]
+        assert len(cnot_sweep(s_grid, theta_grid, varphi_grid)) == 12
+        assert names == ["psi"] + ["xi"] * 3 + ["postselect"] * 4
 
 
 class TestInteractionModel:
