@@ -65,18 +65,29 @@ def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
 
 
 def is_hermitian(a, tol: float = TOL_HERMITIAN) -> bool:
-    arr = as_operator(a)
-    return float(np.max(np.abs(arr - arr.conj().T))) <= tol
+    """Whether ``require_hermitian`` accepts the operator."""
+    try:
+        require_hermitian(a, tol)
+    except NonHermitian:
+        return False
+    return True
 
 
 def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
+    """The operator as a complex array, if max|a_ij - conj(a_ji)| <= tol * max(1, max|a_ij|).
+
+    The deviation is compared with tol first; only when that fails is the
+    scaled bound formed, so the usual O(1) operator pays nothing for it, while
+    a Hermitian operator rounded at a large scale is not refused.
+    """
     arr = as_operator(a, name)
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     # written so that a NaN deviation (any NaN or Inf entry) is rejected too
     if not (dev <= tol):
         if not np.all(np.isfinite(arr)):
             raise NonHermitian(f"{name} has NaN or Inf entries")
-        raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+        if not (dev <= tol * max(1.0, float(np.max(np.abs(arr))))):
+            raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return arr
 
 
@@ -286,7 +297,8 @@ def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray
     Stacked ``eigh`` runs LAPACK on each matrix in turn and ``_canonical_stack``
     canonicalises each matrix on its own, so row b holds the bits of matrix b
     decomposed alone. The caller vouches for Hermiticity: ``spectral_decompose``
-    checks outside input, the audit builds its factors Hermitian.
+    checks outside input, ``measurement.product_spectral`` reads factors that
+    ``JointObservable`` has checked, the audit builds its factors Hermitian.
     """
     values, vectors = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
     groups, columns = _canonical_stack(values, vectors, tol_deg)

@@ -29,6 +29,8 @@ from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
     SpectralDecomposition,
+    _decompose,
+    _decomposition,
     as_operator,
     as_state,
     outer,
@@ -132,17 +134,25 @@ class ProductSpectralData:
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
     """Per-term factor decomposition; the grid entry (i, j) is u_i * v_j.
 
-    Computed once per observable and tol_deg, then returned from a memo on the
-    observable: its factors are read-only, so the result is a pure function of
-    (terms, tol_deg), and every array in it is read-only, so callers can share it.
+    The K system factors are decomposed as one (K, n, n) stack and the K
+    device factors as one (K, m, m) stack, one ``_decompose`` call each. Each
+    term holds the bits ``spectral_decompose`` gives its factors alone: stacked
+    ``eigh`` decomposes each matrix in turn, and the canonicalisation works on
+    each matrix on its own. Computed once per observable and tol_deg, then
+    returned from a memo on the observable: its factors are read-only, so the
+    result is a pure function of (terms, tol_deg), and every array in it is
+    read-only, so callers can share it.
     """
     memo = observable._spectral
     data = memo.get(tol_deg)
     if data is None:
+        # no Hermiticity check here: JointObservable.__post_init__ checked every factor and froze it read-only
+        system, device = (
+            [_decomposition(*parts) for parts in zip(*_decompose(np.stack(factors), tol_deg))]
+            for factors in zip(*observable.terms)
+        )
         entries = []
-        for sys_op, dev_op in observable.terms:
-            sys_dec = spectral_decompose(sys_op, tol_deg)
-            dev_dec = spectral_decompose(dev_op, tol_deg)
+        for sys_dec, dev_dec in zip(system, device):
             grid = _product_grid(sys_dec.eigenvalues, dev_dec.eigenvalues)
             entries.append(
                 ProductTermSpectral(system=sys_dec, device=dev_dec, eigenvalue_grid=readonly(grid))
@@ -174,6 +184,9 @@ class MeasurementScenario:
             if phi.size != self.observable.n:
                 raise DimensionMismatch(f"postselect has dim {phi.size}, expected {self.observable.n}")
             object.__setattr__(self, "postselect", readonly(phi))
+        # nogo._scenario_means's memo, keyed by tol_deg; a plain attribute like
+        # JointObservable._spectral, so fields(), __eq__ and repr see only the four fields
+        object.__setattr__(self, "_means", {})
 
     @property
     def n(self) -> int:
@@ -216,15 +229,6 @@ def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:
     if scenario.postselect is None:
         raise MissingPostselection("scenario has no postselection state")
     return scenario.postselect
-
-
-def system_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
-    """Components of a system ket in the term's system eigenbasis."""
-    return term.system.adjoint @ ket
-
-
-def device_amplitudes(term: ProductTermSpectral, ket: np.ndarray) -> np.ndarray:
-    return term.device.adjoint @ ket
 
 
 class _TermWeights(NamedTuple):

@@ -40,7 +40,6 @@ from .measurement import (
     _require_denominator,
     _require_postselect,
     _weights,
-    postselection_denominator,
     product_spectral,
     weak_value,
 )
@@ -204,11 +203,18 @@ def verify_nogo(
 
     Both means and the closed form come from one pass over each term's
     amplitudes; they equal the sums of ``conditional_expectation``,
-    ``expectation`` and ``closed_form_value`` over the terms.
+    ``expectation`` and ``closed_form_value`` over the terms. With
+    ``spectral`` None or the observable's memoized ``product_spectral`` data,
+    that pass is the scenario's memoized one (``_scenario_means``), which
+    ``random_scenario``'s postselection check has already made for the
+    default tol_deg.
     """
     phi = _require_postselect(scenario)
-    data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
-    return _row_verdict(*_observable_means(data, scenario.psi, scenario.xi, phi, tol_deg), 0, tol_verify, tol_p)
+    if spectral is None or spectral is scenario.observable._spectral.get(tol_deg):
+        found = _scenario_means(scenario, tol_deg)
+    else:
+        found = _observable_means(spectral, scenario.psi, scenario.xi, phi, tol_deg)
+    return _row_verdict(*found, 0, tol_verify, tol_p)
 
 
 def _observable_means(data: ProductSpectralData, psi, xi, phi, tol_deg: float) -> tuple:
@@ -216,6 +222,20 @@ def _observable_means(data: ProductSpectralData, psi, xi, phi, tol_deg: float) -
     report = check_rank_m_degeneracy(data, tol_deg)
     terms = [(t.system.adjoint, t.device.adjoint, t.eigenvalue_grid) for t in data.terms]
     return _means(terms, psi, xi, phi), report if report.all_degenerate else None
+
+
+def _scenario_means(scenario: MeasurementScenario, tol_deg: float) -> tuple:
+    """``_observable_means`` of a postselected scenario on its ``product_spectral`` data, memoized on the scenario.
+
+    The kets are read-only and the spectral data is memoized on the
+    observable, so the result is a pure function of (scenario, tol_deg).
+    """
+    memo = scenario._means
+    found = memo.get(tol_deg)
+    if found is None:
+        data = product_spectral(scenario.observable, tol_deg)
+        found = memo[tol_deg] = _observable_means(data, scenario.psi, scenario.xi, scenario.postselect, tol_deg)
+    return found
 
 
 def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float) -> TheoremVerdict:
@@ -369,7 +389,9 @@ def random_scenario(
     column-constancy hypothesis by construction; degenerate=False draws
     generic Hermitian system factors. Draws whose postselection probability
     falls below min_postselect on any term are rejected and redrawn, up to
-    MAX_DRAW_TRIES times.
+    MAX_DRAW_TRIES times. The check reads every term's denominator from one
+    amplitude pass at the default tol_deg (``_scenario_means``), which stays
+    memoized on the returned scenario for ``verify_nogo``.
     """
     for _ in range(MAX_DRAW_TRIES):
         k_count, normals = _draw_attempt(rng, n, m, degenerate, num_terms)
@@ -382,9 +404,8 @@ def random_scenario(
             observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
             postselect=phi,
         )
-        data = scenario.spectral()
-        denominators = [postselection_denominator(scenario, k, data) for k in range(len(data))]
-        if min(denominators) >= min_postselect:
+        means, _ = _scenario_means(scenario, TOL_DEG)
+        if min(term[0] for term in means.denominators) >= min_postselect:
             return scenario
     raise _no_draw(min_postselect)
 

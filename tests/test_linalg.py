@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nogosim.errors import NoConvergence, NonHermitian
 from nogosim.linalg import (
     TOL_DEG,
+    TOL_HERMITIAN,
     SpectralDecomposition,
     _decompose,
     as_state,
@@ -23,6 +24,7 @@ from nogosim.linalg import (
     tensor_ket,
     tensor_product,
 )
+from nogosim.measurement import JointObservable
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -252,6 +254,42 @@ class TestMatrixExponential:
         got = matrix_exponential_skew(1e-10 * xz, 1e10)
         want = np.cos(1.0) * np.eye(4) - 1j * np.sin(1.0) * xz
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestRequireHermitianScale:
+    """TOL_HERMITIAN is absolute up to max|a_ij| = 1 and relative to max|a_ij| above it."""
+
+    @staticmethod
+    def rotated_z(s, a):
+        v = matrix_exponential_skew(np.array([[0, -1j], [1j, 0]]), a)
+        return s * v @ Z @ v.conj().T
+
+    def test_hermitian_operators_rounded_at_large_scale_are_accepted(self):
+        mats = [self.rotated_z(s, a) for a in np.linspace(0.05, 1.5, 30) for s in (1e3, 1e4, 1e5)]
+        deviations = [float(np.max(np.abs(h - h.conj().T))) for h in mats]
+        assert max(deviations) > TOL_HERMITIAN  # refused by the absolute bound alone
+        for h in mats:
+            assert require_hermitian(h) is not None
+            assert is_hermitian(h)
+            JointObservable(n=2, m=1, terms=((h, np.eye(1)),))
+
+    def test_non_hermitian_at_the_same_scale_is_rejected(self):
+        with pytest.raises(NonHermitian, match=r"^operator deviates from Hermiticity by 1\.000e\+05 \(tol 1\.0e-12\)$"):
+            require_hermitian(1e5 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        h = self.rotated_z(1e5, 0.7)
+        h[0, 1] += 1e-6  # above 1e-12 * 1e5
+        with pytest.raises(NonHermitian, match=r"^operator deviates from Hermiticity by 1\.000e-06 \(tol 1\.0e-12\)$"):
+            require_hermitian(h)
+        assert not is_hermitian(h)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_at_large_scale_is_rejected(self, bad):
+        h = self.rotated_z(1e5, 0.7)
+        h[1, 0] = bad
+        with pytest.raises(NonHermitian, match=r"^operator has NaN or Inf entries$"):
+            require_hermitian(h)
+        assert not is_hermitian(h)
 
 
 def test_is_hermitian_tolerance():

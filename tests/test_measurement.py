@@ -14,7 +14,7 @@ from nogosim.errors import (
     OrthogonalPostselection,
     ZeroProbability,
 )
-from nogosim.linalg import outer, tensor_product
+from nogosim.linalg import TOL_DEG, outer, spectral_decompose, tensor_product
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -45,6 +45,18 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 def random_hermitian(dim, rng):
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     return (g + g.conj().T) / 2
+
+
+#: Factor dimensions the stacked decomposition is checked on.
+STACK_DIMS = [1, 2, 3, 4, 5, 6, 9]
+
+
+def near_pairs(dim, rng):
+    """W diag(levels) W^dag for a random unitary W, levels 0 and 0.5 tol_deg, then 1 and 1 + 2 tol_deg, then spread."""
+    levels = [0.0, 0.5 * TOL_DEG, 1.0, 1.0 + 2.0 * TOL_DEG, 2.0, 2.5, 3.0, 3.5, 4.0][:dim]
+    w, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    h = (w * np.asarray(levels)) @ w.conj().T
+    return (h + h.conj().T) / 2
 
 
 def random_ket(dim, rng):
@@ -109,6 +121,28 @@ class TestProductSpectral:
         assert product_spectral(obs, 1e-9) is fine
         assert coarse[0].system.eigenspace_groups == ((0, 1),)
         assert fine[0].system.eigenspace_groups == ((0,), (1,))
+
+    @pytest.mark.parametrize("num_terms", [1, 2, 3])
+    @pytest.mark.parametrize("dim", STACK_DIMS)
+    def test_equals_per_factor_spectral_decompose_bit_for_bit(self, num_terms, dim):
+        # one stacked decomposition per factor slot; the device dims run through STACK_DIMS in reverse
+        n, m = dim, STACK_DIMS[-1 - STACK_DIMS.index(dim)]
+        rng = np.random.default_rng(10 * dim + num_terms)
+        kinds = (random_hermitian, lambda d, rng: -1.5 * np.eye(d, dtype=complex), near_pairs)
+        terms = tuple((kinds[k % 3](n, rng), kinds[(k + 1) % 3](m, rng)) for k in range(num_terms))
+        data = product_spectral(JointObservable(n=n, m=m, terms=terms))
+        for term, (sys_op, dev_op) in zip(data.terms, terms):
+            want_sys, want_dev = spectral_decompose(sys_op), spectral_decompose(dev_op)
+            for got, want in ((term.system, want_sys), (term.device, want_dev)):
+                for name in ("eigenvalues", "eigenvectors", "adjoint"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.tobytes() == b.tobytes() and a.strides == b.strides, name
+                assert got.eigenspace_groups == want.eigenspace_groups
+            grid = np.outer(want_sys.eigenvalues, want_dev.eigenvalues)
+            assert term.eigenvalue_grid.tobytes() == grid.tobytes()
+        if num_terms == 3 and n >= 4:
+            # the pair 0.5 tol_deg apart is one group, the pair 2 tol_deg apart two
+            assert data[2].system.eigenspace_groups[:3] == ((0, 1), (2,), (3,))
 
     def test_memo_is_not_a_field(self):
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))

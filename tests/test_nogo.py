@@ -24,8 +24,6 @@ from nogosim.measurement import (
     expectation,
     joint_probability_grid,
     product_spectral,
-    system_amplitudes,
-    device_amplitudes,
 )
 from nogosim.nogo import (
     AuditInstance,
@@ -233,9 +231,9 @@ class TestClosedFormIdentities:
         assert report.all_degenerate
         for k, term in enumerate(data.terms):
             joint = joint_probability_grid(scen, k, data)
-            psi_amp = np.abs(system_amplitudes(term, scen.psi)) ** 2
-            phi_amp = np.abs(system_amplitudes(term, scen.postselect)) ** 2
-            xi_amp = np.abs(device_amplitudes(term, scen.xi)) ** 2
+            psi_amp = np.abs(term.system.adjoint @ scen.psi) ** 2
+            phi_amp = np.abs(term.system.adjoint @ scen.postselect) ** 2
+            xi_amp = np.abs(term.device.adjoint @ scen.xi) ** 2
             denominator = float(np.dot(psi_amp, phi_amp))
             assert float(joint.sum()) == pytest.approx(denominator, abs=1e-10)
             numerator = float(np.sum(term.eigenvalue_grid * joint))
@@ -427,21 +425,73 @@ def test_random_scenario_postselection_floor():
 
 @pytest.mark.parametrize("degenerate", [True, False])
 def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, degenerate):
-    calls = []
-    original = measurement.spectral_decompose
+    stacks, passes = [], []
+    decompose, means = measurement._decompose, nogo._means
 
-    def counting(h, tol_deg):
-        calls.append(h.shape)
-        return original(h, tol_deg)
+    def counting_decompose(mats, tol_deg):
+        stacks.append(mats.shape)
+        return decompose(mats, tol_deg)
 
-    monkeypatch.setattr(measurement, "spectral_decompose", counting)
+    def counting_means(*args):
+        passes.append(args)
+        return means(*args)
+
+    monkeypatch.setattr(measurement, "_decompose", counting_decompose)
+    monkeypatch.setattr(nogo, "_means", counting_means)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        calls.clear()
-        # a zero floor accepts the first draw
-        scen = random_scenario(rng, 3, 2, degenerate=degenerate, min_postselect=0.0)
-        verify_nogo(scen)
-        assert len(calls) == 2 * scen.observable.num_terms
+    for num_terms in (None, 1, 2, 3):
+        for _ in range(4):
+            stacks.clear()
+            passes.clear()
+            # a zero floor accepts the first draw
+            scen = random_scenario(rng, 3, 2, degenerate=degenerate, num_terms=num_terms, min_postselect=0.0)
+            k = scen.observable.num_terms
+            # one stacked decomposition per factor slot and one amplitude pass, whatever K is
+            assert stacks == [(k, 3, 3), (k, 2, 2)]
+            assert len(passes) == 1
+            verify_nogo(scen)
+            assert stacks == [(k, 3, 3), (k, 2, 2)]  # none inside verify_nogo
+            assert len(passes) == 1
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_verdict_on_a_drawn_scenario_equals_a_fresh_one_from_the_same_arrays(degenerate):
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        scen = random_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), degenerate=degenerate)
+
+        def fresh():
+            obs = scen.observable
+            terms = tuple((np.array(s), np.array(d)) for s, d in obs.terms)
+            return MeasurementScenario(
+                psi=np.array(scen.psi),
+                xi=np.array(scen.xi),
+                observable=JointObservable(n=obs.n, m=obs.m, terms=terms),
+                postselect=np.array(scen.postselect),
+            )
+
+        before = repr(scen)
+        # random_scenario left the default tol_deg's means on scen; a fresh scenario has none
+        assert verify_nogo(scen) == verify_nogo(fresh())
+        assert verify_nogo(scen, spectral=product_spectral(scen.observable)) == verify_nogo(fresh())
+        for tol_deg in (1e-7, 100.0):
+            other = fresh()
+            assert verify_nogo(scen, tol_deg=tol_deg) == verify_nogo(other, tol_deg=tol_deg)
+            default_data = product_spectral(scen.observable)
+            assert verify_nogo(scen, tol_deg=tol_deg, spectral=default_data) == verify_nogo(
+                other, tol_deg=tol_deg, spectral=product_spectral(other.observable)
+            )
+        # a caller's own spectral data is used, not the scenario's memo
+        coarse = product_spectral(fresh().observable, 100.0)
+        verdict = verify_nogo(scen, spectral=coarse)
+        assert verdict.conditional == sum(conditional_expectation(scen, k, coarse) for k in range(len(coarse)))
+        assert verdict.unconditional == sum(expectation(scen, k, coarse) for k in range(len(coarse)))
+        if not degenerate and scen.n > 1:
+            # at tol_deg 100 every drawn grid is column-constant, so reading the default memo would show
+            assert not verify_nogo(scen).hypothesis_holds
+            assert verify_nogo(scen, tol_deg=100.0).hypothesis_holds
+        assert repr(scen) == before
+        assert [f.name for f in dataclasses.fields(scen)] == ["psi", "xi", "observable", "postselect"]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
