@@ -7,8 +7,8 @@ Core layers:
   solver), spectral matrix exponential.
 - ``measurement``: outcome probabilities, Lueders updates, ABL conditionals,
   conditional expectations, weak values.
-- ``nogo``: rank-m degeneracy analysis, the postselection-invariance verdict,
-  closed-form and degenerate weak-value checks, seeded random audits.
+- ``nogo``: rank-m degeneracy analysis, the postselection-invariance verdict
+  with its closed form, seeded random audits.
 - ``error_disturbance``: Heisenberg-picture noise/disturbance operators and
   the controlled-NOT measurement family.
 - ``oracle``: independent brute-force enumeration, on its own eigensolver,
@@ -24,7 +24,6 @@ from .errors import (
     NogoSimError,
     NonDecomposable,
     NonHermitian,
-    NotCanonical,
     NotRankMDegenerate,
     OrthogonalPostselection,
     ZeroProbability,
@@ -36,7 +35,6 @@ from .linalg import (
     TOL_POSTSELECT,
     TOL_VERIFY,
     SpectralDecomposition,
-    is_hermitian,
     is_unitary,
     matrix_exponential_skew,
     outer,
@@ -50,13 +48,9 @@ from .measurement import (
     PostselectionProjector,
     ProductSpectralData,
     ProductTermSpectral,
-    abl_conditional_probability,
     conditional_expectation,
-    eigenbasis_conditional_expectation,
     expectation,
-    joint_probability,
     luders_update,
-    outcome_probability,
     product_spectral,
     weak_value,
 )
@@ -68,8 +62,6 @@ from .nogo import (
     basis_transform,
     check_basis_requirement,
     check_rank_m_degeneracy,
-    canonical_closed_form,
-    degenerate_weak_value,
     random_audit,
     random_hermitian,
     random_ket,

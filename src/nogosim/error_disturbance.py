@@ -29,6 +29,7 @@ from .linalg import (
     is_unitary,
     matrix_exponential_skew,
     readonly,
+    require_finite,
     require_hermitian,
     tensor_ket,
     tensor_product,
@@ -122,9 +123,9 @@ class MeasurementSetup:
 
 
 def heisenberg_evolve(u, o0) -> np.ndarray:
-    """U^dag O U."""
+    """U^dag O U; an O with NaN or Inf entries raises ValueError."""
     u = as_operator(u, "unitary")
-    o0 = as_operator(o0, "observable")
+    o0 = require_finite(as_operator(o0, "observable"), "observable")
     if u.shape != o0.shape:
         raise DimensionMismatch(f"unitary {u.shape} does not match observable {o0.shape}")
     if not is_unitary(u):
@@ -133,12 +134,13 @@ def heisenberg_evolve(u, o0) -> np.ndarray:
 
 
 def first_order_expansion(h_system, h_device, t: float, o0) -> np.ndarray:
-    """O + i t [H_system (x) H_device, O]; error vs exact evolution is O(t^2)."""
+    """O + i t [H_system (x) H_device, O], off exact evolution by O(t^2); NaN or Inf in O or t raises ValueError."""
     h = tensor_product(require_hermitian(h_system, name="h_system"), require_hermitian(h_device, name="h_device"))
-    o0 = as_operator(o0, "observable")
+    o0 = require_finite(as_operator(o0, "observable"), "observable")
+    t = require_finite(float(t), "t")
     if h.shape != o0.shape:
         raise DimensionMismatch(f"joint generator {h.shape} does not match observable {o0.shape}")
-    return o0 + 1j * float(t) * (h @ o0 - o0 @ h)
+    return o0 + 1j * t * (h @ o0 - o0 @ h)
 
 
 def _joint_dims(model: InteractionModel, setup: MeasurementSetup) -> tuple[np.ndarray, int, int]:

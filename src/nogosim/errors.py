@@ -29,10 +29,6 @@ class OrthogonalPostselection(NogoSimError):
     """Pre- and postselected states are orthogonal within the cutoff."""
 
 
-class NotCanonical(NogoSimError):
-    """Factor operators are not diagonal in the canonical basis."""
-
-
 class NotRankMDegenerate(NogoSimError):
     """Product eigenvalue grid is not constant along system indices."""
 

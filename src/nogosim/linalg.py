@@ -64,13 +64,14 @@ def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
     return arr
 
 
-def is_hermitian(a, tol: float = TOL_HERMITIAN) -> bool:
-    """Whether ``require_hermitian`` accepts the operator."""
-    try:
-        require_hermitian(a, tol)
-    except NonHermitian:
-        return False
-    return True
+def require_finite(a, name: str):
+    """The input, if every entry is finite; a NaN or Inf entry raises ValueError.
+
+    A NaN entry can leave a product finite or make it NaN, which passes any `<=` gate.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has NaN or Inf entries")
+    return a
 
 
 def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
@@ -114,7 +115,7 @@ def outer(x, y=None) -> np.ndarray:
     return np.outer(xv, yv.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix.
 
@@ -123,7 +124,8 @@ class SpectralDecomposition:
     singleton group's column is the eigenvector of its eigenvalue. Within a
     larger group the columns are an orthonormal basis of the group's joint
     eigenspace, not individual eigenvectors, so ``reconstruct()`` returns the
-    matrix only up to the group's eigenvalue spread.
+    matrix only up to the group's eigenvalue spread. Compared and hashed by
+    identity (``eq=False``): a field-wise ``==`` over arrays has no truth value.
     """
 
     eigenvalues: np.ndarray
@@ -133,7 +135,7 @@ class SpectralDecomposition:
     def __post_init__(self) -> None:
         # V^dag, read-only: amplitudes in this eigenbasis are ``adjoint @ ket``. A plain
         # attribute rather than a field, like measurement.JointObservable's memo, so
-        # fields(), __eq__ and repr see only the three fields above. Formed here, once:
+        # fields() and repr see only the three fields above. Formed here, once:
         # every decomposition on the formula path feeds amplitude matvecs, and a lazy
         # property's first access cost more than this. C-contiguous, the layout of
         # eigenvectors.conj().T for the column-major eigenvectors the decompositions
@@ -149,10 +151,6 @@ class SpectralDecomposition:
     def projector(self, k: int) -> np.ndarray:
         v = self.eigenvectors[:, k]
         return np.outer(v, v.conj())
-
-    def eigenspace_projector(self, g: int) -> np.ndarray:
-        cols = self.eigenvectors[:, list(self.eigenspace_groups[g])]
-        return cols @ cols.conj().T
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.adjoint

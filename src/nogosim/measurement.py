@@ -10,6 +10,9 @@ Scenario-level functions compute through factor amplitudes
 (psi'_i = <u_i|psi> etc.), which is the analytic route; the oracle module
 re-derives the same quantities by explicit matrix arithmetic so the two
 paths can be compared in tests.
+
+The dataclasses here hold numpy arrays, so they compare and hash by identity
+(``eq=False``): a field-wise ``==`` over arrays has no truth value.
 """
 
 from __future__ import annotations
@@ -35,14 +38,14 @@ from .linalg import (
     as_state,
     outer,
     readonly,
+    require_finite,
     require_hermitian,
-    spectral_decompose,
     tensor_ket,
     tensor_product,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointObservable:
     """Sum of Hermitian product terms over system (dim n) and device (dim m)."""
 
@@ -66,7 +69,7 @@ class JointObservable:
             frozen.append((readonly(sys_op), readonly(dev_op)))
         object.__setattr__(self, "terms", tuple(frozen))
         # product_spectral's memo, keyed by tol_deg; a plain attribute rather than a
-        # field, so fields(), __eq__ and repr see only n, m and terms
+        # field, so fields() and repr see only n, m and terms
         object.__setattr__(self, "_spectral", {})
         # the oracle's own per-term memo (oracle._term_product_vectors), kept apart from
         # _spectral so the oracle shares no decomposition with the formula path
@@ -88,7 +91,7 @@ def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductTermSpectral:
     """Factor eigensystems of one product term and the eigenvalue grid r_ij = u_i * v_j."""
 
@@ -115,13 +118,13 @@ class ProductTermSpectral:
         return tensor_product(self.system.eigenvectors, self.device.eigenvectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSpectralData:
     terms: tuple[ProductTermSpectral, ...]
 
     def __post_init__(self):
         # nogo.check_rank_m_degeneracy's memo, keyed by tol_deg; a plain attribute
-        # like JointObservable._spectral, so fields(), __eq__ and repr see only terms
+        # like JointObservable._spectral, so fields() and repr see only terms
         object.__setattr__(self, "_degeneracy", {})
 
     def __getitem__(self, k: int) -> ProductTermSpectral:
@@ -161,7 +164,7 @@ def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> P
     return data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementScenario:
     """Pure product state |psi> (x) |xi> with an observable and optional postselection."""
 
@@ -185,7 +188,7 @@ class MeasurementScenario:
                 raise DimensionMismatch(f"postselect has dim {phi.size}, expected {self.observable.n}")
             object.__setattr__(self, "postselect", readonly(phi))
         # nogo._scenario_means's memo, keyed by tol_deg; a plain attribute like
-        # JointObservable._spectral, so fields(), __eq__ and repr see only the four fields
+        # JointObservable._spectral, so fields() and repr see only the four fields
         object.__setattr__(self, "_means", {})
 
     @property
@@ -206,7 +209,7 @@ class MeasurementScenario:
         return product_spectral(self.observable, tol_deg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PostselectionProjector:
     """Projector |phi><phi| (x) I_m on the joint space."""
 
@@ -326,12 +329,6 @@ def outcome_probability_grid(
     return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi).outcome_grid()
 
 
-def outcome_probability(
-    scenario: MeasurementScenario, k: int, i: int, j: int, spectral: ProductSpectralData | None = None
-) -> float:
-    return float(outcome_probability_grid(scenario, k, spectral)[i, j])
-
-
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
     """Mean of one term: sum_ij r_ij P(r_ij)."""
     data = _resolve_spectral(scenario, spectral)
@@ -344,10 +341,8 @@ def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
     projector = as_operator(projector, "projector")
     if rho.shape != projector.shape:
         raise DimensionMismatch("rho and projector dimensions differ")
-    # a NaN entry can leave the trace finite (off the diagonal) or make it NaN, which passes any `<=` gate
-    for name, arr in (("rho", rho), ("projector", projector)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has NaN or Inf entries")
+    require_finite(rho, "rho")
+    require_finite(projector, "projector")
     return float(np.trace(projector @ rho).real)
 
 
@@ -370,12 +365,6 @@ def joint_probability_grid(
     return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi, phi).joint_grid()
 
 
-def joint_probability(
-    scenario: MeasurementScenario, k: int, i: int, j: int, spectral: ProductSpectralData | None = None
-) -> float:
-    return float(joint_probability_grid(scenario, k, spectral)[i, j])
-
-
 def postselection_denominator(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> float:
@@ -389,19 +378,8 @@ def abl_conditional_grid(
     spectral: ProductSpectralData | None = None,
     tol_p: float = TOL_POSTSELECT,
 ) -> np.ndarray:
+    """P(r_ij | pre- and postselection) as an (n, m) grid."""
     return _conditioned(joint_probability_grid(scenario, k, spectral), tol_p)
-
-
-def abl_conditional_probability(
-    scenario: MeasurementScenario,
-    k: int,
-    i: int,
-    j: int,
-    spectral: ProductSpectralData | None = None,
-    tol_p: float = TOL_POSTSELECT,
-) -> float:
-    """Probability of outcome (i, j) conditioned on pre- and postselection."""
-    return float(abl_conditional_grid(scenario, k, spectral, tol_p)[i, j])
 
 
 def conditional_expectation(
@@ -415,43 +393,11 @@ def conditional_expectation(
     return _grid_mean(data[k], abl_conditional_grid(scenario, k, data, tol_p))
 
 
-def eigenbasis_conditional_expectation(
-    scenario: MeasurementScenario,
-    tol_deg: float = TOL_DEG,
-    tol_p: float = TOL_POSTSELECT,
-) -> float:
-    """Conditional expectation measuring the summed operator in its own eigenbasis.
-
-    Extension beyond the per-term definition used everywhere else in this
-    package: the full operator sum is decomposed into eigenspace projectors
-    (possibly entangled across system and device) and the ABL ratio is formed
-    over those outcomes. No postselection-invariance claim is made for this
-    quantity.
-    """
-    phi = _require_postselect(scenario)
-    total = scenario.observable.total_operator()
-    dec = spectral_decompose(total, tol_deg)
-    pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
-    psi_joint = scenario.joint_state()
-
-    numerator = 0.0
-    denominator = 0.0
-    for g, group in enumerate(dec.eigenspace_groups):
-        proj = dec.eigenspace_projector(g)
-        collapsed = proj @ psi_joint
-        weight = float(np.vdot(collapsed, pi @ collapsed).real)
-        value = float(np.mean(dec.eigenvalues[list(group)]))
-        numerator += value * weight
-        denominator += weight
-    _require_denominator(denominator, tol_p)
-    return numerator / denominator
-
-
 def weak_value(psi, phi, a, tol_p: float = TOL_POSTSELECT) -> complex:
-    """<phi|A|psi> / <phi|psi>."""
+    """<phi|A|psi> / <phi|psi>; an A with NaN or Inf entries raises ValueError."""
     psi = as_state(psi, name="psi")
     phi = as_state(phi, name="phi")
-    op = as_operator(a, "A")
+    op = require_finite(as_operator(a, "A"), "A")
     if op.shape[0] != psi.size or phi.size != psi.size:
         raise DimensionMismatch("weak value inputs have inconsistent dimensions")
     overlap = complex(np.vdot(phi, psi))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCanonical, NotRankMDegenerate, ZeroProbability
+from .errors import DimensionMismatch, NotRankMDegenerate, ZeroProbability
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
@@ -26,7 +26,6 @@ from .linalg import (
     as_operator,
     is_unitary,
     readonly,
-    spectral_decompose,
 )
 from .measurement import (
     JointObservable,
@@ -41,7 +40,6 @@ from .measurement import (
     _require_postselect,
     _weights,
     product_spectral,
-    weak_value,
 )
 
 #: Postselection probability below which audit draws are rejected.
@@ -261,42 +259,6 @@ def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float)
         closed_form_gap=closed_gap,
         tol_verify=tol_verify,
     )
-
-
-def canonical_closed_form(
-    scenario: MeasurementScenario, tol_diag: float = 1e-12, tol_deg: float = TOL_DEG
-) -> float:
-    """Closed form read directly off diagonal factor operators.
-
-    Every factor must already be diagonal in the canonical basis
-    (NotCanonical otherwise) and every column of the diagonal product grid
-    must be constant (NotRankMDegenerate otherwise); then the value is
-    sum_k sum_j rtilde_j |xi_j|^2 with the raw device amplitudes.
-    """
-    verdicts = []
-    for idx, (sys_op, dev_op) in enumerate(scenario.observable.terms):
-        for name, op in (("system", sys_op), ("device", dev_op)):
-            off = op - np.diag(np.diag(op))
-            if float(np.max(np.abs(off))) > tol_diag:
-                raise NotCanonical(f"{name} factor {idx} is not diagonal in the canonical basis")
-        verdicts.append(_term_degeneracy(np.outer(np.diag(sys_op).real, np.diag(dev_op).real), tol_deg))
-    xi_weights = np.abs(scenario.xi) ** 2
-    return _closed_form(DegeneracyReport(terms=tuple(verdicts)), [xi_weights] * len(verdicts))
-
-
-def degenerate_weak_value(
-    psi, phi, a, tol_deg: float = TOL_DEG, tol_p: float = TOL_POSTSELECT
-) -> tuple[bool, complex, float | None]:
-    """Detect a fully degenerate observable and return (flag, weak value, eigenvalue).
-
-    When all eigenvalues agree within tol_deg the weak value must equal that
-    common eigenvalue; the caller asserts the agreement at its own tolerance.
-    """
-    dec = spectral_decompose(as_operator(a, "A"), tol_deg)
-    fully = bool(dec.eigenvalues[-1] - dec.eigenvalues[0] <= tol_deg)
-    value = weak_value(psi, phi, a, tol_p)
-    eigenvalue = float(np.mean(dec.eigenvalues)) if fully else None
-    return fully, value, eigenvalue
 
 
 # --- random instance generation -------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shape, formats, determinism."""
 
+import ast
 import csv
 import json
 import math
@@ -477,3 +478,27 @@ def _parser_long_options() -> dict[str, set[str]]:
 
 def test_readme_synopsis_lists_every_long_option():
     assert _readme_synopsis() == _parser_long_options()
+
+
+def _readme_sketch_values() -> dict[str, object]:
+    """Run the README's Library sketch block in order; the value of each bare expression, keyed by its source."""
+    text = README.read_text()
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", text, re.S).group(1)
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    return values
+
+
+def test_readme_library_sketch_runs_and_its_comments_hold():
+    values = _readme_sketch_values()
+    assert values["ng.expectation(scen, 0)"] == pytest.approx(1.0, abs=1e-12)
+    assert values["ng.conditional_expectation(scen, 0)"] == pytest.approx(1.0, abs=1e-12)
+    verdict = values["ng.verify_nogo(scen)"]
+    assert verdict.passed and verdict.hypothesis_holds and verdict.gap <= 1e-12
+    report = values["ng.cnot_report(params)"]
+    assert report.nogo_gap_error <= 1e-12 and report.nogo_gap_disturbance <= 1e-12

@@ -419,7 +419,6 @@ class TestCnotCache:
     def test_sweep_point_decomposes_nothing(self, monkeypatch):
         cnot_report(CnotScenario(strength=0.2))
         calls = []
-        monkeypatch.setattr(measurement, "spectral_decompose", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(measurement, "_decompose", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(error_disturbance, "joint_observable_from_operator", lambda *a, **k: calls.append(a))
         # the degeneracy verdict is memoized with the spectral data, so it is not re-derived either

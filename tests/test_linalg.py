@@ -14,7 +14,6 @@ from nogosim.linalg import (
     SpectralDecomposition,
     _decompose,
     as_state,
-    is_hermitian,
     is_unitary,
     jacobi_decompose,
     matrix_exponential_skew,
@@ -24,7 +23,8 @@ from nogosim.linalg import (
     tensor_ket,
     tensor_product,
 )
-from nogosim.measurement import JointObservable
+from nogosim.error_disturbance import CNOT, first_order_expansion, heisenberg_evolve
+from nogosim.measurement import JointObservable, projective_probability, weak_value
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -269,8 +269,7 @@ class TestRequireHermitianScale:
         deviations = [float(np.max(np.abs(h - h.conj().T))) for h in mats]
         assert max(deviations) > TOL_HERMITIAN  # refused by the absolute bound alone
         for h in mats:
-            assert require_hermitian(h) is not None
-            assert is_hermitian(h)
+            assert require_hermitian(h) is h
             JointObservable(n=2, m=1, terms=((h, np.eye(1)),))
 
     def test_non_hermitian_at_the_same_scale_is_rejected(self):
@@ -280,7 +279,6 @@ class TestRequireHermitianScale:
         h[0, 1] += 1e-6  # above 1e-12 * 1e5
         with pytest.raises(NonHermitian, match=r"^operator deviates from Hermiticity by 1\.000e-06 \(tol 1\.0e-12\)$"):
             require_hermitian(h)
-        assert not is_hermitian(h)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -289,12 +287,37 @@ class TestRequireHermitianScale:
         h[1, 0] = bad
         with pytest.raises(NonHermitian, match=r"^operator has NaN or Inf entries$"):
             require_hermitian(h)
-        assert not is_hermitian(h)
 
 
-def test_is_hermitian_tolerance():
-    assert is_hermitian(Z)
-    assert not is_hermitian(Z + 1e-9 * np.array([[0, 1j], [0, 0]]))
+def test_require_hermitian_tolerance():
+    assert require_hermitian(Z) is Z
+    with pytest.raises(NonHermitian):
+        require_hermitian(Z + 1e-9 * np.array([[0, 1j], [0, 0]]))
+
+
+#: Per public boundary: the name its error gives, and a call passing it one NaN or Inf entry.
+NON_FINITE_CALLS = {
+    "weak_value": ("A", lambda bad: weak_value([1, 0], [0.6, 0.8], np.array([[1.0, bad], [bad, 0.0]]))),
+    "heisenberg_evolve": ("observable", lambda bad: heisenberg_evolve(CNOT, np.diag([1.0, bad, 0.0, 0.0]))),
+    "first_order_expansion o0": (
+        "observable",
+        lambda bad: first_order_expansion(Z, X, 0.1, np.diag([bad, 1.0, 0.0, 0.0])),
+    ),
+    "first_order_expansion t": ("t", lambda bad: first_order_expansion(Z, X, bad, np.eye(4))),
+    "projective_probability rho": ("rho", lambda bad: projective_probability(np.diag([0.5, bad]), np.diag([1.0, 0.0]))),
+    "projective_probability projector": (
+        "projector",
+        lambda bad: projective_probability(np.eye(2) / 2, np.array([[1.0, bad], [0.0, 0.0]])),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("boundary", NON_FINITE_CALLS)
+def test_non_finite_input_is_rejected_at_the_boundary(boundary, bad):
+    name, call = NON_FINITE_CALLS[boundary]
+    with pytest.raises(ValueError, match=rf"^{name} has NaN or Inf entries$"):
+        call(bad)
 
 
 def test_outer_matches_manual():

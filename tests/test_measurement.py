@@ -20,21 +20,17 @@ from nogosim.measurement import (
     MeasurementScenario,
     PostselectionProjector,
     abl_conditional_grid,
-    abl_conditional_probability,
     conditional_expectation,
-    eigenbasis_conditional_expectation,
     expectation,
-    joint_probability,
     joint_probability_grid,
     luders_update,
-    outcome_probability,
     outcome_probability_grid,
     postselection_denominator,
     product_spectral,
     projective_probability,
     weak_value,
 )
-from nogosim.nogo import verify_nogo
+from nogosim.nogo import instance_rng, random_scenario, verify_nogo
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -168,13 +164,14 @@ class TestOutcomeProbability:
         obs = JointObservable(n=2, m=2, terms=((Z, Z),))
         scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs)
         # ascending factor order puts |0> at index 1 for each factor
-        assert outcome_probability(scen, 0, 1, 1) == pytest.approx(1.0, abs=1e-14)
-        assert outcome_probability(scen, 0, 0, 0) == pytest.approx(0.0, abs=1e-14)
+        grid = outcome_probability_grid(scen, 0)
+        assert grid[1, 1] == pytest.approx(1.0, abs=1e-14)
+        assert grid[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 0.9])
     def test_cnot_amplitude_product(self, s):
         scen = cnot_error_scenario(s)
-        assert outcome_probability(scen, 0, 0, 1) == pytest.approx((1 - s) / 4, abs=1e-14)
+        assert outcome_probability_grid(scen, 0)[0, 1] == pytest.approx((1 - s) / 4, abs=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -262,11 +259,10 @@ class TestLudersUpdate:
 
 
 class TestJointProbability:
-    def test_system_dim_one_reduces_to_outcome_probability(self):
+    def test_system_dim_one_reduces_to_outcome_grid(self):
         obs = JointObservable(n=1, m=2, terms=((np.array([[2.0]]), Z),))
         scen = MeasurementScenario(psi=[1.0], xi=[0.6, 0.8], observable=obs, postselect=[1.0])
-        for j in range(2):
-            assert joint_probability(scen, 0, 0, j) == outcome_probability(scen, 0, 0, j)
+        assert np.array_equal(joint_probability_grid(scen, 0), outcome_probability_grid(scen, 0))
 
     @pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 4, np.pi / 2])
     @pytest.mark.parametrize("varphi", [0.0, np.pi / 3])
@@ -338,28 +334,25 @@ class TestJointProbability:
         term = product_spectral(obs)[0]
         joint_state = scen.joint_state()
         pi = tensor_product(outer(phi), I2)
+        grid = joint_probability_grid(scen, 0)
         for i in range(2):
             for j in range(2):
                 proj = term.projector(i, j)
                 brute = float(np.vdot(joint_state, proj @ pi @ proj @ joint_state).real)
-                assert joint_probability(scen, 0, i, j) == pytest.approx(brute, abs=1e-12)
+                assert grid[i, j] == pytest.approx(brute, abs=1e-12)
 
     def test_requires_postselection(self):
         scen = cnot_error_scenario(0.5)
         scen = MeasurementScenario(psi=scen.psi, xi=scen.xi, observable=scen.observable)
         with pytest.raises(MissingPostselection):
-            joint_probability(scen, 0, 0, 0)
+            joint_probability_grid(scen, 0)
 
 
 class TestAblConditional:
     def test_postselecting_a_system_basis_state_reduces_to_outcomes(self):
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
         scen = MeasurementScenario(psi=[1, 0], xi=[0.6, 0.8], observable=obs, postselect=[1, 0])
-        for i in range(2):
-            for j in range(2):
-                assert abl_conditional_probability(scen, 0, i, j) == pytest.approx(
-                    outcome_probability(scen, 0, i, j), abs=1e-14
-                )
+        np.testing.assert_allclose(abl_conditional_grid(scen, 0), outcome_probability_grid(scen, 0), rtol=0, atol=1e-14)
 
     def test_uniform_magnitude_preselection_reduces_to_outcomes(self):
         # |psi'_i|^2 uniform across the fully degenerate system factor keeps the
@@ -367,11 +360,7 @@ class TestAblConditional:
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
         scen = MeasurementScenario(psi=psi, xi=[0.6, 0.8], observable=obs, postselect=psi)
-        for i in range(2):
-            for j in range(2):
-                assert abl_conditional_probability(scen, 0, i, j) == pytest.approx(
-                    outcome_probability(scen, 0, i, j), abs=1e-14
-                )
+        np.testing.assert_allclose(abl_conditional_grid(scen, 0), outcome_probability_grid(scen, 0), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("s", [0.0, 0.25, 0.5, 0.75])
     def test_cnot_conditional_weight_of_outcome_four(self, s):
@@ -385,7 +374,7 @@ class TestAblConditional:
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
         scen = MeasurementScenario(psi=[1, 0], xi=[0.6, 0.8], observable=obs, postselect=[0, 1])
         with pytest.raises(ZeroProbability):
-            abl_conditional_probability(scen, 0, 0, 0)
+            abl_conditional_grid(scen, 0)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -446,16 +435,6 @@ class TestConditionalExpectation:
         assert lhs == pytest.approx(2 * (1 - 0.35), abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-12)
 
-    def test_eigenbasis_extension_matches_per_term_when_nondegenerate(self):
-        rng = np.random.default_rng(14)
-        obs = JointObservable(n=2, m=2, terms=((random_hermitian(2, rng), random_hermitian(2, rng)),))
-        scen = MeasurementScenario(
-            psi=random_ket(2, rng), xi=random_ket(2, rng), observable=obs, postselect=random_ket(2, rng)
-        )
-        assert eigenbasis_conditional_expectation(scen) == pytest.approx(
-            conditional_expectation(scen, 0), abs=1e-10
-        )
-
 
 class TestWeakValue:
     def test_identity_gives_one(self):
@@ -504,3 +483,36 @@ def test_observable_mixed_dimension_grid():
         0,
     )
     assert grid.shape == (2, 3)
+
+
+def rebuilt(scen):
+    """The scenario again, from copies of its arrays."""
+    obs = scen.observable
+    terms = tuple((sys_op.copy(), dev_op.copy()) for sys_op, dev_op in obs.terms)
+    return MeasurementScenario(
+        psi=scen.psi.copy(),
+        xi=scen.xi.copy(),
+        observable=JointObservable(n=obs.n, m=obs.m, terms=terms),
+        postselect=scen.postselect.copy(),
+    )
+
+
+#: Each array-holding dataclass, reached from a scenario.
+PARTS = {
+    "scenario": lambda scen: scen,
+    "observable": lambda scen: scen.observable,
+    "spectral data": lambda scen: product_spectral(scen.observable),
+    "term spectral": lambda scen: product_spectral(scen.observable)[0],
+    "decomposition": lambda scen: product_spectral(scen.observable)[0].system,
+    "postselection projector": lambda scen: PostselectionProjector(phi=scen.postselect, device_dim=scen.m),
+}
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_array_holding_dataclasses_compare_and_hash_by_identity(part):
+    scen = random_scenario(instance_rng(3, 0), 2, 3, degenerate=False)
+    obj, copy = PARTS[part](scen), PARTS[part](rebuilt(scen))
+    assert obj == obj and not obj != obj
+    assert obj != copy and not obj == copy
+    assert hash(obj) == hash(obj)
+    assert len({obj, copy, obj}) == 2

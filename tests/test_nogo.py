@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from nogosim import measurement, nogo
 from nogosim.errors import (
     DimensionMismatch,
-    NotCanonical,
     NotRankMDegenerate,
-    OrthogonalPostselection,
     ZeroProbability,
 )
 from nogosim.linalg import as_state
@@ -31,9 +29,7 @@ from nogosim.nogo import (
     basis_transform,
     check_basis_requirement,
     check_rank_m_degeneracy,
-    canonical_closed_form,
     closed_form_value,
-    degenerate_weak_value,
     instance_rng,
     random_audit,
     random_hermitian,
@@ -241,27 +237,7 @@ class TestClosedFormIdentities:
             assert numerator == pytest.approx(float(np.dot(tilde, xi_amp)) * denominator, abs=1e-10)
 
 
-class TestCanonicalClosedForm:
-    def test_cnot_value(self):
-        scen = cnot_error_scenario(0.5)
-        assert canonical_closed_form(scen) == pytest.approx(1.0, abs=1e-12)
-
-    def test_flat_grid_returns_constant(self):
-        obs = JointObservable(n=2, m=2, terms=((I2, 2.5 * I2),))
-        scen = MeasurementScenario(psi=[0, 1], xi=[0.6, 0.8], observable=obs, postselect=[1, 0])
-        assert canonical_closed_form(scen) == pytest.approx(2.5, abs=1e-14)
-
-    def test_device_eigenstate_projects_out(self):
-        obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
-        scen = MeasurementScenario(psi=[0, 1], xi=[1, 0], observable=obs, postselect=[1, 0])
-        assert canonical_closed_form(scen) == pytest.approx(0.0, abs=1e-14)
-
-    def test_non_diagonal_factor_rejected(self):
-        obs = JointObservable(n=2, m=2, terms=((X, Z),))
-        scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs, postselect=[1, 0])
-        with pytest.raises(NotCanonical):
-            canonical_closed_form(scen)
-
+class TestClosedFormValue:
     def test_non_degenerate_grid_rejected(self):
         # diag(1, 2) (x) I has grid rows (1, 1) and (2, 2): column 0 varies between rows 0 and 1
         skewed = (np.diag([1.0, 2.0]), I2)
@@ -269,37 +245,9 @@ class TestCanonicalClosedForm:
             obs = JointObservable(n=2, m=2, terms=terms)
             scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs, postselect=[1, 0])
             message = rf"term {idx} .*witness \(0, 1, 0\)"
-            with pytest.raises(NotRankMDegenerate, match=message):
-                canonical_closed_form(scen)
             data = product_spectral(obs)
             with pytest.raises(NotRankMDegenerate, match=message):
                 closed_form_value(scen, data, check_rank_m_degeneracy(data))
-
-
-class TestDegenerateWeakValue:
-    def test_scaled_identity_qubit(self):
-        rng = np.random.default_rng(3)
-        flag, value, eigenvalue = degenerate_weak_value(random_ket(2, rng), random_ket(2, rng), 3 * I2)
-        assert flag
-        assert value == pytest.approx(3.0, abs=1e-12)
-        assert eigenvalue == pytest.approx(3.0, abs=1e-14)
-
-    def test_nondegenerate_observable(self):
-        flag, value, eigenvalue = degenerate_weak_value([1, 0], np.array([1.0, 1.0]) / np.sqrt(2), Z)
-        assert not flag
-        assert value == pytest.approx(1.0, abs=1e-14)
-        assert eigenvalue is None
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_scaled_identity_qutrit(self, seed):
-        rng = np.random.default_rng(seed)
-        flag, value, eigenvalue = degenerate_weak_value(random_ket(3, rng), random_ket(3, rng), 2 * np.eye(3))
-        assert flag and eigenvalue == pytest.approx(2.0)
-        assert value == pytest.approx(2.0, abs=1e-12)
-
-    def test_orthogonal_pair_raises(self):
-        with pytest.raises(OrthogonalPostselection):
-            degenerate_weak_value([1, 0], [0, 1], 3 * I2)
 
 
 class TestRandomAudit:
