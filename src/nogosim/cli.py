@@ -221,7 +221,7 @@ def cmd_sample(args) -> int:
         result = sample_two_step(scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards)
     except ValueError as exc:  # --shots, --shards, --seed or --term out of range
         raise ConfigError(str(exc)) from exc
-    grid = product_spectral(scenario.observable)[args.term].eigenvalue_grid
+    grid = product_spectral(scenario.observable).grids[args.term]
     payload = {
         "seed": result.seed,
         "shots": result.shots,

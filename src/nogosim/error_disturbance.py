@@ -34,8 +34,10 @@ from .linalg import (
     tensor_ket,
     tensor_product,
 )
-from .measurement import JointObservable, MeasurementScenario, _product_grid, _require_postselect, product_spectral
-from .nogo import TheoremVerdict, _observable_means, _row_verdict
+from .measurement import (
+    JointObservable, MeasurementScenario, _means, _product_grid, _require_postselect, product_spectral
+)
+from .nogo import DegeneracyReport, TheoremVerdict, _holding, _row_verdict, check_rank_m_degeneracy
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -299,6 +301,7 @@ class _SquaredObservables(NamedTuple):
     disturb_sq: np.ndarray
     error: JointObservable
     disturbance: JointObservable
+    both: JointObservable  # error's terms, then disturbance's: the term slots of one amplitude pass
 
 
 def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
@@ -307,13 +310,16 @@ def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _S
     noise_sq = _hermitian_square(noise)
     disturb_sq = _hermitian_square(disturb)
     n, m = setup.n, setup.m
+    error = joint_observable_from_operator(noise_sq, n, m)
+    disturbance = joint_observable_from_operator(disturb_sq, n, m)
     return _SquaredObservables(
         noise=readonly(noise),
         disturb=readonly(disturb),
         noise_sq=readonly(noise_sq),
         disturb_sq=readonly(disturb_sq),
-        error=joint_observable_from_operator(noise_sq, n, m),
-        disturbance=joint_observable_from_operator(disturb_sq, n, m),
+        error=error,
+        disturbance=disturbance,
+        both=JointObservable(n=n, m=m, terms=error.terms + disturbance.terms),
     )
 
 
@@ -322,18 +328,23 @@ def _state_reports(
 ) -> list[ErrorDisturbanceReport]:
     """The per-state half of the report, per row of checked (B, n), (B, m), (B, n) ket stacks.
 
-    Row b holds the bits of its kets alone. Its denominators are checked
-    before row b + 1's, the error side's first.
+    One amplitude pass covers ``ops.both``: the error side's term slots, then
+    the disturbance side's. Row b holds the bits of its kets alone. Its
+    denominators are checked before row b + 1's, the error side's first.
     """
     state = _product_grid(psi, xi).reshape(len(psi), -1)
     epsilon_sq = _joint_mean(ops.noise_sq, state).tolist()
     eta_sq = _joint_mean(ops.disturb_sq, state).tolist()
-    sides = [
-        _observable_means(product_spectral(obs, tol_deg), psi, xi, phi, tol_deg) for obs in (ops.error, ops.disturbance)
-    ]
+    data = product_spectral(ops.both, tol_deg)
+    means = _means(data.system, data.device, data.grids, psi, xi, phi)
+    terms = check_rank_m_degeneracy(data, tol_deg).terms
+    split = ops.error.num_terms
+    sides = [(slots, _holding(DegeneracyReport(terms=terms[slots]))) for slots in (slice(split), slice(split, None))]
     reports = []
     for b in range(len(psi)):
-        error_verdict, disturbance_verdict = (_row_verdict(*side, b, tol_verify, tol_p) for side in sides)
+        error_verdict, disturbance_verdict = (
+            _row_verdict(means, report, b, tol_verify, tol_p, slots) for slots, report in sides
+        )
         reports.append(
             ErrorDisturbanceReport(
                 epsilon_sq=epsilon_sq[b],

@@ -17,7 +17,8 @@ The dataclasses here hold numpy arrays, so they compare and hash by identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -120,47 +121,60 @@ class ProductTermSpectral:
 
 @dataclass(frozen=True, eq=False)
 class ProductSpectralData:
-    terms: tuple[ProductTermSpectral, ...]
+    """Read-only stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and the (K, n, m) grids r_ij.
 
-    def __post_init__(self):
-        # nogo.check_rank_m_degeneracy's memo, keyed by tol_deg; a plain attribute
-        # like JointObservable._spectral, so fields() and repr see only terms
+    The per-term view (``terms``, ``data[k]``) is built on first access; the
+    means kernel and the degeneracy check read the stacks alone.
+    """
+
+    system: np.ndarray
+    device: np.ndarray
+    grids: np.ndarray
+    factors: InitVar[tuple]  # the two slots' ``_decompose`` results, for the per-term view
+
+    def __post_init__(self, factors):
+        # the view's inputs and nogo.check_rank_m_degeneracy's memo (keyed by tol_deg): plain
+        # attributes like JointObservable._spectral, so fields() and repr see only the stacks
+        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_degeneracy", {})
+
+    @functools.cached_property
+    def terms(self) -> tuple[ProductTermSpectral, ...]:
+        system, device = ([_decomposition(*parts) for parts in zip(*slot)] for slot in self._factors)
+        return tuple(map(ProductTermSpectral, system, device, self.grids))
 
     def __getitem__(self, k: int) -> ProductTermSpectral:
         return self.terms[k]
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.grids)
 
 
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
     """Per-term factor decomposition; the grid entry (i, j) is u_i * v_j.
 
     The K system factors are decomposed as one (K, n, n) stack and the K
-    device factors as one (K, m, m) stack, one ``_decompose`` call each. Each
-    term holds the bits ``spectral_decompose`` gives its factors alone: stacked
-    ``eigh`` decomposes each matrix in turn, and the canonicalisation works on
-    each matrix on its own. Computed once per observable and tol_deg, then
-    returned from a memo on the observable: its factors are read-only, so the
-    result is a pure function of (terms, tol_deg), and every array in it is
-    read-only, so callers can share it.
+    device factors as one (K, m, m) stack, one ``_decompose`` call each, kept
+    as stacks. Each term holds the bits ``spectral_decompose`` gives its
+    factors alone: stacked ``eigh`` decomposes each matrix in turn, and the
+    canonicalisation works on each matrix on its own. Computed once per
+    observable and tol_deg, then returned from a memo on the observable: its
+    factors are read-only, so the result is a pure function of (terms,
+    tol_deg), and every array in it is read-only, so callers can share it.
     """
     memo = observable._spectral
     data = memo.get(tol_deg)
     if data is None:
         # no Hermiticity check here: JointObservable.__post_init__ checked every factor and froze it read-only
-        system, device = (
-            [_decomposition(*parts) for parts in zip(*_decompose(np.stack(factors), tol_deg))]
-            for factors in zip(*observable.terms)
+        system, device = (_decompose(np.stack(factors), tol_deg) for factors in zip(*observable.terms))
+        (sys_values, sys_columns, _), (dev_values, dev_columns, _) = system, device
+        # the canonical columns come as rows, so their conjugates are the adjoints V^dag
+        data = memo[tol_deg] = ProductSpectralData(
+            system=readonly(sys_columns.conj()),
+            device=readonly(dev_columns.conj()),
+            grids=readonly(_product_grid(sys_values, dev_values)),
+            factors=(system, device),
         )
-        entries = []
-        for sys_dec, dev_dec in zip(system, device):
-            grid = _product_grid(sys_dec.eigenvalues, dev_dec.eigenvalues)
-            entries.append(
-                ProductTermSpectral(system=sys_dec, device=dev_dec, eigenvalue_grid=readonly(grid))
-            )
-        data = memo[tol_deg] = ProductSpectralData(terms=tuple(entries))
     return data
 
 
@@ -272,9 +286,9 @@ def _grid_sums(grids: np.ndarray) -> np.ndarray:
     return grids.sum(axis=(-2, -1))
 
 
-def _grid_mean(term: ProductTermSpectral, grid: np.ndarray) -> float:
-    """sum_ij r_ij p_ij over a probability grid of the term."""
-    return float(_grid_sums(term.eigenvalue_grid * grid))
+def _grid_mean(data: ProductSpectralData, k: int, grid: np.ndarray) -> float:
+    """sum_ij r_ij p_ij over a probability grid of term k."""
+    return float(_grid_sums(data.grids[k] * grid))
 
 
 def _require_denominator(denom: float, tol_p: float) -> None:
@@ -290,49 +304,48 @@ def _conditioned(joint: np.ndarray, tol_p: float) -> np.ndarray:
 
 
 class _Means(NamedTuple):
-    """What a verdict reads: per term, a list or stack with one entry per row of the kets."""
+    """What a verdict reads: per row of the kets, per term slot."""
 
-    denominators: tuple  # the postselection probabilities
-    conditional: tuple  # the postselected term means
-    unconditional: tuple  # the plain term means
-    xi: tuple  # the (B, m) |xi'_j|^2
+    denominators: list  # the (B, K) postselection probabilities, as lists
+    conditional: list  # the (B, K) postselected term means, as lists
+    unconditional: list  # the (B, K) plain term means, as lists
+    xi: np.ndarray  # the (B, K, m) |xi'_j|^2
 
 
-def _means(terms, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray) -> _Means:
-    """Both means of every term under postselection on phi, one amplitude pass per term.
+def _means(system: np.ndarray, device: np.ndarray, grids: np.ndarray, psi, xi, phi) -> _Means:
+    """Both means of every term under postselection on phi, from one amplitude pass over every term slot.
 
     The kets are single or (B, d) stacks; single kets are the B = 1 case.
-    ``terms`` gives (system V^dag, device V^dag, r_ij) per term, shared by every
-    row or one per row. Each value is a row sum of one grid, so row b holds the
-    bits of its kets alone (and of ``_conditioned`` and ``_grid_mean``). A
-    vanishing denominator leaves a NaN or Inf mean, which the caller rejects
-    with ``_require_denominator`` before reading it.
+    ``system`` (K, n, n), ``device`` (K, m, m) and ``grids`` (K, n, m) are
+    ``ProductSpectralData``'s stacks, shared by every row, or carry a leading
+    B axis, one per row. Each value is a row sum of one grid, so entry (b, k)
+    holds the bits of row b's kets and term k alone (and of ``_conditioned``
+    and ``_grid_mean``). A vanishing denominator leaves a NaN or Inf mean,
+    which the caller rejects with ``_require_denominator`` before reading it.
     """
     if psi.ndim == 1:
-        return _means(terms, psi[None], xi[None], phi[None])
-    columns = []
+        return _means(system, device, grids, psi[None], xi[None], phi[None])
+    # a term slot axis on every ket: row b's amplitudes under each of the K adjoints
+    w = _term_weights(system, device, psi[:, None], xi[:, None], phi[:, None])
+    joint = w.joint_grid()
+    denom = _grid_sums(joint)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for system, device, grid in terms:
-            w = _term_weights(system, device, psi, xi, phi)
-            joint = w.joint_grid()
-            denom = _grid_sums(joint)
-            conditional = _grid_sums(grid * (joint / denom[:, None, None]))
-            columns.append((denom.tolist(), conditional.tolist(), _grid_sums(grid * w.outcome_grid()).tolist(), w.xi))
-    return _Means(*zip(*columns))
+        conditional = _grid_sums(grids * (joint / denom[..., None, None]))
+    return _Means(denom.tolist(), conditional.tolist(), _grid_sums(grids * w.outcome_grid()).tolist(), w.xi)
 
 
 def outcome_probability_grid(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> np.ndarray:
     """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid."""
-    term = _resolve_spectral(scenario, spectral)[k]
-    return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi).outcome_grid()
+    data = _resolve_spectral(scenario, spectral)
+    return _term_weights(data.system[k], data.device[k], scenario.psi, scenario.xi).outcome_grid()
 
 
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
     """Mean of one term: sum_ij r_ij P(r_ij)."""
     data = _resolve_spectral(scenario, spectral)
-    return _grid_mean(data[k], outcome_probability_grid(scenario, k, data))
+    return _grid_mean(data, k, outcome_probability_grid(scenario, k, data))
 
 
 def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
@@ -361,8 +374,8 @@ def joint_probability_grid(
 ) -> np.ndarray:
     """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid."""
     phi = _require_postselect(scenario)
-    term = _resolve_spectral(scenario, spectral)[k]
-    return _term_weights(term.system.adjoint, term.device.adjoint, scenario.psi, scenario.xi, phi).joint_grid()
+    data = _resolve_spectral(scenario, spectral)
+    return _term_weights(data.system[k], data.device[k], scenario.psi, scenario.xi, phi).joint_grid()
 
 
 def postselection_denominator(
@@ -390,7 +403,7 @@ def conditional_expectation(
 ) -> float:
     """Postselected mean of one term: sum_ij r_ij P(r_ij | phi, rho)."""
     data = _resolve_spectral(scenario, spectral)
-    return _grid_mean(data[k], abl_conditional_grid(scenario, k, data, tol_p))
+    return _grid_mean(data, k, abl_conditional_grid(scenario, k, data, tol_p))
 
 
 def weak_value(psi, phi, a, tol_p: float = TOL_POSTSELECT) -> complex:

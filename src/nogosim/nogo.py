@@ -73,14 +73,15 @@ def _columns_within(grids: np.ndarray, tol_deg: float) -> np.ndarray:
     return grids.max(axis=-2) - grids.min(axis=-2) <= tol_deg  # False for a NaN spread or tolerance
 
 
-def _term_degeneracy(grid: np.ndarray, tol_deg: float) -> TermDegeneracy:
-    within = _columns_within(grid, tol_deg)
+def _column_verdicts(grids: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_columns_within`` and the read-only column means of a (..., n, m) stack; grid g gets the bits it gets alone."""
+    return _columns_within(grids, tol_deg), readonly(grids.mean(axis=-2))
+
+
+def _term_degeneracy(grid: np.ndarray, within: np.ndarray, column_eigenvalues: np.ndarray) -> TermDegeneracy:
+    """One term's verdict from its (n, m) grid and its row of ``_column_verdicts``."""
     if within.all():
-        return TermDegeneracy(
-            is_rank_m_degenerate=True,
-            column_eigenvalues=readonly(grid.mean(axis=0)),
-            witness=None,
-        )
+        return TermDegeneracy(is_rank_m_degenerate=True, column_eigenvalues=column_eigenvalues, witness=None)
     j = int(np.argmin(within))  # first column outside tol_deg
     i_lo = int(np.argmin(grid[:, j]))
     i_hi = int(np.argmax(grid[:, j]))
@@ -101,8 +102,9 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
     memo = spectral._degeneracy
     report = memo.get(tol_deg)
     if report is None:
+        grids = spectral.grids
         report = memo[tol_deg] = DegeneracyReport(
-            terms=tuple(_term_degeneracy(t.eigenvalue_grid, tol_deg) for t in spectral.terms)
+            terms=tuple(map(_term_degeneracy, grids, *_column_verdicts(grids, tol_deg)))
         )
     return report
 
@@ -187,7 +189,7 @@ def _closed_form(report: DegeneracyReport, device_weights) -> float:
 
 def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
     """sum_k sum_j rtilde_j |xi'_j|^2 over degenerate terms."""
-    return _closed_form(report, [_weights(term.device.adjoint, scenario.xi) for term in spectral.terms])
+    return _closed_form(report, _weights(spectral.device, scenario.xi))
 
 
 def verify_nogo(
@@ -218,8 +220,7 @@ def verify_nogo(
 def _observable_means(data: ProductSpectralData, psi, xi, phi, tol_deg: float) -> tuple:
     """``_means`` over an observable's terms, and its degeneracy report when the hypothesis holds, else None."""
     report = check_rank_m_degeneracy(data, tol_deg)
-    terms = [(t.system.adjoint, t.device.adjoint, t.eigenvalue_grid) for t in data.terms]
-    return _means(terms, psi, xi, phi), report if report.all_degenerate else None
+    return _means(data.system, data.device, data.grids, psi, xi, phi), _holding(report)
 
 
 def _scenario_means(scenario: MeasurementScenario, tol_deg: float) -> tuple:
@@ -236,16 +237,21 @@ def _scenario_means(scenario: MeasurementScenario, tol_deg: float) -> tuple:
     return found
 
 
-def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float) -> TheoremVerdict:
-    """The verdict on row b of ``_means``: each denominator checked in order, then the means added by ``sum``."""
-    for denom in means.denominators:
-        _require_denominator(denom[b], tol_p)
-    conditional = sum(term[b] for term in means.conditional)
-    unconditional = sum(term[b] for term in means.unconditional)
+def _holding(report: DegeneracyReport) -> DegeneracyReport | None:
+    """The report when every term is column-constant, else None: what a verdict's closed form reads."""
+    return report if report.all_degenerate else None
+
+
+def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float, slots=slice(None)) -> TheoremVerdict:
+    """Row b's verdict on one observable's term slots: denominators checked, then means added by ``sum``, in order."""
+    for denom in means.denominators[b][slots]:
+        _require_denominator(denom, tol_p)
+    conditional = sum(means.conditional[b][slots])
+    unconditional = sum(means.unconditional[b][slots])
     closed = None
     closed_gap = None
     if report is not None:
-        closed = _closed_form(report, [term[b] for term in means.xi])
+        closed = _closed_form(report, means.xi[b, slots])
         closed_gap = max(abs(closed - conditional), abs(closed - unconditional))
     return TheoremVerdict(
         hypothesis_holds=report is not None,
@@ -367,7 +373,7 @@ def random_scenario(
             postselect=phi,
         )
         means, _ = _scenario_means(scenario, TOL_DEG)
-        if min(term[0] for term in means.denominators) >= min_postselect:
+        if min(means.denominators[0]) >= min_postselect:
             return scenario
     raise _no_draw(min_postselect)
 
@@ -377,8 +383,8 @@ def random_scenario(
 def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[_Means, list]:
     """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
 
-    The factors are built and decomposed per stack, and ``_means`` runs on each
-    term slot's per-row adjoints and grids, so row b holds the bits of
+    The factors are built and decomposed per stack, and ``_means`` runs on the
+    (B, K, ...) stacks of per-row adjoints and grids, so row b holds the bits of
     ``verify_nogo`` on the scenario ``random_scenario`` builds from row b. Also
     returns each row's degeneracy report when its grids are column-constant,
     else None.
@@ -393,17 +399,14 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
     grids = _product_grid(sys_values.reshape(count, k, n), dev_values.reshape(count, k, m))
-    # the canonical columns come as rows, so their conjugates are the adjoints V^dag; axis 1 runs over term slots
-    slots = zip(
-        sys_columns.conj().reshape(count, k, n, n).swapaxes(0, 1),
-        dev_columns.conj().reshape(count, k, m, m).swapaxes(0, 1),
-        grids.swapaxes(0, 1),
-    )
+    within, columns = _column_verdicts(grids, tol_deg)
     reports = [
-        DegeneracyReport(terms=tuple(_term_degeneracy(grid, tol_deg) for grid in row)) if holds else None
-        for row, holds in zip(grids, _columns_within(grids, tol_deg).all(axis=(1, 2)).tolist())
+        DegeneracyReport(terms=tuple(map(_term_degeneracy, *row))) if holds else None
+        for *row, holds in zip(grids, within, columns, within.all(axis=(1, 2)).tolist())
     ]
-    return _means(slots, psi, xi, phi), reports
+    # the canonical columns come as rows, so their conjugates are the adjoints V^dag
+    system, device = sys_columns.conj().reshape(count, k, n, n), dev_columns.conj().reshape(count, k, m, m)
+    return _means(system, device, grids, psi, xi, phi), reports
 
 
 def _audit_chunk(
@@ -439,7 +442,7 @@ def _audit_chunk(
         means, reports, b = located[pos]
         dims_n, dims_m = dims[pos]
         tries = 1
-        while not min(term[b] for term in means.denominators) >= min_postselect:
+        while not min(means.denominators[b]) >= min_postselect:
             if tries == MAX_DRAW_TRIES:
                 raise _no_draw(min_postselect)
             k, raw = _draw_attempt(rngs[pos], dims_n, dims_m, degenerate, kets=True)

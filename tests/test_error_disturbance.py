@@ -43,8 +43,14 @@ from nogosim.error_disturbance import (
     postselected_error_disturbance,
 )
 from nogosim.linalg import TOL_DEG, TOL_POSTSELECT, TOL_VERIFY, matrix_exponential_skew, tensor_product
-from nogosim.measurement import MeasurementScenario, expectation, product_spectral
-from nogosim.nogo import check_rank_m_degeneracy
+from nogosim.measurement import (
+    JointObservable,
+    MeasurementScenario,
+    expectation,
+    joint_probability_grid,
+    product_spectral,
+)
+from nogosim.nogo import TheoremVerdict, check_rank_m_degeneracy, verify_nogo
 
 I2 = np.eye(2, dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -431,9 +437,11 @@ class TestCnotCache:
         ops = _cnot_squared_observables()
         assert _cnot_squared_observables() is ops
         arrays = [ops.noise, ops.disturb, ops.noise_sq, ops.disturb_sq]
-        for obs in (ops.error, ops.disturbance):
+        for obs in (ops.error, ops.disturbance, ops.both):
             arrays += [factor for term in obs.terms for factor in term]
-            for term in product_spectral(obs):
+            data = product_spectral(obs)
+            arrays += [data.system, data.device, data.grids]
+            for term in data:
                 arrays += [term.eigenvalue_grid]
                 for dec in (term.system, term.device):
                     arrays += [dec.eigenvalues, dec.eigenvectors]
@@ -510,6 +518,185 @@ class TestCnotSweep:
         s_grid, theta_grid, varphi_grid = [0.5, 0.5, 1.0], [0.0, -0.0], [1.0, 1.0]
         assert len(cnot_sweep(s_grid, theta_grid, varphi_grid)) == 12
         assert names == ["psi"] + ["xi"] * 3 + ["postselect"] * 4
+
+
+def generic_model_setup():
+    """A generic interaction whose error observable has 4 product terms and whose disturbance observable has 1."""
+    rng = np.random.default_rng(0)
+    model = InteractionModel.from_hamiltonians(random_hermitian(2, rng), random_hermitian(3, rng), 0.3)
+    return model, MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=np.diag([1.0, 0.0, -1.0]))
+
+
+def side_scenarios(ops, psi, xi, phi):
+    """The error side's and the disturbance side's scenarios, each on its own observable."""
+    return [MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi) for obs in (ops.error, ops.disturbance)]
+
+
+def assert_same_verdict(a, b):
+    for f in dataclasses.fields(TheoremVerdict):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x == y and repr(x) == repr(y), f.name
+
+
+def kernel_calls(mp):
+    """Record every ``_means`` call, through each module namespace that binds it."""
+    calls = []
+    kernel = measurement._means
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    for module in (measurement, nogo, error_disturbance):
+        mp.setattr(module, "_means", counted)
+    return calls
+
+
+def lowest_denominators(scenarios):
+    """Each side's smallest postselection probability over its terms."""
+    return [
+        min(float(joint_probability_grid(scen, k).sum()) for k in range(scen.observable.num_terms))
+        for scen in scenarios
+    ]
+
+
+class TestOnePass:
+    """Both sides of the report come from one kernel call over the error terms, then the disturbance terms."""
+
+    @pytest.mark.parametrize("tol_deg", [TOL_DEG, 1e-7])
+    @pytest.mark.parametrize("s, theta, varphi", [(0.0, 0.0, 0.0), (0.37, 0.7, 0.3), (1.0, math.pi / 2, math.pi)])
+    def test_cnot_sides_equal_verify_nogo_on_their_own_scenarios(self, s, theta, varphi, tol_deg):
+        params = CnotScenario(s, theta, varphi)
+        report = cnot_report(params, tol_deg=tol_deg)
+        scenarios = side_scenarios(_cnot_squared_observables(), params.psi(), params.xi(), params.phi())
+        for verdict, scen in zip((report.error_verdict, report.disturbance_verdict), scenarios):
+            assert_same_verdict(verdict, verify_nogo(scen, tol_deg=tol_deg))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generic_sides_equal_verify_nogo_on_their_own_scenarios(self, seed):
+        model, setup = generic_model_setup()
+        ops = error_disturbance._squared_observables(model, setup)
+        # unequal sides: a slot split off by one would move a term from one side to the other
+        assert (ops.error.num_terms, ops.disturbance.num_terms) == (4, 1)
+        rng = np.random.default_rng(seed)
+        psi, xi, phi = random_ket(2, rng), random_ket(3, rng), random_ket(2, rng)
+        report = postselected_error_disturbance(model, setup, psi, xi, phi)
+        for verdict, scen in zip((report.error_verdict, report.disturbance_verdict), side_scenarios(ops, psi, xi, phi)):
+            assert_same_verdict(verdict, verify_nogo(scen))
+        assert report.epsilon_sq_post == report.error_verdict.conditional
+        assert report.eta_sq_post == report.disturbance_verdict.conditional
+
+    def test_a_vanishing_side_raises_its_own_message(self):
+        # Qubit models expand the disturbance over c I alone, whose basis one error term shares, so the two
+        # sides' lowest denominators can be put in either order only with system bases chosen apart:
+        # the error side measures in the X and Y bases, the disturbance side in the Z basis.
+        error = JointObservable(n=2, m=2, terms=((PAULI_X, PAULI_Z), (PAULI_Y, PAULI_X)))
+        disturbance = JointObservable(n=2, m=2, terms=((PAULI_Z, PAULI_Z + PAULI_X),))
+        ops = _cnot_squared_observables()._replace(
+            error=error, disturbance=disturbance, both=JointObservable(n=2, m=2, terms=error.terms + disturbance.terms)
+        )
+
+        def report(psi, xi, phi, tol_p):
+            return _state_reports(ops, psi[None], xi[None], phi[None], TOL_DEG, TOL_VERIFY, tol_p)[0]
+
+        rng = np.random.default_rng(1)
+        vanished, both_checked = set(), 0
+        for _ in range(100):
+            psi, xi, phi = random_ket(2, rng), random_ket(2, rng), random_ket(2, rng)
+            scenarios = side_scenarios(ops, psi, xi, phi)
+            lowest = lowest_denominators(scenarios)
+            if abs(lowest[0] - lowest[1]) < 0.1 * max(lowest):
+                continue  # too close to put a cutoff between them
+            # a cutoff between the two sides: only the lower side vanishes
+            side = int(lowest[1] < lowest[0])
+            tol_p = (lowest[0] + lowest[1]) / 2
+            verify_nogo(scenarios[1 - side], tol_p=tol_p)  # the other side passes its gate
+            with pytest.raises(ZeroProbability) as own:
+                verify_nogo(scenarios[side], tol_p=tol_p)
+            with pytest.raises(ZeroProbability) as joint:
+                report(psi, xi, phi, tol_p)
+            assert str(joint.value) == str(own.value)
+            vanished.add(side)
+            # a cutoff above both sides: the error side's message, where the two sides' messages differ
+            messages = []
+            for scen in scenarios:
+                with pytest.raises(ZeroProbability) as alone:
+                    verify_nogo(scen, tol_p=2.0)
+                messages.append(str(alone.value))
+            if messages[0] != messages[1]:
+                with pytest.raises(ZeroProbability) as joint:
+                    report(psi, xi, phi, 2.0)
+                assert str(joint.value) == messages[0]
+                both_checked += 1
+        assert vanished == {0, 1} and both_checked >= 10
+
+    def test_cnot_report_makes_one_kernel_call(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        cnot_report(CnotScenario(0.3, 0.5, 0.7))
+        assert len(calls) == 1
+
+    def test_a_sweep_grid_makes_one_kernel_call(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        reports = cnot_sweep([0.0, 0.4, 1.0], [0.1, 0.9], [0.0, 2.0, 4.0, 5.0])
+        assert len(reports) == 24
+        assert len(calls) == 1
+        # the one call covers every row and both sides' term slots
+        ops = _cnot_squared_observables()
+        system, device, grids, psi, xi, phi = calls[0]
+        assert len(grids) == ops.error.num_terms + ops.disturbance.num_terms
+        assert len(psi) == len(xi) == len(phi) == 24
+
+
+BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
+# each scale puts |norm^2 - 1| beyond TOL_NORM = 1e-12
+BAD_SCALES = st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0])
+
+
+@st.composite
+def broken_kets(draw):
+    """Unit (psi, xi, phi) for the CNOT dims, with one ket given a NaN or Inf entry or a norm off by more than TOL_NORM."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kets = [random_ket(2, rng) for _ in range(3)]
+    which = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        kets[which][draw(st.integers(0, 1))] = draw(BAD_ENTRIES)
+    else:
+        kets[which] = kets[which] * draw(BAD_SCALES)
+    return kets
+
+
+class TestBoundary:
+    """Input that cannot be a state is rejected with ValueError before the means kernel runs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kets=broken_kets())
+    def test_broken_kets_are_rejected_before_the_kernel(self, kets):
+        psi, xi, phi = kets
+        ops = _cnot_squared_observables()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = kernel_calls(mp)
+            with pytest.raises(ValueError):
+                postselected_error_disturbance(*_cnot_model_setup(), psi, xi, phi)
+            with pytest.raises(ValueError):
+                MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axis=st.integers(0, 2),
+        position=st.integers(0, 2),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_a_non_finite_grid_value_is_rejected_before_the_kernel(self, axis, position, bad):
+        grids = [[0.0, 0.5, 1.0], [0.1, 0.8], [0.2, 3.0]]
+        # NaN on any axis; Inf on the strength axis, where it leaves [0, 1]
+        bad = bad if axis == 0 else math.nan
+        grids[axis].insert(position, bad)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = kernel_calls(mp)
+            with pytest.raises(ValueError):
+                cnot_sweep(*grids)
+        assert calls == []
 
 
 class TestInteractionModel:

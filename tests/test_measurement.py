@@ -127,7 +127,7 @@ class TestProductSpectral:
         kinds = (random_hermitian, lambda d, rng: -1.5 * np.eye(d, dtype=complex), near_pairs)
         terms = tuple((kinds[k % 3](n, rng), kinds[(k + 1) % 3](m, rng)) for k in range(num_terms))
         data = product_spectral(JointObservable(n=n, m=m, terms=terms))
-        for term, (sys_op, dev_op) in zip(data.terms, terms):
+        for k, (term, (sys_op, dev_op)) in enumerate(zip(data.terms, terms)):
             want_sys, want_dev = spectral_decompose(sys_op), spectral_decompose(dev_op)
             for got, want in ((term.system, want_sys), (term.device, want_dev)):
                 for name in ("eigenvalues", "eigenvectors", "adjoint"):
@@ -136,6 +136,10 @@ class TestProductSpectral:
                 assert got.eigenspace_groups == want.eigenspace_groups
             grid = np.outer(want_sys.eigenvalues, want_dev.eigenvalues)
             assert term.eigenvalue_grid.tobytes() == grid.tobytes()
+            # the stacks the means kernel reads hold the same bits
+            assert data.system[k].tobytes() == want_sys.adjoint.tobytes()
+            assert data.device[k].tobytes() == want_dev.adjoint.tobytes()
+            assert data.grids[k].tobytes() == grid.tobytes()
         if num_terms == 3 and n >= 4:
             # the pair 0.5 tol_deg apart is one group, the pair 2 tol_deg apart two
             assert data[2].system.eigenspace_groups[:3] == ((0, 1), (2,), (3,))

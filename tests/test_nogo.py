@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim import measurement, nogo
+from nogosim import linalg, measurement, nogo
 from nogosim.errors import (
     DimensionMismatch,
     NotRankMDegenerate,
@@ -109,7 +109,62 @@ class TestDegeneracyCheck:
         before = repr(data)
         check_rank_m_degeneracy(data)
         assert repr(data) == before
-        assert [f.name for f in dataclasses.fields(data)] == ["terms"]
+        assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "grids"]
+
+
+def per_term_degeneracy(grid, tol_deg):
+    """(holds, column eigenvalues, witness) of one grid on its own: the per-term check the stacked one replaced."""
+    within = grid.max(axis=0) - grid.min(axis=0) <= tol_deg
+    if within.all():
+        return True, grid.mean(axis=0), None
+    j = int(np.argmin(within))
+    i, i2 = sorted((int(np.argmin(grid[:, j])), int(np.argmax(grid[:, j]))))
+    return False, None, (i, i2, j)
+
+
+def assert_per_term_verdict(verdict, grid, tol_deg):
+    holds, columns, witness = per_term_degeneracy(grid, tol_deg)
+    assert verdict.is_rank_m_degenerate == holds
+    assert verdict.witness == witness
+    if holds:
+        assert np.array_equal(verdict.column_eigenvalues, columns)
+        assert verdict.column_eigenvalues.tobytes() == columns.tobytes()
+    else:
+        assert verdict.column_eigenvalues is None
+
+
+#: Factor pairs (system, device) by kind: c I (x) M passes, a generic pair fails, a pair of system eigenvalues
+#: 5e-10 apart passes or fails with tol_deg, and a rank-1 device projector leaves one constant column.
+TERM_KINDS = {
+    "degenerate": lambda n, m, rng: (rng.standard_normal() * np.eye(n), random_hermitian(m, rng)),
+    "generic": lambda n, m, rng: (random_hermitian(n, rng), random_hermitian(m, rng)),
+    "near": lambda n, m, rng: (np.diag([1.0] + [1.0 + 5e-10] * (n - 1)), random_hermitian(m, rng)),
+    "projector": lambda n, m, rng: (random_hermitian(n, rng), np.diag([1.0] + [0.0] * (m - 1))),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(sorted(TERM_KINDS)), min_size=1, max_size=3),
+    tol_deg=st.sampled_from([1e-9, 1e-12, 100.0, math.nan]),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_degeneracy_check_equals_the_per_term_check(seed, n, m, kinds, tol_deg):
+    rng = np.random.default_rng(seed)
+    obs = JointObservable(n=n, m=m, terms=tuple(TERM_KINDS[kind](n, m, rng) for kind in kinds))
+    data = product_spectral(obs, tol_deg)
+    report = check_rank_m_degeneracy(data, tol_deg)
+    assert len(report.terms) == len(kinds)
+    for verdict, grid in zip(report.terms, data.grids):
+        assert_per_term_verdict(verdict, grid, tol_deg)
+    # the audit's (B, K, n, m) form: every row gets the verdicts it gets alone
+    stack = np.stack([data.grids, data.grids[::-1]])
+    within, columns = nogo._column_verdicts(stack, tol_deg)
+    for row in zip(stack, within, columns):
+        for verdict, grid in zip(map(nogo._term_degeneracy, *row), row[0]):
+            assert_per_term_verdict(verdict, grid, tol_deg)
 
 
 class TestBasisRequirement:
@@ -400,6 +455,27 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
             verify_nogo(scen)
             assert stacks == [(k, 3, 3), (k, 2, 2)]  # none inside verify_nogo
             assert len(passes) == 1
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_random_scenario_and_verify_nogo_build_no_per_term_objects(monkeypatch, degenerate):
+    built = []
+    init = linalg.SpectralDecomposition.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", counting_init)
+    rng = np.random.default_rng(6)
+    for num_terms in (1, 2, 3):
+        scen = random_scenario(rng, 3, 2, degenerate=degenerate, num_terms=num_terms)
+        verify_nogo(scen)
+    # the kernel and the degeneracy check read product_spectral's stacks alone
+    assert built == []
+    # the per-term view is built when asked for, two decompositions a term, and the counter sees it
+    assert len(product_spectral(scen.observable).terms) == 3
+    assert len(built) == 6
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
