@@ -47,7 +47,6 @@ from .measurement import (
     MeasurementScenario,
     PostselectionProjector,
     ProductSpectralData,
-    ProductTermSpectral,
     conditional_expectation,
     expectation,
     luders_update,

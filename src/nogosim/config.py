@@ -74,7 +74,7 @@ def encode_complex_array(arr: np.ndarray) -> list:
     return [encode_complex_array(row) for row in arr]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Validated scenario inputs loaded from a JSON file."""
 
@@ -102,7 +102,8 @@ class ScenarioConfig:
         if n < 1 or m < 1:
             raise ConfigError("'n' and 'm' must be positive")
 
-        tolerances = raw.get("tolerances") or {}
+        # an absent or null block is empty, as for the other optional blocks; any other non-object is refused
+        tolerances = {} if raw.get("tolerances") is None else raw["tolerances"]
         if not isinstance(tolerances, dict):
             raise ConfigError("'tolerances' must be an object")
         # absent entries stay None so the CLI can fall back to env/builtin defaults
@@ -203,7 +204,7 @@ class ScenarioConfig:
         return MeasurementScenario(psi=self.psi, xi=self.xi, observable=self.observable, postselect=self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """Verification output for one configuration."""
 

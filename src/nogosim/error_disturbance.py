@@ -57,7 +57,7 @@ DEFAULT_THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 
 DEFAULT_VARPHI_GRID = (0.0, math.pi / 3, math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionModel:
     """Joint unitary, given directly or as exp(-i t H_system (x) H_device)."""
 
@@ -81,7 +81,7 @@ class InteractionModel:
                 raise ValueError("generated form needs h_system, h_device and t")
             object.__setattr__(self, "h_system", readonly(require_hermitian(self.h_system, name="h_system")))
             object.__setattr__(self, "h_device", readonly(require_hermitian(self.h_device, name="h_device")))
-            object.__setattr__(self, "t", float(self.t))
+            object.__setattr__(self, "t", require_finite(float(self.t), "t"))
 
     @classmethod
     def from_unitary(cls, u) -> "InteractionModel":
@@ -97,7 +97,7 @@ class InteractionModel:
         return matrix_exponential_skew(tensor_product(self.h_system, self.h_device), self.t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetup:
     """System observable to measure, one to protect, and the device readout."""
 
@@ -274,7 +274,7 @@ def joint_observable_from_operator(op, n: int, m: int, tol: float = 1e-10) -> Jo
     return JointObservable(n=n, m=m, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorDisturbanceReport:
     """Mean square error/disturbance with their postselected counterparts."""
 
@@ -405,7 +405,7 @@ class CnotScenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CnotBundle:
     error_scenario: MeasurementScenario
     disturbance_scenario: MeasurementScenario

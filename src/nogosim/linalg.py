@@ -123,37 +123,17 @@ class SpectralDecomposition:
     into runs whose eigenvalues agree within the grouping tolerance. A
     singleton group's column is the eigenvector of its eigenvalue. Within a
     larger group the columns are an orthonormal basis of the group's joint
-    eigenspace, not individual eigenvectors, so ``reconstruct()`` returns the
-    matrix only up to the group's eigenvalue spread. Compared and hashed by
-    identity (``eq=False``): a field-wise ``==`` over arrays has no truth value.
+    eigenspace, not individual eigenvectors. Compared and hashed by identity
+    (``eq=False``): a field-wise ``==`` over arrays has no truth value.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigenspace_groups: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        # V^dag, read-only: amplitudes in this eigenbasis are ``adjoint @ ket``. A plain
-        # attribute rather than a field, like measurement.JointObservable's memo, so
-        # fields() and repr see only the three fields above. Formed here, once:
-        # every decomposition on the formula path feeds amplitude matvecs, and a lazy
-        # property's first access cost more than this. C-contiguous, the layout of
-        # eigenvectors.conj().T for the column-major eigenvectors the decompositions
-        # below return, so each matvec keeps its bits.
-        adjoint = np.ascontiguousarray(self.eigenvectors.conj().T)
-        adjoint.setflags(write=False)
-        object.__setattr__(self, "adjoint", adjoint)
-
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
-
-    def projector(self, k: int) -> np.ndarray:
-        v = self.eigenvectors[:, k]
-        return np.outer(v, v.conj())
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.adjoint
 
 
 def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
@@ -295,8 +275,8 @@ def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray
     Stacked ``eigh`` runs LAPACK on each matrix in turn and ``_canonical_stack``
     canonicalises each matrix on its own, so row b holds the bits of matrix b
     decomposed alone. The caller vouches for Hermiticity: ``spectral_decompose``
-    checks outside input, ``measurement.product_spectral`` reads factors that
-    ``JointObservable`` has checked, the audit builds its factors Hermitian.
+    checks outside input, ``measurement._spectral_stacks`` reads factors that
+    ``JointObservable`` has checked or that the audit builds Hermitian.
     """
     values, vectors = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
     groups, columns = _canonical_stack(values, vectors, tol_deg)

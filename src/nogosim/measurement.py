@@ -6,10 +6,12 @@ the product eigenbasis of its factors; outcome probabilities, Lueders
 updates, ABL conditional probabilities under postselection, conditional
 expectation values and weak values all live here.
 
-Scenario-level functions compute through factor amplitudes
-(psi'_i = <u_i|psi> etc.), which is the analytic route; the oracle module
-re-derives the same quantities by explicit matrix arithmetic so the two
-paths can be compared in tests.
+An observable's spectral data (``product_spectral``) is three stacks over
+its K terms: the factors' adjoint eigenbases V^dag and the eigenvalue grids
+r_ij = u_i * v_j. Scenario-level functions compute through factor amplitudes
+(psi'_i = <u_i|psi> = (V^dag psi)_i etc.), which is the analytic route; the
+oracle module re-derives the same quantities by explicit matrix arithmetic
+so the two paths can be compared in tests.
 
 The dataclasses here hold numpy arrays, so they compare and hash by identity
 (``eq=False``): a field-wise ``==`` over arrays has no truth value.
@@ -17,8 +19,7 @@ The dataclasses here hold numpy arrays, so they compare and hash by identity
 
 from __future__ import annotations
 
-import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +33,7 @@ from .errors import (
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
-    SpectralDecomposition,
     _decompose,
-    _decomposition,
     as_operator,
     as_state,
     outer,
@@ -80,12 +79,6 @@ class JointObservable:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def total_operator(self) -> np.ndarray:
-        total = np.zeros((self.n * self.m, self.n * self.m), dtype=complex)
-        for sys_op, dev_op in self.terms:
-            total += tensor_product(sys_op, dev_op)
-        return total
-
 
 def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x_i * y_j over the last axes of two stacks: per row, the products ``np.outer`` forms."""
@@ -93,88 +86,60 @@ def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ProductTermSpectral:
-    """Factor eigensystems of one product term and the eigenvalue grid r_ij = u_i * v_j."""
-
-    system: SpectralDecomposition
-    device: SpectralDecomposition
-    eigenvalue_grid: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.system.dim
-
-    @property
-    def m(self) -> int:
-        return self.device.dim
-
-    def product_vector(self, i: int, j: int) -> np.ndarray:
-        return tensor_ket(self.system.eigenvectors[:, i], self.device.eigenvectors[:, j])
-
-    def projector(self, i: int, j: int) -> np.ndarray:
-        return outer(self.product_vector(i, j))
-
-    def basis_matrix(self) -> np.ndarray:
-        """Columns are the product eigenvectors at flat index i*m + j."""
-        return tensor_product(self.system.eigenvectors, self.device.eigenvectors)
-
-
-@dataclass(frozen=True, eq=False)
 class ProductSpectralData:
     """Read-only stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and the (K, n, m) grids r_ij.
 
-    The per-term view (``terms``, ``data[k]``) is built on first access; the
-    means kernel and the degeneracy check read the stacks alone.
+    Term k is entry k of each stack; its factor eigenbasis V is ``system[k].conj().T``.
     """
 
     system: np.ndarray
     device: np.ndarray
     grids: np.ndarray
-    factors: InitVar[tuple]  # the two slots' ``_decompose`` results, for the per-term view
 
-    def __post_init__(self, factors):
-        # the view's inputs and nogo.check_rank_m_degeneracy's memo (keyed by tol_deg): plain
-        # attributes like JointObservable._spectral, so fields() and repr see only the stacks
-        object.__setattr__(self, "_factors", factors)
+    def __post_init__(self):
+        # nogo.check_rank_m_degeneracy's memo, keyed by tol_deg: a plain attribute like
+        # JointObservable._spectral, so fields() and repr see only the stacks
         object.__setattr__(self, "_degeneracy", {})
-
-    @functools.cached_property
-    def terms(self) -> tuple[ProductTermSpectral, ...]:
-        system, device = ([_decomposition(*parts) for parts in zip(*slot)] for slot in self._factors)
-        return tuple(map(ProductTermSpectral, system, device, self.grids))
-
-    def __getitem__(self, k: int) -> ProductTermSpectral:
-        return self.terms[k]
 
     def __len__(self) -> int:
         return len(self.grids)
 
 
-def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """Per-term factor decomposition; the grid entry (i, j) is u_i * v_j.
+def _spectral_stacks(
+    system: np.ndarray, device: np.ndarray, tol_deg: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors' V^dag and the grids r_ij = u_i * v_j of (..., n, n) system and (..., m, m) device factor stacks.
 
-    The K system factors are decomposed as one (K, n, n) stack and the K
-    device factors as one (K, m, m) stack, one ``_decompose`` call each, kept
-    as stacks. Each term holds the bits ``spectral_decompose`` gives its
-    factors alone: stacked ``eigh`` decomposes each matrix in turn, and the
-    canonicalisation works on each matrix on its own. Computed once per
-    observable and tol_deg, then returned from a memo on the observable: its
-    factors are read-only, so the result is a pure function of (terms,
-    tol_deg), and every array in it is read-only, so callers can share it.
+    The leading shape is any: (K,) for one observable, (B, K) for the audit's
+    rows. Each factor stack goes through one ``_decompose`` call, which
+    decomposes each matrix on its own, so every entry holds the bits
+    ``spectral_decompose`` gives its factor alone.
+    """
+    lead, n, m = system.shape[:-2], system.shape[-1], device.shape[-1]
+    sys_values, sys_columns, _ = _decompose(system.reshape(-1, n, n), tol_deg)
+    dev_values, dev_columns, _ = _decompose(device.reshape(-1, m, m), tol_deg)
+    # the canonical columns come as rows, so their conjugates are the adjoints V^dag
+    return (
+        sys_columns.conj().reshape(*lead, n, n),
+        dev_columns.conj().reshape(*lead, m, m),
+        _product_grid(sys_values.reshape(*lead, n), dev_values.reshape(*lead, m)),
+    )
+
+
+def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
+    """Every term's factor V^dag and eigenvalue grid as read-only stacks; grid entry (k, i, j) is u_i * v_j of term k.
+
+    One ``_spectral_stacks`` call, made once per observable and tol_deg,
+    then returned from a memo on the observable: its factors are read-only,
+    so the result is a pure function of (terms, tol_deg), and every array in
+    it is read-only, so callers can share it.
     """
     memo = observable._spectral
     data = memo.get(tol_deg)
     if data is None:
         # no Hermiticity check here: JointObservable.__post_init__ checked every factor and froze it read-only
-        system, device = (_decompose(np.stack(factors), tol_deg) for factors in zip(*observable.terms))
-        (sys_values, sys_columns, _), (dev_values, dev_columns, _) = system, device
-        # the canonical columns come as rows, so their conjugates are the adjoints V^dag
-        data = memo[tol_deg] = ProductSpectralData(
-            system=readonly(sys_columns.conj()),
-            device=readonly(dev_columns.conj()),
-            grids=readonly(_product_grid(sys_values, dev_values)),
-            factors=(system, device),
-        )
+        stacks = _spectral_stacks(*map(np.stack, zip(*observable.terms)), tol_deg)
+        data = memo[tol_deg] = ProductSpectralData(*map(readonly, stacks))
     return data
 
 
@@ -216,9 +181,6 @@ class MeasurementScenario:
     def joint_state(self) -> np.ndarray:
         return tensor_ket(self.psi, self.xi)
 
-    def density(self) -> np.ndarray:
-        return outer(self.joint_state())
-
     def spectral(self, tol_deg: float = TOL_DEG) -> ProductSpectralData:
         return product_spectral(self.observable, tol_deg)
 
@@ -248,37 +210,9 @@ def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:
     return scenario.postselect
 
 
-class _TermWeights(NamedTuple):
-    """|psi'_i|^2, |xi'_j|^2 and |phi'_i|^2 of one term (phi None without postselection).
-
-    The arrays may carry leading stack axes; the grids keep them.
-    """
-
-    psi: np.ndarray
-    xi: np.ndarray
-    phi: np.ndarray | None
-
-    def outcome_grid(self) -> np.ndarray:
-        """P(r_ij) = |psi'_i|^2 |xi'_j|^2."""
-        return _product_grid(self.psi, self.xi)
-
-    def joint_grid(self) -> np.ndarray:
-        """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2."""
-        return _product_grid(self.psi * self.phi, self.xi)
-
-
 def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """|<e_i|ket>|^2 per ket of a (..., d) stack, against V^dag alone or one per ket: one matvec per ket."""
     return np.abs((adjoint @ ket[..., None])[..., 0]) ** 2
-
-
-def _term_weights(
-    system: np.ndarray, device: np.ndarray, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray | None = None
-) -> _TermWeights:
-    """The one pass over a term's amplitudes, given its factors' V^dag; every statistic of the term comes from it."""
-    return _TermWeights(
-        psi=_weights(system, psi), xi=_weights(device, xi), phi=None if phi is None else _weights(system, phi)
-    )
 
 
 def _grid_sums(grids: np.ndarray) -> np.ndarray:
@@ -326,12 +260,14 @@ def _means(system: np.ndarray, device: np.ndarray, grids: np.ndarray, psi, xi, p
     if psi.ndim == 1:
         return _means(system, device, grids, psi[None], xi[None], phi[None])
     # a term slot axis on every ket: row b's amplitudes under each of the K adjoints
-    w = _term_weights(system, device, psi[:, None], xi[:, None], phi[:, None])
-    joint = w.joint_grid()
+    psi_w = _weights(system, psi[:, None])
+    xi_w = _weights(device, xi[:, None])
+    joint = _product_grid(psi_w * _weights(system, phi[:, None]), xi_w)
     denom = _grid_sums(joint)
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = _grid_sums(grids * (joint / denom[..., None, None]))
-    return _Means(denom.tolist(), conditional.tolist(), _grid_sums(grids * w.outcome_grid()).tolist(), w.xi)
+    unconditional = _grid_sums(grids * _product_grid(psi_w, xi_w))
+    return _Means(denom.tolist(), conditional.tolist(), unconditional.tolist(), xi_w)
 
 
 def outcome_probability_grid(
@@ -339,7 +275,7 @@ def outcome_probability_grid(
 ) -> np.ndarray:
     """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid."""
     data = _resolve_spectral(scenario, spectral)
-    return _term_weights(data.system[k], data.device[k], scenario.psi, scenario.xi).outcome_grid()
+    return _product_grid(_weights(data.system[k], scenario.psi), _weights(data.device[k], scenario.xi))
 
 
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
@@ -375,7 +311,8 @@ def joint_probability_grid(
     """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid."""
     phi = _require_postselect(scenario)
     data = _resolve_spectral(scenario, spectral)
-    return _term_weights(data.system[k], data.device[k], scenario.psi, scenario.xi, phi).joint_grid()
+    system = data.system[k]
+    return _product_grid(_weights(system, scenario.psi) * _weights(system, phi), _weights(data.device[k], scenario.xi))
 
 
 def postselection_denominator(

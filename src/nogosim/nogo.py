@@ -22,22 +22,21 @@ from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
     TOL_VERIFY,
-    _decompose,
     as_operator,
     is_unitary,
     readonly,
+    tensor_product,
 )
 from .measurement import (
     JointObservable,
     MeasurementScenario,
     PostselectionProjector,
     ProductSpectralData,
-    ProductTermSpectral,
     _Means,
     _means,
-    _product_grid,
     _require_denominator,
     _require_postselect,
+    _spectral_stacks,
     _weights,
     product_spectral,
 )
@@ -50,7 +49,7 @@ MAX_DRAW_TRIES = 256
 AUDIT_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermDegeneracy:
     """Column-constancy verdict for one product term."""
 
@@ -59,7 +58,7 @@ class TermDegeneracy:
     witness: tuple[int, int, int] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyReport:
     terms: tuple[TermDegeneracy, ...]
 
@@ -89,6 +88,11 @@ def _term_degeneracy(grid: np.ndarray, within: np.ndarray, column_eigenvalues: n
     return TermDegeneracy(is_rank_m_degenerate=False, column_eigenvalues=None, witness=(i, i2, j))
 
 
+def _report(grids: np.ndarray, within: np.ndarray, column_eigenvalues: np.ndarray) -> DegeneracyReport:
+    """One observable's report from its (K, n, m) grids and their ``_column_verdicts``."""
+    return DegeneracyReport(terms=tuple(map(_term_degeneracy, grids, within, column_eigenvalues)))
+
+
 def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_DEG) -> DegeneracyReport:
     """Test r_ij = r_i'j per column of each term's eigenvalue grid.
 
@@ -102,14 +106,11 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
     memo = spectral._degeneracy
     report = memo.get(tol_deg)
     if report is None:
-        grids = spectral.grids
-        report = memo[tol_deg] = DegeneracyReport(
-            terms=tuple(map(_term_degeneracy, grids, *_column_verdicts(grids, tol_deg)))
-        )
+        report = memo[tol_deg] = _report(spectral.grids, *_column_verdicts(spectral.grids, tol_deg))
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisTransform:
     """Unitary whose columns are product eigenvectors, with T^dag Pi_phi T."""
 
@@ -131,13 +132,14 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
     return BasisTransform(matrix=readonly(mat), transformed_projector=readonly(mat.conj().T @ pi @ mat))
 
 
-def term_basis_transform(term: ProductTermSpectral, phi) -> BasisTransform:
-    """Transform built from one term's product eigenvectors (flat index i*m + j).
+def term_basis_transform(spectral: ProductSpectralData, k: int, phi) -> BasisTransform:
+    """Transform T = V_sys (x) V_dev of term k (flat index i*m + j); each V is the adjoint of its stacked V^dag.
 
     Such a product transform always meets the basis requirement, which is why
     ``verify_nogo`` does not build it.
     """
-    return basis_transform(term.basis_matrix(), phi, term.m)
+    system, device = spectral.system[k], spectral.device[k]
+    return basis_transform(tensor_product(system.conj().T, device.conj().T), phi, device.shape[0])
 
 
 def check_basis_requirement(transform: BasisTransform, n: int, m: int, tol: float = TOL_DEG) -> bool:
@@ -383,29 +385,21 @@ def random_scenario(
 def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[_Means, list]:
     """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
 
-    The factors are built and decomposed per stack, and ``_means`` runs on the
-    (B, K, ...) stacks of per-row adjoints and grids, so row b holds the bits of
-    ``verify_nogo`` on the scenario ``random_scenario`` builds from row b. Also
-    returns each row's degeneracy report when its grids are column-constant,
-    else None.
+    The factors are built as (B, K) stacks and go through ``_spectral_stacks``,
+    the builder of ``product_spectral``; ``_means`` runs on the resulting
+    per-row adjoints and grids, so row b holds the bits of ``verify_nogo`` on
+    the scenario ``random_scenario`` builds from row b. Also returns each
+    row's degeneracy report when its grids are column-constant, else None.
     """
-    count = raw.shape[0]
     factor_draws = k * _term_draws(n, m, degenerate)
-    sys_ops, dev_ops = _factors(raw[:, :factor_draws], n, m, k, degenerate)
     # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
-    sys_values, sys_columns, _ = _decompose(sys_ops.reshape(-1, n, n), tol_deg)
-    dev_values, dev_columns, _ = _decompose(dev_ops.reshape(-1, m, m), tol_deg)
+    system, device, grids = _spectral_stacks(*_factors(raw[:, :factor_draws], n, m, k, degenerate), tol_deg)
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
-    grids = _product_grid(sys_values.reshape(count, k, n), dev_values.reshape(count, k, m))
     within, columns = _column_verdicts(grids, tol_deg)
-    reports = [
-        DegeneracyReport(terms=tuple(map(_term_degeneracy, *row))) if holds else None
-        for *row, holds in zip(grids, within, columns, within.all(axis=(1, 2)).tolist())
-    ]
-    # the canonical columns come as rows, so their conjugates are the adjoints V^dag
-    system, device = sys_columns.conj().reshape(count, k, n, n), dev_columns.conj().reshape(count, k, m, m)
+    holding = within.all(axis=(1, 2)).tolist()
+    reports = [_report(*row) if holds else None for *row, holds in zip(grids, within, columns, holding)]
     return _means(system, device, grids, psi, xi, phi), reports
 
 

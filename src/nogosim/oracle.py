@@ -52,7 +52,7 @@ def _term_product_vectors(
     return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumerationResult:
     """Joint and conditional probabilities per outcome (k, i, j)."""
 
@@ -158,7 +158,7 @@ def _accepted_counts(seed: int, shots: int, shards: int, cdf: np.ndarray, accept
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingResult:
     """Counts of postselection-accepted outcomes for one term."""
 

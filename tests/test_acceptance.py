@@ -180,7 +180,7 @@ def test_criterion_07_oracle_equivalence():
         postselect=params.phi(),
     )
     sampled = sample_two_step(scen, shots=1_000_000, seed=424242)
-    grid = product_spectral(scen.observable)[0].eigenvalue_grid
+    grid = product_spectral(scen.observable).grids[0]
     estimate = sampled.conditional_expectation(grid)
     p_four = (1 - s) / 2
     sigma = 4 * math.sqrt(p_four * (1 - p_four) / sampled.accepted)

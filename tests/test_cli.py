@@ -205,6 +205,33 @@ class TestVerify:
         path.write_text(json.dumps(raw))
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("bad", [[], 0, "", False, [1], 1, "x"], ids=repr)
+    def test_non_object_tolerances_block(self, tmp_path, capsys, bad):
+        raw = load_fixture("generic_violation.json")
+        raw["tolerances"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'tolerances' must be an object" in captured.err
+
+    def test_null_tolerances_block_is_absent(self, tmp_path, capsys):
+        raw = load_fixture("generic_violation.json")
+        outputs = []
+        for block in ("absent", None):
+            if block == "absent":
+                raw.pop("tolerances", None)
+            else:
+                raw["tolerances"] = block
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(raw))
+            assert main(["verify", "--config", str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["wall_time_s"], report["config_sha256"]  # the file's bytes differ
+            outputs.append(report)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("kind", ["float", "string", "bool"])
     def test_non_integer_dimension(self, tmp_path, capsys, key, kind):

@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nogosim
+from nogosim.config import RunReport, ScenarioConfig
+from nogosim.error_disturbance import CnotScenario, cnot_report, cnot_scenario
 from nogosim.errors import (
     MissingPostselection,
     NonHermitian,
@@ -30,7 +34,14 @@ from nogosim.measurement import (
     projective_probability,
     weak_value,
 )
-from nogosim.nogo import instance_rng, random_scenario, verify_nogo
+from nogosim.nogo import (
+    check_rank_m_degeneracy,
+    instance_rng,
+    random_scenario,
+    term_basis_transform,
+    verify_nogo,
+)
+from nogosim.oracle import enumerate_two_step, sample_two_step
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,6 +71,11 @@ def random_ket(dim, rng):
     return v / np.linalg.norm(v)
 
 
+def product_vector(data, k, i, j):
+    """|u_i> (x) |v_j> of term k: row i of V^dag is <u_i|, so its conjugate is |u_i>."""
+    return np.kron(data.system[k, i].conj(), data.device[k, j].conj())
+
+
 def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
     """Squared-noise observable of the controlled-NOT family, 4 I (x) |1><1|."""
     psi = np.array([1.0, 1.0j]) / np.sqrt(2)
@@ -72,20 +88,20 @@ def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
 class TestProductSpectral:
     def test_identity_z_term(self):
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
-        term = product_spectral(obs)[0]
-        assert np.allclose(term.system.eigenvalues, [1.0, 1.0])
-        assert np.allclose(term.device.eigenvalues, [-1.0, 1.0])
-        assert np.allclose(term.eigenvalue_grid, [[-1.0, 1.0], [-1.0, 1.0]])
+        data = product_spectral(obs)
+        # the identity keeps the standard basis; Z's eigenvalues ascend, so |1> comes first
+        assert np.allclose(data.system[0], I2)
+        assert np.allclose(data.device[0], X)
+        assert np.allclose(data.grids[0], [[-1.0, 1.0], [-1.0, 1.0]])
 
     def test_scaled_projector_term(self):
         obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
-        term = product_spectral(obs)[0]
-        assert np.allclose(term.eigenvalue_grid, [[0.0, 4.0], [0.0, 4.0]])
+        assert np.allclose(product_spectral(obs).grids[0], [[0.0, 4.0], [0.0, 4.0]])
 
     def test_disturbance_term_basis(self):
         obs = JointObservable(n=2, m=2, terms=((2 * I2, I2 - X),))
-        term = product_spectral(obs)[0]
-        assert np.allclose(term.eigenvalue_grid.reshape(-1), [0.0, 4.0, 0.0, 4.0])
+        data = product_spectral(obs)
+        assert np.allclose(data.grids[0].reshape(-1), [0.0, 4.0, 0.0, 4.0])
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         minus = np.array([1.0, -1.0]) / np.sqrt(2)
         e0, e1 = np.eye(2)
@@ -95,14 +111,14 @@ class TestProductSpectral:
             (1, 0): np.kron(e1, plus),
             (1, 1): np.kron(e1, minus),
         }.items():
-            assert np.max(np.abs(term.product_vector(i, j) - vec)) < 1e-14
+            assert np.max(np.abs(product_vector(data, 0, i, j) - vec)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projector_orthonormality_and_completeness(self, seed):
         rng = np.random.default_rng(seed)
         obs = JointObservable(n=2, m=3, terms=((random_hermitian(2, rng), random_hermitian(3, rng)),))
-        term = product_spectral(obs)[0]
-        projectors = [term.projector(i, j) for i in range(2) for j in range(3)]
+        data = product_spectral(obs)
+        projectors = [outer(product_vector(data, 0, i, j)) for i in range(2) for j in range(3)]
         for a, pa in enumerate(projectors):
             for b, pb in enumerate(projectors):
                 want = pa if a == b else np.zeros((6, 6))
@@ -110,13 +126,15 @@ class TestProductSpectral:
         assert np.max(np.abs(sum(projectors) - np.eye(6))) < 1e-10
 
     def test_memoized_per_tol_deg(self):
-        obs = JointObservable(n=2, m=2, terms=((np.diag([0.0, 1e-8]), Z),))
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        obs = JointObservable(n=2, m=2, terms=((1e-8 * outer(plus), Z),))
         coarse = product_spectral(obs, 1e-7)
         fine = product_spectral(obs, 1e-9)
         assert product_spectral(obs, 1e-7) is coarse
         assert product_spectral(obs, 1e-9) is fine
-        assert coarse[0].system.eigenspace_groups == ((0, 1),)
-        assert fine[0].system.eigenspace_groups == ((0,), (1,))
+        # one group spanning the plane keeps the standard basis; two groups give |->, |+>
+        assert np.allclose(coarse.system[0], I2)
+        assert np.allclose(fine.system[0], np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2))
 
     @pytest.mark.parametrize("num_terms", [1, 2, 3])
     @pytest.mark.parametrize("dim", STACK_DIMS)
@@ -127,22 +145,16 @@ class TestProductSpectral:
         kinds = (random_hermitian, lambda d, rng: -1.5 * np.eye(d, dtype=complex), near_pairs)
         terms = tuple((kinds[k % 3](n, rng), kinds[(k + 1) % 3](m, rng)) for k in range(num_terms))
         data = product_spectral(JointObservable(n=n, m=m, terms=terms))
-        for k, (term, (sys_op, dev_op)) in enumerate(zip(data.terms, terms)):
+        assert len(data) == num_terms
+        for k, (sys_op, dev_op) in enumerate(terms):
             want_sys, want_dev = spectral_decompose(sys_op), spectral_decompose(dev_op)
-            for got, want in ((term.system, want_sys), (term.device, want_dev)):
-                for name in ("eigenvalues", "eigenvectors", "adjoint"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.tobytes() == b.tobytes() and a.strides == b.strides, name
-                assert got.eigenspace_groups == want.eigenspace_groups
+            assert data.system[k].tobytes() == want_sys.eigenvectors.conj().T.tobytes()
+            assert data.device[k].tobytes() == want_dev.eigenvectors.conj().T.tobytes()
             grid = np.outer(want_sys.eigenvalues, want_dev.eigenvalues)
-            assert term.eigenvalue_grid.tobytes() == grid.tobytes()
-            # the stacks the means kernel reads hold the same bits
-            assert data.system[k].tobytes() == want_sys.adjoint.tobytes()
-            assert data.device[k].tobytes() == want_dev.adjoint.tobytes()
             assert data.grids[k].tobytes() == grid.tobytes()
         if num_terms == 3 and n >= 4:
             # the pair 0.5 tol_deg apart is one group, the pair 2 tol_deg apart two
-            assert data[2].system.eigenspace_groups[:3] == ((0, 1), (2,), (3,))
+            assert spectral_decompose(terms[2][0]).eigenspace_groups[:3] == ((0, 1), (2,), (3,))
 
     def test_memo_is_not_a_field(self):
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
@@ -229,7 +241,7 @@ class TestLudersUpdate:
 
     def test_rank_one_projection_is_idempotent_target(self):
         scen = cnot_error_scenario(0.5)
-        rho = scen.density()
+        rho = outer(scen.joint_state())
         proj = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
         updated = luders_update(rho, proj)
         assert np.max(np.abs(updated - proj)) < 1e-12
@@ -335,13 +347,13 @@ class TestJointProbability:
         obs = JointObservable(n=2, m=2, terms=((random_hermitian(2, rng), random_hermitian(2, rng)),))
         psi, xi, phi = random_ket(2, rng), random_ket(2, rng), random_ket(2, rng)
         scen = MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
-        term = product_spectral(obs)[0]
+        data = product_spectral(obs)
         joint_state = scen.joint_state()
         pi = tensor_product(outer(phi), I2)
         grid = joint_probability_grid(scen, 0)
         for i in range(2):
             for j in range(2):
-                proj = term.projector(i, j)
+                proj = outer(product_vector(data, 0, i, j))
                 brute = float(np.vdot(joint_state, proj @ pi @ proj @ joint_state).real)
                 assert grid[i, j] == pytest.approx(brute, abs=1e-12)
 
@@ -370,7 +382,7 @@ class TestAblConditional:
     def test_cnot_conditional_weight_of_outcome_four(self, s):
         scen = cnot_error_scenario(s, theta=np.pi / 4)
         grid = abl_conditional_grid(scen, 0)
-        values = product_spectral(scen.observable)[0].eigenvalue_grid
+        values = product_spectral(scen.observable).grids[0]
         weight = float(grid[np.isclose(values, 4.0)].sum())
         assert weight == pytest.approx((1 - s) / 2, abs=1e-12)
 
@@ -478,8 +490,7 @@ def test_scenario_rejects_unnormalized_states():
 
 def test_observable_mixed_dimension_grid():
     obs = JointObservable(n=2, m=3, terms=((np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0])),))
-    term = product_spectral(obs)[0]
-    assert np.allclose(term.eigenvalue_grid, [[1, 2, 3], [2, 4, 6]])
+    assert np.allclose(product_spectral(obs).grids[0], [[1, 2, 3], [2, 4, 6]])
     grid = joint_probability_grid(
         MeasurementScenario(
             psi=[1, 0], xi=[0, 0, 1], observable=obs, postselect=[0.6, 0.8]
@@ -501,14 +512,31 @@ def rebuilt(scen):
     )
 
 
-#: Each array-holding dataclass, reached from a scenario.
+def run_report(scen):
+    degeneracy = check_rank_m_degeneracy(product_spectral(scen.observable))
+    return RunReport(
+        config_sha256="", degeneracy=degeneracy, verdict=verify_nogo(scen), error_disturbance=None, wall_time_s=0.0
+    )
+
+
+#: Each array-holding dataclass, reached from a scenario, or built afresh where no scenario leads to it.
 PARTS = {
     "scenario": lambda scen: scen,
     "observable": lambda scen: scen.observable,
     "spectral data": lambda scen: product_spectral(scen.observable),
-    "term spectral": lambda scen: product_spectral(scen.observable)[0],
-    "decomposition": lambda scen: product_spectral(scen.observable)[0].system,
+    "decomposition": lambda scen: spectral_decompose(scen.observable.terms[0][0]),
     "postselection projector": lambda scen: PostselectionProjector(phi=scen.postselect, device_dim=scen.m),
+    "term degeneracy": lambda scen: check_rank_m_degeneracy(product_spectral(scen.observable)).terms[0],
+    "degeneracy report": lambda scen: check_rank_m_degeneracy(product_spectral(scen.observable)),
+    "basis transform": lambda scen: term_basis_transform(product_spectral(scen.observable), 0, scen.postselect),
+    "enumeration": enumerate_two_step,
+    "sampling": lambda scen: sample_two_step(scen, 100, 0),
+    "run report": run_report,
+    "error/disturbance report": lambda scen: cnot_report(CnotScenario(0.5)),
+    "interaction model": lambda scen: cnot_scenario(CnotScenario(0.5)).model,
+    "measurement setup": lambda scen: cnot_scenario(CnotScenario(0.5)).setup,
+    "cnot bundle": lambda scen: cnot_scenario(CnotScenario(0.5)),
+    "config": lambda scen: ScenarioConfig.from_path(Path(nogosim.__file__).parent / "fixtures" / "cnot_error.json"),
 }
 
 

@@ -64,7 +64,7 @@ class TestDegeneracyCheck:
     def test_distinct_grid_reports_witness(self):
         obs = JointObservable(n=2, m=2, terms=((np.diag([1.0, 3.0]), np.diag([1.0, 4 / 3])),))
         spectral = product_spectral(obs)
-        assert np.allclose(spectral[0].eigenvalue_grid, [[1.0, 4 / 3], [3.0, 4.0]])
+        assert np.allclose(spectral.grids[0], [[1.0, 4 / 3], [3.0, 4.0]])
         report = check_rank_m_degeneracy(spectral)
         assert not report.all_degenerate
         assert report.terms[0].witness == (0, 1, 0)
@@ -207,8 +207,10 @@ class TestBasisRequirement:
 
     def test_term_transform_from_factor_eigenvectors(self):
         scen = cnot_error_scenario(0.5, theta=0.7)
-        term = product_spectral(scen.observable)[0]
-        tr = term_basis_transform(term, scen.postselect)
+        tr = term_basis_transform(product_spectral(scen.observable), 0, scen.postselect)
+        # T = V_sys (x) V_dev, the factors' eigenvectors as columns
+        want = np.kron(linalg.spectral_decompose(4 * I2).eigenvectors, linalg.spectral_decompose(P1).eigenvectors)
+        assert tr.matrix.tobytes() == want.tobytes()
         assert check_basis_requirement(tr, 2, 2)
 
 
@@ -280,14 +282,14 @@ class TestClosedFormIdentities:
         data = product_spectral(scen.observable)
         report = check_rank_m_degeneracy(data)
         assert report.all_degenerate
-        for k, term in enumerate(data.terms):
+        for k in range(len(data)):
             joint = joint_probability_grid(scen, k, data)
-            psi_amp = np.abs(term.system.adjoint @ scen.psi) ** 2
-            phi_amp = np.abs(term.system.adjoint @ scen.postselect) ** 2
-            xi_amp = np.abs(term.device.adjoint @ scen.xi) ** 2
+            psi_amp = np.abs(data.system[k] @ scen.psi) ** 2
+            phi_amp = np.abs(data.system[k] @ scen.postselect) ** 2
+            xi_amp = np.abs(data.device[k] @ scen.xi) ** 2
             denominator = float(np.dot(psi_amp, phi_amp))
             assert float(joint.sum()) == pytest.approx(denominator, abs=1e-10)
-            numerator = float(np.sum(term.eigenvalue_grid * joint))
+            numerator = float(np.sum(data.grids[k] * joint))
             tilde = report.terms[k].column_eigenvalues
             assert numerator == pytest.approx(float(np.dot(tilde, xi_amp)) * denominator, abs=1e-10)
 
@@ -460,22 +462,22 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
 @pytest.mark.parametrize("degenerate", [True, False])
 def test_random_scenario_and_verify_nogo_build_no_per_term_objects(monkeypatch, degenerate):
     built = []
-    init = linalg.SpectralDecomposition.__post_init__
+    init = linalg.SpectralDecomposition.__init__
 
-    def counting_init(self):
+    def counting_init(self, *args, **kwargs):
         built.append(self)
-        init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", counting_init)
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__init__", counting_init)
     rng = np.random.default_rng(6)
     for num_terms in (1, 2, 3):
         scen = random_scenario(rng, 3, 2, degenerate=degenerate, num_terms=num_terms)
         verify_nogo(scen)
     # the kernel and the degeneracy check read product_spectral's stacks alone
     assert built == []
-    # the per-term view is built when asked for, two decompositions a term, and the counter sees it
-    assert len(product_spectral(scen.observable).terms) == 3
-    assert len(built) == 6
+    # a decomposition built outside them is counted
+    linalg.spectral_decompose(scen.observable.terms[0][1])
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("degenerate", [True, False])

@@ -100,7 +100,7 @@ class TestSampling:
         s = 0.5
         scen = cnot_error_scenario(s)
         result = sample_two_step(scen, shots=100_000, seed=12)
-        grid = product_spectral(scen.observable)[0].eigenvalue_grid
+        grid = product_spectral(scen.observable).grids[0]
         estimate = result.conditional_expectation(grid)
         p_four = (1 - s) / 2
         sigma = 4 * math.sqrt(p_four * (1 - p_four) / result.accepted)
@@ -114,7 +114,7 @@ class TestSampling:
 
     def test_error_shrinks_with_square_root_of_shots(self):
         scen = cnot_error_scenario(0.5)
-        grid = product_spectral(scen.observable)[0].eigenvalue_grid
+        grid = product_spectral(scen.observable).grids[0]
         p_four = 0.25
         for shots in (10_000, 1_000_000):
             result = sample_two_step(scen, shots=shots, seed=2718)
