@@ -44,6 +44,24 @@ def require_tolerance(obj, where: str) -> float:
     return value
 
 
+def _require_known_keys(block: dict, known: tuple[str, ...], where: str) -> None:
+    """A misspelled key would otherwise fall back to its default without a word."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+
+
+def _optional_block(raw: dict, key: str, known: tuple[str, ...]) -> dict | None:
+    """raw[key] as an object of known keys; None when absent or null, and any other non-object is refused."""
+    block = raw.get(key)
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    _require_known_keys(block, known, f"'{key}'")
+    return block
+
+
 def _complex_scalar(obj, where: str) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ConfigError(f"{where}: complex entries must be [re, im] pairs")
@@ -95,6 +113,11 @@ class ScenarioConfig:
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration root must be a JSON object")
+        _require_known_keys(
+            raw,
+            ("n", "m", "psi", "xi", "phi", "observable", "interaction", "setup", "tolerances", "seed"),
+            "configuration",
+        )
         n, m = raw.get("n"), raw.get("m")
         # int() would truncate 2.9, parse "2" and turn true into 1; reject them as 'seed' is rejected
         if any(isinstance(dim, bool) or not isinstance(dim, int) for dim in (n, m)):
@@ -102,10 +125,7 @@ class ScenarioConfig:
         if n < 1 or m < 1:
             raise ConfigError("'n' and 'm' must be positive")
 
-        # an absent or null block is empty, as for the other optional blocks; any other non-object is refused
-        tolerances = {} if raw.get("tolerances") is None else raw["tolerances"]
-        if not isinstance(tolerances, dict):
-            raise ConfigError("'tolerances' must be an object")
+        tolerances = _optional_block(raw, "tolerances", ("deg", "verify", "postselect")) or {}
         # absent entries stay None so the CLI can fall back to env/builtin defaults
         tol_deg = require_tolerance(tolerances["deg"], "tolerances.deg") if "deg" in tolerances else None
         tol_verify = require_tolerance(tolerances["verify"], "tolerances.verify") if "verify" in tolerances else None
@@ -123,14 +143,15 @@ class ScenarioConfig:
             phi = parse_ket(raw["phi"], n, "phi") if raw.get("phi") is not None else None
 
             observable = None
-            if raw.get("observable") is not None:
-                obs_raw = raw["observable"]
-                if not isinstance(obs_raw, dict) or not isinstance(obs_raw.get("terms"), list) or not obs_raw["terms"]:
+            obs_raw = _optional_block(raw, "observable", ("terms",))
+            if obs_raw is not None:
+                if not isinstance(obs_raw.get("terms"), list) or not obs_raw["terms"]:
                     raise ConfigError("'observable.terms' must be a non-empty list")
                 terms = []
                 for k, entry in enumerate(obs_raw["terms"]):
                     if not isinstance(entry, dict):
                         raise ConfigError(f"observable.terms[{k}] must be an object")
+                    _require_known_keys(entry, ("system", "device"), f"observable.terms[{k}]")
                     terms.append(
                         (
                             parse_matrix(entry.get("system"), n, f"observable.terms[{k}].system"),
@@ -140,10 +161,8 @@ class ScenarioConfig:
                 observable = JointObservable(n=n, m=m, terms=tuple(terms))
 
             interaction = None
-            if raw.get("interaction") is not None:
-                inter = raw["interaction"]
-                if not isinstance(inter, dict):
-                    raise ConfigError("'interaction' must be an object")
+            inter = _optional_block(raw, "interaction", ("unitary", "h_system", "h_device", "t"))
+            if inter is not None:
                 if "unitary" in inter:
                     interaction = InteractionModel.from_unitary(
                         parse_matrix(inter["unitary"], n * m, "interaction.unitary")
@@ -156,10 +175,8 @@ class ScenarioConfig:
                     )
 
             setup = None
-            if raw.get("setup") is not None:
-                setup_raw = raw["setup"]
-                if not isinstance(setup_raw, dict):
-                    raise ConfigError("'setup' must be an object")
+            setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))
+            if setup_raw is not None:
                 setup = MeasurementSetup(
                     measured=parse_matrix(setup_raw.get("measured"), n, "setup.measured"),
                     disturbed=parse_matrix(setup_raw.get("disturbed"), n, "setup.disturbed"),

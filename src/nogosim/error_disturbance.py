@@ -5,8 +5,9 @@ after a unitary interaction: the noise operator is the evolved readout minus
 the initial system observable, the disturbance operator is the evolved minus
 initial disturbed observable, and their squared expectations are the mean
 square error and disturbance. Squared operators are re-expressed as joint
-product-term observables so the postselected (ABL) machinery and the no-go
-checks apply to them directly. The controlled-NOT example with a tunable
+product-term observables, by their operator-Schmidt decomposition (the
+fewest Hermitian product terms), so the postselected (ABL) machinery and the
+no-go checks apply to them directly. The controlled-NOT example with a tunable
 device state covers the full analytic family used by the test suite.
 """
 
@@ -194,8 +195,9 @@ def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, ps
     return float(_joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(psi, xi)))
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis under the trace inner product."""
+@functools.cache
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal Hermitian basis under the trace inner product, as a read-only (dim², dim, dim) stack."""
     basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     for k in range(1, dim):
         for j in range(k):
@@ -211,67 +213,40 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
         diag[np.arange(level), np.arange(level)] = 1.0
         diag[level, level] = -float(level)
         basis.append(diag / np.sqrt(level * (level + 1)))
-    return basis
+    return readonly(np.array(basis))
 
 
-def _sign_fix(sys_op: np.ndarray, tol: float) -> float:
-    trace = float(np.trace(sys_op).real)
-    if abs(trace) > tol:
-        return 1.0 if trace > 0 else -1.0
-    flat = sys_op.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > tol)
-    if idx.size and flat[idx[0]].real < 0:
-        return -1.0
-    return 1.0
+SCHMIDT_DROP = 1e-12  # a singular value at or below SCHMIDT_DROP * max(1, max|op_ij|) gives no term
+RECONSTRUCTION_TOL = 1e-10  # the terms must sum back to op within RECONSTRUCTION_TOL * max(1, max|op_ij|)
 
 
-def joint_observable_from_operator(op, n: int, m: int, tol: float = 1e-10) -> JointObservable:
-    """Write a Hermitian joint operator as a sum of Hermitian product terms.
+def joint_observable_from_operator(op, n: int, m: int) -> JointObservable:
+    """Write a Hermitian joint operator as its operator-Schmidt decomposition (Nielsen et al., PRA 67, 052301, 2003).
 
-    A single factorized term is extracted when the realigned matrix has
-    numerical rank one (phases balanced so both factors come out Hermitian);
-    otherwise the operator is expanded over an orthonormal Hermitian basis of
-    the system factor with device partners obtained by partial trace. Raises
-    NonDecomposable if the reconstruction check fails.
+    Over orthonormal Hermitian bases G_a, H_b of the factors, op = Σ c_ab G_a ⊗ H_b with
+    c_ab = tr[(G_a ⊗ H_b) op]. Each singular value σ_r of c = U Σ Vᵀ above ``SCHMIDT_DROP``
+    gives the term √σ_r Σ_a U_ar G_a ⊗ √σ_r Σ_b V_br H_b: Hermitian factors, the fewest
+    terms, in descending σ, so fixed by the operator up to ties and the sign of each pair.
+    An all-zero operator gives one zero term. Raises NonDecomposable if the terms miss the
+    operator by more than ``RECONSTRUCTION_TOL``.
     """
     op = require_hermitian(op, name="joint operator")
     if op.shape != (n * m, n * m):
         raise DimensionMismatch(f"operator is {op.shape}, expected {(n * m, n * m)}")
     scale = max(1.0, float(np.max(np.abs(op))))
-    blocks = op.reshape(n, m, n, m)
-    realigned = blocks.transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    u_mat, sing, vh_mat = np.linalg.svd(realigned)
-
-    if sing[0] <= tol * scale:
-        zero_term = (np.zeros((n, n), dtype=complex), np.zeros((m, m), dtype=complex))
-        return JointObservable(n=n, m=m, terms=(zero_term,))
-
-    if sing.size == 1 or sing[1] <= 1e-9 * sing[0]:
-        sys_op = (np.sqrt(sing[0]) * u_mat[:, 0]).reshape(n, n)
-        dev_op = (np.sqrt(sing[0]) * vh_mat[0, :]).reshape(m, m)
-        trace_sq = complex(np.trace(sys_op @ sys_op))
-        if abs(trace_sq) > tol * scale:
-            half_phase = np.exp(-0.5j * np.angle(trace_sq))
-            sys_op = sys_op * half_phase
-            dev_op = dev_op / half_phase
-        sign = _sign_fix(sys_op, tol)
-        sys_op = sign * (sys_op + sys_op.conj().T) / 2.0
-        dev_op = sign * (dev_op + dev_op.conj().T) / 2.0
-        if float(np.max(np.abs(tensor_product(sys_op, dev_op) - op))) <= tol * scale:
-            return JointObservable(n=n, m=m, terms=((sys_op, dev_op),))
-
-    terms = []
-    for g in hermitian_basis(n):
-        partner = np.einsum("ik,kjil->jl", g, blocks)
-        if float(np.max(np.abs(partner))) <= 1e-12 * scale:
-            continue
-        terms.append((g, (partner + partner.conj().T) / 2.0))
-    if not terms:
-        raise NonDecomposable("no product term survived the expansion")
-    total = sum(tensor_product(s, d) for s, d in terms)
-    if float(np.max(np.abs(total - op))) > tol * scale:
-        raise NonDecomposable("Hermitian-basis expansion failed the reconstruction check")
-    return JointObservable(n=n, m=m, terms=tuple(terms))
+    # row (i, k), column (j, l) holds op[(i, j), (k, l)], so a product term S ⊗ D realigns to vec(S) vec(D)ᵀ
+    realigned = op.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    g, h = hermitian_basis(n).reshape(n * n, -1), hermitian_basis(m).reshape(m * m, -1)
+    # c is real, being the trace of a product of Hermitian matrices
+    u_mat, sing, vt_mat = np.linalg.svd((g.conj() @ realigned @ h.conj().T).real, full_matrices=False)
+    root = np.sqrt(sing[sing > SCHMIDT_DROP * scale])
+    if not root.size:
+        return JointObservable(n=n, m=m, terms=((np.zeros((n, n)), np.zeros((m, m))),))
+    system = (root[:, None] * u_mat[:, : root.size].T) @ g
+    device = (root[:, None] * vt_mat[: root.size]) @ h
+    if float(np.max(np.abs(system.T @ device - realigned))) > RECONSTRUCTION_TOL * scale:
+        raise NonDecomposable("operator-Schmidt terms failed the reconstruction check")
+    return JointObservable(n=n, m=m, terms=tuple(zip(system.reshape(-1, n, n), device.reshape(-1, m, m))))
 
 
 @dataclass(frozen=True, eq=False)

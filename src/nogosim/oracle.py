@@ -172,7 +172,10 @@ class SamplingResult:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.accepted
 
-    def conditional_expectation(self, values: np.ndarray) -> float:
+    def conditional_expectation(self, values: np.ndarray) -> float | None:
+        """The mean of ``values`` over the accepted outcomes; None when no shot was accepted."""
+        if self.accepted == 0:
+            return None
         return float(np.sum(np.asarray(values) * self.frequencies()))
 
 

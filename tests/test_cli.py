@@ -232,6 +232,33 @@ class TestVerify:
             outputs.append(report)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "fixture, block, key",
+        [
+            ("cnot_error.json", (), "interacton"),
+            ("generic_violation.json", ("tolerances",), "degg"),
+            ("cnot_error.json", ("interaction",), "h_sytem"),
+            ("cnot_error.json", ("setup",), "readuot"),
+            ("generic_violation.json", ("observable",), "term"),
+            ("generic_violation.json", ("observable", "terms", 0), "devcie"),
+        ],
+        ids=["top-level", "tolerances", "interaction", "setup", "observable", "term"],
+    )
+    def test_unknown_key(self, tmp_path, capsys, fixture, block, key):
+        # a misspelled key used to fall back to its default: {"degg": 100} passed where {"deg": 100} fails
+        raw = load_fixture(fixture)
+        target = raw
+        for step in block:
+            target = target.setdefault(step, {}) if isinstance(step, str) else target[step]
+        target[key] = 100
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        for command in ("verify", "sample"):
+            assert main([command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"unknown keys: {key!r}" in captured.err
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("kind", ["float", "string", "bool"])
     def test_non_integer_dimension(self, tmp_path, capsys, key, kind):
@@ -438,6 +465,14 @@ class TestSample:
         assert main([*base, "--out", str(out_a)]) == 0
         assert main([*base, "--out", str(out_b)]) == 0
         assert out_a.read_text() == out_b.read_text()
+
+    def test_no_accepted_shot_reports_no_mean(self, capsys):
+        # one shot that fails the postselection: there is no accepted outcome to average
+        code = main(["sample", "--config", str(FIXTURES / "generic_violation.json"), "--shots", "1", "--seed", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] == 0
+        assert payload["empirical_conditional_expectation"] is None
 
     def test_config_seed_is_default(self, tmp_path, capsys):
         code = main(["sample", "--config", str(FIXTURES / "cnot_error.json"), "--shots", "100"])

@@ -22,6 +22,7 @@ from nogosim.error_disturbance import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    RECONSTRUCTION_TOL,
     CnotScenario,
     ErrorDisturbanceReport,
     InteractionModel,
@@ -51,6 +52,7 @@ from nogosim.measurement import (
     product_spectral,
 )
 from nogosim.nogo import TheoremVerdict, check_rank_m_degeneracy, verify_nogo
+from nogosim.oracle import enumerate_two_step
 
 I2 = np.eye(2, dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -288,6 +290,92 @@ class TestJointObservableFromOperator:
         with pytest.raises(NonHermitian):
             joint_observable_from_operator(1j * np.eye(4), 2, 2)
 
+    def test_two_product_terms_give_two_terms(self):
+        # one term per system basis element with a nonzero partner would give 3 (X, Y and Z)
+        op = tensor_product(PAULI_X + 0.3 * PAULI_Z, PAULI_Z) + tensor_product(PAULI_Y, PAULI_X - 0.5 * I2)
+        obs = joint_observable_from_operator(op, 2, 2)
+        assert obs.num_terms == 2
+        assert np.max(np.abs(sum(tensor_product(s, d) for s, d in obs.terms) - op)) <= RECONSTRUCTION_TOL
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generic_operator_takes_the_rank_of_its_realigned_matrix(self, seed):
+        # the realigned matrix is 9 x 4, so rank 4; one term per system basis element would give 9
+        rng = np.random.default_rng(200 + seed)
+        assert joint_observable_from_operator(random_hermitian(6, rng), 3, 2).num_terms == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        rank=st.integers(1, 9),
+        exponent=st.integers(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_schmidt_terms(self, n, m, rank, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n * n, m * m)
+        op = 10.0**exponent * sum(
+            tensor_product(random_hermitian(n, rng), random_hermitian(m, rng)) for _ in range(rank)
+        )
+        obs = joint_observable_from_operator(op, n, m)
+        scale = max(1.0, float(np.max(np.abs(op))))
+        realigned = op.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        assert obs.num_terms == np.linalg.matrix_rank(realigned) == rank
+        total = sum(tensor_product(s, d) for s, d in obs.terms)
+        assert np.max(np.abs(total - op)) <= RECONSTRUCTION_TOL * scale
+        for sys_op, dev_op in obs.terms:
+            linalg.require_hermitian(sys_op)
+            linalg.require_hermitian(dev_op)
+        # tr(S_r S_s) = tr(D_r D_s) = sigma_r delta_rs: trace-orthogonal factors, sqrt(sigma_r) on each side
+        sing = np.linalg.svd(realigned, compute_uv=False)[:rank]
+        for side in map(np.array, zip(*obs.terms)):
+            gram = np.einsum("rij,sji->rs", side, side)
+            assert np.max(np.abs(gram - np.diag(sing))) <= 1e-10 * scale
+
+    def test_hypothesis_holds_exactly_when_the_operator_is_identity_on_the_system(self):
+        # a c*I system Hamiltonian makes U = I (x) V, so the disturbance vanishes, and with a c*I
+        # measured observable the squared noise is I (x) M. For n = 2 the squared disturbance is
+        # I (x) M under any H_system: in its eigenbasis both diagonal blocks are 2 - V0^dag V1 - V1^dag V0.
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(60):
+            n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            flat_h, flat_measured = rng.random(2) < 0.5
+            model = InteractionModel.from_hamiltonians(
+                rng.normal() * np.eye(n) if flat_h else random_hermitian(n, rng),
+                random_hermitian(m, rng),
+                float(rng.uniform(0.1, 2.0)),
+            )
+            setup = MeasurementSetup(
+                measured=rng.normal() * np.eye(n) if flat_measured else random_hermitian(n, rng),
+                disturbed=random_hermitian(n, rng),
+                readout=random_hermitian(m, rng),
+            )
+            ops = error_disturbance._squared_observables(model, setup)
+            report = postselected_error_disturbance(
+                model, setup, random_ket(n, rng), random_ket(m, rng), random_ket(n, rng)
+            )
+            for op, verdict in ((ops.noise_sq, report.error_verdict), (ops.disturb_sq, report.disturbance_verdict)):
+                reduced = np.einsum("ijil->jl", op.reshape(n, m, n, m)) / n
+                scale = max(1.0, float(np.max(np.abs(op))))
+                local = float(np.max(np.abs(op - tensor_product(np.eye(n), reduced)))) <= RECONSTRUCTION_TOL * scale
+                assert verdict.hypothesis_holds == local
+                seen.add(local)
+        assert seen == {True, False}
+
+    def test_oracle_agrees_on_the_schmidt_terms(self):
+        model, setup = generic_model_setup()
+        ops = error_disturbance._squared_observables(model, setup)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            psi, xi, phi = random_ket(2, rng), random_ket(3, rng), random_ket(2, rng)
+            report = postselected_error_disturbance(model, setup, psi, xi, phi)
+            sides = (report.error_verdict, report.disturbance_verdict)
+            for verdict, scen in zip(sides, side_scenarios(ops, psi, xi, phi)):
+                result = enumerate_two_step(scen)
+                oracle = sum(result.conditional_expectation(k) for k in range(scen.observable.num_terms))
+                assert abs(oracle - verdict.conditional) <= TOL_VERIFY
+
     def test_hermitian_basis_is_orthonormal(self):
         for dim in (2, 3):
             basis = hermitian_basis(dim)
@@ -518,7 +606,7 @@ class TestCnotSweep:
 
 
 def generic_model_setup():
-    """A generic interaction whose error observable has 4 product terms and whose disturbance observable has 1."""
+    """A generic interaction whose error observable has 3 product terms and whose disturbance observable has 1."""
     rng = np.random.default_rng(0)
     model = InteractionModel.from_hamiltonians(random_hermitian(2, rng), random_hermitian(3, rng), 0.3)
     return model, MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=np.diag([1.0, 0.0, -1.0]))
@@ -574,7 +662,7 @@ class TestOnePass:
         model, setup = generic_model_setup()
         ops = error_disturbance._squared_observables(model, setup)
         # unequal sides: a slot split off by one would move a term from one side to the other
-        assert (ops.error.num_terms, ops.disturbance.num_terms) == (4, 1)
+        assert (ops.error.num_terms, ops.disturbance.num_terms) == (3, 1)
         rng = np.random.default_rng(seed)
         psi, xi, phi = random_ket(2, rng), random_ket(3, rng), random_ket(2, rng)
         report = postselected_error_disturbance(model, setup, psi, xi, phi)
