@@ -163,16 +163,13 @@ class ScenarioConfig:
             interaction = None
             inter = _optional_block(raw, "interaction", ("unitary", "h_system", "h_device", "t"))
             if inter is not None:
-                if "unitary" in inter:
-                    interaction = InteractionModel.from_unitary(
-                        parse_matrix(inter["unitary"], n * m, "interaction.unitary")
-                    )
-                else:
-                    interaction = InteractionModel.from_hamiltonians(
-                        parse_matrix(inter.get("h_system"), n, "interaction.h_system"),
-                        parse_matrix(inter.get("h_device"), m, "interaction.h_device"),
-                        _require_number(inter.get("t"), "interaction.t"),
-                    )
+                # every key present is parsed, so InteractionModel sees, and refuses, both forms at once
+                interaction = InteractionModel(
+                    unitary=parse_matrix(inter["unitary"], n * m, "interaction.unitary") if "unitary" in inter else None,
+                    h_system=parse_matrix(inter["h_system"], n, "interaction.h_system") if "h_system" in inter else None,
+                    h_device=parse_matrix(inter["h_device"], m, "interaction.h_device") if "h_device" in inter else None,
+                    t=_require_number(inter["t"], "interaction.t") if "t" in inter else None,
+                )
 
             setup = None
             setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))

@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, NonDecomposable
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
+    TOL_UNITARY,
     TOL_VERIFY,
     as_operator,
     as_state,
@@ -36,7 +37,7 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable, MeasurementScenario, _means, _product_grid, _require_postselect, product_spectral
+    JointObservable, MeasurementScenario, _means, _product_grid, _require_postselect, _state_of_dim, product_spectral
 )
 from .nogo import DegeneracyReport, TheoremVerdict, _holding, _row_verdict, check_rank_m_degeneracy
 
@@ -75,7 +76,7 @@ class InteractionModel:
         if direct:
             u = as_operator(self.unitary, "unitary")
             if not is_unitary(u):
-                raise ValueError("interaction matrix is not unitary within 1e-10")
+                raise ValueError(f"interaction matrix is not unitary within {TOL_UNITARY:g}")
             object.__setattr__(self, "unitary", readonly(u))
         else:
             if self.h_system is None or self.h_device is None or self.t is None:
@@ -132,7 +133,7 @@ def heisenberg_evolve(u, o0) -> np.ndarray:
     if u.shape != o0.shape:
         raise DimensionMismatch(f"unitary {u.shape} does not match observable {o0.shape}")
     if not is_unitary(u):
-        raise ValueError("evolution matrix is not unitary within 1e-10")
+        raise ValueError(f"evolution matrix is not unitary within {TOL_UNITARY:g}")
     return u.conj().T @ o0 @ u
 
 
@@ -170,14 +171,14 @@ def disturbance_operator(model: InteractionModel, setup: MeasurementSetup) -> np
     return (op + op.conj().T) / 2.0
 
 
-def _joint_state(psi, xi) -> np.ndarray:
-    return tensor_ket(as_state(psi, name="psi"), as_state(xi, name="xi"))
+def _joint_state(setup: MeasurementSetup, psi, xi) -> np.ndarray:
+    """psi (x) xi, with psi checked against the setup's n and xi against its m."""
+    return tensor_ket(_state_of_dim(psi, setup.n, "psi"), _state_of_dim(xi, setup.m, "xi"))
 
 
 def _joint_mean(op: np.ndarray, state: np.ndarray) -> np.ndarray:
     """<state|op|state> per state of a (..., d) stack; ``np.vecdot`` adds what ``np.vdot`` adds."""
-    if op.shape[0] != state.shape[-1]:
-        raise DimensionMismatch("operator does not act on the joint state")
+    # no dim check: op acts on dim n*m (_joint_dims), and every caller checks psi against n and xi against m
     return np.vecdot(state, (op @ state[..., None])[..., 0]).real
 
 
@@ -188,11 +189,11 @@ def _hermitian_square(op: np.ndarray) -> np.ndarray:
 
 
 def mean_square_error(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return float(_joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(psi, xi)))
+    return float(_joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(setup, psi, xi)))
 
 
 def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return float(_joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(psi, xi)))
+    return float(_joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(setup, psi, xi)))
 
 
 @functools.cache
@@ -415,11 +416,8 @@ def cnot_scenario(params: CnotScenario) -> CnotBundle:
 
 
 def cnot_report(params: CnotScenario, tol_deg: float = TOL_DEG, tol_verify: float = TOL_VERIFY) -> ErrorDisturbanceReport:
-    """Equals postselected_error_disturbance on the CNOT model and setup, and the one-point ``cnot_sweep``."""
-    psi, xi = as_state(params.psi(), name="psi"), as_state(params.xi(), name="xi")
-    phi = as_state(params.phi(), name="postselect")
-    ops = _cnot_squared_observables()
-    return _state_reports(ops, psi[None], xi[None], phi[None], tol_deg, tol_verify, TOL_POSTSELECT)[0]
+    """The one-point ``cnot_sweep``; equals postselected_error_disturbance on the CNOT model and setup."""
+    return cnot_sweep((params.strength,), (params.theta,), (params.varphi,), tol_deg, tol_verify)[0]
 
 
 def cnot_sweep(

@@ -28,6 +28,8 @@ TOL_DEG = 1e-9
 TOL_VERIFY = 1e-9
 #: Probabilities at or below this cutoff count as impossible conditioning.
 TOL_POSTSELECT = 1e-12
+#: Entrywise tolerance on U^dag U - I for a unitary.
+TOL_UNITARY = 1e-10
 
 _MAX_SWEEPS = 64
 _PHASE_CUTOFF = 1e-12
@@ -54,12 +56,12 @@ def as_ket(v, name: str = "ket") -> np.ndarray:
     return arr
 
 
-def as_state(v, tol: float = TOL_NORM, name: str = "state") -> np.ndarray:
-    """Coerce to a normalized ket; unnormalized input is rejected."""
+def as_state(v, name: str = "state") -> np.ndarray:
+    """Coerce to a normalized ket; |norm^2 - 1| above TOL_NORM is rejected."""
     arr = as_ket(v, name)
     norm_sq = float(np.vdot(arr, arr).real)
     # written so that a NaN norm (any NaN or Inf amplitude) is rejected too
-    if not (abs(norm_sq - 1.0) <= tol):
+    if not (abs(norm_sq - 1.0) <= TOL_NORM):
         raise ValueError(f"{name} must be normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
     return arr
 
@@ -74,28 +76,28 @@ def require_finite(a, name: str):
     return a
 
 
-def require_hermitian(a, tol: float = TOL_HERMITIAN, name: str = "operator") -> np.ndarray:
-    """The operator as a complex array, if max|a_ij - conj(a_ji)| <= tol * max(1, max|a_ij|).
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
+    """The operator as a complex array, if max|a_ij - conj(a_ji)| <= TOL_HERMITIAN * max(1, max|a_ij|).
 
-    The deviation is compared with tol first; only when that fails is the
+    The deviation is compared with TOL_HERMITIAN first; only when that fails is the
     scaled bound formed, so the usual O(1) operator pays nothing for it, while
     a Hermitian operator rounded at a large scale is not refused.
     """
     arr = as_operator(a, name)
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     # written so that a NaN deviation (any NaN or Inf entry) is rejected too
-    if not (dev <= tol):
+    if not (dev <= TOL_HERMITIAN):
         if not np.all(np.isfinite(arr)):
             raise NonHermitian(f"{name} has NaN or Inf entries")
-        if not (dev <= tol * max(1.0, float(np.max(np.abs(arr))))):
-            raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+        if not (dev <= TOL_HERMITIAN * max(1.0, float(np.max(np.abs(arr))))):
+            raise NonHermitian(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERMITIAN:.1e})")
     return arr
 
 
-def is_unitary(u, tol: float = 1e-10) -> bool:
+def is_unitary(u) -> bool:
     arr = as_operator(u)
     eye = np.eye(arr.shape[0])
-    return float(np.max(np.abs(arr.conj().T @ arr - eye))) <= tol
+    return float(np.max(np.abs(arr.conj().T @ arr - eye))) <= TOL_UNITARY
 
 
 def tensor_product(a, b) -> np.ndarray:

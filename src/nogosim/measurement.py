@@ -143,6 +143,14 @@ def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> P
     return data
 
 
+def _state_of_dim(v, dim: int, name: str) -> np.ndarray:
+    """``as_state`` of v, if it has the dim the observable expects; else DimensionMismatch."""
+    ket = as_state(v, name=name)
+    if ket.size != dim:
+        raise DimensionMismatch(f"{name} has dim {ket.size}, observable expects {dim}")
+    return ket
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementScenario:
     """Pure product state |psi> (x) |xi> with an observable and optional postselection."""
@@ -153,20 +161,12 @@ class MeasurementScenario:
     postselect: np.ndarray | None = None
 
     def __post_init__(self):
-        psi = as_state(self.psi, name="psi")
-        xi = as_state(self.xi, name="xi")
-        if psi.size != self.observable.n:
-            raise DimensionMismatch(f"psi has dim {psi.size}, observable expects {self.observable.n}")
-        if xi.size != self.observable.m:
-            raise DimensionMismatch(f"xi has dim {xi.size}, observable expects {self.observable.m}")
-        object.__setattr__(self, "psi", readonly(psi))
-        object.__setattr__(self, "xi", readonly(xi))
+        object.__setattr__(self, "psi", readonly(_state_of_dim(self.psi, self.observable.n, "psi")))
+        object.__setattr__(self, "xi", readonly(_state_of_dim(self.xi, self.observable.m, "xi")))
         if self.postselect is not None:
-            phi = as_state(self.postselect, name="postselect")
-            if phi.size != self.observable.n:
-                raise DimensionMismatch(f"postselect has dim {phi.size}, expected {self.observable.n}")
+            phi = _state_of_dim(self.postselect, self.observable.n, "postselect")
             object.__setattr__(self, "postselect", readonly(phi))
-        # nogo._scenario_means's memo, keyed by tol_deg; a plain attribute like
+        # nogo._scenario_means's memo, keyed by (spectral data, tol_deg); a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the four fields
         object.__setattr__(self, "_means", {})
 
@@ -180,9 +180,6 @@ class MeasurementScenario:
 
     def joint_state(self) -> np.ndarray:
         return tensor_ket(self.psi, self.xi)
-
-    def spectral(self, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-        return product_spectral(self.observable, tol_deg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +198,7 @@ class PostselectionProjector:
 
 
 def _resolve_spectral(scenario: MeasurementScenario, spectral: ProductSpectralData | None) -> ProductSpectralData:
-    return scenario.spectral() if spectral is None else spectral
+    return product_spectral(scenario.observable) if spectral is None else spectral
 
 
 def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:

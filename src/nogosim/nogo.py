@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, NotRankMDegenerate, ZeroProbability
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
+    TOL_UNITARY,
     TOL_VERIFY,
     as_operator,
     is_unitary,
@@ -121,7 +122,7 @@ class BasisTransform:
 def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
     mat = as_operator(columns, "transformation matrix")
     if not is_unitary(mat):
-        raise ValueError("transformation matrix is not unitary within 1e-10")
+        raise ValueError(f"transformation matrix is not unitary within {TOL_UNITARY:g}")
     projector = PostselectionProjector(phi=phi, device_dim=device_dim)
     pi = projector.matrix
     if pi.shape != mat.shape:
@@ -142,8 +143,8 @@ def term_basis_transform(spectral: ProductSpectralData, k: int, phi) -> BasisTra
     return basis_transform(tensor_product(system.conj().T, device.conj().T), phi, device.shape[0])
 
 
-def check_basis_requirement(transform: BasisTransform, n: int, m: int, tol: float = TOL_DEG) -> bool:
-    """True iff diag(T^dag Pi_phi T) is constant inside each device-sized block.
+def check_basis_requirement(transform: BasisTransform, n: int, m: int) -> bool:
+    """True iff diag(T^dag Pi_phi T) is constant within TOL_DEG inside each device-sized block.
 
     Reads the transformed projector the transform was built with. Meant for a
     caller-supplied T; a product transform U (x) V always passes.
@@ -152,7 +153,7 @@ def check_basis_requirement(transform: BasisTransform, n: int, m: int, tol: floa
     if diag.size != n * m:
         raise ValueError(f"transform acts on dim {diag.size}, expected {n * m}")
     blocks = diag.reshape(n, m)
-    return bool(np.max(blocks.max(axis=1) - blocks.min(axis=1)) <= tol)
+    return bool(np.max(blocks.max(axis=1) - blocks.min(axis=1)) <= TOL_DEG)
 
 
 @dataclass(frozen=True)
@@ -204,38 +205,29 @@ def verify_nogo(
     """Compare conditional vs unconditional expectation and the closed form.
 
     Both means and the closed form come from one pass over each term's
-    amplitudes; they equal the sums of ``conditional_expectation``,
-    ``expectation`` and ``closed_form_value`` over the terms. With
-    ``spectral`` None or the observable's memoized ``product_spectral`` data,
-    that pass is the scenario's memoized one (``_scenario_means``), which
-    ``random_scenario``'s postselection check has already made for the
-    default tol_deg.
+    amplitudes on ``spectral`` (default: ``product_spectral`` of the
+    observable at tol_deg); they equal the sums of ``conditional_expectation``,
+    ``expectation`` and ``closed_form_value`` over the terms. The pass is
+    memoized on the scenario (``_scenario_means``), so ``random_scenario``'s
+    postselection check has already made it for the default tol_deg.
     """
-    phi = _require_postselect(scenario)
-    if spectral is None or spectral is scenario.observable._spectral.get(tol_deg):
-        found = _scenario_means(scenario, tol_deg)
-    else:
-        found = _observable_means(spectral, scenario.psi, scenario.xi, phi, tol_deg)
-    return _row_verdict(*found, 0, tol_verify, tol_p)
+    _require_postselect(scenario)
+    data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
+    return _row_verdict(*_scenario_means(scenario, data, tol_deg), 0, tol_verify, tol_p)
 
 
-def _observable_means(data: ProductSpectralData, psi, xi, phi, tol_deg: float) -> tuple:
-    """``_means`` over an observable's terms, and its degeneracy report when the hypothesis holds, else None."""
-    report = check_rank_m_degeneracy(data, tol_deg)
-    return _means(data.system, data.device, data.grids, psi, xi, phi), _holding(report)
+def _scenario_means(scenario: MeasurementScenario, data: ProductSpectralData, tol_deg: float) -> tuple:
+    """``_means`` of a postselected scenario on one observable's spectral data, and the data's degeneracy
+    report when the hypothesis holds, else None; memoized on the scenario per (data, tol_deg).
 
-
-def _scenario_means(scenario: MeasurementScenario, tol_deg: float) -> tuple:
-    """``_observable_means`` of a postselected scenario on its ``product_spectral`` data, memoized on the scenario.
-
-    The kets are read-only and the spectral data is memoized on the
-    observable, so the result is a pure function of (scenario, tol_deg).
+    The kets and the spectral stacks are read-only, so the result is a pure
+    function of (scenario, data, tol_deg).
     """
     memo = scenario._means
-    found = memo.get(tol_deg)
+    found = memo.get((data, tol_deg))
     if found is None:
-        data = product_spectral(scenario.observable, tol_deg)
-        found = memo[tol_deg] = _observable_means(data, scenario.psi, scenario.xi, scenario.postselect, tol_deg)
+        means = _means(data.system, data.device, data.grids, scenario.psi, scenario.xi, scenario.postselect)
+        found = memo[data, tol_deg] = means, _holding(check_rank_m_degeneracy(data, tol_deg))
     return found
 
 
@@ -306,10 +298,6 @@ def instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), int(index)))
 
 
-def _no_draw(min_postselect: float) -> ZeroProbability:
-    return ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
-
-
 # One attempt reads, from its generator: K unless fixed, then the normals of the
 # K terms (``_term_draws`` each; ``_factors`` builds them), then those of psi, xi
 # and phi (``_ket_dims``; ``random_ket`` or ``_unit`` builds each).
@@ -374,10 +362,10 @@ def random_scenario(
             observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
             postselect=phi,
         )
-        means, _ = _scenario_means(scenario, TOL_DEG)
+        means, _ = _scenario_means(scenario, product_spectral(scenario.observable), TOL_DEG)
         if min(means.denominators[0]) >= min_postselect:
             return scenario
-    raise _no_draw(min_postselect)
+    raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
 
 
 # --- the audit's array engine ----------------------------------------------------
@@ -403,46 +391,47 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     return _means(system, device, grids, psi, xi, phi), reports
 
 
+def _instance_stream(seed: int, index: int, n, m) -> tuple[np.random.Generator, int, int]:
+    """Instance (seed, index)'s fresh generator and its dims: n and m where pinned, else each drawn from {2, 3}."""
+    rng = instance_rng(seed, index)
+    return rng, n if n is not None else int(rng.integers(2, 4)), m if m is not None else int(rng.integers(2, 4))
+
+
 def _audit_chunk(
     seed: int, indices: range, n, m, degenerate: bool, tol_deg: float, tol_verify: float, min_postselect: float
 ) -> list[tuple[int, int, int, TheoremVerdict]]:
     """(index, n, m, verdict) per instance, equal to ``random_scenario`` plus ``verify_nogo`` on its stream.
 
     Every instance's first attempt is drawn from its own ``instance_rng`` and
-    evaluated in (n, m, K) groups. A rejected instance is then redrawn alone,
-    on its own stream, in index order, so the first failing instance raises
-    the scalar path's error.
+    evaluated in (n, m, K) groups. As in ``random_scenario``, the attempt is
+    accepted on its denominators at TOL_DEG; its verdict is read at tol_deg.
+    An instance whose first attempt is rejected is its replay: ``random_scenario``
+    plus ``verify_nogo`` on a fresh ``instance_rng``. Verdicts are formed in
+    index order, so the first failing instance raises the scalar path's error.
     """
-    rngs, dims = [], []
-    for idx in indices:
-        rng = instance_rng(seed, idx)
-        dims_n = n if n is not None else int(rng.integers(2, 4))
-        dims_m = m if m is not None else int(rng.integers(2, 4))
-        rngs.append(rng)
-        dims.append((dims_n, dims_m))
-
-    members = defaultdict(list)
-    for pos, (rng, (dims_n, dims_m)) in enumerate(zip(rngs, dims)):
+    dims, members = [], defaultdict(list)
+    for pos, idx in enumerate(indices):
+        rng, dims_n, dims_m = _instance_stream(seed, idx, n, m)
         k, raw = _draw_attempt(rng, dims_n, dims_m, degenerate, kets=True)
+        dims.append((dims_n, dims_m))
         members[(dims_n, dims_m, k)].append((pos, raw))
-    located = [None] * len(rngs)
+    located = [None] * len(dims)
     for (dims_n, dims_m, k), rows in members.items():
-        group = _audit_group(np.stack([raw for _, raw in rows]), dims_n, dims_m, k, degenerate, tol_deg)
+        raw = np.stack([raw for _, raw in rows])
+        drawn = _audit_group(raw, dims_n, dims_m, k, degenerate, TOL_DEG)
+        means, reports = drawn if tol_deg == TOL_DEG else _audit_group(raw, dims_n, dims_m, k, degenerate, tol_deg)
         for b, (pos, _) in enumerate(rows):
-            located[pos] = (*group, b)
+            located[pos] = (drawn[0].denominators[b], means, reports[b], b)
 
     results = []
-    for pos, idx in enumerate(indices):
-        means, reports, b = located[pos]
-        dims_n, dims_m = dims[pos]
-        tries = 1
-        while not min(means.denominators[b]) >= min_postselect:
-            if tries == MAX_DRAW_TRIES:
-                raise _no_draw(min_postselect)
-            k, raw = _draw_attempt(rngs[pos], dims_n, dims_m, degenerate, kets=True)
-            (means, reports), b = _audit_group(raw[None], dims_n, dims_m, k, degenerate, tol_deg), 0
-            tries += 1
-        results.append((idx, dims_n, dims_m, _row_verdict(means, reports[b], b, tol_verify, TOL_POSTSELECT)))
+    for idx, (dims_n, dims_m), (denominators, means, report, b) in zip(indices, dims, located):
+        if min(denominators) >= min_postselect:
+            verdict = _row_verdict(means, report, b, tol_verify, TOL_POSTSELECT)
+        else:
+            rng = _instance_stream(seed, idx, n, m)[0]
+            scenario = random_scenario(rng, dims_n, dims_m, degenerate, min_postselect=min_postselect)
+            verdict = verify_nogo(scenario, tol_deg, tol_verify)
+        results.append((idx, dims_n, dims_m, verdict))
     return results
 
 
@@ -486,8 +475,9 @@ def random_audit(
     gaps. Instance index i uses the generator seeded by (seed, i); dims are
     drawn from {2, 3} per instance unless pinned by n and m. Every instance
     equals ``random_scenario`` plus ``verify_nogo`` on its own generator, so
-    it replays alone; the instances are evaluated in array groups of equal
-    (n, m, K), AUDIT_CHUNK instances at a time.
+    it replays alone. First draws are evaluated in array groups of equal
+    (n, m, K), AUDIT_CHUNK instances at a time; an instance whose first draw
+    is rejected is computed as that replay.
     """
     if mode not in ("degenerate", "generic"):
         raise ValueError(f"unknown audit mode {mode!r}")

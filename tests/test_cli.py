@@ -259,6 +259,27 @@ class TestVerify:
             assert captured.out == ""
             assert f"unknown keys: {key!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"t": 5.0, "h_system": "not even a matrix"}, "interaction.h_system: expected 2 rows"),
+            ({"t": 5.0}, "not both"),
+            ({"h_system": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "h_device": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+             "not both"),
+        ],
+        ids=["bad-matrix", "t", "hamiltonians"],
+    )
+    def test_interaction_in_both_forms(self, tmp_path, capsys, extra, message):
+        # the unitary used to win and the generated form's keys were never read
+        raw = load_fixture("cnot_error.json")
+        raw["interaction"].update(extra)
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("kind", ["float", "string", "bool"])
     def test_non_integer_dimension(self, tmp_path, capsys, key, kind):

@@ -211,6 +211,19 @@ class TestMeanSquares:
         assert eps2 == pytest.approx(2 * (1 - s), abs=1e-12)
         assert eta2 == pytest.approx(2 * (1 - math.sqrt(1 - s * s)), abs=1e-12)
 
+    def test_swapped_ket_dims_are_refused_as_the_report_refuses_them(self):
+        # n * m = 6 either way, so a 3-dim psi with a 2-dim xi used to pass and return 1.667
+        model = InteractionModel.from_hamiltonians(np.diag([1.0, -1.0]), np.diag([1.0, 0.0, -1.0]), 0.4)
+        setup = MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=np.diag([1.0, 0.0, -1.0]))
+        psi, xi, phi = np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3), np.array([1.0, 0.0])
+        assert math.isfinite(mean_square_error(model, setup, psi, xi))
+        for bad_psi, bad_xi, message in ((xi, psi, "psi has dim 3, observable expects 2"), (psi, psi, "xi has dim 2")):
+            for fn in (mean_square_error, mean_square_disturbance):
+                with pytest.raises(DimensionMismatch, match=message):
+                    fn(model, setup, bad_psi, bad_xi)
+            with pytest.raises(DimensionMismatch, match=message):
+                postselected_error_disturbance(model, setup, bad_psi, bad_xi, phi)
+
     def test_strong_limit_disturbance(self):
         params = CnotScenario(strength=1.0)
         model = InteractionModel.from_unitary(CNOT)
@@ -490,7 +503,7 @@ class TestCnotScenarioBuilder:
     def test_bundle_observables_satisfy_hypothesis(self):
         bundle = cnot_scenario(CnotScenario(strength=0.5))
         for scen in (bundle.error_scenario, bundle.disturbance_scenario):
-            assert check_rank_m_degeneracy(scen.spectral()).all_degenerate
+            assert check_rank_m_degeneracy(product_spectral(scen.observable)).all_degenerate
 
 
 class TestCnotCache:

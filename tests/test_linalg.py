@@ -241,7 +241,7 @@ class TestMatrixExponential:
     def test_unitary_property(self, seed, t):
         h = random_hermitian(3, np.random.default_rng(seed))
         u = matrix_exponential_skew(h, t)
-        assert is_unitary(u, tol=1e-10)
+        assert is_unitary(u)  # within TOL_UNITARY, 1e-10
 
     def test_random_vs_series(self):
         h = random_hermitian(4, np.random.default_rng(23))

@@ -14,7 +14,7 @@ from nogosim.errors import (
     NotRankMDegenerate,
     ZeroProbability,
 )
-from nogosim.linalg import as_state
+from nogosim.linalg import TOL_DEG, as_state
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -351,7 +351,7 @@ class TestRandomAudit:
             random_audit(count=1, seed=-1, mode="degenerate")
 
 
-def per_instance_audit(count, seed, mode, n=None, m=None, min_postselect=nogo.MIN_AUDIT_POSTSELECT):
+def per_instance_audit(count, seed, mode, n=None, m=None, min_postselect=nogo.MIN_AUDIT_POSTSELECT, tol_deg=TOL_DEG):
     """``random_audit``'s instances, each from ``random_scenario`` and ``verify_nogo`` on its own stream."""
     instances = []
     for index in range(count):
@@ -359,7 +359,7 @@ def per_instance_audit(count, seed, mode, n=None, m=None, min_postselect=nogo.MI
         dims_n = n if n is not None else int(rng.integers(2, 4))
         dims_m = m if m is not None else int(rng.integers(2, 4))
         scen = random_scenario(rng, dims_n, dims_m, degenerate=(mode == "degenerate"), min_postselect=min_postselect)
-        verdict = verify_nogo(scen)
+        verdict = verify_nogo(scen, tol_deg=tol_deg)
         instances.append(
             AuditInstance(
                 index=index,
@@ -395,15 +395,20 @@ class TestArrayAuditEqualsPerInstancePath:
         assert_same_instances(random_audit(40, 3, mode, n=n, m=m), per_instance_audit(40, 3, mode, n=n, m=m))
 
     @pytest.mark.parametrize("mode", ["degenerate", "generic"])
-    def test_redraws_on_each_instance_stream(self, mode, monkeypatch):
-        redraws = []
-        original = nogo._draw_attempt
+    @pytest.mark.parametrize("min_postselect", [1e-6, 0.2])
+    @pytest.mark.parametrize("tol_deg", [TOL_DEG, 1e-7, 0.5, 3.0, 100.0])
+    def test_each_instance_is_its_replay(self, mode, min_postselect, tol_deg, monkeypatch):
+        # a draw is accepted on its denominators at TOL_DEG, as random_scenario accepts it, whatever tol_deg is;
+        # grouping them at tol_deg instead changed generic instance 15 at 0.5 and 3.0 under the 0.2 floor
+        replays = []
+        original = nogo.random_scenario
         monkeypatch.setattr(
-            nogo, "_draw_attempt", lambda *args, **kwargs: redraws.append(args) or original(*args, **kwargs)
+            nogo, "random_scenario", lambda *args, **kwargs: replays.append(args) or original(*args, **kwargs)
         )
-        summary = random_audit(100, 5, mode, min_postselect=0.2)
-        assert len(redraws) > 100  # some instances fell below the floor and were drawn again
-        assert_same_instances(summary, per_instance_audit(100, 5, mode, min_postselect=0.2))
+        summary = random_audit(40, 5, mode, tol_deg=tol_deg, min_postselect=min_postselect)
+        # at the 0.2 floor some first draws are rejected and replayed; at 1e-6 none is
+        assert bool(replays) == (min_postselect == 0.2)
+        assert_same_instances(summary, per_instance_audit(40, 5, mode, min_postselect=min_postselect, tol_deg=tol_deg))
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_groups_cross_chunk_boundaries(self, chunk, monkeypatch):
@@ -457,6 +462,38 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
             verify_nogo(scen)
             assert stacks == [(k, 3, 3), (k, 2, 2)]  # none inside verify_nogo
             assert len(passes) == 1
+
+
+def test_verify_nogo_makes_one_pass_per_spectral_data_and_tolerance(monkeypatch):
+    drawn = random_scenario(np.random.default_rng(3), 3, 2, degenerate=False, num_terms=2)
+    obs = drawn.observable
+    # a fresh scenario: random_scenario's pass stays memoized on drawn
+    scen = MeasurementScenario(psi=drawn.psi, xi=drawn.xi, observable=obs, postselect=drawn.postselect)
+    passes = []
+    means = nogo._means
+    monkeypatch.setattr(nogo, "_means", lambda *args: passes.append(args) or means(*args))
+    before = repr(scen)
+    coarse = product_spectral(JointObservable(n=obs.n, m=obs.m, terms=obs.terms), 100.0)
+    default_data = product_spectral(obs)
+    calls = [
+        ({"spectral": coarse}, 1),
+        ({"spectral": coarse}, 1),
+        ({}, 2),
+        ({}, 2),
+        ({"spectral": default_data}, 2),  # the default is this data: same key
+        ({"tol_deg": 100.0}, 3),  # product_spectral(obs, 100.0) is not coarse
+        ({"tol_deg": 100.0, "spectral": coarse}, 4),
+        ({"tol_deg": 1e-7, "spectral": default_data}, 5),
+        ({"spectral": coarse}, 5),
+    ]
+    verdicts = {}
+    for kwargs, count in calls:
+        verdict = verify_nogo(scen, **kwargs)
+        assert len(passes) == count, kwargs
+        key = (id(kwargs.get("spectral")), kwargs.get("tol_deg"))
+        assert verdicts.setdefault(key, verdict) == verdict
+    assert repr(scen) == before
+    assert [f.name for f in dataclasses.fields(scen)] == ["psi", "xi", "observable", "postselect"]
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
