@@ -71,8 +71,10 @@ class InteractionModel:
     def __post_init__(self):
         direct = self.unitary is not None
         generated = self.h_system is not None or self.h_device is not None or self.t is not None
-        if direct == generated:
+        if direct and generated:
             raise ValueError("provide either a unitary or (h_system, h_device, t), not both")
+        if not (direct or generated):
+            raise ValueError("provide a unitary or (h_system, h_device, t); neither was given")
         if direct:
             u = as_operator(self.unitary, "unitary")
             if not is_unitary(u):
@@ -312,7 +314,7 @@ def _state_reports(
     epsilon_sq = _joint_mean(ops.noise_sq, state).tolist()
     eta_sq = _joint_mean(ops.disturb_sq, state).tolist()
     data = product_spectral(ops.both, tol_deg)
-    means = _means(data.system, data.device, data.grids, psi, xi, phi)
+    means = _means(data, psi, xi, phi)
     terms = check_rank_m_degeneracy(data, tol_deg).terms
     split = ops.error.num_terms
     sides = [(slots, _holding(DegeneracyReport(terms=terms[slots]))) for slots in (slice(split), slice(split, None))]
@@ -355,6 +357,24 @@ def postselected_error_disturbance(
     return _state_reports(ops, *(ket[None] for ket in kets), tol_deg, tol_verify, tol_p)[0]
 
 
+# the controlled-NOT family's kets, shared by CnotScenario and cnot_sweep
+_CNOT_PSI = readonly(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+
+
+def _require_strength(strength: float) -> None:
+    if not 0.0 <= strength <= 1.0:
+        raise ValueError(f"strength must lie in [0, 1], got {strength}")
+
+
+def _cnot_xi(strength: float) -> np.ndarray:
+    _require_strength(strength)
+    return np.array([np.sqrt((1.0 + strength) / 2.0), np.sqrt((1.0 - strength) / 2.0)], dtype=complex)
+
+
+def _cnot_phi(theta: float, varphi: float) -> np.ndarray:
+    return np.array([math.cos(theta), np.exp(-1j * varphi) * math.sin(theta)], dtype=complex)
+
+
 @dataclass(frozen=True)
 class CnotScenario:
     """Controlled-NOT measurement family: strength in [0, 1] plus postselection angles."""
@@ -364,21 +384,16 @@ class CnotScenario:
     varphi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError(f"strength must lie in [0, 1], got {self.strength}")
+        _require_strength(self.strength)
 
     def psi(self) -> np.ndarray:
-        return np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        return np.array(_CNOT_PSI)
 
     def xi(self) -> np.ndarray:
-        return np.array(
-            [np.sqrt((1.0 + self.strength) / 2.0), np.sqrt((1.0 - self.strength) / 2.0)], dtype=complex
-        )
+        return _cnot_xi(self.strength)
 
     def phi(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.theta), np.exp(-1j * self.varphi) * math.sin(self.theta)], dtype=complex
-        )
+        return _cnot_phi(self.theta, self.varphi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,10 +444,10 @@ def cnot_sweep(
     pair. The kets go by grid position, not by value: 0.0 == -0.0, yet the two
     can give phi different sign bits.
     """
-    psi = as_state(CnotScenario(0.0).psi(), name="psi")
-    xis = [as_state(CnotScenario(s).xi(), name="xi") for s in s_grid]
+    psi = as_state(_CNOT_PSI, name="psi")
+    xis = [as_state(_cnot_xi(s), name="xi") for s in s_grid]
     # phi depends on the angles alone
-    phis = [as_state(CnotScenario(0.0, t, v).phi(), name="postselect") for t in theta_grid for v in varphi_grid]
+    phis = [as_state(_cnot_phi(t, v), name="postselect") for t in theta_grid for v in varphi_grid]
     if not (xis and phis):
         return []
     # rows in s, theta, varphi order

@@ -6,12 +6,15 @@ the product eigenbasis of its factors; outcome probabilities, Lueders
 updates, ABL conditional probabilities under postselection, conditional
 expectation values and weak values all live here.
 
-An observable's spectral data (``product_spectral``) is three stacks over
-its K terms: the factors' adjoint eigenbases V^dag and the eigenvalue grids
-r_ij = u_i * v_j. Scenario-level functions compute through factor amplitudes
-(psi'_i = <u_i|psi> = (V^dag psi)_i etc.), which is the analytic route; the
-oracle module re-derives the same quantities by explicit matrix arithmetic
-so the two paths can be compared in tests.
+An observable's spectral data (``product_spectral``) is four stacks over
+its K terms: the factors' adjoint eigenbases V^dag and eigenvalues u and v.
+Every mean is one kernel, ``_means``, on factor weights p_i = |<u_i|psi>|^2,
+x_i = |<u_i|phi>|^2 and q_j = |<v_j|xi>|^2: term k's joint weight is
+p_i x_i q_j and sum_j q_j = 1, so the device enters only as <xi|M_k|xi>, and
+the gap of term k is <xi|M_k|xi> (wbar_k - <psi|S_k|psi>) with
+wbar_k = sum_i u_i p_i x_i / sum_i p_i x_i. The oracle module re-derives the
+same quantities by explicit matrix arithmetic so the two paths can be
+compared in tests.
 
 The dataclasses here hold numpy arrays, so they compare and hash by identity
 (``eq=False``): a field-wise ``==`` over arrays has no truth value.
@@ -87,28 +90,31 @@ def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProductSpectralData:
-    """Read-only stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and the (K, n, m) grids r_ij.
+    """Stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and eigenvalues u (K, n) and v (K, m).
 
     Term k is entry k of each stack; its factor eigenbasis V is ``system[k].conj().T``.
+    ``grids`` holds the read-only (K, n, m) eigenvalue grids r_ij = u_i * v_j; no mean reads them.
     """
 
     system: np.ndarray
     device: np.ndarray
-    grids: np.ndarray
+    system_values: np.ndarray
+    device_values: np.ndarray
 
     def __post_init__(self):
-        # nogo.check_rank_m_degeneracy's memo, keyed by tol_deg: a plain attribute like
+        # the grids, and nogo.check_rank_m_degeneracy's memo keyed by tol_deg: plain attributes like
         # JointObservable._spectral, so fields() and repr see only the stacks
+        object.__setattr__(self, "grids", readonly(_product_grid(self.system_values, self.device_values)))
         object.__setattr__(self, "_degeneracy", {})
 
     def __len__(self) -> int:
-        return len(self.grids)
+        return len(self.system)
 
 
 def _spectral_stacks(
     system: np.ndarray, device: np.ndarray, tol_deg: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors' V^dag and the grids r_ij = u_i * v_j of (..., n, n) system and (..., m, m) device factor stacks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factors' V^dag and eigenvalues of (..., n, n) system and (..., m, m) device factor stacks.
 
     The leading shape is any: (K,) for one observable, (B, K) for the audit's
     rows. Each factor stack goes through one ``_decompose`` call, which
@@ -122,12 +128,13 @@ def _spectral_stacks(
     return (
         sys_columns.conj().reshape(*lead, n, n),
         dev_columns.conj().reshape(*lead, m, m),
-        _product_grid(sys_values.reshape(*lead, n), dev_values.reshape(*lead, m)),
+        sys_values.reshape(*lead, n),
+        dev_values.reshape(*lead, m),
     )
 
 
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """Every term's factor V^dag and eigenvalue grid as read-only stacks; grid entry (k, i, j) is u_i * v_j of term k.
+    """Every term's factor V^dag and eigenvalues as read-only stacks; ``grids`` entry (k, i, j) is u_i * v_j of term k.
 
     One ``_spectral_stacks`` call, made once per observable and tol_deg,
     then returned from a memo on the observable: its factors are read-only,
@@ -166,7 +173,7 @@ class MeasurementScenario:
         if self.postselect is not None:
             phi = _state_of_dim(self.postselect, self.observable.n, "postselect")
             object.__setattr__(self, "postselect", readonly(phi))
-        # nogo._scenario_means's memo, keyed by (spectral data, tol_deg); a plain attribute like
+        # _scenario_row's memo, keyed by spectral data; a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the four fields
         object.__setattr__(self, "_means", {})
 
@@ -197,8 +204,14 @@ class PostselectionProjector:
         object.__setattr__(self, "matrix", readonly(mat))
 
 
-def _resolve_spectral(scenario: MeasurementScenario, spectral: ProductSpectralData | None) -> ProductSpectralData:
-    return product_spectral(scenario.observable) if spectral is None else spectral
+def _resolve_spectral(scenario: MeasurementScenario, spectral, tol_deg: float = TOL_DEG) -> ProductSpectralData:
+    """``spectral``, or the observable's ``product_spectral`` at tol_deg when None; data of other dims is refused."""
+    if spectral is None:
+        return product_spectral(scenario.observable, tol_deg)
+    dims = spectral.system.shape[-1], spectral.device.shape[-1]
+    if dims != (scenario.n, scenario.m):
+        raise DimensionMismatch(f"spectral data has (n, m) = {dims}, scenario has {(scenario.n, scenario.m)}")
+    return spectral
 
 
 def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:
@@ -212,59 +225,52 @@ def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return np.abs((adjoint @ ket[..., None])[..., 0]) ** 2
 
 
-def _grid_sums(grids: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each (n, m) grid of a stack, with the bits np.sum gives a lone grid (the axes add as one row)."""
-    return grids.sum(axis=(-2, -1))
-
-
-def _grid_mean(data: ProductSpectralData, k: int, grid: np.ndarray) -> float:
-    """sum_ij r_ij p_ij over a probability grid of term k."""
-    return float(_grid_sums(data.grids[k] * grid))
-
-
 def _require_denominator(denom: float, tol_p: float) -> None:
     if denom <= tol_p:
         raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
 
 
-def _conditioned(joint: np.ndarray, tol_p: float) -> np.ndarray:
-    """Joint grid divided by its total, the postselection probability."""
-    denom = float(_grid_sums(joint))
-    _require_denominator(denom, tol_p)
-    return joint / denom
-
-
 class _Means(NamedTuple):
-    """What a verdict reads: per row of the kets, per term slot."""
+    """What a verdict reads: per row of the kets, per term slot, as (B, K) lists."""
 
-    denominators: list  # the (B, K) postselection probabilities, as lists
-    conditional: list  # the (B, K) postselected term means, as lists
-    unconditional: list  # the (B, K) plain term means, as lists
-    xi: np.ndarray  # the (B, K, m) |xi'_j|^2
+    denominators: list | None  # sum_i p_i x_i; None without a postselection state
+    conditional: list | None  # wbar_k <xi|M_k|xi>; None without a postselection state
+    unconditional: list  # <psi|S_k|psi> <xi|M_k|xi>
+    closed: list  # mean(u_k) <xi|M_k|xi>, the closed form of a column-constant term
 
 
-def _means(system: np.ndarray, device: np.ndarray, grids: np.ndarray, psi, xi, phi) -> _Means:
-    """Both means of every term under postselection on phi, from one amplitude pass over every term slot.
+def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
+    """Every term's means in the factored form, from one amplitude pass over every term slot.
 
-    The kets are single or (B, d) stacks; single kets are the B = 1 case.
-    ``system`` (K, n, n), ``device`` (K, m, m) and ``grids`` (K, n, m) are
-    ``ProductSpectralData``'s stacks, shared by every row, or carry a leading
-    B axis, one per row. Each value is a row sum of one grid, so entry (b, k)
-    holds the bits of row b's kets and term k alone (and of ``_conditioned``
-    and ``_grid_mean``). A vanishing denominator leaves a NaN or Inf mean,
-    which the caller rejects with ``_require_denominator`` before reading it.
+    The kets are (B, d) stacks, and phi may be None. ``data``'s stacks are
+    (K, ...), shared by every row, or carry a leading B axis, one observable
+    per row. Each value is a product of ``np.vecdot`` reductions over its own
+    slot, so entry (b, k) holds the bits of row b's kets and term k alone. A
+    vanishing denominator leaves a NaN or Inf conditional mean, which the
+    caller rejects with ``_require_denominator`` before reading it.
     """
-    if psi.ndim == 1:
-        return _means(system, device, grids, psi[None], xi[None], phi[None])
-    # a term slot axis on every ket: row b's amplitudes under each of the K adjoints
-    psi_w = _weights(system, psi[:, None])
-    xi_w = _weights(device, xi[:, None])
-    joint = _product_grid(psi_w * _weights(system, phi[:, None]), xi_w)
-    denom = _grid_sums(joint)
+    u = data.system_values
+    # a term slot axis on every ket: row b's weights under each of the K adjoints
+    p = _weights(data.system, psi[:, None])
+    device_mean = np.vecdot(data.device_values, _weights(data.device, xi[:, None]))  # <xi|M_k|xi>
+    unconditional = (np.vecdot(u, p) * device_mean).tolist()
+    closed = (u.sum(axis=-1) / u.shape[-1] * device_mean).tolist()
+    if phi is None:
+        return _Means(None, None, unconditional, closed)
+    x = _weights(data.system, phi[:, None])
+    denom = np.vecdot(p, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        conditional = _grid_sums(grids * (joint / denom[..., None, None]))
-    unconditional = _grid_sums(grids * _product_grid(psi_w, xi_w))
-    return _Means(denom.tolist(), conditional.tolist(), unconditional.tolist(), xi_w)
+        conditional = np.vecdot(u, p * x) / denom * device_mean
+    return _Means(denom.tolist(), conditional.tolist(), unconditional, closed)
+
+
+def _scenario_row(scenario: MeasurementScenario, data: ProductSpectralData) -> _Means:
+    """The kernel's row for a scenario's kets (phi when it has one), memoized per data: both are read-only."""
+    means = scenario._means.get(data)
+    if means is None:
+        kets = (ket if ket is None else ket[None] for ket in (scenario.psi, scenario.xi, scenario.postselect))
+        means = scenario._means[data] = _means(data, *kets)
+    return means
 
 
 def outcome_probability_grid(
@@ -276,9 +282,8 @@ def outcome_probability_grid(
 
 
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
-    """Mean of one term: sum_ij r_ij P(r_ij)."""
-    data = _resolve_spectral(scenario, spectral)
-    return _grid_mean(data, k, outcome_probability_grid(scenario, k, data))
+    """Mean of one term, <psi|S_k|psi> <xi|M_k|xi>: slot k of the kernel."""
+    return _scenario_row(scenario, _resolve_spectral(scenario, spectral)).unconditional[0][k]
 
 
 def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
@@ -315,8 +320,9 @@ def joint_probability_grid(
 def postselection_denominator(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> float:
-    """Total probability of passing postselection after the term-k measurement."""
-    return float(_grid_sums(joint_probability_grid(scenario, k, spectral)))
+    """Probability of passing postselection after the term-k measurement, sum_i p_i x_i: slot k of the kernel."""
+    _require_postselect(scenario)
+    return _scenario_row(scenario, _resolve_spectral(scenario, spectral)).denominators[0][k]
 
 
 def abl_conditional_grid(
@@ -325,8 +331,11 @@ def abl_conditional_grid(
     spectral: ProductSpectralData | None = None,
     tol_p: float = TOL_POSTSELECT,
 ) -> np.ndarray:
-    """P(r_ij | pre- and postselection) as an (n, m) grid."""
-    return _conditioned(joint_probability_grid(scenario, k, spectral), tol_p)
+    """P(r_ij | pre- and postselection) as an (n, m) grid: the joint grid over its total."""
+    joint = joint_probability_grid(scenario, k, spectral)
+    denom = float(joint.sum())
+    _require_denominator(denom, tol_p)
+    return joint / denom
 
 
 def conditional_expectation(
@@ -335,9 +344,11 @@ def conditional_expectation(
     spectral: ProductSpectralData | None = None,
     tol_p: float = TOL_POSTSELECT,
 ) -> float:
-    """Postselected mean of one term: sum_ij r_ij P(r_ij | phi, rho)."""
-    data = _resolve_spectral(scenario, spectral)
-    return _grid_mean(data, k, abl_conditional_grid(scenario, k, data, tol_p))
+    """Postselected mean of one term, wbar_k <xi|M_k|xi>: slot k of the kernel, its denominator checked first."""
+    _require_postselect(scenario)
+    means = _scenario_row(scenario, _resolve_spectral(scenario, spectral))
+    _require_denominator(means.denominators[0][k], tol_p)
+    return means.conditional[0][k]
 
 
 def weak_value(psi, phi, a, tol_p: float = TOL_POSTSELECT) -> complex:

@@ -37,8 +37,9 @@ from .measurement import (
     _means,
     _require_denominator,
     _require_postselect,
+    _resolve_spectral,
+    _scenario_row,
     _spectral_stacks,
-    _weights,
     product_spectral,
 )
 
@@ -68,14 +69,11 @@ class DegeneracyReport:
         return all(t.is_rank_m_degenerate for t in self.terms)
 
 
-def _columns_within(grids: np.ndarray, tol_deg: float) -> np.ndarray:
-    """Whether each column of each (..., n, m) grid spreads by at most tol_deg along i."""
-    return grids.max(axis=-2) - grids.min(axis=-2) <= tol_deg  # False for a NaN spread or tolerance
-
-
 def _column_verdicts(grids: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_columns_within`` and the read-only column means of a (..., n, m) stack; grid g gets the bits it gets alone."""
-    return _columns_within(grids, tol_deg), readonly(grids.mean(axis=-2))
+    """Whether each column of each (..., n, m) grid spreads by at most tol_deg along i, and the read-only column
+    means; grid g gets the bits it gets alone."""
+    within = grids.max(axis=-2) - grids.min(axis=-2) <= tol_deg  # False for a NaN spread or tolerance
+    return within, readonly(grids.mean(axis=-2))
 
 
 def _term_degeneracy(grid: np.ndarray, within: np.ndarray, column_eigenvalues: np.ndarray) -> TermDegeneracy:
@@ -180,19 +178,12 @@ class TheoremVerdict:
         return self.closed_form_gap is None or self.closed_form_gap <= self.tol_verify
 
 
-def _closed_form(report: DegeneracyReport, device_weights) -> float:
-    """sum_k sum_j rtilde_j |xi'_j|^2, given each term's |xi'_j|^2."""
-    total = 0.0
-    for idx, (verdict, xi_weights) in enumerate(zip(report.terms, device_weights)):
-        if verdict.column_eigenvalues is None:
-            raise NotRankMDegenerate(f"term {idx} grid is not column-constant; witness {verdict.witness}")
-        total += float(np.dot(verdict.column_eigenvalues, xi_weights))
-    return total
-
-
 def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
-    """sum_k sum_j rtilde_j |xi'_j|^2 over degenerate terms."""
-    return _closed_form(report, _weights(spectral.device, scenario.xi))
+    """sum_k mean(u_k) <xi|M_k|xi> over degenerate terms: the kernel's closed column, added in slot order."""
+    for idx, verdict in enumerate(report.terms):
+        if not verdict.is_rank_m_degenerate:
+            raise NotRankMDegenerate(f"term {idx} grid is not column-constant; witness {verdict.witness}")
+    return sum(_scenario_row(scenario, _resolve_spectral(scenario, spectral)).closed[0])
 
 
 def verify_nogo(
@@ -204,31 +195,17 @@ def verify_nogo(
 ) -> TheoremVerdict:
     """Compare conditional vs unconditional expectation and the closed form.
 
-    Both means and the closed form come from one pass over each term's
-    amplitudes on ``spectral`` (default: ``product_spectral`` of the
-    observable at tol_deg); they equal the sums of ``conditional_expectation``,
-    ``expectation`` and ``closed_form_value`` over the terms. The pass is
-    memoized on the scenario (``_scenario_means``), so ``random_scenario``'s
-    postselection check has already made it for the default tol_deg.
+    Both means and the closed form are the sums over the terms of one kernel
+    row (``_scenario_row``, memoized on the scenario per spectral data) on
+    ``spectral``, default ``product_spectral`` of the observable at tol_deg
+    (data of other dims raises DimensionMismatch): ``conditional_expectation``,
+    ``expectation`` and ``closed_form_value`` read the same row, and
+    ``random_scenario``'s postselection check made it for the default tol_deg.
     """
     _require_postselect(scenario)
-    data = product_spectral(scenario.observable, tol_deg) if spectral is None else spectral
-    return _row_verdict(*_scenario_means(scenario, data, tol_deg), 0, tol_verify, tol_p)
-
-
-def _scenario_means(scenario: MeasurementScenario, data: ProductSpectralData, tol_deg: float) -> tuple:
-    """``_means`` of a postselected scenario on one observable's spectral data, and the data's degeneracy
-    report when the hypothesis holds, else None; memoized on the scenario per (data, tol_deg).
-
-    The kets and the spectral stacks are read-only, so the result is a pure
-    function of (scenario, data, tol_deg).
-    """
-    memo = scenario._means
-    found = memo.get((data, tol_deg))
-    if found is None:
-        means = _means(data.system, data.device, data.grids, scenario.psi, scenario.xi, scenario.postselect)
-        found = memo[data, tol_deg] = means, _holding(check_rank_m_degeneracy(data, tol_deg))
-    return found
+    data = _resolve_spectral(scenario, spectral, tol_deg)
+    report = _holding(check_rank_m_degeneracy(data, tol_deg))
+    return _row_verdict(_scenario_row(scenario, data), report, 0, tol_verify, tol_p)
 
 
 def _holding(report: DegeneracyReport) -> DegeneracyReport | None:
@@ -242,11 +219,8 @@ def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float,
         _require_denominator(denom, tol_p)
     conditional = sum(means.conditional[b][slots])
     unconditional = sum(means.unconditional[b][slots])
-    closed = None
-    closed_gap = None
-    if report is not None:
-        closed = _closed_form(report, means.xi[b, slots])
-        closed_gap = max(abs(closed - conditional), abs(closed - unconditional))
+    closed = None if report is None else sum(means.closed[b][slots])
+    closed_gap = None if closed is None else max(abs(closed - conditional), abs(closed - unconditional))
     return TheoremVerdict(
         hypothesis_holds=report is not None,
         # Each term's transform is T = U (x) V, and T^dag (|phi><phi| (x) I) T = (U^dag |phi><phi| U) (x) I,
@@ -348,7 +322,7 @@ def random_scenario(
     generic Hermitian system factors. Draws whose postselection probability
     falls below min_postselect on any term are rejected and redrawn, up to
     MAX_DRAW_TRIES times. The check reads every term's denominator from one
-    amplitude pass at the default tol_deg (``_scenario_means``), which stays
+    amplitude pass at the default tol_deg (``_scenario_row``), which stays
     memoized on the returned scenario for ``verify_nogo``.
     """
     for _ in range(MAX_DRAW_TRIES):
@@ -362,8 +336,7 @@ def random_scenario(
             observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
             postselect=phi,
         )
-        means, _ = _scenario_means(scenario, product_spectral(scenario.observable), TOL_DEG)
-        if min(means.denominators[0]) >= min_postselect:
+        if min(_scenario_row(scenario, product_spectral(scenario.observable)).denominators[0]) >= min_postselect:
             return scenario
     raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
 
@@ -375,20 +348,20 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
 
     The factors are built as (B, K) stacks and go through ``_spectral_stacks``,
     the builder of ``product_spectral``; ``_means`` runs on the resulting
-    per-row adjoints and grids, so row b holds the bits of ``verify_nogo`` on
-    the scenario ``random_scenario`` builds from row b. Also returns each
-    row's degeneracy report when its grids are column-constant, else None.
+    per-row stacks, so row b holds the bits of ``verify_nogo`` on the scenario
+    ``random_scenario`` builds from row b. Also returns each row's degeneracy
+    report when its grids are column-constant, else None.
     """
     factor_draws = k * _term_draws(n, m, degenerate)
     # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
-    system, device, grids = _spectral_stacks(*_factors(raw[:, :factor_draws], n, m, k, degenerate), tol_deg)
+    data = ProductSpectralData(*_spectral_stacks(*_factors(raw[:, :factor_draws], n, m, k, degenerate), tol_deg))
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
-    within, columns = _column_verdicts(grids, tol_deg)
+    within, columns = _column_verdicts(data.grids, tol_deg)
     holding = within.all(axis=(1, 2)).tolist()
-    reports = [_report(*row) if holds else None for *row, holds in zip(grids, within, columns, holding)]
-    return _means(system, device, grids, psi, xi, phi), reports
+    reports = [_report(*row) if holds else None for *row, holds in zip(data.grids, within, columns, holding)]
+    return _means(data, psi, xi, phi), reports
 
 
 def _instance_stream(seed: int, index: int, n, m) -> tuple[np.random.Generator, int, int]:

@@ -280,6 +280,18 @@ class TestVerify:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_empty_interaction_names_neither_form(self, tmp_path, capsys):
+        # an empty block used to be refused as "... not both"
+        raw = load_fixture("cnot_error.json")
+        raw["interaction"] = {}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "neither was given" in captured.err
+        assert "not both" not in captured.err
+
     @pytest.mark.parametrize("key", ["n", "m"])
     @pytest.mark.parametrize("kind", ["float", "string", "bool"])
     def test_non_integer_dimension(self, tmp_path, capsys, key, kind):

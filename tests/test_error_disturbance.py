@@ -740,8 +740,8 @@ class TestOnePass:
         assert len(calls) == 1
         # the one call covers every row and both sides' term slots
         ops = _cnot_squared_observables()
-        system, device, grids, psi, xi, phi = calls[0]
-        assert len(grids) == ops.error.num_terms + ops.disturbance.num_terms
+        data, psi, xi, phi = calls[0]
+        assert len(data) == ops.error.num_terms + ops.disturbance.num_terms
         assert len(psi) == len(xi) == len(phi) == 24
 
 
@@ -805,9 +805,9 @@ class TestInteractionModel:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
 
     def test_exactly_one_form(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not both"):
             InteractionModel(unitary=np.eye(4), h_system=PAULI_Z, h_device=PAULI_X, t=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neither was given"):
             InteractionModel()
 
     def test_rejects_non_unitary(self):

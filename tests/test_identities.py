@@ -5,11 +5,17 @@ system factors the closed form is sum_k (tr S_k / n) <xi|M_k|xi>. Both are
 computed here with ``np.vdot`` and ``np.trace`` on ``observable.terms``, so a
 fault in the formula path's decompositions or canonical frames cannot cancel
 out of the comparison. Nothing is imported from ``linalg`` beyond constants.
+
+One quantity is frame-dependent by design: a c I factor is measured in the
+canonical (standard) basis, so its postselection denominator is
+sum_i |psi_i|^2 |phi_i|^2, and a system unitary applied to psi and phi moves
+it while every mean stays put.
 """
 
 import numpy as np
 import pytest
 
+from nogosim.measurement import MeasurementScenario, postselection_denominator
 from nogosim.nogo import random_scenario, verify_nogo
 
 TOL = 1e-13
@@ -43,3 +49,32 @@ def test_closed_form_is_the_trace_average_times_the_device_mean(n, m):
         verdict = verify_nogo(scen)
         assert verdict.hypothesis_holds
         assert abs(verdict.closed_form - direct) <= TOL
+
+
+def haar_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_degenerate_denominators_follow_the_canonical_frame(n, m):
+    largest_move = 0.0
+    for seed in SEEDS:
+        scen = drawn(True, n, m, seed)
+        w = haar_unitary(n, np.random.default_rng((seed, n, m)))
+        # W (c I) W^dag = c I: the same observable, with psi and phi rotated
+        rotated = MeasurementScenario(
+            psi=w @ scen.psi, xi=scen.xi, observable=scen.observable, postselect=w @ scen.postselect
+        )
+        denominators = []
+        for case in (scen, rotated):
+            standard = float(np.sum(np.abs(case.psi) ** 2 * np.abs(case.postselect) ** 2))
+            for k in range(case.observable.num_terms):
+                assert abs(postselection_denominator(case, k) - standard) <= TOL
+            denominators.append(standard)
+        before, after = verify_nogo(scen), verify_nogo(rotated)
+        for name in ("conditional", "unconditional", "closed_form"):
+            assert abs(getattr(before, name) - getattr(after, name)) <= TOL, name
+        largest_move = max(largest_move, abs(denominators[0] - denominators[1]))
+    assert largest_move > 0.05

@@ -13,6 +13,7 @@ import nogosim
 from nogosim.config import RunReport, ScenarioConfig
 from nogosim.error_disturbance import CnotScenario, cnot_report, cnot_scenario
 from nogosim.errors import (
+    DimensionMismatch,
     MissingPostselection,
     NonHermitian,
     OrthogonalPostselection,
@@ -36,6 +37,7 @@ from nogosim.measurement import (
 )
 from nogosim.nogo import (
     check_rank_m_degeneracy,
+    closed_form_value,
     instance_rng,
     random_scenario,
     term_basis_transform,
@@ -480,6 +482,30 @@ def test_postselection_projector_invariants():
     assert np.max(np.abs(mat @ mat - mat)) < 1e-10
     assert np.trace(mat).real == pytest.approx(3.0, abs=1e-12)
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+
+
+SPECTRAL_TAKERS = {
+    "outcome_probability_grid": lambda scen, data: outcome_probability_grid(scen, 0, data),
+    "expectation": lambda scen, data: expectation(scen, 0, data),
+    "joint_probability_grid": lambda scen, data: joint_probability_grid(scen, 0, data),
+    "postselection_denominator": lambda scen, data: postselection_denominator(scen, 0, data),
+    "abl_conditional_grid": lambda scen, data: abl_conditional_grid(scen, 0, data),
+    "conditional_expectation": lambda scen, data: conditional_expectation(scen, 0, data),
+    "verify_nogo": lambda scen, data: verify_nogo(scen, spectral=data),
+    "closed_form_value": lambda scen, data: closed_form_value(scen, data, check_rank_m_degeneracy(data)),
+}
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3), (1, 1)])
+@pytest.mark.parametrize("call", SPECTRAL_TAKERS.values(), ids=SPECTRAL_TAKERS.keys())
+def test_spectral_data_of_other_dims_is_refused(call, dims):
+    # numpy's matmul used to raise its own ValueError on the mismatched stacks
+    scen = cnot_error_scenario(0.4)
+    n, m = dims
+    other = product_spectral(JointObservable(n=n, m=m, terms=((np.eye(n), np.eye(m)),)))
+    with pytest.raises(DimensionMismatch, match=rf"spectral data has \(n, m\) = \({n}, {m}\)"):
+        call(scen, other)
+    call(scen, product_spectral(JointObservable(n=2, m=2, terms=((4 * I2, P1),))))  # same dims: accepted
 
 
 def test_scenario_rejects_unnormalized_states():

@@ -109,7 +109,7 @@ class TestDegeneracyCheck:
         before = repr(data)
         check_rank_m_degeneracy(data)
         assert repr(data) == before
-        assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "grids"]
+        assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "system_values", "device_values"]
 
 
 def per_term_degeneracy(grid, tol_deg):
@@ -436,7 +436,7 @@ def test_random_scenario_postselection_floor():
 @pytest.mark.parametrize("degenerate", [True, False])
 def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, degenerate):
     stacks, passes = [], []
-    decompose, means = measurement._decompose, nogo._means
+    decompose, means = measurement._decompose, measurement._means
 
     def counting_decompose(mats, tol_deg):
         stacks.append(mats.shape)
@@ -447,7 +447,7 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
         return means(*args)
 
     monkeypatch.setattr(measurement, "_decompose", counting_decompose)
-    monkeypatch.setattr(nogo, "_means", counting_means)
+    monkeypatch.setattr(measurement, "_means", counting_means)
     rng = np.random.default_rng(5)
     for num_terms in (None, 1, 2, 3):
         for _ in range(4):
@@ -464,14 +464,14 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
             assert len(passes) == 1
 
 
-def test_verify_nogo_makes_one_pass_per_spectral_data_and_tolerance(monkeypatch):
+def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
     drawn = random_scenario(np.random.default_rng(3), 3, 2, degenerate=False, num_terms=2)
     obs = drawn.observable
     # a fresh scenario: random_scenario's pass stays memoized on drawn
     scen = MeasurementScenario(psi=drawn.psi, xi=drawn.xi, observable=obs, postselect=drawn.postselect)
     passes = []
-    means = nogo._means
-    monkeypatch.setattr(nogo, "_means", lambda *args: passes.append(args) or means(*args))
+    means = measurement._means
+    monkeypatch.setattr(measurement, "_means", lambda *args: passes.append(args) or means(*args))
     before = repr(scen)
     coarse = product_spectral(JointObservable(n=obs.n, m=obs.m, terms=obs.terms), 100.0)
     default_data = product_spectral(obs)
@@ -482,9 +482,10 @@ def test_verify_nogo_makes_one_pass_per_spectral_data_and_tolerance(monkeypatch)
         ({}, 2),
         ({"spectral": default_data}, 2),  # the default is this data: same key
         ({"tol_deg": 100.0}, 3),  # product_spectral(obs, 100.0) is not coarse
-        ({"tol_deg": 100.0, "spectral": coarse}, 4),
-        ({"tol_deg": 1e-7, "spectral": default_data}, 5),
-        ({"spectral": coarse}, 5),
+        # the means do not depend on tol_deg beyond the data: only the degeneracy report reads it
+        ({"tol_deg": 100.0, "spectral": coarse}, 3),
+        ({"tol_deg": 1e-7, "spectral": default_data}, 3),
+        ({"spectral": coarse}, 3),
     ]
     verdicts = {}
     for kwargs, count in calls:
@@ -492,6 +493,11 @@ def test_verify_nogo_makes_one_pass_per_spectral_data_and_tolerance(monkeypatch)
         assert len(passes) == count, kwargs
         key = (id(kwargs.get("spectral")), kwargs.get("tol_deg"))
         assert verdicts.setdefault(key, verdict) == verdict
+    # the public per-term means read the same memoized row
+    for k in range(obs.num_terms):
+        assert expectation(scen, k, coarse) == means(coarse, scen.psi[None], scen.xi[None], None).unconditional[0][k]
+        conditional_expectation(scen, k)
+    assert len(passes) == 3
     assert repr(scen) == before
     assert [f.name for f in dataclasses.fields(scen)] == ["psi", "xi", "observable", "postselect"]
 
