@@ -39,7 +39,7 @@ from .linalg import (
 from .measurement import (
     JointObservable, MeasurementScenario, _means, _product_grid, _require_postselect, _state_of_dim, product_spectral
 )
-from .nogo import DegeneracyReport, TheoremVerdict, _holding, _row_verdict, check_rank_m_degeneracy
+from .nogo import TheoremVerdict, _row_verdict, check_rank_m_degeneracy
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -317,11 +317,11 @@ def _state_reports(
     means = _means(data, psi, xi, phi)
     terms = check_rank_m_degeneracy(data, tol_deg).terms
     split = ops.error.num_terms
-    sides = [(slots, _holding(DegeneracyReport(terms=terms[slots]))) for slots in (slice(split), slice(split, None))]
+    sides = [(slots, all(t.is_rank_m_degenerate for t in terms[slots])) for slots in (slice(split), slice(split, None))]
     reports = []
     for b in range(len(psi)):
         error_verdict, disturbance_verdict = (
-            _row_verdict(means, report, b, tol_verify, tol_p, slots) for slots, report in sides
+            _row_verdict(means, holds, b, tol_verify, tol_p, slots) for slots, holds in sides
         )
         reports.append(
             ErrorDisturbanceReport(

@@ -93,7 +93,7 @@ class ProductSpectralData:
     """Stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and eigenvalues u (K, n) and v (K, m).
 
     Term k is entry k of each stack; its factor eigenbasis V is ``system[k].conj().T``.
-    ``grids`` holds the read-only (K, n, m) eigenvalue grids r_ij = u_i * v_j; no mean reads them.
+    No mean and no degeneracy verdict reads a (K, n, m) grid: both come from u and v.
     """
 
     system: np.ndarray
@@ -102,10 +102,14 @@ class ProductSpectralData:
     device_values: np.ndarray
 
     def __post_init__(self):
-        # the grids, and nogo.check_rank_m_degeneracy's memo keyed by tol_deg: plain attributes like
+        # nogo.check_rank_m_degeneracy's memo keyed by tol_deg: a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the stacks
-        object.__setattr__(self, "grids", readonly(_product_grid(self.system_values, self.device_values)))
         object.__setattr__(self, "_degeneracy", {})
+
+    @property
+    def grids(self) -> np.ndarray:
+        """The read-only (K, n, m) eigenvalue grids r_ij = u_i * v_j, formed on each access."""
+        return readonly(_product_grid(self.system_values, self.device_values))
 
     def __len__(self) -> int:
         return len(self.system)
@@ -134,7 +138,7 @@ def _spectral_stacks(
 
 
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """Every term's factor V^dag and eigenvalues as read-only stacks; ``grids`` entry (k, i, j) is u_i * v_j of term k.
+    """Every term's factor V^dag and eigenvalues as read-only stacks.
 
     One ``_spectral_stacks`` call, made once per observable and tol_deg,
     then returned from a memo on the observable: its factors are read-only,
@@ -226,7 +230,7 @@ def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def _require_denominator(denom: float, tol_p: float) -> None:
-    if denom <= tol_p:
+    if not denom > tol_p:  # fails closed: a NaN denominator or tol_p raises
         raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
 
 
@@ -300,7 +304,7 @@ def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
 def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POSTSELECT) -> np.ndarray:
     """State update rho -> P rho P / Tr[P rho P] after outcome P; NaN or Inf input raises ValueError."""
     prob = projective_probability(rho, projector)
-    if prob <= tol_p:
+    if not prob > tol_p:  # a NaN tol_p raises
         raise ZeroProbability(f"outcome probability {prob:.3e} at or below cutoff {tol_p:.1e}")
     updated = as_operator(projector) @ as_operator(rho) @ as_operator(projector)
     updated = (updated + updated.conj().T) / 2.0
@@ -359,6 +363,6 @@ def weak_value(psi, phi, a, tol_p: float = TOL_POSTSELECT) -> complex:
     if op.shape[0] != psi.size or phi.size != psi.size:
         raise DimensionMismatch("weak value inputs have inconsistent dimensions")
     overlap = complex(np.vdot(phi, psi))
-    if abs(overlap) <= tol_p:
+    if not abs(overlap) > tol_p:  # a NaN tol_p raises
         raise OrthogonalPostselection(f"|<phi|psi>| = {abs(overlap):.3e} at or below cutoff {tol_p:.1e}")
     return complex(np.vdot(phi, op @ psi) / overlap)

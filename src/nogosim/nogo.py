@@ -2,12 +2,13 @@
 
 A product term S_k (x) M_k is rank-m degenerate when every column of its
 eigenvalue grid is constant along the system index: r_ij = r_i'j for all
-i, i'. When every term of an observable passes that test, and the diagonal
-of the transformed postselection projector keeps its block-constant pattern,
-the conditional expectation under any postselection must equal the
-unconditional one; this module computes both sides, the closed-form device
-average, and reports the gaps. Random instance generation for batch audits
-lives here too.
+i, i'. Column j is u_i v_j over i, so the check reads the factor spectra
+alone and forms no grid. When every term of an observable passes that test,
+and the diagonal of the transformed postselection projector keeps its
+block-constant pattern, the conditional expectation under any postselection
+must equal the unconditional one; this module computes both sides, the
+closed-form device average, and reports the gaps. Random instance generation
+for batch audits lives here too.
 """
 
 from __future__ import annotations
@@ -69,43 +70,41 @@ class DegeneracyReport:
         return all(t.is_rank_m_degenerate for t in self.terms)
 
 
-def _column_verdicts(grids: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each column of each (..., n, m) grid spreads by at most tol_deg along i, and the read-only column
-    means; grid g gets the bits it gets alone."""
-    within = grids.max(axis=-2) - grids.min(axis=-2) <= tol_deg  # False for a NaN spread or tolerance
-    return within, readonly(grids.mean(axis=-2))
+def _within(u: np.ndarray, v: np.ndarray, tol_deg: float) -> np.ndarray:
+    """Whether each column of the grids r_ij = u_i * v_j spreads by at most tol_deg along i, from (..., n) u and
+    (..., m) v: column j spreads by exactly |v_j| (max u - min u). False for a NaN spread or tolerance."""
+    return np.abs(v) * (u.max(axis=-1) - u.min(axis=-1))[..., None] <= tol_deg
 
 
-def _term_degeneracy(grid: np.ndarray, within: np.ndarray, column_eigenvalues: np.ndarray) -> TermDegeneracy:
-    """One term's verdict from its (n, m) grid and its row of ``_column_verdicts``."""
+def _term_degeneracy(u: np.ndarray, v: np.ndarray, within: np.ndarray, columns: np.ndarray) -> TermDegeneracy:
+    """One term's verdict from its factor spectra, its row of ``_within`` and its column values mean(u) v_j."""
     if within.all():
-        return TermDegeneracy(is_rank_m_degenerate=True, column_eigenvalues=column_eigenvalues, witness=None)
+        return TermDegeneracy(is_rank_m_degenerate=True, column_eigenvalues=columns, witness=None)
     j = int(np.argmin(within))  # first column outside tol_deg
-    i_lo = int(np.argmin(grid[:, j]))
-    i_hi = int(np.argmax(grid[:, j]))
-    i, i2 = sorted((i_lo, i_hi))
+    # column j is u * v_j, so its extreme rows are those of u (ascending, so already in order), or row 0
+    # twice when v_j = 0 makes the column constant
+    i, i2 = (int(np.argmin(u)), int(np.argmax(u))) if v[j] else (0, 0)
     return TermDegeneracy(is_rank_m_degenerate=False, column_eigenvalues=None, witness=(i, i2, j))
 
 
-def _report(grids: np.ndarray, within: np.ndarray, column_eigenvalues: np.ndarray) -> DegeneracyReport:
-    """One observable's report from its (K, n, m) grids and their ``_column_verdicts``."""
-    return DegeneracyReport(terms=tuple(map(_term_degeneracy, grids, within, column_eigenvalues)))
-
-
 def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_DEG) -> DegeneracyReport:
-    """Test r_ij = r_i'j per column of each term's eigenvalue grid.
+    """Test r_ij = r_i'j per column of each term's eigenvalue grid, from the factor spectra alone.
 
-    The check runs on the product grid itself, not on the factor spectra, so
-    a zero device eigenvalue makes its column degenerate regardless of the
-    system factor. The report is computed once per spectral data and tol_deg,
-    then returned from a memo on the data: its grids are read-only, so the
-    report is a pure function of (spectral, tol_deg), and it is immutable, so
-    callers can share it.
+    Column j of term k's grid is u_k * v_kj, so it spreads by |v_kj| (max u_k - min u_k)
+    (``_within``), and a zero device eigenvalue makes its column degenerate
+    regardless of the system factor. The column values are mean(u_k) v_kj, with
+    the mean(u_k) of the kernel's closed column. The report is computed once per
+    spectral data and tol_deg, then returned from a memo on the data: its stacks
+    are read-only, so the report is a pure function of (spectral, tol_deg), and
+    it is immutable, so callers can share it.
     """
     memo = spectral._degeneracy
     report = memo.get(tol_deg)
     if report is None:
-        report = memo[tol_deg] = _report(spectral.grids, *_column_verdicts(spectral.grids, tol_deg))
+        u, v = spectral.system_values, spectral.device_values
+        columns = readonly((u.sum(axis=-1) / u.shape[-1])[..., None] * v)
+        terms = tuple(map(_term_degeneracy, u, v, _within(u, v, tol_deg), columns))
+        report = memo[tol_deg] = DegeneracyReport(terms=terms)
     return report
 
 
@@ -169,8 +168,8 @@ class TheoremVerdict:
 
     @property
     def passed(self) -> bool:
-        """Invariance bound, enforced only under the full hypothesis."""
-        if not (self.hypothesis_holds and self.basis_requirement_holds):
+        """Invariance bound, enforced only under the hypothesis (the basis requirement always holds)."""
+        if not self.hypothesis_holds:
             return True
         # written so that a NaN gap fails
         if not (self.gap <= self.tol_verify):
@@ -204,25 +203,21 @@ def verify_nogo(
     """
     _require_postselect(scenario)
     data = _resolve_spectral(scenario, spectral, tol_deg)
-    report = _holding(check_rank_m_degeneracy(data, tol_deg))
-    return _row_verdict(_scenario_row(scenario, data), report, 0, tol_verify, tol_p)
+    holds = check_rank_m_degeneracy(data, tol_deg).all_degenerate
+    return _row_verdict(_scenario_row(scenario, data), holds, 0, tol_verify, tol_p)
 
 
-def _holding(report: DegeneracyReport) -> DegeneracyReport | None:
-    """The report when every term is column-constant, else None: what a verdict's closed form reads."""
-    return report if report.all_degenerate else None
-
-
-def _row_verdict(means: _Means, report, b: int, tol_verify: float, tol_p: float, slots=slice(None)) -> TheoremVerdict:
-    """Row b's verdict on one observable's term slots: denominators checked, then means added by ``sum``, in order."""
+def _row_verdict(means: _Means, holds, b: int, tol_verify: float, tol_p: float, slots=slice(None)) -> TheoremVerdict:
+    """Row b's verdict on one observable's term slots, whose terms are all column-constant iff ``holds``:
+    denominators checked, then means added by ``sum``, in order; the closed form only when ``holds``."""
     for denom in means.denominators[b][slots]:
         _require_denominator(denom, tol_p)
     conditional = sum(means.conditional[b][slots])
     unconditional = sum(means.unconditional[b][slots])
-    closed = None if report is None else sum(means.closed[b][slots])
+    closed = sum(means.closed[b][slots]) if holds else None
     closed_gap = None if closed is None else max(abs(closed - conditional), abs(closed - unconditional))
     return TheoremVerdict(
-        hypothesis_holds=report is not None,
+        hypothesis_holds=holds,
         # Each term's transform is T = U (x) V, and T^dag (|phi><phi| (x) I) T = (U^dag |phi><phi| U) (x) I,
         # whose diagonal |phi'_i|^2 is constant inside every device block by construction.
         basis_requirement_holds=True,
@@ -349,8 +344,8 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     The factors are built as (B, K) stacks and go through ``_spectral_stacks``,
     the builder of ``product_spectral``; ``_means`` runs on the resulting
     per-row stacks, so row b holds the bits of ``verify_nogo`` on the scenario
-    ``random_scenario`` builds from row b. Also returns each row's degeneracy
-    report when its grids are column-constant, else None.
+    ``random_scenario`` builds from row b. Also returns, per row, whether all its
+    terms are column-constant (``_within``, the rule of ``check_rank_m_degeneracy``).
     """
     factor_draws = k * _term_draws(n, m, degenerate)
     # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
@@ -358,10 +353,8 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
-    within, columns = _column_verdicts(data.grids, tol_deg)
-    holding = within.all(axis=(1, 2)).tolist()
-    reports = [_report(*row) if holds else None for *row, holds in zip(data.grids, within, columns, holding)]
-    return _means(data, psi, xi, phi), reports
+    holding = _within(data.system_values, data.device_values, tol_deg).all(axis=(1, 2)).tolist()
+    return _means(data, psi, xi, phi), holding
 
 
 def _instance_stream(seed: int, index: int, n, m) -> tuple[np.random.Generator, int, int]:
@@ -371,13 +364,14 @@ def _instance_stream(seed: int, index: int, n, m) -> tuple[np.random.Generator, 
 
 
 def _audit_chunk(
-    seed: int, indices: range, n, m, degenerate: bool, tol_deg: float, tol_verify: float, min_postselect: float
+    seed: int, indices: range, n, m, degenerate: bool, tol_deg: float, tol_verify: float
 ) -> list[tuple[int, int, int, TheoremVerdict]]:
     """(index, n, m, verdict) per instance, equal to ``random_scenario`` plus ``verify_nogo`` on its stream.
 
     Every instance's first attempt is drawn from its own ``instance_rng`` and
     evaluated in (n, m, K) groups. As in ``random_scenario``, the attempt is
-    accepted on its denominators at TOL_DEG; its verdict is read at tol_deg.
+    accepted on its denominators at TOL_DEG, against MIN_AUDIT_POSTSELECT as it
+    reads at call time; its verdict is read at tol_deg.
     An instance whose first attempt is rejected is its replay: ``random_scenario``
     plus ``verify_nogo`` on a fresh ``instance_rng``. Verdicts are formed in
     index order, so the first failing instance raises the scalar path's error.
@@ -392,17 +386,17 @@ def _audit_chunk(
     for (dims_n, dims_m, k), rows in members.items():
         raw = np.stack([raw for _, raw in rows])
         drawn = _audit_group(raw, dims_n, dims_m, k, degenerate, TOL_DEG)
-        means, reports = drawn if tol_deg == TOL_DEG else _audit_group(raw, dims_n, dims_m, k, degenerate, tol_deg)
+        means, holding = drawn if tol_deg == TOL_DEG else _audit_group(raw, dims_n, dims_m, k, degenerate, tol_deg)
         for b, (pos, _) in enumerate(rows):
-            located[pos] = (drawn[0].denominators[b], means, reports[b], b)
+            located[pos] = (drawn[0].denominators[b], means, holding[b], b)
 
     results = []
-    for idx, (dims_n, dims_m), (denominators, means, report, b) in zip(indices, dims, located):
-        if min(denominators) >= min_postselect:
-            verdict = _row_verdict(means, report, b, tol_verify, TOL_POSTSELECT)
+    for idx, (dims_n, dims_m), (denominators, means, holds, b) in zip(indices, dims, located):
+        if min(denominators) >= MIN_AUDIT_POSTSELECT:
+            verdict = _row_verdict(means, holds, b, tol_verify, TOL_POSTSELECT)
         else:
             rng = _instance_stream(seed, idx, n, m)[0]
-            scenario = random_scenario(rng, dims_n, dims_m, degenerate, min_postselect=min_postselect)
+            scenario = random_scenario(rng, dims_n, dims_m, degenerate, min_postselect=MIN_AUDIT_POSTSELECT)
             verdict = verify_nogo(scenario, tol_deg, tol_verify)
         results.append((idx, dims_n, dims_m, verdict))
     return results
@@ -439,7 +433,6 @@ def random_audit(
     m: int | None = None,
     tol_deg: float = TOL_DEG,
     tol_verify: float = TOL_VERIFY,
-    min_postselect: float = MIN_AUDIT_POSTSELECT,
 ) -> AuditSummary:
     """Run `count` seeded random instances and summarize the gap distribution.
 
@@ -448,9 +441,10 @@ def random_audit(
     gaps. Instance index i uses the generator seeded by (seed, i); dims are
     drawn from {2, 3} per instance unless pinned by n and m. Every instance
     equals ``random_scenario`` plus ``verify_nogo`` on its own generator, so
-    it replays alone. First draws are evaluated in array groups of equal
-    (n, m, K), AUDIT_CHUNK instances at a time; an instance whose first draw
-    is rejected is computed as that replay.
+    it replays alone. A draw is rejected below MIN_AUDIT_POSTSELECT. First
+    draws are evaluated in array groups of equal (n, m, K), AUDIT_CHUNK
+    instances at a time; an instance whose first draw is rejected is computed
+    as that replay.
     """
     if mode not in ("degenerate", "generic"):
         raise ValueError(f"unknown audit mode {mode!r}")
@@ -466,9 +460,7 @@ def random_audit(
     gaps = []
     for start in range(0, count, AUDIT_CHUNK):
         chunk = range(start, min(count, start + AUDIT_CHUNK))
-        for idx, dims_n, dims_m, verdict in _audit_chunk(
-            seed, chunk, n, m, mode == "degenerate", tol_deg, tol_verify, min_postselect
-        ):
+        for idx, dims_n, dims_m, verdict in _audit_chunk(seed, chunk, n, m, mode == "degenerate", tol_deg, tol_verify):
             if not verdict.passed:
                 violations += 1
             gaps.append(verdict.gap)

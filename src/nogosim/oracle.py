@@ -98,7 +98,7 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
     denominators = joint.sum(axis=(1, 2))
     conditional = np.zeros_like(joint)
     for k in range(num_terms):
-        if denominators[k] <= tol_p:
+        if not denominators[k] > tol_p:  # a NaN tol_p raises
             raise ZeroProbability(f"postselection probability vanishes for term {k}")
         conditional[k] = joint[k] / denominators[k]
 

@@ -24,7 +24,7 @@ from nogosim.linalg import (
     tensor_product,
 )
 from nogosim.error_disturbance import CNOT, first_order_expansion, heisenberg_evolve
-from nogosim.measurement import JointObservable, projective_probability, weak_value
+from nogosim.measurement import JointObservable, luders_update, projective_probability, weak_value
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -296,29 +296,36 @@ def test_require_hermitian_tolerance():
         require_hermitian(Z + 1e-9 * np.array([[0, 1j], [0, 0]]))
 
 
-#: Per public boundary: the name its error gives, and a call passing it one NaN or Inf entry.
-NON_FINITE_CALLS = {
-    "weak_value": ("A", lambda bad: weak_value([1, 0], [0.6, 0.8], np.array([[1.0, bad], [bad, 0.0]]))),
-    "heisenberg_evolve": ("observable", lambda bad: heisenberg_evolve(CNOT, np.diag([1.0, bad, 0.0, 0.0]))),
-    "first_order_expansion o0": (
-        "observable",
-        lambda bad: first_order_expansion(Z, X, 0.1, np.diag([bad, 1.0, 0.0, 0.0])),
-    ),
-    "first_order_expansion t": ("t", lambda bad: first_order_expansion(Z, X, bad, np.eye(4))),
-    "projective_probability rho": ("rho", lambda bad: projective_probability(np.diag([0.5, bad]), np.diag([1.0, 0.0]))),
+#: Per public boundary: the name its error gives, a finite argument, and the call that passes the argument on.
+NON_FINITE_BOUNDARIES = {
+    "weak_value": ("A", Z, lambda a: weak_value([1, 0], [0.6, 0.8], a)),
+    "heisenberg_evolve": ("observable", np.diag([1.0, 0.0, 0.0, 0.0]), lambda o0: heisenberg_evolve(CNOT, o0)),
+    "first_order_expansion o0": ("observable", np.eye(4), lambda o0: first_order_expansion(Z, X, 0.1, o0)),
+    "first_order_expansion t": ("t", np.array([0.1]), lambda t: first_order_expansion(Z, X, t[0].real, np.eye(4))),
+    "projective_probability rho": ("rho", np.eye(2) / 2, lambda rho: projective_probability(rho, np.diag([1.0, 0.0]))),
     "projective_probability projector": (
         "projector",
-        lambda bad: projective_probability(np.eye(2) / 2, np.array([[1.0, bad], [0.0, 0.0]])),
+        np.diag([1.0, 0.0]),
+        lambda proj: projective_probability(np.eye(2) / 2, proj),
     ),
+    "luders_update rho": ("rho", np.eye(2) / 2, lambda rho: luders_update(rho, np.diag([1.0, 0.0]))),
+    "luders_update projector": ("projector", np.diag([1.0, 0.0]), lambda proj: luders_update(np.eye(2) / 2, proj)),
 }
 
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)])
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("boundary", NON_FINITE_CALLS)
-def test_non_finite_input_is_rejected_at_the_boundary(boundary, bad):
-    name, call = NON_FINITE_CALLS[boundary]
+
+@pytest.mark.parametrize("boundary", NON_FINITE_BOUNDARIES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_non_finite_input_is_rejected_at_the_boundary(boundary, data):
+    name, finite, call = NON_FINITE_BOUNDARIES[boundary]
+    arg = finite.astype(complex)
+    entry = tuple(data.draw(st.integers(0, size - 1)) for size in arg.shape)
+    # t is a real number: its bad values are the real ones
+    arg[entry] = data.draw(NON_FINITE.filter(lambda bad: name != "t" or isinstance(bad, float)))
     with pytest.raises(ValueError, match=rf"^{name} has NaN or Inf entries$"):
-        call(bad)
+        call(arg)
 
 
 def test_outer_matches_manual():

@@ -254,20 +254,6 @@ class TestLudersUpdate:
         with pytest.raises(ZeroProbability):
             luders_update(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
-    @pytest.mark.parametrize(
-        "rho, projector, name",
-        [
-            (np.diag([1.0, np.nan]), np.diag([1.0, 0.0]), "rho"),  # Tr[P rho] is NaN
-            (np.diag([1.0, np.inf]), np.diag([0.0, 1.0]), "rho"),  # Tr[P rho] is inf
-            (np.array([[1.0, np.nan], [np.nan, 0.0]]), np.diag([1.0, 0.0]), "rho"),  # Tr[P rho] is 1
-            (np.diag([1.0, 0.0]), np.diag([1.0, np.nan]), "projector"),
-        ],
-        ids=["nan", "inf", "off-diagonal-nan", "nan-projector"],
-    )
-    def test_non_finite_input_is_rejected(self, rho, projector, name):
-        with pytest.raises(ValueError, match=f"^{name} has NaN or Inf entries$"):
-            luders_update(rho, projector)
-
     def test_mixed_state_update(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         rho = 0.5 * np.diag([1.0, 0.0]) + 0.5 * outer(plus)
@@ -473,6 +459,38 @@ class TestWeakValue:
     def test_orthogonal_raises(self):
         with pytest.raises(OrthogonalPostselection):
             weak_value([1, 0], [0, 1], Z)
+
+
+def zero_probability_scenario():
+    """psi = |0>, phi = |1> and S = Z: every term's postselection probability is exactly 0."""
+    obs = JointObservable(n=2, m=2, terms=((Z, Z), (I2, P1)))
+    return MeasurementScenario(psi=[1, 0], xi=[0.6, 0.8], observable=obs, postselect=[0, 1])
+
+
+#: Every postselection gate, called on a zero probability: each must raise whatever tol_p is.
+POSTSELECTION_GATES = {
+    "verify_nogo": (ZeroProbability, lambda tol_p: verify_nogo(zero_probability_scenario(), tol_p=tol_p)),
+    "conditional_expectation": (
+        ZeroProbability,
+        lambda tol_p: conditional_expectation(zero_probability_scenario(), 0, tol_p=tol_p),
+    ),
+    "abl_conditional_grid": (
+        ZeroProbability,
+        lambda tol_p: abl_conditional_grid(zero_probability_scenario(), 0, tol_p=tol_p),
+    ),
+    "enumerate_two_step": (ZeroProbability, lambda tol_p: enumerate_two_step(zero_probability_scenario(), tol_p=tol_p)),
+    "luders_update": (ZeroProbability, lambda tol_p: luders_update(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), tol_p)),
+    "weak_value": (OrthogonalPostselection, lambda tol_p: weak_value([1, 0], [0, 1], Z, tol_p)),
+}
+
+
+@pytest.mark.parametrize("tol_p", [math.nan, 0.0, 1e-12])
+@pytest.mark.parametrize("gate", POSTSELECTION_GATES)
+def test_every_postselection_gate_fails_closed(gate, tol_p):
+    # written as not (x > tol_p): a NaN cutoff rejects every probability instead of passing a 0/0 mean
+    error, call = POSTSELECTION_GATES[gate]
+    with pytest.raises(error):
+        call(tol_p)
 
 
 def test_postselection_projector_invariants():

@@ -1,0 +1,113 @@
+"""Metamorphic relations: transformations of a scenario that must leave its results in place.
+
+Each relation maps a ``random_scenario`` draw to a second scenario whose means,
+closed form and postselection denominators must agree with the first within
+1e-13, with ``hypothesis_holds`` unchanged. None needs a reference value:
+
+- a global phase on psi, xi and phi changes no probability;
+- a device unitary W, with M_k -> W M_k W^dag and xi -> W xi, keeps every
+  <xi|M_k|xi>, and the device never couples to the postselection;
+- the terms in reverse order permute the per-term values and keep the sums.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nogosim.measurement import (
+    JointObservable,
+    MeasurementScenario,
+    conditional_expectation,
+    expectation,
+    postselection_denominator,
+)
+from nogosim.nogo import random_scenario, verify_nogo
+
+TOL = 1e-13
+
+
+def haar_unitary(dim, rng):
+    """Haar-random unitary: QR of a complex Gaussian matrix, with R's diagonal phases moved into Q."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def results(scen):
+    """The verdict and, per term, (denominator, conditional mean, unconditional mean)."""
+    per_term = [
+        (postselection_denominator(scen, k), conditional_expectation(scen, k), expectation(scen, k))
+        for k in range(scen.observable.num_terms)
+    ]
+    return verify_nogo(scen), per_term
+
+
+def assert_same_results(got, want):
+    (verdict, per_term), (ref_verdict, ref_per_term) = got, want
+    assert verdict.hypothesis_holds == ref_verdict.hypothesis_holds
+    assert (verdict.closed_form is None) == (ref_verdict.closed_form is None)
+    totals = [(verdict.conditional, ref_verdict.conditional), (verdict.unconditional, ref_verdict.unconditional)]
+    if verdict.closed_form is not None:
+        totals.append((verdict.closed_form, ref_verdict.closed_form))
+    for term, ref_term in zip(per_term, ref_per_term, strict=True):
+        totals += zip(term, ref_term)
+    for value, ref in totals:
+        assert abs(value - ref) <= TOL, (value, ref)
+
+
+draws = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "n": st.sampled_from([2, 3]),
+        "m": st.sampled_from([2, 3]),
+        "degenerate": st.booleans(),
+        "num_terms": st.integers(1, 3),
+    }
+)
+
+
+def drawn_scenario(draw):
+    rng = np.random.default_rng(draw["seed"])
+    scen = random_scenario(rng, draw["n"], draw["m"], draw["degenerate"], num_terms=draw["num_terms"])
+    return scen, rng
+
+
+@given(draw=draws, phases=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3))
+@settings(max_examples=120, deadline=None)
+def test_a_global_phase_on_each_ket_changes_nothing(draw, phases):
+    scen, _ = drawn_scenario(draw)
+    psi, xi, phi = (np.exp(1j * a) * ket for a, ket in zip(phases, (scen.psi, scen.xi, scen.postselect)))
+    shifted = MeasurementScenario(psi=psi, xi=xi, observable=scen.observable, postselect=phi)
+    assert_same_results(results(shifted), results(scen))
+
+
+@given(draw=draws)
+@settings(max_examples=120, deadline=None)
+def test_a_device_unitary_changes_nothing(draw):
+    scen, rng = drawn_scenario(draw)
+    w = haar_unitary(scen.m, rng)
+    terms = tuple((system, w @ device @ w.conj().T) for system, device in scen.observable.terms)
+    rotated = MeasurementScenario(
+        psi=scen.psi,
+        xi=w @ scen.xi,
+        observable=JointObservable(n=scen.n, m=scen.m, terms=terms),
+        postselect=scen.postselect,
+    )
+    assert_same_results(results(rotated), results(scen))
+
+
+@given(draw=draws)
+@settings(max_examples=120, deadline=None)
+def test_reversed_terms_permute_the_per_term_values(draw):
+    scen, _ = drawn_scenario(draw)
+    obs = scen.observable
+    reversed_scen = MeasurementScenario(
+        psi=scen.psi,
+        xi=scen.xi,
+        observable=JointObservable(n=obs.n, m=obs.m, terms=obs.terms[::-1]),
+        postselect=scen.postselect,
+    )
+    verdict, per_term = results(reversed_scen)
+    assert_same_results((verdict, per_term[::-1]), results(scen))

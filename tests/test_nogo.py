@@ -112,29 +112,19 @@ class TestDegeneracyCheck:
         assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "system_values", "device_values"]
 
 
-def per_term_degeneracy(grid, tol_deg):
-    """(holds, column eigenvalues, witness) of one grid on its own: the per-term check the stacked one replaced."""
+def grid_degeneracy(u, v, tol_deg):
+    """(holds per column, witness) of one term read off its (n, m) grid r_ij = u_i v_j: the rule on the grid itself."""
+    grid = np.outer(u, v)
     within = grid.max(axis=0) - grid.min(axis=0) <= tol_deg
     if within.all():
-        return True, grid.mean(axis=0), None
+        return within, None
     j = int(np.argmin(within))
     i, i2 = sorted((int(np.argmin(grid[:, j])), int(np.argmax(grid[:, j]))))
-    return False, None, (i, i2, j)
-
-
-def assert_per_term_verdict(verdict, grid, tol_deg):
-    holds, columns, witness = per_term_degeneracy(grid, tol_deg)
-    assert verdict.is_rank_m_degenerate == holds
-    assert verdict.witness == witness
-    if holds:
-        assert np.array_equal(verdict.column_eigenvalues, columns)
-        assert verdict.column_eigenvalues.tobytes() == columns.tobytes()
-    else:
-        assert verdict.column_eigenvalues is None
+    return within, (i, i2, j)
 
 
 #: Factor pairs (system, device) by kind: c I (x) M passes, a generic pair fails, a pair of system eigenvalues
-#: 5e-10 apart passes or fails with tol_deg, and a rank-1 device projector leaves one constant column.
+#: 5e-10 apart passes or fails with tol_deg, and a rank-1 device projector leaves constant columns.
 TERM_KINDS = {
     "degenerate": lambda n, m, rng: (rng.standard_normal() * np.eye(n), random_hermitian(m, rng)),
     "generic": lambda n, m, rng: (random_hermitian(n, rng), random_hermitian(m, rng)),
@@ -147,24 +137,38 @@ TERM_KINDS = {
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 3),
     m=st.integers(1, 3),
-    kinds=st.lists(st.sampled_from(sorted(TERM_KINDS)), min_size=1, max_size=3),
-    tol_deg=st.sampled_from([1e-9, 1e-12, 100.0, math.nan]),
+    kinds=st.lists(st.sampled_from(sorted(TERM_KINDS)), min_size=1, max_size=2),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    tol_deg=st.sampled_from([0.0, 1e-9, 1e-7, 0.5, 3.0, math.nan]),
 )
-@settings(max_examples=200, deadline=None)
-def test_stacked_degeneracy_check_equals_the_per_term_check(seed, n, m, kinds, tol_deg):
+@settings(max_examples=300, deadline=None)
+def test_factored_degeneracy_check_equals_the_grid_check(seed, n, m, kinds, scale, tol_deg):
     rng = np.random.default_rng(seed)
-    obs = JointObservable(n=n, m=m, terms=tuple(TERM_KINDS[kind](n, m, rng) for kind in kinds))
-    data = product_spectral(obs, tol_deg)
+    terms = []
+    for kind in kinds:
+        system, device = TERM_KINDS[kind](n, m, rng)
+        terms.append((system, scale * device))
+    data = product_spectral(JointObservable(n=n, m=m, terms=tuple(terms)), tol_deg)
+    u, v = data.system_values, data.device_values
     report = check_rank_m_degeneracy(data, tol_deg)
     assert len(report.terms) == len(kinds)
-    for verdict, grid in zip(report.terms, data.grids):
-        assert_per_term_verdict(verdict, grid, tol_deg)
-    # the audit's (B, K, n, m) form: every row gets the verdicts it gets alone
-    stack = np.stack([data.grids, data.grids[::-1]])
-    within, columns = nogo._column_verdicts(stack, tol_deg)
-    for row in zip(stack, within, columns):
-        for verdict, grid in zip(map(nogo._term_degeneracy, *row), row[0]):
-            assert_per_term_verdict(verdict, grid, tol_deg)
+    for verdict, u_k, v_k in zip(report.terms, u, v):
+        within, witness = grid_degeneracy(u_k, v_k, tol_deg)
+        assert verdict.is_rank_m_degenerate is bool(within.all())
+        assert verdict.witness == witness
+        if witness is None:
+            # the kernel's closed-column mean(u) times v, within rounding of the grid's column means
+            assert verdict.column_eigenvalues.tobytes() == (u_k.sum() / n * v_k).tobytes()
+            bound = 4 * np.finfo(float).eps * np.abs(u_k).max() * np.abs(v_k)
+            assert np.all(np.abs(verdict.column_eigenvalues - np.outer(u_k, v_k).mean(axis=0)) <= bound)
+        else:
+            assert verdict.column_eigenvalues is None
+    # the audit's (B, K) form: every row gets the flags it gets alone
+    rows = [(u, v), (u[::-1], v[::-1])]
+    stacked = nogo._within(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]), tol_deg)
+    for flags, (u_b, v_b) in zip(stacked, rows):
+        for flags_k, u_k, v_k in zip(flags, u_b, v_b):
+            assert np.array_equal(flags_k, grid_degeneracy(u_k, v_k, tol_deg)[0])
 
 
 class TestBasisRequirement:
@@ -405,7 +409,8 @@ class TestArrayAuditEqualsPerInstancePath:
         monkeypatch.setattr(
             nogo, "random_scenario", lambda *args, **kwargs: replays.append(args) or original(*args, **kwargs)
         )
-        summary = random_audit(40, 5, mode, tol_deg=tol_deg, min_postselect=min_postselect)
+        monkeypatch.setattr(nogo, "MIN_AUDIT_POSTSELECT", min_postselect)
+        summary = random_audit(40, 5, mode, tol_deg=tol_deg)
         # at the 0.2 floor some first draws are rejected and replayed; at 1e-6 none is
         assert bool(replays) == (min_postselect == 0.2)
         assert_same_instances(summary, per_instance_audit(40, 5, mode, min_postselect=min_postselect, tol_deg=tol_deg))
@@ -416,11 +421,12 @@ class TestArrayAuditEqualsPerInstancePath:
         for mode in ("degenerate", "generic"):
             assert_same_instances(random_audit(30, 9, mode), per_instance_audit(30, 9, mode))
 
-    def test_unreachable_floor_raises_like_the_scalar_path(self):
+    def test_unreachable_floor_raises_like_the_scalar_path(self, monkeypatch):
         with pytest.raises(ZeroProbability) as scalar:
             per_instance_audit(3, 1, "degenerate", min_postselect=1.1)
+        monkeypatch.setattr(nogo, "MIN_AUDIT_POSTSELECT", 1.1)
         with pytest.raises(ZeroProbability) as array:
-            random_audit(3, 1, "degenerate", min_postselect=1.1)
+            random_audit(3, 1, "degenerate")
         assert str(array.value) == str(scalar.value)
 
 
