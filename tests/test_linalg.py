@@ -301,7 +301,7 @@ NON_FINITE_BOUNDARIES = {
     "weak_value": ("A", Z, lambda a: weak_value([1, 0], [0.6, 0.8], a)),
     "heisenberg_evolve": ("observable", np.diag([1.0, 0.0, 0.0, 0.0]), lambda o0: heisenberg_evolve(CNOT, o0)),
     "first_order_expansion o0": ("observable", np.eye(4), lambda o0: first_order_expansion(Z, X, 0.1, o0)),
-    "first_order_expansion t": ("t", np.array([0.1]), lambda t: first_order_expansion(Z, X, t[0].real, np.eye(4))),
+    "first_order_expansion t": ("t", np.array(0.1), lambda t: first_order_expansion(Z, X, t.real, np.eye(4))),
     "projective_probability rho": ("rho", np.eye(2) / 2, lambda rho: projective_probability(rho, np.diag([1.0, 0.0]))),
     "projective_probability projector": (
         "projector",
