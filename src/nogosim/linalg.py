@@ -255,13 +255,22 @@ def _canonical_stack(
     can flip on its last bits, and the basis then jumps by O(1); any rule
     that picks one frame for a subspace has such points. The columns within
     a group no longer pair with the individual ``values``.
+
+    A group that spans all d indices has the projector I, so the rule gives
+    e_1 ... e_d exactly; those rows are written directly, without
+    Gram-Schmidt and without the solver's rounding.
     """
-    singles = tuple(zip(range(values.shape[-1])))
+    dim = values.shape[-1]
+    singles, whole = tuple(zip(range(dim))), (tuple(range(dim)),)
     stack_groups = []
     for b, row in enumerate(values.tolist()):
         merged = [hi - lo <= tol_deg for lo, hi in zip(row, row[1:])]
         if not any(merged):
             stack_groups.append(singles)
+            continue
+        if all(merged):
+            vectors[b] = np.eye(dim)
+            stack_groups.append(whole)
             continue
         groups = _tolerance_groups(merged)
         for group in groups:

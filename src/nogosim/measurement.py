@@ -22,6 +22,7 @@ The dataclasses here hold numpy arrays, so they compare and hash by identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -137,20 +138,27 @@ def _spectral_stacks(
     )
 
 
+def _memo_key(tol_deg: float) -> float:
+    """tol_deg as a memo key: a NaN is equal to no NaN, so every NaN maps to the one ``math.nan`` object,
+    which a dict finds by identity. Every NaN gives the same result: no eigenvalue gap is ``<=`` it."""
+    return tol_deg if tol_deg == tol_deg else math.nan
+
+
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
     """Every term's factor V^dag and eigenvalues as read-only stacks.
 
     One ``_spectral_stacks`` call, made once per observable and tol_deg,
     then returned from a memo on the observable: its factors are read-only,
     so the result is a pure function of (terms, tol_deg), and every array in
-    it is read-only, so callers can share it.
+    it is read-only, so callers can share it. Every NaN tol_deg shares one
+    entry (``_memo_key``).
     """
-    memo = observable._spectral
-    data = memo.get(tol_deg)
+    memo, key = observable._spectral, _memo_key(tol_deg)
+    data = memo.get(key)
     if data is None:
         # no Hermiticity check here: JointObservable.__post_init__ checked every factor and froze it read-only
         stacks = _spectral_stacks(*map(np.stack, zip(*observable.terms)), tol_deg)
-        data = memo[tol_deg] = ProductSpectralData(*map(readonly, stacks))
+        data = memo[key] = ProductSpectralData(*map(readonly, stacks))
     return data
 
 

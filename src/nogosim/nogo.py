@@ -36,6 +36,7 @@ from .measurement import (
     ProductSpectralData,
     _Means,
     _means,
+    _memo_key,
     _require_denominator,
     _require_postselect,
     _resolve_spectral,
@@ -96,15 +97,16 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
     the mean(u_k) of the kernel's closed column. The report is computed once per
     spectral data and tol_deg, then returned from a memo on the data: its stacks
     are read-only, so the report is a pure function of (spectral, tol_deg), and
-    it is immutable, so callers can share it.
+    it is immutable, so callers can share it. Every NaN tol_deg shares one
+    entry (``_memo_key``).
     """
-    memo = spectral._degeneracy
-    report = memo.get(tol_deg)
+    memo, key = spectral._degeneracy, _memo_key(tol_deg)
+    report = memo.get(key)
     if report is None:
         u, v = spectral.system_values, spectral.device_values
         columns = readonly((u.sum(axis=-1) / u.shape[-1])[..., None] * v)
         terms = tuple(map(_term_degeneracy, u, v, _within(u, v, tol_deg), columns))
-        report = memo[tol_deg] = DegeneracyReport(terms=terms)
+        report = memo[key] = DegeneracyReport(terms=terms)
     return report
 
 
@@ -200,10 +202,13 @@ def verify_nogo(
     (data of other dims raises DimensionMismatch): ``conditional_expectation``,
     ``expectation`` and ``closed_form_value`` read the same row, and
     ``random_scenario``'s postselection check made it for the default tol_deg.
+    The hypothesis is ``_within`` on the factor spectra, the one column rule
+    of ``check_rank_m_degeneracy`` and of the audit's rows, so no per-term
+    report is built (False for a NaN spread or tolerance).
     """
     _require_postselect(scenario)
     data = _resolve_spectral(scenario, spectral, tol_deg)
-    holds = check_rank_m_degeneracy(data, tol_deg).all_degenerate
+    holds = bool(_within(data.system_values, data.device_values, tol_deg).all())
     return _row_verdict(_scenario_row(scenario, data), holds, 0, tol_verify, tol_p)
 
 

@@ -160,6 +160,14 @@ class TestSpectralDecompose:
         assert dec.eigenspace_groups == ((0, 1, 2),)
 
     @pytest.mark.parametrize("solver", [spectral_decompose, jacobi_decompose])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [-2.5, 0.0, 4.0])
+    def test_exact_multiple_of_identity_gets_the_standard_basis(self, solver, dim, c):
+        dec = solver(c * np.eye(dim, dtype=complex))
+        assert dec.eigenvectors.tobytes() == np.eye(dim, dtype=complex).tobytes()
+        assert dec.eigenspace_groups == (tuple(range(dim)),)
+
+    @pytest.mark.parametrize("solver", [spectral_decompose, jacobi_decompose])
     def test_degenerate_eigenspace_gets_gram_schmidt_basis(self, solver):
         # eigenspace of -1 is span{(1, 1, 0), (0, 0, 1)}: projecting e_1 gives (1, 1, 0)/sqrt 2,
         # e_2 leaves no residual, e_3 gives (0, 0, 1)
@@ -220,6 +228,44 @@ class TestJacobiDecompose:
         assert ours.eigenspace_groups == oracle.eigenspace_groups
         assert np.max(np.abs(ours.eigenvalues - oracle.eigenvalues)) < 1e-12
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
+
+
+def frame_rule_reference(vectors):
+    """The canonical frame of span(vectors), written out: e_1 ... e_d projected onto the span in order, each
+    residual against the kept vectors kept when its norm exceeds 1/(2 sqrt d), and each kept vector's first
+    entry above 1e-12 in magnitude made real positive. Returns the kept vectors as columns."""
+    dim = vectors.shape[0]
+    projector = vectors @ vectors.conj().T
+    kept = []
+    for e in range(dim):
+        residual = projector[:, e] - sum((np.vdot(v, projector[:, e]) * v for v in kept), np.zeros(dim, complex))
+        norm = np.linalg.norm(residual)
+        if norm > 0.5 / np.sqrt(dim):
+            v = residual / norm
+            lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+            kept.append(v * (abs(lead) / lead))
+    return np.column_stack(kept)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), margin=st.sampled_from([1.01, 2.0, 100.0]))
+@settings(max_examples=100, deadline=None)
+def test_a_group_spanning_the_whole_space_gets_the_standard_basis(seed, dim, margin):
+    # at a tol_deg above the spread every eigenvalue joins one group, whose projector is I: the frame rule
+    # gives e_1 ... e_d, which the solvers write exactly instead of carrying their own rounding
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    values, vectors = np.linalg.eigh(h)
+    tol_deg = margin * (values[-1] - values[0]) + 1e-12
+    reference = frame_rule_reference(vectors)
+    assert np.max(np.abs(reference - np.eye(dim))) <= 1e-14
+    whole = (tuple(range(dim)),)
+    for solver in (spectral_decompose, jacobi_decompose):
+        dec = solver(h, tol_deg)
+        assert dec.eigenvectors.tobytes() == np.eye(dim, dtype=complex).tobytes()
+        assert dec.eigenspace_groups == whole
+    _, columns, groups = _decompose(np.stack([h, np.diag(np.arange(dim) * 3.0 * tol_deg + 1.0)]), tol_deg)
+    assert columns[0].tobytes() == np.eye(dim, dtype=complex).tobytes()
+    assert groups[0] == whole
+    assert groups[1] == tuple(zip(range(dim)))
 
 
 class TestMatrixExponential:

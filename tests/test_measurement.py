@@ -36,6 +36,7 @@ from nogosim.measurement import (
     weak_value,
 )
 from nogosim.nogo import (
+    basis_transform,
     check_rank_m_degeneracy,
     closed_form_value,
     instance_rng,
@@ -491,6 +492,58 @@ def test_every_postselection_gate_fails_closed(gate, tol_p):
     error, call = POSTSELECTION_GATES[gate]
     with pytest.raises(error):
         call(tol_p)
+
+
+def unit(ket):
+    return ket / np.linalg.norm(ket)
+
+
+def obs_of(dim):
+    return JointObservable(n=dim, m=dim, terms=((np.eye(dim), np.eye(dim)),))
+
+
+#: Every boundary that takes a state, called with an unnormalized ket there and unit kets (``good``) elsewhere.
+KET_BOUNDARIES = {
+    "scenario psi": lambda bad, good: MeasurementScenario(bad, good(), obs_of(bad.size), postselect=good()),
+    "scenario xi": lambda bad, good: MeasurementScenario(good(), bad, obs_of(bad.size), postselect=good()),
+    "scenario postselect": lambda bad, good: MeasurementScenario(good(), good(), obs_of(bad.size), postselect=bad),
+    "weak_value psi": lambda bad, good: weak_value(bad, good(), np.eye(bad.size)),
+    "weak_value phi": lambda bad, good: weak_value(good(), bad, np.eye(bad.size)),
+    "PostselectionProjector phi": lambda bad, good: PostselectionProjector(phi=bad, device_dim=2),
+    "basis_transform phi": lambda bad, good: basis_transform(np.eye(2 * bad.size), bad, 2),
+}
+
+
+@given(
+    boundary=st.sampled_from(sorted(KET_BOUNDARIES)),
+    delta=st.floats(1e-9, 0.5),
+    shrink=st.booleans(),
+    c=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_unnormalized_and_orthogonal_states_are_refused(boundary, delta, shrink, c, seed, dim, data):
+    rng = np.random.default_rng(seed)
+
+    def good():
+        return unit(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+    with pytest.raises(ValueError, match="must be normalized"):
+        KET_BOUNDARIES[boundary]((1.0 - delta if shrink else 1.0 + delta) * good(), good)
+    # psi on a random part of the standard basis and phi on the rest: orthogonal, and under a c I system
+    # factor, measured in the standard basis, the postselection probability sum_i |psi_i|^2 |phi_i|^2 is 0
+    on = np.isin(np.arange(dim), sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))))
+    psi, phi = unit(good() * on), unit(good() * ~on)
+    with pytest.raises(OrthogonalPostselection):
+        weak_value(psi, phi, random_hermitian(dim, rng))
+    obs = JointObservable(n=dim, m=2, terms=((c * np.eye(dim), random_hermitian(2, rng)),))
+    scen = MeasurementScenario(psi=psi, xi=unit(rng.standard_normal(2) + 0j), observable=obs, postselect=phi)
+    with pytest.raises(ZeroProbability):
+        conditional_expectation(scen, 0)
+    with pytest.raises(ZeroProbability):
+        verify_nogo(scen)
 
 
 def test_postselection_projector_invariants():

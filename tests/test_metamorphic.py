@@ -7,9 +7,19 @@ closed form and postselection denominators must agree with the first within
 - a global phase on psi, xi and phi changes no probability;
 - a device unitary W, with M_k -> W M_k W^dag and xi -> W xi, keeps every
   <xi|M_k|xi>, and the device never couples to the postselection;
-- the terms in reverse order permute the per-term values and keep the sums.
+- the terms in reverse order permute the per-term values and keep the sums;
+- a term scaled by a > 0, on either factor, scales that term's means (and its
+  share of the closed form) by a and keeps its denominator, since the factor
+  eigenbases stay put;
+- a term S_k (x) M_k split into two halves S_k (x) M_k/2 keeps every sum, and
+  each half carries half of the term's means over the term's denominator;
+- a system unitary W, with S_k -> W S_k W^dag, psi -> W psi and phi -> W phi,
+  keeps every probability in generic mode, where each system eigenvector
+  turns with W. In degenerate mode the denominators depend on the canonical
+  frame of the c I factors, which ``test_identities.py`` pins.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,3 +121,66 @@ def test_reversed_terms_permute_the_per_term_values(draw):
     )
     verdict, per_term = results(reversed_scen)
     assert_same_results((verdict, per_term[::-1]), results(scen))
+
+
+def with_terms(scen, terms, psi=None, phi=None):
+    """The scenario with other terms, and psi and phi where given."""
+    return MeasurementScenario(
+        psi=scen.psi if psi is None else psi,
+        xi=scen.xi,
+        observable=JointObservable(n=scen.n, m=scen.m, terms=tuple(terms)),
+        postselect=scen.postselect if phi is None else phi,
+    )
+
+
+def term_share(scen, k):
+    """Term k's own results: the verdict and per-term values of the scenario with term k alone."""
+    return results(with_terms(scen, scen.observable.terms[k : k + 1]))
+
+
+@given(draw=draws, a=st.floats(0.1, 10.0), side=st.sampled_from(["system", "device"]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_term_scaled_by_a_positive_factor_scales_its_means(draw, a, side, data):
+    scen, _ = drawn_scenario(draw)
+    terms = list(scen.observable.terms)
+    k = data.draw(st.integers(0, len(terms) - 1))
+    system, device = terms[k]
+    terms[k] = (a * system, device) if side == "system" else (system, a * device)
+    ref_verdict, ref_per_term = results(scen)
+    share, _ = term_share(scen, k)
+    denom, conditional, unconditional = ref_per_term[k]
+    ref_per_term[k] = (denom, a * conditional, a * unconditional)
+    # term k's share of each sum grows by (a - 1) times itself; generic draws stay far from tol_deg, so the
+    # flag holds in both modes
+    expected = dataclasses.replace(
+        ref_verdict,
+        conditional=ref_verdict.conditional + (a - 1.0) * share.conditional,
+        unconditional=ref_verdict.unconditional + (a - 1.0) * share.unconditional,
+        closed_form=None if ref_verdict.closed_form is None else ref_verdict.closed_form + (a - 1.0) * share.closed_form,
+    )
+    assert_same_results(results(with_terms(scen, terms)), (expected, ref_per_term))
+
+
+@given(draw=draws, data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_term_split_in_two_halves_keeps_the_sums(draw, data):
+    scen, _ = drawn_scenario(draw)
+    terms = list(scen.observable.terms)
+    k = data.draw(st.integers(0, len(terms) - 1))
+    system, device = terms[k]
+    halves = [(system, device / 2.0)] * 2
+    verdict, per_term = results(with_terms(scen, terms[:k] + halves + terms[k + 1 :]))
+    ref_verdict, ref_per_term = results(scen)
+    denom, conditional, unconditional = ref_per_term[k]
+    half = (denom, conditional / 2.0, unconditional / 2.0)
+    assert_same_results((verdict, per_term), (ref_verdict, ref_per_term[:k] + [half, half] + ref_per_term[k + 1 :]))
+
+
+@given(draw=draws.filter(lambda d: not d["degenerate"]))
+@settings(max_examples=120, deadline=None)
+def test_a_system_unitary_changes_nothing_in_generic_mode(draw):
+    scen, rng = drawn_scenario(draw)
+    w = haar_unitary(scen.n, rng)
+    terms = [(w @ system @ w.conj().T, device) for system, device in scen.observable.terms]
+    rotated = with_terms(scen, terms, psi=w @ scen.psi, phi=w @ scen.postselect)
+    assert_same_results(results(rotated), results(scen))

@@ -104,6 +104,22 @@ class TestDegeneracyCheck:
         assert not fine.all_degenerate
         assert not check_rank_m_degeneracy(data, math.nan).all_degenerate
 
+    def test_nan_tolerances_share_one_memo_entry(self):
+        # a NaN key equals no other NaN, so each fresh NaN used to add one entry per memo
+        obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
+        scen = MeasurementScenario(psi=[0.6, 0.8], xi=[0.8, 0.6j], observable=obs, postselect=[1, 0])
+        data = product_spectral(obs, math.nan)
+        report = check_rank_m_degeneracy(data, math.nan)
+        verify_nogo(scen, tol_deg=math.nan)
+        sizes = len(obs._spectral), len(data._degeneracy), len(scen._means)
+        for nan in (float("nan"), np.float64("nan"), -math.nan):
+            assert product_spectral(obs, nan) is data
+            assert check_rank_m_degeneracy(data, nan) is report
+            # fail-closed: no gap is <= NaN, even for an exactly degenerate factor
+            assert not verify_nogo(scen, tol_deg=nan).hypothesis_holds
+        assert (len(obs._spectral), len(data._degeneracy), len(scen._means)) == sizes
+        assert not report.all_degenerate
+
     def test_memo_is_not_a_field(self):
         data = product_spectral(JointObservable(n=2, m=2, terms=((I2, Z),)))
         before = repr(data)
@@ -169,6 +185,29 @@ def test_factored_degeneracy_check_equals_the_grid_check(seed, n, m, kinds, scal
     for flags, (u_b, v_b) in zip(stacked, rows):
         for flags_k, u_k, v_k in zip(flags, u_b, v_b):
             assert np.array_equal(flags_k, grid_degeneracy(u_k, v_k, tol_deg)[0])
+
+
+def test_verify_nogo_builds_no_degeneracy_report():
+    for degenerate in (True, False):
+        scen = random_scenario(np.random.default_rng(9), 3, 2, degenerate=degenerate, num_terms=2)
+        for tol_deg in (TOL_DEG, 0.5):
+            verify_nogo(scen, tol_deg=tol_deg)
+            assert product_spectral(scen.observable, tol_deg)._degeneracy == {}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    num_terms=st.integers(1, 3),
+    degenerate=st.booleans(),
+    tol_deg=st.sampled_from([0.0, 1e-9, 0.5, 3.0, math.nan]),
+)
+@settings(max_examples=200, deadline=None)
+def test_verify_nogo_hypothesis_is_the_degeneracy_report(seed, n, m, num_terms, degenerate, tol_deg):
+    scen = random_scenario(np.random.default_rng(seed), n, m, degenerate=degenerate, num_terms=num_terms)
+    report = check_rank_m_degeneracy(product_spectral(scen.observable, tol_deg), tol_deg)
+    assert verify_nogo(scen, tol_deg=tol_deg).hypothesis_holds is report.all_degenerate
 
 
 class TestBasisRequirement:
