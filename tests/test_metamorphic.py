@@ -133,11 +133,6 @@ def with_terms(scen, terms, psi=None, phi=None):
     )
 
 
-def term_share(scen, k):
-    """Term k's own results: the verdict and per-term values of the scenario with term k alone."""
-    return results(with_terms(scen, scen.observable.terms[k : k + 1]))
-
-
 @given(draw=draws, a=st.floats(0.1, 10.0), side=st.sampled_from(["system", "device"]), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_a_term_scaled_by_a_positive_factor_scales_its_means(draw, a, side, data):
@@ -147,11 +142,11 @@ def test_a_term_scaled_by_a_positive_factor_scales_its_means(draw, a, side, data
     system, device = terms[k]
     terms[k] = (a * system, device) if side == "system" else (system, a * device)
     ref_verdict, ref_per_term = results(scen)
-    share, _ = term_share(scen, k)
+    share, _ = results(with_terms(scen, scen.observable.terms[k : k + 1]))  # term k alone
     denom, conditional, unconditional = ref_per_term[k]
     ref_per_term[k] = (denom, a * conditional, a * unconditional)
-    # term k's share of each sum grows by (a - 1) times itself; generic draws stay far from tol_deg, so the
-    # flag holds in both modes
+    # term k's share of each sum grows by (a - 1) times itself; a generic draw's column spreads stay far above
+    # tol_deg at any a here, so hypothesis_holds stays put in both modes
     expected = dataclasses.replace(
         ref_verdict,
         conditional=ref_verdict.conditional + (a - 1.0) * share.conditional,
