@@ -7,33 +7,24 @@ counts for one scenario term). Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error. NOGO_DEFAULT_TOL overrides the
 built-in degeneracy/verification tolerances when flags and config stay
 silent.
+
+Only the no-go core is imported at the top; each ``cmd_*`` imports the
+layers it runs (``config``, ``error_disturbance``, ``oracle``, ``csv``,
+``json``), so a subcommand never compiles or runs modules it does not call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import itertools
-import json
 import math
 import os
 import sys
 from time import perf_counter
 
-from .config import RunReport, ScenarioConfig, config_sha256, report_json, require_tolerance
-from .errors import ConfigError, NogoSimError
-from .error_disturbance import (
-    DEFAULT_STRENGTH_GRID,
-    DEFAULT_THETA_GRID,
-    DEFAULT_VARPHI_GRID,
-    cnot_sweep,
-    postselected_error_disturbance,
-)
+from .errors import ConfigError, NogoSimError, require_tolerance
 from .linalg import TOL_DEG, TOL_VERIFY
 from .measurement import product_spectral
 from .nogo import check_rank_m_degeneracy, random_audit, verify_nogo
-from .oracle import sample_two_step
 
 SWEEP_COLUMNS = (
     "s",
@@ -102,6 +93,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .config import RunReport, ScenarioConfig, config_sha256, report_json
+
     t0 = perf_counter()
     config = ScenarioConfig.from_path(args.config)
     tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", config.tol_deg, TOL_DEG)
@@ -118,6 +111,8 @@ def cmd_verify(args) -> int:
 
     error_disturbance = None
     if config.interaction is not None and config.setup is not None:
+        from .error_disturbance import postselected_error_disturbance
+
         error_disturbance = postselected_error_disturbance(
             config.interaction,
             config.setup,
@@ -141,6 +136,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cnot_sweep(args) -> int:
+    import csv
+    import io
+    import itertools
+
+    from .error_disturbance import DEFAULT_STRENGTH_GRID, DEFAULT_THETA_GRID, DEFAULT_VARPHI_GRID, cnot_sweep
+
     tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
     tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
     s_grid = parse_grid(args.s_grid, "--s-grid") if args.s_grid else list(DEFAULT_STRENGTH_GRID)
@@ -160,6 +161,8 @@ def cmd_cnot_sweep(args) -> int:
     ]
 
     if args.format == "json":
+        import json
+
         payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -204,6 +207,8 @@ def cmd_random_audit(args) -> int:
         f"gap_min={summary.gap_min!r} gap_median={summary.gap_median!r} gap_max={summary.gap_max!r}"
     )
     if args.out:
+        from .config import report_json
+
         with open(args.out, "w") as handle:
             handle.write(report_json(summary))
     if summary.mode == "degenerate" and summary.violations > 0:
@@ -212,6 +217,11 @@ def cmd_random_audit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import json
+
+    from .config import ScenarioConfig
+    from .oracle import sample_two_step
+
     config = ScenarioConfig.from_path(args.config)
     scenario = config.scenario()
     if config.phi is None:

@@ -4,6 +4,10 @@ Complex numbers are encoded as [re, im] pairs everywhere: a ket is a list of
 pairs, a matrix a list of rows of pairs. Reports are serialized with sorted
 keys and default float formatting (shortest round-trip), so identical inputs
 produce byte-identical output.
+
+``error_disturbance`` is imported only where an interaction or setup block is
+built, so a config without them never loads it; its types are annotations
+here, which ``from __future__ import annotations`` leaves unevaluated.
 """
 
 from __future__ import annotations
@@ -11,37 +15,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NogoSimError
-from .error_disturbance import ErrorDisturbanceReport, InteractionModel, MeasurementSetup
+from .errors import ConfigError, NogoSimError, _require_number, require_tolerance
 from .linalg import TOL_POSTSELECT
 from .measurement import JointObservable, MeasurementScenario
 from .nogo import DegeneracyReport, TheoremVerdict
-
-
-def _require_number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {type(obj).__name__}")
-    try:
-        value = float(obj)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return value
-
-
-def require_tolerance(obj, where: str) -> float:
-    """A finite, non-negative number; a NaN tolerance would let every ``x > tol`` gate pass."""
-    value = _require_number(obj, where)
-    if value < 0.0:
-        raise ConfigError(f"{where}: expected a non-negative tolerance, got {value!r}")
-    return value
 
 
 def _require_known_keys(block: dict, known: tuple[str, ...], where: str) -> None:
@@ -163,6 +145,8 @@ class ScenarioConfig:
             interaction = None
             inter = _optional_block(raw, "interaction", ("unitary", "h_system", "h_device", "t"))
             if inter is not None:
+                from .error_disturbance import InteractionModel
+
                 # every key present is parsed, so InteractionModel sees, and refuses, both forms at once
                 interaction = InteractionModel(
                     unitary=parse_matrix(inter["unitary"], n * m, "interaction.unitary") if "unitary" in inter else None,
@@ -174,6 +158,8 @@ class ScenarioConfig:
             setup = None
             setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))
             if setup_raw is not None:
+                from .error_disturbance import MeasurementSetup
+
                 setup = MeasurementSetup(
                     measured=parse_matrix(setup_raw.get("measured"), n, "setup.measured"),
                     disturbed=parse_matrix(setup_raw.get("disturbed"), n, "setup.disturbed"),

@@ -185,7 +185,7 @@ class MeasurementScenario:
         if self.postselect is not None:
             phi = _state_of_dim(self.postselect, self.observable.n, "postselect")
             object.__setattr__(self, "postselect", readonly(phi))
-        # _scenario_row's memo, keyed by spectral data; a plain attribute like
+        # _scenario_row's memo, keyed by the observable's own spectral data; a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the four fields
         object.__setattr__(self, "_means", {})
 
@@ -277,11 +277,19 @@ def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
 
 
 def _scenario_row(scenario: MeasurementScenario, data: ProductSpectralData) -> _Means:
-    """The kernel's row for a scenario's kets (phi when it has one), memoized per data: both are read-only."""
+    """The kernel's row for a scenario's kets (phi when it has one); both are read-only.
+
+    The row is memoized only for the data in the scenario's own observable's
+    ``product_spectral`` memo, which lives as long as the scenario does. Other
+    data gets the same row computed afresh, so a caller that builds new
+    spectral data per call neither grows the memo nor keeps that data alive.
+    """
     means = scenario._means.get(data)
     if means is None:
         kets = (ket if ket is None else ket[None] for ket in (scenario.psi, scenario.xi, scenario.postselect))
-        means = scenario._means[data] = _means(data, *kets)
+        means = _means(data, *kets)
+        if any(data is own for own in scenario.observable._spectral.values()):
+            scenario._means[data] = means
     return means
 
 

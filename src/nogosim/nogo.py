@@ -197,7 +197,7 @@ def verify_nogo(
     """Compare conditional vs unconditional expectation and the closed form.
 
     Both means and the closed form are the sums over the terms of one kernel
-    row (``_scenario_row``, memoized on the scenario per spectral data) on
+    row (``_scenario_row``, memoized on the scenario for its own observable's data) on
     ``spectral``, default ``product_spectral`` of the observable at tol_deg
     (data of other dims raises DimensionMismatch): ``conditional_expectation``,
     ``expectation`` and ``closed_form_value`` read the same row, and

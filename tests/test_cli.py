@@ -467,6 +467,51 @@ class TestRandomAudit:
         assert "n=2 m=3" in stdout
 
 
+#: One cheap run of each subcommand that reads a tolerance from a flag or NOGO_DEFAULT_TOL.
+TOLERANCE_COMMANDS = {
+    "verify": ["verify", "--config", str(FIXTURES / "generic_violation.json")],
+    "cnot-sweep": ["cnot-sweep", "--s-grid", "0.5"],
+    "random-audit": ["random-audit", "--count", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ("nan", "NOGO_DEFAULT_TOL: expected a finite number, got nan"),
+        ("-1", "NOGO_DEFAULT_TOL: expected a non-negative tolerance, got -1.0"),
+        ("abc", "NOGO_DEFAULT_TOL is not a number: 'abc'"),
+    ],
+)
+def test_bad_env_tolerance_message(monkeypatch, capsys, command, raw, message):
+    monkeypatch.setenv("NOGO_DEFAULT_TOL", raw)
+    assert main(TOLERANCE_COMMANDS[command]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
+def test_nan_tolerance_flag_message(capsys, command):
+    assert main([*TOLERANCE_COMMANDS[command], "--tol-deg", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: --tol-deg: expected a finite number, got nan\n")
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (math.nan, "tolerances.deg: expected a finite number, got nan"),
+        (-1.0, "tolerances.deg: expected a non-negative tolerance, got -1.0"),
+    ],
+)
+def test_bad_config_tolerance_message(tmp_path, capsys, bad, message):
+    raw = load_fixture("generic_violation.json")
+    raw["tolerances"] = {"deg": bad}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestSample:
     def test_sample_fixture(self, tmp_path):
         out = tmp_path / "sample.json"

@@ -1,7 +1,9 @@
 """Degeneracy reports, basis requirement, invariance verdicts, corollaries."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -518,19 +520,20 @@ def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
     means = measurement._means
     monkeypatch.setattr(measurement, "_means", lambda *args: passes.append(args) or means(*args))
     before = repr(scen)
+    # data of an equal but distinct observable: computed on every call, never stored on scen
     coarse = product_spectral(JointObservable(n=obs.n, m=obs.m, terms=obs.terms), 100.0)
     default_data = product_spectral(obs)
     calls = [
         ({"spectral": coarse}, 1),
-        ({"spectral": coarse}, 1),
-        ({}, 2),
-        ({}, 2),
-        ({"spectral": default_data}, 2),  # the default is this data: same key
-        ({"tol_deg": 100.0}, 3),  # product_spectral(obs, 100.0) is not coarse
+        ({"spectral": coarse}, 2),
+        ({}, 3),
+        ({}, 3),
+        ({"spectral": default_data}, 3),  # the default is this data: same key
+        ({"tol_deg": 100.0}, 4),  # product_spectral(obs, 100.0) is not coarse
         # the means do not depend on tol_deg beyond the data: only the degeneracy report reads it
-        ({"tol_deg": 100.0, "spectral": coarse}, 3),
-        ({"tol_deg": 1e-7, "spectral": default_data}, 3),
-        ({"spectral": coarse}, 3),
+        ({"tol_deg": 100.0, "spectral": coarse}, 5),
+        ({"tol_deg": 1e-7, "spectral": default_data}, 5),
+        ({"spectral": coarse}, 6),
     ]
     verdicts = {}
     for kwargs, count in calls:
@@ -538,13 +541,35 @@ def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
         assert len(passes) == count, kwargs
         key = (id(kwargs.get("spectral")), kwargs.get("tol_deg"))
         assert verdicts.setdefault(key, verdict) == verdict
-    # the public per-term means read the same memoized row
+    assert len(scen._means) == 2  # default_data and product_spectral(obs, 100.0)
+    # the public per-term means read the same row: afresh for coarse, from the memo for the default
     for k in range(obs.num_terms):
         assert expectation(scen, k, coarse) == means(coarse, scen.psi[None], scen.xi[None], None).unconditional[0][k]
         conditional_expectation(scen, k)
-    assert len(passes) == 3
+    assert len(passes) == 6 + obs.num_terms  # one per expectation on coarse; conditional_expectation reads the memo
     assert repr(scen) == before
     assert [f.name for f in dataclasses.fields(scen)] == ["psi", "xi", "observable", "postselect"]
+
+
+def test_spectral_data_of_another_observable_is_not_memoized():
+    scen = random_scenario(np.random.default_rng(8), 2, 2, degenerate=False, num_terms=2)
+    stored = verify_nogo(scen)  # the row random_scenario memoized
+    size = len(scen._means)
+
+    def fresh():
+        return product_spectral(JointObservable(n=2, m=2, terms=scen.observable.terms))
+
+    for _ in range(3):
+        assert verify_nogo(scen, spectral=fresh()) == stored
+    for k in (0, 1, 0):
+        assert expectation(scen, k, fresh()) == expectation(scen, k)
+    assert len(scen._means) == size
+    data = fresh()
+    verify_nogo(scen, spectral=data)
+    ref = weakref.ref(data)
+    del data
+    gc.collect()
+    assert ref() is None  # the scenario keeps no reference to it
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
