@@ -3,7 +3,7 @@
 ``import nogosim`` loads the no-go core; ``error_disturbance`` and ``oracle``
 load on first use of one of their names, and each CLI subcommand imports only
 the layers it runs. The import sets are read in fresh interpreters, since
-this test session has loaded everything already.
+the test process itself has loaded every layer already.
 """
 
 import importlib
