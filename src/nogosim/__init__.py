@@ -34,7 +34,6 @@ from .errors import (
     NogoSimError,
     NonDecomposable,
     NonHermitian,
-    NotRankMDegenerate,
     OrthogonalPostselection,
     ZeroProbability,
 )

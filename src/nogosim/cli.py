@@ -83,13 +83,17 @@ def parse_grid(spec: str, where: str) -> list[float]:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to stdout (newline-terminated) or to out_path; a path that cannot be written is a usage error."""
     if out_path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -110,7 +114,7 @@ def cmd_verify(args) -> int:
     )
 
     error_disturbance = None
-    if config.interaction is not None and config.setup is not None:
+    if config.interaction is not None:  # from_dict admits interaction and setup only together
         from .error_disturbance import postselected_error_disturbance
 
         error_disturbance = postselected_error_disturbance(
@@ -209,8 +213,7 @@ def cmd_random_audit(args) -> int:
     if args.out:
         from .config import report_json
 
-        with open(args.out, "w") as handle:
-            handle.write(report_json(summary))
+        _emit(report_json(summary), args.out)
     if summary.mode == "degenerate" and summary.violations > 0:
         return 1
     return 0

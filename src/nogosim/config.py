@@ -142,8 +142,13 @@ class ScenarioConfig:
                     )
                 observable = JointObservable(n=n, m=m, terms=tuple(terms))
 
-            interaction = None
             inter = _optional_block(raw, "interaction", ("unitary", "h_system", "h_device", "t"))
+            setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))
+            # one without the other would drop the error/disturbance report without a word
+            if (inter is None) != (setup_raw is None):
+                raise ConfigError("'interaction' and 'setup' must be given together")
+
+            interaction = None
             if inter is not None:
                 from .error_disturbance import InteractionModel
 
@@ -156,7 +161,6 @@ class ScenarioConfig:
                 )
 
             setup = None
-            setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))
             if setup_raw is not None:
                 from .error_disturbance import MeasurementSetup
 

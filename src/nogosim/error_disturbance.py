@@ -27,7 +27,6 @@ from .linalg import (
     TOL_UNITARY,
     TOL_VERIFY,
     as_operator,
-    as_state,
     is_unitary,
     matrix_exponential_skew,
     readonly,
@@ -371,6 +370,12 @@ def _cnot_xi(strength: float) -> np.ndarray:
     return np.array([np.sqrt((1.0 + strength) / 2.0), np.sqrt((1.0 - strength) / 2.0)], dtype=complex)
 
 
+def _require_angles(*angles: float) -> None:
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"theta and varphi must be finite, got {angle!r}")
+
+
 def _cnot_phi(theta: float, varphi: float) -> np.ndarray:
     return np.array([math.cos(theta), np.exp(-1j * varphi) * math.sin(theta)], dtype=complex)
 
@@ -385,6 +390,7 @@ class CnotScenario:
 
     def __post_init__(self):
         _require_strength(self.strength)
+        _require_angles(self.theta, self.varphi)
 
     def psi(self) -> np.ndarray:
         return np.array(_CNOT_PSI)
@@ -440,16 +446,18 @@ def cnot_sweep(
 ) -> list[ErrorDisturbanceReport]:
     """``cnot_report`` at every (s, theta, varphi), s slowest and varphi fastest, as one stack.
 
-    psi is checked once, xi once per strength and phi once per (theta, varphi)
-    pair. The kets go by grid position, not by value: 0.0 == -0.0, yet the two
-    can give phi different sign bits.
+    The grid values are checked, not the kets, which are unit: psi is a constant,
+    |xi(s)|^2 = (1+s)/2 + (1-s)/2 and |phi|^2 = cos^2 theta + sin^2 theta. xi is
+    built once per strength and phi once per (theta, varphi) pair. The kets go
+    by grid position, not by value: 0.0 == -0.0, yet the two can give phi
+    different sign bits.
     """
-    psi = as_state(_CNOT_PSI, name="psi")
-    xis = [as_state(_cnot_xi(s), name="xi") for s in s_grid]
+    xis = [_cnot_xi(s) for s in s_grid]
+    _require_angles(*theta_grid, *varphi_grid)
     # phi depends on the angles alone
-    phis = [as_state(_cnot_phi(t, v), name="postselect") for t in theta_grid for v in varphi_grid]
+    phis = [_cnot_phi(t, v) for t in theta_grid for v in varphi_grid]
     if not (xis and phis):
         return []
     # rows in s, theta, varphi order
-    stacks = [psi] * (len(xis) * len(phis)), [x for x in xis for _ in phis], phis * len(xis)
+    stacks = [_CNOT_PSI] * (len(xis) * len(phis)), [x for x in xis for _ in phis], phis * len(xis)
     return _state_reports(_cnot_squared_observables(), *map(np.array, stacks), tol_deg, tol_verify, TOL_POSTSELECT)

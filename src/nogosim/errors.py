@@ -36,10 +36,6 @@ class OrthogonalPostselection(NogoSimError):
     """Pre- and postselected states are orthogonal within the cutoff."""
 
 
-class NotRankMDegenerate(NogoSimError):
-    """Product eigenvalue grid is not constant along system indices."""
-
-
 class NonDecomposable(NogoSimError):
     """Operator could not be written as a sum of Hermitian product terms."""
 

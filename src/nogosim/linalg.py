@@ -76,6 +76,12 @@ def require_finite(a, name: str):
     return a
 
 
+def _require_tol_deg(tol_deg: float) -> None:
+    """Refuse a NaN or negative tol_deg where it is read: no eigenvalue gap is ``<=`` either."""
+    if not tol_deg >= 0.0:
+        raise ValueError(f"tol_deg must be a non-negative number, got {tol_deg!r}")
+
+
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """The operator as a complex array, if max|a_ij - conj(a_ji)| <= TOL_HERMITIAN * max(1, max|a_ij|).
 
@@ -258,8 +264,10 @@ def _canonical_stack(
 
     A group that spans all d indices has the projector I, so the rule gives
     e_1 ... e_d exactly; those rows are written directly, without
-    Gram-Schmidt and without the solver's rounding.
+    Gram-Schmidt and without the solver's rounding. Every decomposition
+    passes through here, so a NaN or negative tol_deg is refused here first.
     """
+    _require_tol_deg(tol_deg)
     dim = values.shape[-1]
     singles, whole = tuple(zip(range(dim))), (tuple(range(dim)),)
     stack_groups = []
@@ -309,7 +317,7 @@ def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     eigenspace basis of ``_canonical_stack``, and every eigenvector's first
     non-negligible component is real positive, so identity-like matrices keep
     the standard basis. Raises NonHermitian on bad input, including NaN or
-    Inf entries.
+    Inf entries, and ValueError on a NaN or negative tol_deg.
     """
     values, columns, groups = _decompose(require_hermitian(h)[None], tol_deg)
     return _decomposition(values[0], columns[0], groups[0])

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotRankMDegenerate, ZeroProbability
+from .errors import DimensionMismatch, ZeroProbability
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
     TOL_UNITARY,
     TOL_VERIFY,
+    _require_tol_deg,
     as_operator,
     is_unitary,
     readonly,
@@ -36,7 +37,6 @@ from .measurement import (
     ProductSpectralData,
     _Means,
     _means,
-    _memo_key,
     _require_denominator,
     _require_postselect,
     _resolve_spectral,
@@ -73,7 +73,9 @@ class DegeneracyReport:
 
 def _within(u: np.ndarray, v: np.ndarray, tol_deg: float) -> np.ndarray:
     """Whether each column of the grids r_ij = u_i * v_j spreads by at most tol_deg along i, from (..., n) u and
-    (..., m) v: column j spreads by exactly |v_j| (max u - min u). False for a NaN spread or tolerance."""
+    (..., m) v: column j spreads by exactly |v_j| (max u - min u). Every hypothesis passes through here,
+    so a NaN or negative tol_deg is refused here first."""
+    _require_tol_deg(tol_deg)
     return np.abs(v) * (u.max(axis=-1) - u.min(axis=-1))[..., None] <= tol_deg
 
 
@@ -82,10 +84,10 @@ def _term_degeneracy(u: np.ndarray, v: np.ndarray, within: np.ndarray, columns: 
     if within.all():
         return TermDegeneracy(is_rank_m_degenerate=True, column_eigenvalues=columns, witness=None)
     j = int(np.argmin(within))  # first column outside tol_deg
-    # column j is u * v_j, so its extreme rows are those of u (ascending, so already in order), or row 0
-    # twice when v_j = 0 makes the column constant
-    i, i2 = (int(np.argmin(u)), int(np.argmax(u))) if v[j] else (0, 0)
-    return TermDegeneracy(is_rank_m_degenerate=False, column_eigenvalues=None, witness=(i, i2, j))
+    # column j is u * v_j, so its extreme rows are those of u (ascending, so already in order):
+    # v_j != 0, as |v_j| (max u - min u) > tol_deg >= 0
+    witness = int(np.argmin(u)), int(np.argmax(u)), j
+    return TermDegeneracy(is_rank_m_degenerate=False, column_eigenvalues=None, witness=witness)
 
 
 def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_DEG) -> DegeneracyReport:
@@ -97,16 +99,14 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
     the mean(u_k) of the kernel's closed column. The report is computed once per
     spectral data and tol_deg, then returned from a memo on the data: its stacks
     are read-only, so the report is a pure function of (spectral, tol_deg), and
-    it is immutable, so callers can share it. Every NaN tol_deg shares one
-    entry (``_memo_key``).
+    it is immutable, so callers can share it.
     """
-    memo, key = spectral._degeneracy, _memo_key(tol_deg)
-    report = memo.get(key)
+    report = spectral._degeneracy.get(tol_deg)
     if report is None:
         u, v = spectral.system_values, spectral.device_values
         columns = readonly((u.sum(axis=-1) / u.shape[-1])[..., None] * v)
         terms = tuple(map(_term_degeneracy, u, v, _within(u, v, tol_deg), columns))
-        report = memo[key] = DegeneracyReport(terms=terms)
+        report = spectral._degeneracy[tol_deg] = DegeneracyReport(terms=terms)
     return report
 
 
@@ -179,14 +179,6 @@ class TheoremVerdict:
         return self.closed_form_gap is None or self.closed_form_gap <= self.tol_verify
 
 
-def closed_form_value(scenario: MeasurementScenario, spectral: ProductSpectralData, report: DegeneracyReport) -> float:
-    """sum_k mean(u_k) <xi|M_k|xi> over degenerate terms: the kernel's closed column, added in slot order."""
-    for idx, verdict in enumerate(report.terms):
-        if not verdict.is_rank_m_degenerate:
-            raise NotRankMDegenerate(f"term {idx} grid is not column-constant; witness {verdict.witness}")
-    return sum(_scenario_row(scenario, _resolve_spectral(scenario, spectral)).closed[0])
-
-
 def verify_nogo(
     scenario: MeasurementScenario,
     tol_deg: float = TOL_DEG,
@@ -199,12 +191,13 @@ def verify_nogo(
     Both means and the closed form are the sums over the terms of one kernel
     row (``_scenario_row``, memoized on the scenario for its own observable's data) on
     ``spectral``, default ``product_spectral`` of the observable at tol_deg
-    (data of other dims raises DimensionMismatch): ``conditional_expectation``,
-    ``expectation`` and ``closed_form_value`` read the same row, and
-    ``random_scenario``'s postselection check made it for the default tol_deg.
-    The hypothesis is ``_within`` on the factor spectra, the one column rule
-    of ``check_rank_m_degeneracy`` and of the audit's rows, so no per-term
-    report is built (False for a NaN spread or tolerance).
+    (data of other dims raises DimensionMismatch): ``conditional_expectation``
+    and ``expectation`` read the same row, and ``random_scenario``'s
+    postselection check made it for the default tol_deg. The closed form is
+    the row's closed column added by ``sum``, and None when the hypothesis
+    fails. The hypothesis is ``_within`` on the factor spectra, the one column
+    rule of ``check_rank_m_degeneracy`` and of the audit's rows, so no
+    per-term report is built; a NaN or negative tol_deg raises ValueError.
     """
     _require_postselect(scenario)
     data = _resolve_spectral(scenario, spectral, tol_deg)

@@ -280,6 +280,23 @@ class TestVerify:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["absent", "null"])
+    @pytest.mark.parametrize("dropped", ["setup", "interaction"])
+    def test_interaction_and_setup_come_together(self, tmp_path, capsys, dropped, value):
+        # verify without the setup block used to exit 0 with "error_disturbance": null, without a word
+        raw = load_fixture("cnot_error.json")
+        if value == "absent":
+            del raw[dropped]
+        else:
+            raw[dropped] = None
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(raw))
+        for command in ("verify", "sample"):
+            assert main([command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: 'interaction' and 'setup' must be given together\n"
+
     def test_empty_interaction_names_neither_form(self, tmp_path, capsys):
         # an empty block used to be refused as "... not both"
         raw = load_fixture("cnot_error.json")
@@ -594,6 +611,27 @@ def test_sweep_stdout_when_no_out(capsys):
     assert lines[0].startswith("s,theta,varphi,epsilon_sq")
     values = lines[1].split(",")
     assert float(values[3]) == pytest.approx(1.0, abs=1e-12)
+
+
+#: One short run of each subcommand that takes --out.
+OUT_COMMANDS = {
+    "verify": ["verify", "--config", str(FIXTURES / "cnot_error.json")],
+    "cnot-sweep": ["cnot-sweep", "--s-grid", "0.5", "--theta-grid", "0.1", "--varphi-grid", "0.2"],
+    "random-audit": ["random-audit", "--count", "2"],
+    "sample": ["sample", "--config", str(FIXTURES / "cnot_error.json"), "--shots", "10"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv, where):
+    # open() used to raise through main: a FileNotFoundError or IsADirectoryError traceback and exit 1
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: [Errno ")
+    assert err.count("\n") == 1 and str(out) in err
+    assert "Traceback" not in err
 
 
 def _readme_synopsis() -> dict[str, set[str]]:

@@ -20,7 +20,7 @@ SRC = Path(nogosim.__file__).resolve().parents[1]
 FIXTURES = SRC / "nogosim" / "fixtures"
 CORE = {"nogosim", "nogosim.errors", "nogosim.linalg", "nogosim.measurement", "nogosim.nogo"}
 
-#: Every name ``nogosim`` exported before its side layers became lazy, by defining module.
+#: Every name ``nogosim`` exports, by defining module.
 EXPORTS = {
     "errors": (
         "ConfigError",
@@ -30,7 +30,6 @@ EXPORTS = {
         "NogoSimError",
         "NonDecomposable",
         "NonHermitian",
-        "NotRankMDegenerate",
         "OrthogonalPostselection",
         "ZeroProbability",
     ),

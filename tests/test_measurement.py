@@ -38,7 +38,6 @@ from nogosim.measurement import (
 from nogosim.nogo import (
     basis_transform,
     check_rank_m_degeneracy,
-    closed_form_value,
     instance_rng,
     random_scenario,
     term_basis_transform,
@@ -563,7 +562,6 @@ SPECTRAL_TAKERS = {
     "abl_conditional_grid": lambda scen, data: abl_conditional_grid(scen, 0, data),
     "conditional_expectation": lambda scen, data: conditional_expectation(scen, 0, data),
     "verify_nogo": lambda scen, data: verify_nogo(scen, spectral=data),
-    "closed_form_value": lambda scen, data: closed_form_value(scen, data, check_rank_m_degeneracy(data)),
 }
 
 

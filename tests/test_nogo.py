@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim import linalg, measurement, nogo
+from nogosim import error_disturbance, linalg, measurement, nogo
 from nogosim.errors import (
     DimensionMismatch,
-    NotRankMDegenerate,
     ZeroProbability,
 )
 from nogosim.linalg import TOL_DEG, as_state
@@ -31,7 +30,6 @@ from nogosim.nogo import (
     basis_transform,
     check_basis_requirement,
     check_rank_m_degeneracy,
-    closed_form_value,
     instance_rng,
     random_audit,
     random_hermitian,
@@ -45,6 +43,8 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
+#: tol_deg values refused where they are read: NaN, a negative just below zero, and -inf
+BAD_TOL_DEG = [math.nan, -1e-12, -math.inf]
 
 
 def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
@@ -89,12 +89,14 @@ class TestDegeneracyCheck:
         assert check_rank_m_degeneracy(product_spectral(obs), tol_deg=1e-9).all_degenerate
         assert not check_rank_m_degeneracy(product_spectral(obs), tol_deg=1e-12).all_degenerate
 
+    @pytest.mark.parametrize("tol_deg", BAD_TOL_DEG)
     @pytest.mark.parametrize("system", [np.diag([1.0, 2.0]), 4 * np.eye(2)], ids=["generic", "exactly-degenerate"])
-    def test_nan_tolerance_marks_no_term_degenerate(self, system):
-        obs = JointObservable(n=2, m=2, terms=((system.astype(complex), P1),))
-        report = check_rank_m_degeneracy(product_spectral(obs), math.nan)
-        assert not report.terms[0].is_rank_m_degenerate
-        assert not report.all_degenerate
+    def test_nan_or_negative_tolerance_is_refused(self, system, tol_deg):
+        # a NaN used to mark every term, even an exactly degenerate one, as not degenerate
+        data = product_spectral(JointObservable(n=2, m=2, terms=((system.astype(complex), P1),)))
+        with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
+            check_rank_m_degeneracy(data, tol_deg)
+        assert data._degeneracy == {}
 
     def test_memoized_per_tol_deg(self):
         data = product_spectral(JointObservable(n=2, m=2, terms=((np.diag([0.0, 1e-8]), I2),)))
@@ -104,23 +106,10 @@ class TestDegeneracyCheck:
         assert check_rank_m_degeneracy(data, 1e-9) is fine
         assert coarse.all_degenerate
         assert not fine.all_degenerate
-        assert not check_rank_m_degeneracy(data, math.nan).all_degenerate
-
-    def test_nan_tolerances_share_one_memo_entry(self):
-        # a NaN key equals no other NaN, so each fresh NaN used to add one entry per memo
-        obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
-        scen = MeasurementScenario(psi=[0.6, 0.8], xi=[0.8, 0.6j], observable=obs, postselect=[1, 0])
-        data = product_spectral(obs, math.nan)
-        report = check_rank_m_degeneracy(data, math.nan)
-        verify_nogo(scen, tol_deg=math.nan)
-        sizes = len(obs._spectral), len(data._degeneracy), len(scen._means)
-        for nan in (float("nan"), np.float64("nan"), -math.nan):
-            assert product_spectral(obs, nan) is data
-            assert check_rank_m_degeneracy(data, nan) is report
-            # fail-closed: no gap is <= NaN, even for an exactly degenerate factor
-            assert not verify_nogo(scen, tol_deg=nan).hypothesis_holds
-        assert (len(obs._spectral), len(data._degeneracy), len(scen._means)) == sizes
-        assert not report.all_degenerate
+        # -0.0 == 0.0 with one hash, so the two share an entry; inf merges every eigenvalue
+        assert check_rank_m_degeneracy(data, -0.0) is check_rank_m_degeneracy(data, 0.0)
+        assert check_rank_m_degeneracy(data, math.inf).all_degenerate
+        assert list(data._degeneracy) == [1e-7, 1e-9, 0.0, math.inf]
 
     def test_memo_is_not_a_field(self):
         data = product_spectral(JointObservable(n=2, m=2, terms=((I2, Z),)))
@@ -128,6 +117,42 @@ class TestDegeneracyCheck:
         check_rank_m_degeneracy(data)
         assert repr(data) == before
         assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "system_values", "device_values"]
+
+
+#: Every entry point that reads tol_deg, each called on the shared (scen, data) at one tol_deg.
+TOL_DEG_READERS = {
+    "product_spectral": lambda scen, data, tol_deg: product_spectral(scen.observable, tol_deg),
+    "spectral_decompose": lambda scen, data, tol_deg: linalg.spectral_decompose(np.diag([1.0, 1.0, 2.0]), tol_deg),
+    "jacobi_decompose": lambda scen, data, tol_deg: linalg.jacobi_decompose(np.diag([1.0, 1.0, 2.0]), tol_deg),
+    "check_rank_m_degeneracy": lambda scen, data, tol_deg: check_rank_m_degeneracy(data, tol_deg),
+    "verify_nogo": lambda scen, data, tol_deg: verify_nogo(scen, tol_deg=tol_deg),
+    "verify_nogo-spectral": lambda scen, data, tol_deg: verify_nogo(scen, tol_deg=tol_deg, spectral=data),
+    "random_audit": lambda scen, data, tol_deg: random_audit(3, 1, "degenerate", tol_deg=tol_deg),
+    "cnot_report": lambda scen, data, tol_deg: error_disturbance.cnot_report(
+        error_disturbance.CnotScenario(0.4), tol_deg
+    ),
+    "cnot_sweep": lambda scen, data, tol_deg: error_disturbance.cnot_sweep([0.4, 1.0], [0.3], [0.0, 1.0], tol_deg),
+    "postselected_error_disturbance": lambda scen, data, tol_deg: error_disturbance.postselected_error_disturbance(
+        *error_disturbance._cnot_model_setup(), scen.psi, scen.xi, scen.postselect, tol_deg=tol_deg
+    ),
+}
+
+
+@pytest.mark.parametrize("tol_deg", BAD_TOL_DEG)
+@pytest.mark.parametrize("call", TOL_DEG_READERS.values(), ids=TOL_DEG_READERS.keys())
+def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg):
+    scen = cnot_error_scenario(0.4)
+    data = product_spectral(scen.observable)
+    verify_nogo(scen)
+    check_rank_m_degeneracy(data)
+    both = error_disturbance._cnot_squared_observables().both
+    memos = (scen.observable._spectral, data._degeneracy, scen._means, both._spectral)
+    sizes = [len(memo) for memo in memos]
+    with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
+        call(scen, data, tol_deg)
+    assert [len(memo) for memo in memos] == sizes
+    for value in (0.0, math.inf):  # zero and inf bound the accepted range
+        call(scen, data, value)
 
 
 def grid_degeneracy(u, v, tol_deg):
@@ -157,7 +182,7 @@ TERM_KINDS = {
     m=st.integers(1, 3),
     kinds=st.lists(st.sampled_from(sorted(TERM_KINDS)), min_size=1, max_size=2),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
-    tol_deg=st.sampled_from([0.0, 1e-9, 1e-7, 0.5, 3.0, math.nan]),
+    tol_deg=st.sampled_from([0.0, 1e-9, 1e-7, 0.5, 3.0, math.inf]),
 )
 @settings(max_examples=300, deadline=None)
 def test_factored_degeneracy_check_equals_the_grid_check(seed, n, m, kinds, scale, tol_deg):
@@ -203,7 +228,7 @@ def test_verify_nogo_builds_no_degeneracy_report():
     m=st.integers(1, 3),
     num_terms=st.integers(1, 3),
     degenerate=st.booleans(),
-    tol_deg=st.sampled_from([0.0, 1e-9, 0.5, 3.0, math.nan]),
+    tol_deg=st.sampled_from([0.0, 1e-9, 0.5, 3.0, math.inf]),
 )
 @settings(max_examples=200, deadline=None)
 def test_verify_nogo_hypothesis_is_the_degeneracy_report(seed, n, m, num_terms, degenerate, tol_deg):
@@ -339,17 +364,17 @@ class TestClosedFormIdentities:
             assert numerator == pytest.approx(float(np.dot(tilde, xi_amp)) * denominator, abs=1e-10)
 
 
-class TestClosedFormValue:
-    def test_non_degenerate_grid_rejected(self):
+class TestClosedForm:
+    def test_non_degenerate_grid_has_no_closed_form(self):
         # diag(1, 2) (x) I has grid rows (1, 1) and (2, 2): column 0 varies between rows 0 and 1
         skewed = (np.diag([1.0, 2.0]), I2)
         for terms, idx in (((skewed,), 0), (((I2, Z), skewed), 1)):
             obs = JointObservable(n=2, m=2, terms=terms)
             scen = MeasurementScenario(psi=[1, 0], xi=[1, 0], observable=obs, postselect=[1, 0])
-            message = rf"term {idx} .*witness \(0, 1, 0\)"
-            data = product_spectral(obs)
-            with pytest.raises(NotRankMDegenerate, match=message):
-                closed_form_value(scen, data, check_rank_m_degeneracy(data))
+            assert check_rank_m_degeneracy(product_spectral(obs)).terms[idx].witness == (0, 1, 0)
+            verdict = verify_nogo(scen)
+            assert not verdict.hypothesis_holds
+            assert verdict.closed_form is None and verdict.closed_form_gap is None
 
 
 class TestRandomAudit:
@@ -699,8 +724,13 @@ def test_verdict_equals_the_public_per_term_sums(seed, n, m, num_terms, degenera
     assert verdict.gap == abs(conditional - unconditional)
     assert verdict.hypothesis_holds == report.all_degenerate
     if report.all_degenerate:
-        closed = closed_form_value(scen, data, report)
+        # sum_k mean(u_k) <xi|M_k|xi>: the kernel's closed column added in slot order, near the same sum
+        # formed from the public column values and device weights
+        closed = sum(measurement._scenario_row(scen, data).closed[0])
+        device = [np.abs(data.device[k] @ scen.xi) ** 2 for k in range(len(data))]
+        public = sum(float(t.column_eigenvalues @ q) for t, q in zip(report.terms, device))
         assert verdict.closed_form == closed
+        assert closed == pytest.approx(public, rel=1e-12, abs=1e-12)
         assert verdict.closed_form_gap == max(abs(closed - conditional), abs(closed - unconditional))
     else:
         assert verdict.closed_form is None and verdict.closed_form_gap is None
