@@ -198,6 +198,8 @@ def cmd_random_audit(args) -> int:
         if n < 1 or m < 1:
             raise ConfigError("--dims entries must be positive")
 
+    if args.out:
+        _emit("", args.out)  # the table goes to stdout before the report: a path that cannot be written fails first
     summary = random_audit(
         count=args.count, seed=args.seed, mode=args.mode, n=n, m=m, tol_deg=tol_deg, tol_verify=tol_verify
     )

@@ -7,6 +7,12 @@ basis fixed by its eigenspace, not by whichever basis the solver happened to
 return. A cyclic Jacobi
 solver (``jacobi_decompose``) ending in the same canonicalisation is kept for
 the oracle, so the oracle shares no eigensolver with the formula path.
+
+An eigenvector's phase is fixed (``_fixed_columns``: first non-negligible
+component real positive) only where eigenvectors are shown: in
+``_decomposition``, behind ``spectral_decompose`` and ``jacobi_decompose``,
+and in the ``ProductSpectralData`` views. No probability |<u_i|psi>|^2
+depends on it, so the formula path's stacks (``_decompose``) stop before it.
 """
 
 from __future__ import annotations
@@ -183,27 +189,27 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _fixed_columns(vectors: np.ndarray) -> np.ndarray:
-    """The columns of every matrix in a (B, d, d) stack, as rows, each with its first
+def _fixed_columns(rows: np.ndarray) -> np.ndarray:
+    """Every row of every matrix in a (B, d, d) stack of unit rows, with its first
     non-negligible component made real positive.
 
-    The phase is applied in Python complex arithmetic, one column at a time:
+    The phase is applied in Python complex arithmetic, one row at a time:
     numpy's complex multiply rounds differently from Python's.
     """
     stack = []
-    for columns in vectors.transpose(0, 2, 1).tolist():
-        rows = []
-        for col in columns:
-            # a unit column always has a component above the cutoff
-            for i, z in enumerate(col):
+    for matrix in rows.tolist():
+        fixed_rows = []
+        for row in matrix:
+            # a unit row always has a component above the cutoff
+            for i, z in enumerate(row):
                 size = abs(z)
                 if size > _PHASE_CUTOFF:
                     break
             phase = z.conjugate() / size
-            fixed = [c * phase for c in col]
+            fixed = [c * phase for c in row]
             fixed[i] = size
-            rows.append(fixed)
-        stack.append(rows)
+            fixed_rows.append(fixed)
+        stack.append(fixed_rows)
     return np.array(stack, dtype=complex)
 
 
@@ -247,7 +253,9 @@ def _canonical_stack(
     ``values`` (B, d) ascend along each row and column k of ``vectors[b]``
     (B, d, d; overwritten) belongs to ``values[b, k]``. Returns each matrix's
     eigenspace groups and the (B, d, d) stack whose row k of matrix b is its
-    canonical column k. Each matrix is canonicalised on its own.
+    canonical column k. Each matrix is canonicalised on its own. A row keeps
+    the phase the solver or Gram-Schmidt gave it: ``_fixed_columns`` runs
+    only where eigenvectors are shown, since no probability reads a phase.
 
     For a group of size g > 1, e_1 ... e_d are projected onto
     the group's eigenspace in order, and Gram-Schmidt keeps a residual only
@@ -285,27 +293,36 @@ def _canonical_stack(
             if len(group) > 1:
                 _gram_schmidt(vectors[b], group)
         stack_groups.append(groups)
-    return tuple(stack_groups), _fixed_columns(vectors)
+    return tuple(stack_groups), vectors.transpose(0, 2, 1)
+
+
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``eigh`` of the Hermitian part (M + M^dag)/2 of every matrix in a (B, d, d) stack.
+
+    Stacked ``eigh`` runs LAPACK on each matrix in turn, so row b holds the
+    bits of matrix b alone. The caller vouches for Hermiticity:
+    ``spectral_decompose`` checks outside input, ``measurement._spectral_stacks``
+    reads factors that ``JointObservable`` has checked or that the audit builds
+    Hermitian.
+    """
+    return np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
 
 
 def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Eigenvalues, canonical columns as rows, and groups of a Hermitian (B, d, d) stack; one LAPACK call.
+    """Eigenvalues, canonical columns as rows (phases as found), and groups of a Hermitian (B, d, d) stack.
 
-    Stacked ``eigh`` runs LAPACK on each matrix in turn and ``_canonical_stack``
-    canonicalises each matrix on its own, so row b holds the bits of matrix b
-    decomposed alone. The caller vouches for Hermiticity: ``spectral_decompose``
-    checks outside input, ``measurement._spectral_stacks`` reads factors that
-    ``JointObservable`` has checked or that the audit builds Hermitian.
+    One ``_eigh`` call, then ``_canonical_stack``, which canonicalises each
+    matrix on its own, so row b holds the bits of matrix b decomposed alone.
     """
-    values, vectors = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
-    groups, columns = _canonical_stack(values, vectors, tol_deg)
-    return values, columns, groups
+    values, vectors = _eigh(mats)
+    groups, rows = _canonical_stack(values, vectors, tol_deg)
+    return values, rows, groups
 
 
-def _decomposition(values: np.ndarray, columns: np.ndarray, groups) -> SpectralDecomposition:
-    """One matrix's decomposition from its (d,) values and (d, d) canonical columns as rows."""
+def _decomposition(values: np.ndarray, rows: np.ndarray, groups) -> SpectralDecomposition:
+    """One matrix's decomposition from its (d,) values and (d, d) canonical columns as rows, phases fixed here."""
     return SpectralDecomposition(
-        eigenvalues=readonly(values), eigenvectors=readonly(columns.T), eigenspace_groups=groups
+        eigenvalues=readonly(values), eigenvectors=readonly(_fixed_columns(rows[None])[0].T), eigenspace_groups=groups
     )
 
 
@@ -319,8 +336,8 @@ def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     the standard basis. Raises NonHermitian on bad input, including NaN or
     Inf entries, and ValueError on a NaN or negative tol_deg.
     """
-    values, columns, groups = _decompose(require_hermitian(h)[None], tol_deg)
-    return _decomposition(values[0], columns[0], groups[0])
+    values, rows, groups = _decompose(require_hermitian(h)[None], tol_deg)
+    return _decomposition(values[0], rows[0], groups[0])
 
 
 def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
@@ -357,8 +374,8 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
 
     eigenvalues = np.diag(a).real.copy()
     order = np.argsort(eigenvalues, kind="stable")
-    groups, columns = _canonical_stack(eigenvalues[order][None], vec[:, order][None], tol_deg)
-    return _decomposition(eigenvalues[order], columns[0], groups[0])
+    groups, rows = _canonical_stack(eigenvalues[order][None], vec[:, order][None], tol_deg)
+    return _decomposition(eigenvalues[order], rows[0], groups[0])
 
 
 def matrix_exponential_skew(h, t: float) -> np.ndarray:

@@ -7,11 +7,14 @@ updates, ABL conditional probabilities under postselection, conditional
 expectation values and weak values all live here.
 
 An observable's spectral data (``product_spectral``) is four stacks over
-its K terms: the factors' adjoint eigenbases V^dag and eigenvalues u and v.
-Every mean is one kernel, ``_means``, on factor weights p_i = |<u_i|psi>|^2,
-x_i = |<u_i|phi>|^2 and q_j = |<v_j|xi>|^2: term k's joint weight is
-p_i x_i q_j and sum_j q_j = 1, so the device enters only as <xi|M_k|xi>, and
-the gap of term k is <xi|M_k|xi> (wbar_k - <psi|S_k|psi>) with
+its K terms: the system factors' adjoint eigenbases V^dag, the device
+factors M_k themselves, and the eigenvalues u and v of both. Every mean is
+one kernel, ``_means``, on system weights p_i = |<u_i|psi>|^2 and
+x_i = |<u_i|phi>|^2 and on <xi|M_k|xi>: term k's joint weight is p_i x_i q_j
+with q_j = |<v_j|xi>|^2, and sum_j v_j q_j = <xi|M_k|xi>, so the device
+enters only through that quadratic form, which the kernel reads off M_k
+without a device eigenvector. The gap of term k is
+<xi|M_k|xi> (wbar_k - <psi|S_k|psi>) with
 wbar_k = sum_i u_i p_i x_i / sum_i p_i x_i. The oracle module re-derives the
 same quantities by explicit matrix arithmetic so the two paths can be
 compared in tests.
@@ -22,7 +25,8 @@ The dataclasses here hold numpy arrays, so they compare and hash by identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +41,8 @@ from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
     _decompose,
+    _eigh,
+    _fixed_columns,
     as_operator,
     as_state,
     outer,
@@ -90,21 +96,46 @@ def _product_grid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProductSpectralData:
-    """Stacks over the K terms: the factors' V^dag, (K, n, n) and (K, m, m), and eigenvalues u (K, n) and v (K, m).
+    """Stacks over the K terms: the system factors' V^dag (K, n, n), the device factors M_k (K, m, m), and
+    the eigenvalues u (K, n) and v (K, m) of both factors.
 
-    Term k is entry k of each stack; its factor eigenbasis V is ``system[k].conj().T``.
-    No mean and no degeneracy verdict reads a (K, n, m) grid: both come from u and v.
+    Term k is entry k of each stack. Row i of ``system_adjoint[k]`` is <u_i|, the
+    canonical eigenvector of ``linalg._decompose`` with the phase it was found
+    with: no probability |<u_i|ket>|^2 reads a phase. The device side enters
+    every mean only as <xi|M_k|xi>, so no device eigenvector is kept, and no
+    mean and no degeneracy verdict reads a (K, n, m) grid: both come from u and v.
+
+    ``system`` and ``device`` are the phase-fixed V^dag stacks that
+    ``spectral_decompose`` gives each factor, read-only, formed on first access
+    and kept; ``tol_deg``, the grouping tolerance the data was made at, is a
+    plain attribute like ``_degeneracy``, so fields() and repr see only the stacks.
     """
 
-    system: np.ndarray
-    device: np.ndarray
+    system_adjoint: np.ndarray
+    device_factors: np.ndarray
     system_values: np.ndarray
     device_values: np.ndarray
+    tol_deg: InitVar[float]
 
-    def __post_init__(self):
+    def __post_init__(self, tol_deg):
+        object.__setattr__(self, "tol_deg", tol_deg)
         # nogo.check_rank_m_degeneracy's memo keyed by tol_deg: a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the stacks
         object.__setattr__(self, "_degeneracy", {})
+
+    @cached_property
+    def system(self) -> np.ndarray:
+        """Each system factor's V^dag, with the phase of each eigenvector fixed: its term's eigenbasis V is
+        ``system[k].conj().T``."""
+        rows = self.system_adjoint.conj()  # conj undoes conj to the bit
+        return readonly(_fixed_columns(rows.reshape(-1, *rows.shape[-2:])).conj().reshape(rows.shape))
+
+    @cached_property
+    def device(self) -> np.ndarray:
+        """Each device factor's V^dag, decomposed here at ``tol_deg``, with the phase of each eigenvector fixed."""
+        factors = self.device_factors
+        rows = _decompose(factors.reshape(-1, *factors.shape[-2:]), self.tol_deg)[1]
+        return readonly(_fixed_columns(rows).conj().reshape(factors.shape))
 
     @property
     def grids(self) -> np.ndarray:
@@ -112,33 +143,30 @@ class ProductSpectralData:
         return readonly(_product_grid(self.system_values, self.device_values))
 
     def __len__(self) -> int:
-        return len(self.system)
+        return len(self.system_values)
 
 
 def _spectral_stacks(
     system: np.ndarray, device: np.ndarray, tol_deg: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The factors' V^dag and eigenvalues of (..., n, n) system and (..., m, m) device factor stacks.
+    """``ProductSpectralData``'s stacks from (..., n, n) system and (..., m, m) device factor stacks.
 
     The leading shape is any: (K,) for one observable, (B, K) for the audit's
-    rows. Each factor stack goes through one ``_decompose`` call, which
-    decomposes each matrix on its own, so every entry holds the bits
-    ``spectral_decompose`` gives its factor alone.
+    rows. The system stack goes through one ``_decompose`` call, which
+    decomposes each matrix on its own. The device stack goes through one
+    ``_eigh`` call, the solver ``_decompose`` runs, whose eigenvectors are
+    dropped; ``eigvalsh`` would round the values differently. So every value
+    holds the bits ``spectral_decompose`` gives its factor alone.
     """
     lead, n, m = system.shape[:-2], system.shape[-1], device.shape[-1]
-    sys_values, sys_columns, _ = _decompose(system.reshape(-1, n, n), tol_deg)
-    dev_values, dev_columns, _ = _decompose(device.reshape(-1, m, m), tol_deg)
+    sys_values, sys_rows, _ = _decompose(system.reshape(-1, n, n), tol_deg)
+    dev_values = _eigh(device.reshape(-1, m, m))[0]
     # the canonical columns come as rows, so their conjugates are the adjoints V^dag
-    return (
-        sys_columns.conj().reshape(*lead, n, n),
-        dev_columns.conj().reshape(*lead, m, m),
-        sys_values.reshape(*lead, n),
-        dev_values.reshape(*lead, m),
-    )
+    return sys_rows.conj().reshape(*lead, n, n), device, sys_values.reshape(*lead, n), dev_values.reshape(*lead, m)
 
 
 def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """Every term's factor V^dag and eigenvalues as read-only stacks.
+    """Every term's system V^dag, device factor and eigenvalues as read-only stacks.
 
     One ``_spectral_stacks`` call, made once per observable and tol_deg,
     then returned from a memo on the observable: its factors are read-only,
@@ -150,7 +178,7 @@ def product_spectral(observable: JointObservable, tol_deg: float = TOL_DEG) -> P
     if data is None:
         # no Hermiticity check here: JointObservable.__post_init__ checked every factor and froze it read-only
         stacks = _spectral_stacks(*map(np.stack, zip(*observable.terms)), tol_deg)
-        data = observable._spectral[tol_deg] = ProductSpectralData(*map(readonly, stacks))
+        data = observable._spectral[tol_deg] = ProductSpectralData(*map(readonly, stacks), tol_deg)
     return data
 
 
@@ -212,7 +240,7 @@ def _resolve_spectral(scenario: MeasurementScenario, spectral, tol_deg: float = 
     """``spectral``, or the observable's ``product_spectral`` at tol_deg when None; data of other dims is refused."""
     if spectral is None:
         return product_spectral(scenario.observable, tol_deg)
-    dims = spectral.system.shape[-1], spectral.device.shape[-1]
+    dims = spectral.system_values.shape[-1], spectral.device_values.shape[-1]
     if dims != (scenario.n, scenario.m):
         raise DimensionMismatch(f"spectral data has (n, m) = {dims}, scenario has {(scenario.n, scenario.m)}")
     return spectral
@@ -248,20 +276,24 @@ def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
 
     The kets are (B, d) stacks, and phi may be None. ``data``'s stacks are
     (K, ...), shared by every row, or carry a leading B axis, one observable
-    per row. Each value is a product of ``np.vecdot`` reductions over its own
-    slot, so entry (b, k) holds the bits of row b's kets and term k alone. A
+    per row. The system side reads the eigenvalues u and the weights under
+    ``system_adjoint``; the device side is <xi|M_k|xi>, taken off the factor
+    M_k itself, so no device eigenvector enters. Each value is a product of
+    ``np.vecdot`` reductions over its own slot, in one stacked form for any B,
+    so entry (b, k) holds the bits of row b's kets and term k alone. A
     vanishing denominator leaves a NaN or Inf conditional mean, which the
     caller rejects with ``_require_denominator`` before reading it.
     """
     u = data.system_values
     # a term slot axis on every ket: row b's weights under each of the K adjoints
-    p = _weights(data.system, psi[:, None])
-    device_mean = np.vecdot(data.device_values, _weights(data.device, xi[:, None]))  # <xi|M_k|xi>
+    p = _weights(data.system_adjoint, psi[:, None])
+    xi = xi[:, None]
+    device_mean = np.vecdot(xi, (data.device_factors @ xi[..., None])[..., 0]).real  # <xi|M_k|xi>
     unconditional = (np.vecdot(u, p) * device_mean).tolist()
     closed = (u.sum(axis=-1) / u.shape[-1] * device_mean).tolist()
     if phi is None:
         return _Means(None, None, unconditional, closed)
-    x = _weights(data.system, phi[:, None])
+    x = _weights(data.system_adjoint, phi[:, None])
     denom = np.vecdot(p, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         conditional = np.vecdot(u, p * x) / denom * device_mean
@@ -288,9 +320,9 @@ def _scenario_row(scenario: MeasurementScenario, data: ProductSpectralData) -> _
 def outcome_probability_grid(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> np.ndarray:
-    """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid."""
+    """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid; the device eigenvectors are those of the ``device`` view."""
     data = _resolve_spectral(scenario, spectral)
-    return _product_grid(_weights(data.system[k], scenario.psi), _weights(data.device[k], scenario.xi))
+    return _product_grid(_weights(data.system_adjoint[k], scenario.psi), _weights(data.device[k], scenario.xi))
 
 
 def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
@@ -322,10 +354,11 @@ def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POS
 def joint_probability_grid(
     scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
 ) -> np.ndarray:
-    """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid."""
+    """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid; the device eigenvectors
+    are those of the ``device`` view."""
     phi = _require_postselect(scenario)
     data = _resolve_spectral(scenario, spectral)
-    system = data.system[k]
+    system = data.system_adjoint[k]
     return _product_grid(_weights(system, scenario.psi) * _weights(system, phi), _weights(data.device[k], scenario.xi))
 
 

@@ -133,7 +133,8 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
 
 
 def term_basis_transform(spectral: ProductSpectralData, k: int, phi) -> BasisTransform:
-    """Transform T = V_sys (x) V_dev of term k (flat index i*m + j); each V is the adjoint of its stacked V^dag.
+    """Transform T = V_sys (x) V_dev of term k (flat index i*m + j); each V is the adjoint of the data's
+    ``system`` or ``device`` view, the phase-fixed eigenvectors ``spectral_decompose`` shows.
 
     Such a product transform always meets the basis requirement, which is why
     ``verify_nogo`` does not build it.
@@ -347,7 +348,8 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     """
     factor_draws = k * _term_draws(n, m, degenerate)
     # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
-    data = ProductSpectralData(*_spectral_stacks(*_factors(raw[:, :factor_draws], n, m, k, degenerate), tol_deg))
+    factors = _factors(raw[:, :factor_draws], n, m, k, degenerate)
+    data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))

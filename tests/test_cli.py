@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nogosim
+from nogosim import cli
 from nogosim.cli import SWEEP_COLUMNS, build_parser, main, parse_grid
 from nogosim.error_disturbance import (
     DEFAULT_STRENGTH_GRID,
@@ -632,6 +633,19 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv, where):
     assert err.startswith("error: cannot write output: [Errno ")
     assert err.count("\n") == 1 and str(out) in err
     assert "Traceback" not in err
+
+
+def test_random_audit_checks_out_before_it_runs(tmp_path, capsys, monkeypatch):
+    # the table used to be printed in full before the unwritable path failed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr(cli, "random_audit", unreachable)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["random-audit", "--count", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: [Errno ") and str(out) in captured.err
 
 
 def _readme_synopsis() -> dict[str, set[str]]:

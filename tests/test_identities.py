@@ -6,6 +6,12 @@ computed here with ``np.vdot`` and ``np.trace`` on ``observable.terms``, so a
 fault in the formula path's decompositions or canonical frames cannot cancel
 out of the comparison. Nothing is imported from ``linalg`` beyond constants.
 
+Term k's conditional mean is wbar_k <xi|M_k|xi>: the device enters only
+through <xi|M_k|xi>, taken here with ``np.vdot``. Under c I system factors
+wbar_k = tr S_k / n; for a generic S_k it is the conditional mean of the
+term S_k (x) I alone, whose device mean is <xi|xi> = 1, so no device
+eigenvector enters either side.
+
 One quantity is frame-dependent by design: a c I factor is measured in the
 canonical (standard) basis, so its postselection denominator is
 sum_i |psi_i|^2 |phi_i|^2, and a system unitary applied to psi and phi moves
@@ -15,7 +21,7 @@ it while every mean stays put.
 import numpy as np
 import pytest
 
-from nogosim.measurement import MeasurementScenario, postselection_denominator
+from nogosim.measurement import JointObservable, MeasurementScenario, conditional_expectation, postselection_denominator
 from nogosim.nogo import random_scenario, verify_nogo
 
 TOL = 1e-13
@@ -49,6 +55,23 @@ def test_closed_form_is_the_trace_average_times_the_device_mean(n, m):
         verdict = verify_nogo(scen)
         assert verdict.hypothesis_holds
         assert abs(verdict.closed_form - direct) <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("degenerate", [True, False], ids=["degenerate", "generic"])
+def test_each_conditional_mean_is_the_system_average_times_the_device_mean(degenerate, n, m):
+    for seed in SEEDS:
+        scen = drawn(degenerate, n, m, seed)
+        for k, (s, d) in enumerate(scen.observable.terms):
+            if degenerate:
+                wbar = np.trace(s).real / n
+            else:
+                alone = JointObservable(n=n, m=m, terms=((s, np.eye(m)),))
+                wbar = conditional_expectation(
+                    MeasurementScenario(psi=scen.psi, xi=scen.xi, observable=alone, postselect=scen.postselect), 0
+                )
+            assert abs(conditional_expectation(scen, k) - wbar * mean(scen.xi, d)) <= TOL
 
 
 def haar_unitary(dim, rng):

@@ -13,6 +13,7 @@ from nogosim.linalg import (
     TOL_HERMITIAN,
     SpectralDecomposition,
     _decompose,
+    _fixed_columns,
     as_state,
     is_unitary,
     jacobi_decompose,
@@ -402,8 +403,9 @@ class TestSpectralDecomposeStack:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_spectral_decompose_bit_for_bit(self, dim, seed):
         mats = mixed_stack(dim, np.random.default_rng(seed))
-        values, columns, groups = _decompose(np.stack(mats), TOL_DEG)
-        adjoints = columns.conj()
+        values, rows, groups = _decompose(np.stack(mats), TOL_DEG)
+        # _decompose leaves each row's phase as found: fixing it is the one step left to spectral_decompose
+        adjoints = _fixed_columns(rows).conj()
         assert len(groups) == len(mats)
         if dim > 1:
             assert len(set(groups)) > 1  # the stack mixes grouped and ungrouped spectra

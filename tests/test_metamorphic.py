@@ -16,14 +16,19 @@ closed form and postselection denominators must agree with the first within
 - a system unitary W, with S_k -> W S_k W^dag, psi -> W psi and phi -> W phi,
   keeps every probability in generic mode, where each system eigenvector
   turns with W. In degenerate mode the denominators depend on the canonical
-  frame of the c I factors, which ``test_identities.py`` pins.
+  frame of the c I factors, which ``test_identities.py`` pins;
+- a device unitary W supported on one tol_deg group of distinct device
+  eigenvalues, with M_k -> W M_k W^dag and xi -> W xi, moves no mean at that
+  tol_deg (within 1e-12): the group's canonical frame stays put while its
+  eigenvectors turn, so a device mean paired from frame columns and
+  individual eigenvalues would move, and <xi|M_k|xi> does not.
 """
 
 import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nogosim.measurement import (
@@ -32,6 +37,7 @@ from nogosim.measurement import (
     conditional_expectation,
     expectation,
     postselection_denominator,
+    product_spectral,
 )
 from nogosim.nogo import random_scenario, verify_nogo
 
@@ -179,3 +185,56 @@ def test_a_system_unitary_changes_nothing_in_generic_mode(draw):
     terms = [(w @ system @ w.conj().T, device) for system, device in scen.observable.terms]
     rotated = with_terms(scen, terms, psi=w @ scen.psi, phi=w @ scen.postselect)
     assert_same_results(results(rotated), results(scen))
+
+
+def grouped_device_factors(m, num_terms, tol_deg, rng):
+    """Device factors V diag(levels_k) V^dag sharing a Haar V, and the V whose first two columns span their group.
+
+    Each term's two lowest levels lie 0.6 tol_deg apart, one tol_deg group of distinct
+    eigenvalues; every further level sits 2 tol_deg above the one before, a group of its own.
+    """
+    v = haar_unitary(m, rng)
+    steps = np.concatenate([[0.0, 0.6 * tol_deg], np.full(m - 2, 2.0 * tol_deg)])
+    factors = []
+    for _ in range(num_terms):
+        levels = rng.standard_normal() + np.cumsum(steps)
+        factors.append((v * levels) @ v.conj().T)
+    return factors, v
+
+
+@given(draw=draws, tol_deg=st.sampled_from([0.5, 3.0]))
+@settings(max_examples=120, deadline=None)
+def test_a_device_unitary_inside_one_tol_deg_group_changes_nothing(draw, tol_deg):
+    scen, rng = drawn_scenario(draw)
+    systems = [system for system, _ in scen.observable.terms]
+    devices, v = grouped_device_factors(scen.m, len(systems), tol_deg, rng)
+    block = np.eye(scen.m, dtype=complex)
+    block[:2, :2] = haar_unitary(2, rng)
+    w = v @ block @ v.conj().T  # W M_k W^dag has M_k's spectrum and tol_deg groups
+    grouped = with_terms(scen, zip(systems, devices))
+    terms = tuple((system, w @ device @ w.conj().T) for system, device in zip(systems, devices))
+    rotated = MeasurementScenario(
+        psi=scen.psi,
+        xi=w @ scen.xi,
+        observable=JointObservable(n=scen.n, m=scen.m, terms=terms),
+        postselect=scen.postselect,
+    )
+    found = []
+    for case in (grouped, rotated):
+        data = product_spectral(case.observable, tol_deg)
+        denominators = [postselection_denominator(case, k, data) for k in range(len(data))]
+        # the system side is shared, so a draw whose denominators vanish at this tol_deg's system frame does so twice
+        assume(min(denominators) > 1e-6)
+        verdict = verify_nogo(case, tol_deg=tol_deg)
+        per_term = [(conditional_expectation(case, k, data), expectation(case, k, data)) for k in range(len(data))]
+        found.append((verdict, denominators, per_term))
+    (verdict, denominators, per_term), (ref_verdict, ref_denominators, ref_per_term) = found
+    assert verdict.hypothesis_holds == ref_verdict.hypothesis_holds
+    values = [(getattr(verdict, name), getattr(ref_verdict, name)) for name in ("conditional", "unconditional", "gap")]
+    if verdict.closed_form is not None:
+        values.append((verdict.closed_form, ref_verdict.closed_form))
+    values += zip(denominators, ref_denominators, strict=True)
+    for term, ref_term in zip(per_term, ref_per_term, strict=True):
+        values += zip(term, ref_term)
+    for value, ref in values:
+        assert abs(value - ref) <= 1e-12, (value, ref)

@@ -116,7 +116,15 @@ class TestDegeneracyCheck:
         before = repr(data)
         check_rank_m_degeneracy(data)
         assert repr(data) == before
-        assert [f.name for f in dataclasses.fields(data)] == ["system", "device", "system_values", "device_values"]
+        for view in (data.system, data.device):  # kept outside the fields too
+            assert not view.flags.writeable
+        assert repr(data) == before
+        assert [f.name for f in dataclasses.fields(data)] == [
+            "system_adjoint",
+            "device_factors",
+            "system_values",
+            "device_values",
+        ]
 
 
 #: Every entry point that reads tol_deg, each called on the shared (scen, data) at one tol_deg.
@@ -507,33 +515,63 @@ def test_random_scenario_postselection_floor():
 
 @pytest.mark.parametrize("degenerate", [True, False])
 def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, degenerate):
-    stacks, passes = [], []
-    decompose, means = measurement._decompose, measurement._means
+    stacks, device_stacks, passes = [], [], []
+    decompose, eigh, means = measurement._decompose, measurement._eigh, measurement._means
 
     def counting_decompose(mats, tol_deg):
         stacks.append(mats.shape)
         return decompose(mats, tol_deg)
+
+    def counting_eigh(mats):
+        device_stacks.append(mats.shape)
+        return eigh(mats)
 
     def counting_means(*args):
         passes.append(args)
         return means(*args)
 
     monkeypatch.setattr(measurement, "_decompose", counting_decompose)
+    monkeypatch.setattr(measurement, "_eigh", counting_eigh)
     monkeypatch.setattr(measurement, "_means", counting_means)
     rng = np.random.default_rng(5)
     for num_terms in (None, 1, 2, 3):
         for _ in range(4):
             stacks.clear()
+            device_stacks.clear()
             passes.clear()
             # a zero floor accepts the first draw
             scen = random_scenario(rng, 3, 2, degenerate=degenerate, num_terms=num_terms, min_postselect=0.0)
             k = scen.observable.num_terms
-            # one stacked decomposition per factor slot and one amplitude pass, whatever K is
-            assert stacks == [(k, 3, 3), (k, 2, 2)]
+            # one stacked system decomposition, the device eigenvalues from one stacked eigh, and one
+            # amplitude pass, whatever K is: the means read the device factors, not their eigenvectors
+            assert (stacks, device_stacks) == ([(k, 3, 3)], [(k, 2, 2)])
             assert len(passes) == 1
             verify_nogo(scen)
-            assert stacks == [(k, 3, 3), (k, 2, 2)]  # none inside verify_nogo
+            assert (stacks, device_stacks) == ([(k, 3, 3)], [(k, 2, 2)])  # none inside verify_nogo
             assert len(passes) == 1
+
+
+def _no_phase_fix(rows):
+    raise AssertionError("an eigenvector's phase was fixed")
+
+
+@pytest.mark.parametrize("mode", ["degenerate", "generic"])
+def test_the_item_path_forms_no_eigenvector_it_does_not_show(monkeypatch, mode):
+    # the phase fix runs only where eigenvectors are shown, and the device view is the one place that
+    # forms a device eigenvector: random_scenario, verify_nogo and the audit reach neither
+    for module in (linalg, measurement):
+        monkeypatch.setattr(module, "_fixed_columns", _no_phase_fix)
+    rng = np.random.default_rng(12)
+    for num_terms in (1, 2, 3):
+        scen = random_scenario(rng, 3, 2, degenerate=mode == "degenerate", num_terms=num_terms)
+        verify_nogo(scen)
+        data = product_spectral(scen.observable)
+        assert "system" not in data.__dict__ and "device" not in data.__dict__
+    assert random_audit(50, 1, mode).count == 50
+    # the views are where the patch bites
+    for view in ("system", "device"):
+        with pytest.raises(AssertionError, match="phase was fixed"):
+            getattr(data, view)
 
 
 def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
