@@ -27,6 +27,7 @@ from .linalg import (
     TOL_UNITARY,
     TOL_VERIFY,
     as_operator,
+    hermitian_part,
     is_unitary,
     matrix_exponential_skew,
     readonly,
@@ -36,7 +37,8 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable, MeasurementScenario, _means, _product_grid, _require_postselect, _state_of_dim, product_spectral
+    JointObservable, MeasurementScenario, _means, _product_grid, _quadratic_form, _require_postselect, _state_of_dim,
+    product_spectral,
 )
 from .nogo import TheoremVerdict, _row_verdict, check_rank_m_degeneracy
 
@@ -160,41 +162,29 @@ def noise_operator(model: InteractionModel, setup: MeasurementSetup) -> np.ndarr
     """Evolved readout minus initial measured observable on the joint space."""
     u, n, m = _joint_dims(model, setup)
     readout_t = heisenberg_evolve(u, tensor_product(np.eye(n), setup.readout))
-    op = readout_t - tensor_product(setup.measured, np.eye(m))
-    return (op + op.conj().T) / 2.0
+    return hermitian_part(readout_t - tensor_product(setup.measured, np.eye(m)))
 
 
 def disturbance_operator(model: InteractionModel, setup: MeasurementSetup) -> np.ndarray:
     """Evolved minus initial disturbed observable on the joint space."""
     u, n, m = _joint_dims(model, setup)
     before = tensor_product(setup.disturbed, np.eye(m))
-    op = heisenberg_evolve(u, before) - before
-    return (op + op.conj().T) / 2.0
+    return hermitian_part(heisenberg_evolve(u, before) - before)
 
 
 def _joint_state(setup: MeasurementSetup, psi, xi) -> np.ndarray:
-    """psi (x) xi, with psi checked against the setup's n and xi against its m."""
+    """psi (x) xi, with psi checked against the setup's n and xi against its m, so it fits the n*m operators."""
     return tensor_ket(_state_of_dim(psi, setup.n, "psi"), _state_of_dim(xi, setup.m, "xi"))
 
 
-def _joint_mean(op: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """<state|op|state> per state of a (..., d) stack; ``np.vecdot`` adds what ``np.vdot`` adds."""
-    # no dim check: op acts on dim n*m (_joint_dims), and every caller checks psi against n and xi against m
-    return np.vecdot(state, (op @ state[..., None])[..., 0]).real
-
-
-def _hermitian_square(op: np.ndarray) -> np.ndarray:
-    """(op^2 + (op^2)^dag) / 2: the one square behind both the mean squares and the report."""
-    sq = op @ op
-    return (sq + sq.conj().T) / 2.0
-
-
 def mean_square_error(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return float(_joint_mean(_hermitian_square(noise_operator(model, setup)), _joint_state(setup, psi, xi)))
+    noise = noise_operator(model, setup)
+    return float(_quadratic_form(hermitian_part(noise @ noise), _joint_state(setup, psi, xi)))
 
 
 def mean_square_disturbance(model: InteractionModel, setup: MeasurementSetup, psi, xi) -> float:
-    return float(_joint_mean(_hermitian_square(disturbance_operator(model, setup)), _joint_state(setup, psi, xi)))
+    disturb = disturbance_operator(model, setup)
+    return float(_quadratic_form(hermitian_part(disturb @ disturb), _joint_state(setup, psi, xi)))
 
 
 @functools.cache
@@ -284,8 +274,8 @@ class _SquaredObservables(NamedTuple):
 def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
     noise = noise_operator(model, setup)
     disturb = disturbance_operator(model, setup)
-    noise_sq = _hermitian_square(noise)
-    disturb_sq = _hermitian_square(disturb)
+    noise_sq = hermitian_part(noise @ noise)
+    disturb_sq = hermitian_part(disturb @ disturb)
     n, m = setup.n, setup.m
     error = joint_observable_from_operator(noise_sq, n, m)
     disturbance = joint_observable_from_operator(disturb_sq, n, m)
@@ -310,8 +300,8 @@ def _state_reports(
     denominators are checked before row b + 1's, the error side's first.
     """
     state = _product_grid(psi, xi).reshape(len(psi), -1)
-    epsilon_sq = _joint_mean(ops.noise_sq, state).tolist()
-    eta_sq = _joint_mean(ops.disturb_sq, state).tolist()
+    epsilon_sq = _quadratic_form(ops.noise_sq, state).tolist()
+    eta_sq = _quadratic_form(ops.disturb_sq, state).tolist()
     data = product_spectral(ops.both, tol_deg)
     means = _means(data, psi, xi, phi)
     terms = check_rank_m_degeneracy(data, tol_deg).terms

@@ -88,6 +88,16 @@ def _require_tol_deg(tol_deg: float) -> None:
         raise ValueError(f"tol_deg must be a non-negative number, got {tol_deg!r}")
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag)/2 per matrix of a (..., d, d) stack: the package's one Hermitian-part rule.
+
+    Hermitian to the bit: entries ij and ji sum the same two floats (IEEE +
+    commutes). On a 2-D input ``swapaxes(-1, -2)`` is ``.T``, so the bits are
+    those of the ``.T`` form.
+    """
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """The operator as a complex array, if max|a_ij - conj(a_ji)| <= TOL_HERMITIAN * max(1, max|a_ij|).
 
@@ -297,15 +307,15 @@ def _canonical_stack(
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``eigh`` of the Hermitian part (M + M^dag)/2 of every matrix in a (B, d, d) stack.
+    """LAPACK ``eigh`` of the ``hermitian_part`` of every matrix in a (B, d, d) stack.
 
     Stacked ``eigh`` runs LAPACK on each matrix in turn, so row b holds the
     bits of matrix b alone. The caller vouches for Hermiticity:
-    ``spectral_decompose`` checks outside input, ``measurement._spectral_stacks``
-    reads factors that ``JointObservable`` has checked or that the audit builds
-    Hermitian.
+    ``spectral_decompose`` and ``matrix_exponential_skew`` check outside
+    input, ``measurement._spectral_stacks`` reads factors that
+    ``JointObservable`` has checked or that the audit builds Hermitian.
     """
-    return np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
+    return np.linalg.eigh(hermitian_part(mats))
 
 
 def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -351,7 +361,7 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
     """
     mat = require_hermitian(h)
     dim = mat.shape[0]
-    a = (mat + mat.conj().T) / 2.0
+    a = hermitian_part(mat)
     vec = np.eye(dim, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(a)))
     target = 1e-14 * scale
@@ -379,14 +389,13 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
 
 
 def matrix_exponential_skew(h, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H, built from LAPACK ``eigh`` directly.
+    """exp(-i t H) for Hermitian H, built from ``_eigh`` directly.
 
     The exponential does not depend on the eigenbasis, so it skips the
     canonicalisation, whose group bases do not pair with the individual
     eigenvalues: near-degenerate H at large |t| would otherwise be off by
     about |t| times the group's eigenvalue spread.
     """
-    mat = require_hermitian(h)
-    values, vectors = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    values, vectors = (arr[0] for arr in _eigh(require_hermitian(h)[None]))
     phases = np.exp(-1j * float(t) * values)
     return (vectors * phases) @ vectors.conj().T

@@ -45,6 +45,7 @@ from .linalg import (
     _fixed_columns,
     as_operator,
     as_state,
+    hermitian_part,
     outer,
     readonly,
     require_finite,
@@ -257,6 +258,12 @@ def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return np.abs((adjoint @ ket[..., None])[..., 0]) ** 2
 
 
+def _quadratic_form(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Re <ket|op|ket> per ket of a (..., d) stack, against one op or one per ket: one matvec and one
+    ``np.vecdot`` per ket, which adds what ``np.vdot`` adds."""
+    return np.vecdot(ket, (op @ ket[..., None])[..., 0]).real
+
+
 def _require_denominator(denom: float, tol_p: float) -> None:
     if not denom > tol_p:  # fails closed: a NaN denominator or tol_p raises
         raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
@@ -287,8 +294,7 @@ def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
     u = data.system_values
     # a term slot axis on every ket: row b's weights under each of the K adjoints
     p = _weights(data.system_adjoint, psi[:, None])
-    xi = xi[:, None]
-    device_mean = np.vecdot(xi, (data.device_factors @ xi[..., None])[..., 0]).real  # <xi|M_k|xi>
+    device_mean = _quadratic_form(data.device_factors, xi[:, None])  # <xi|M_k|xi>
     unconditional = (np.vecdot(u, p) * device_mean).tolist()
     closed = (u.sum(axis=-1) / u.shape[-1] * device_mean).tolist()
     if phi is None:
@@ -346,8 +352,7 @@ def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POS
     prob = projective_probability(rho, projector)
     if not prob > tol_p:  # a NaN tol_p raises
         raise ZeroProbability(f"outcome probability {prob:.3e} at or below cutoff {tol_p:.1e}")
-    updated = as_operator(projector) @ as_operator(rho) @ as_operator(projector)
-    updated = (updated + updated.conj().T) / 2.0
+    updated = hermitian_part(as_operator(projector) @ as_operator(rho) @ as_operator(projector))
     return updated / np.trace(updated).real
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     TOL_VERIFY,
     _require_tol_deg,
     as_operator,
+    hermitian_part,
     is_unitary,
     readonly,
     tensor_product,
@@ -236,7 +237,7 @@ def _hermitian(normals: np.ndarray, dim: int) -> np.ndarray:
     dim^2 real parts first, then the dim^2 imaginary parts."""
     shape = normals.shape[:-1] + (dim, dim)
     g = (normals[..., : dim * dim].reshape(shape) + 1j * normals[..., dim * dim :].reshape(shape)) / np.sqrt(2.0)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+    return hermitian_part(g)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
