@@ -91,6 +91,13 @@ class ScenarioConfig:
     tol_postselect: float
     seed: int | None
 
+    def __post_init__(self):
+        # scenario()'s one checked scenario: a plain attribute like JointObservable's memos, so fields() skip it
+        scenario = None
+        if self.observable is not None:
+            scenario = MeasurementScenario(psi=self.psi, xi=self.xi, observable=self.observable, postselect=self.phi)
+        object.__setattr__(self, "_scenario", scenario)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
@@ -170,27 +177,25 @@ class ScenarioConfig:
                     readout=parse_matrix(setup_raw.get("readout"), m, "setup.readout"),
                 )
 
-            if observable is not None:
-                MeasurementScenario(psi=psi, xi=xi, observable=observable, postselect=phi)
+            # __post_init__ checks the kets against the observable
+            return cls(
+                n=n,
+                m=m,
+                psi=psi,
+                xi=xi,
+                phi=phi,
+                observable=observable,
+                interaction=interaction,
+                setup=setup,
+                tol_deg=tol_deg,
+                tol_verify=tol_verify,
+                tol_postselect=tol_post,
+                seed=seed,
+            )
         except ConfigError:
             raise
         except (NogoSimError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-        return cls(
-            n=n,
-            m=m,
-            psi=psi,
-            xi=xi,
-            phi=phi,
-            observable=observable,
-            interaction=interaction,
-            setup=setup,
-            tol_deg=tol_deg,
-            tol_verify=tol_verify,
-            tol_postselect=tol_post,
-            seed=seed,
-        )
 
     @classmethod
     def from_path(cls, path) -> "ScenarioConfig":
@@ -203,9 +208,10 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
     def scenario(self) -> MeasurementScenario:
-        if self.observable is None:
+        """The scenario built and checked with the configuration, the same object on every call."""
+        if self._scenario is None:
             raise ConfigError("configuration has no 'observable' block")
-        return MeasurementScenario(psi=self.psi, xi=self.xi, observable=self.observable, postselect=self.phi)
+        return self._scenario
 
 
 @dataclass(frozen=True, eq=False)

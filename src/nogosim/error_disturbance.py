@@ -37,8 +37,7 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable, MeasurementScenario, _means, _product_grid, _quadratic_form, _require_postselect, _state_of_dim,
-    product_spectral,
+    JointObservable, MeasurementScenario, _means, _quadratic_form, _require_postselect, _state_of_dim, product_spectral
 )
 from .nogo import TheoremVerdict, _row_verdict, check_rank_m_degeneracy
 
@@ -255,17 +254,15 @@ class ErrorDisturbanceReport:
     nogo_gap_disturbance: float
     error_verdict: TheoremVerdict
     disturbance_verdict: TheoremVerdict
-    # No sign check: epsilon_sq and eta_sq are <Psi|(S^2 + S^2 dag)/2|Psi> = ||S Psi||^2 >= 0 in exact arithmetic,
-    # and their rounding error, about ||S||^2 eps, can put a zero value below any floor that does not scale with S.
+    # No sign check: epsilon_sq and eta_sq are <Psi|N^2|Psi> = ||N Psi||^2 >= 0 in exact arithmetic, and their
+    # rounding error, about ||N||^2 eps, can put a zero value below any floor that does not scale with N.
 
 
 class _SquaredObservables(NamedTuple):
-    """What a (model, setup) pair fixes: the operators and their squares as joint observables."""
+    """What a (model, setup) pair fixes: the operators, and their squares as joint observables."""
 
     noise: np.ndarray
     disturb: np.ndarray
-    noise_sq: np.ndarray
-    disturb_sq: np.ndarray
     error: JointObservable
     disturbance: JointObservable
     both: JointObservable  # error's terms, then disturbance's: the term slots of one amplitude pass
@@ -274,16 +271,12 @@ class _SquaredObservables(NamedTuple):
 def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
     noise = noise_operator(model, setup)
     disturb = disturbance_operator(model, setup)
-    noise_sq = hermitian_part(noise @ noise)
-    disturb_sq = hermitian_part(disturb @ disturb)
     n, m = setup.n, setup.m
-    error = joint_observable_from_operator(noise_sq, n, m)
-    disturbance = joint_observable_from_operator(disturb_sq, n, m)
+    error = joint_observable_from_operator(hermitian_part(noise @ noise), n, m)
+    disturbance = joint_observable_from_operator(hermitian_part(disturb @ disturb), n, m)
     return _SquaredObservables(
         noise=readonly(noise),
         disturb=readonly(disturb),
-        noise_sq=readonly(noise_sq),
-        disturb_sq=readonly(disturb_sq),
         error=error,
         disturbance=disturbance,
         both=JointObservable(n=n, m=m, terms=error.terms + disturbance.terms),
@@ -298,10 +291,9 @@ def _state_reports(
     One amplitude pass covers ``ops.both``: the error side's term slots, then
     the disturbance side's. Row b holds the bits of its kets alone. Its
     denominators are checked before row b + 1's, the error side's first.
+    epsilon^2, eta^2 and the no-go gaps are the verdicts' unconditional means
+    and gaps, so no joint state is formed; ``mean_square_*`` agree to rounding.
     """
-    state = _product_grid(psi, xi).reshape(len(psi), -1)
-    epsilon_sq = _quadratic_form(ops.noise_sq, state).tolist()
-    eta_sq = _quadratic_form(ops.disturb_sq, state).tolist()
     data = product_spectral(ops.both, tol_deg)
     means = _means(data, psi, xi, phi)
     terms = check_rank_m_degeneracy(data, tol_deg).terms
@@ -314,14 +306,14 @@ def _state_reports(
         )
         reports.append(
             ErrorDisturbanceReport(
-                epsilon_sq=epsilon_sq[b],
-                eta_sq=eta_sq[b],
+                epsilon_sq=error_verdict.unconditional,
+                eta_sq=disturbance_verdict.unconditional,
                 epsilon_sq_post=error_verdict.conditional,
                 eta_sq_post=disturbance_verdict.conditional,
                 noise_op=ops.noise,
                 disturb_op=ops.disturb,
-                nogo_gap_error=abs(error_verdict.conditional - epsilon_sq[b]),
-                nogo_gap_disturbance=abs(disturbance_verdict.conditional - eta_sq[b]),
+                nogo_gap_error=error_verdict.gap,
+                nogo_gap_disturbance=disturbance_verdict.gap,
                 error_verdict=error_verdict,
                 disturbance_verdict=disturbance_verdict,
             )
@@ -339,7 +331,8 @@ def postselected_error_disturbance(
     tol_verify: float = TOL_VERIFY,
     tol_p: float = TOL_POSTSELECT,
 ) -> ErrorDisturbanceReport:
-    """Full report: direct means, postselected means, and no-go gaps; one ``MeasurementScenario`` checks the kets."""
+    """Full report: conventional and postselected means, and no-go gaps, all off one kernel row per side;
+    one ``MeasurementScenario`` checks the kets."""
     ops = _squared_observables(model, setup)
     checked = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
     kets = checked.psi, checked.xi, _require_postselect(checked)

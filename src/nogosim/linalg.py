@@ -89,12 +89,8 @@ def _require_tol_deg(tol_deg: float) -> None:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag)/2 per matrix of a (..., d, d) stack: the package's one Hermitian-part rule.
-
-    Hermitian to the bit: entries ij and ji sum the same two floats (IEEE +
-    commutes). On a 2-D input ``swapaxes(-1, -2)`` is ``.T``, so the bits are
-    those of the ``.T`` form.
-    """
+    """(A + A^dag)/2 per matrix of a (..., d, d) stack, the package's one Hermitian-part rule; Hermitian to the
+    bit, as entries ij and ji sum the same two floats (IEEE + commutes). A 2-D input gets the bits of ``.T``."""
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 

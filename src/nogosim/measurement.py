@@ -259,8 +259,7 @@ def _weights(adjoint: np.ndarray, ket: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_form(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Re <ket|op|ket> per ket of a (..., d) stack, against one op or one per ket: one matvec and one
-    ``np.vecdot`` per ket, which adds what ``np.vdot`` adds."""
+    """Re <ket|op|ket> per ket of a (..., d) stack, one op or one per ket; ``np.vecdot`` adds what ``np.vdot`` adds."""
     return np.vecdot(ket, (op @ ket[..., None])[..., 0]).real
 
 

@@ -338,24 +338,26 @@ def random_scenario(
 
 # --- the audit's array engine ----------------------------------------------------
 
-def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[_Means, list]:
-    """Evaluate the (B, size) draws of ``_draw_attempt`` the way ``verify_nogo`` evaluates one scenario.
-
-    The factors are built as (B, K) stacks and go through ``_spectral_stacks``,
-    the builder of ``product_spectral``; ``_means`` runs on the resulting
-    per-row stacks, so row b holds the bits of ``verify_nogo`` on the scenario
-    ``random_scenario`` builds from row b. Also returns, per row, whether all its
-    terms are column-constant (``_within``, the rule of ``check_rank_m_degeneracy``).
+def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[list, _Means, list]:
+    """Per row of (B, size) ``_draw_attempt`` draws, the bits ``random_scenario`` plus ``verify_nogo`` give it:
+    its denominators at TOL_DEG, which accept it, its means at tol_deg, and whether all its terms are
+    column-constant (``_within``). The (B, K) factor stacks go through ``_spectral_stacks``, the builder of
+    ``product_spectral``, then ``_means``. Factors and kets are built once: only the system bases depend on
+    tol_deg, so the stacks and means are redone only at another tol_deg.
     """
     factor_draws = k * _term_draws(n, m, degenerate)
-    # Hermitian to the bit: entries ij and ji of (G + G^dag)/2 sum the same two floats (IEEE + commutes); c * I is real
+    # Hermitian to the bit, as ``hermitian_part`` forms them; c * I is real
     factors = _factors(raw[:, :factor_draws], n, m, k, degenerate)
-    data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
     # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
-    psi, xi, phi = (_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1))
+    kets = [_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1)]
+    data = ProductSpectralData(*_spectral_stacks(*factors, TOL_DEG), TOL_DEG)
+    means = accepted = _means(data, *kets)
+    if tol_deg != TOL_DEG:
+        data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
+        means = _means(data, *kets)
     holding = _within(data.system_values, data.device_values, tol_deg).all(axis=(1, 2)).tolist()
-    return _means(data, psi, xi, phi), holding
+    return accepted.denominators, means, holding
 
 
 def _instance_stream(seed: int, index: int, n, m) -> tuple[np.random.Generator, int, int]:
@@ -385,11 +387,10 @@ def _audit_chunk(
         members[(dims_n, dims_m, k)].append((pos, raw))
     located = [None] * len(dims)
     for (dims_n, dims_m, k), rows in members.items():
-        raw = np.stack([raw for _, raw in rows])
-        drawn = _audit_group(raw, dims_n, dims_m, k, degenerate, TOL_DEG)
-        means, holding = drawn if tol_deg == TOL_DEG else _audit_group(raw, dims_n, dims_m, k, degenerate, tol_deg)
-        for b, (pos, _) in enumerate(rows):
-            located[pos] = (drawn[0].denominators[b], means, holding[b], b)
+        positions, raws = zip(*rows)
+        denominators, means, holding = _audit_group(np.stack(raws), dims_n, dims_m, k, degenerate, tol_deg)
+        for b, pos in enumerate(positions):
+            located[pos] = (denominators[b], means, holding[b], b)
 
     results = []
     for idx, (dims_n, dims_m), (denominators, means, holds, b) in zip(indices, dims, located):
@@ -458,13 +459,11 @@ def random_audit(
 
     instances = []
     violations = 0
-    gaps = []
     for start in range(0, count, AUDIT_CHUNK):
         chunk = range(start, min(count, start + AUDIT_CHUNK))
         for idx, dims_n, dims_m, verdict in _audit_chunk(seed, chunk, n, m, mode == "degenerate", tol_deg, tol_verify):
             if not verdict.passed:
                 violations += 1
-            gaps.append(verdict.gap)
             instances.append(
                 AuditInstance(
                     index=idx,
@@ -476,7 +475,7 @@ def random_audit(
                     closed_form_gap=verdict.closed_form_gap,
                 )
             )
-    gap_arr = np.asarray(gaps)
+    gap_arr = np.asarray([instance.gap for instance in instances])
     return AuditSummary(
         mode=mode,
         seed=int(seed),

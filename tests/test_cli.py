@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nogosim
-from nogosim import cli
+from nogosim import cli, config
 from nogosim.cli import SWEEP_COLUMNS, build_parser, main, parse_grid
 from nogosim.error_disturbance import (
     DEFAULT_STRENGTH_GRID,
@@ -694,3 +694,25 @@ def test_readme_library_sketch_runs_and_its_comments_hold():
     assert verdict.passed and verdict.hypothesis_holds and verdict.gap <= 1e-12
     report = values["ng.cnot_report(params)"]
     assert report.nogo_gap_error <= 1e-12 and report.nogo_gap_disturbance <= 1e-12
+
+
+def test_a_config_builds_its_scenario_once(monkeypatch):
+    built = []
+    scenario_type = config.MeasurementScenario
+    monkeypatch.setattr(config, "MeasurementScenario", lambda **kw: built.append(scenario_type(**kw)) or built[-1])
+    for name in ("cnot_error.json", "cnot_disturbance.json", "generic_violation.json"):
+        built.clear()
+        cfg = config.ScenarioConfig.from_path(FIXTURES / name)
+        assert len(built) == 1
+        assert cfg.scenario() is cfg.scenario() is built[0]
+        assert len(built) == 1
+        scen = cfg.scenario()
+        assert scen.observable is cfg.observable
+        for ket, given in ((scen.psi, cfg.psi), (scen.xi, cfg.xi), (scen.postselect, cfg.phi)):
+            assert ket.tobytes() == given.tobytes()
+    raw = load_fixture("cnot_error.json")
+    del raw["observable"]
+    cfg = config.ScenarioConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match="configuration has no 'observable' block"):
+        cfg.scenario()
+    assert "_scenario" not in repr(cfg)

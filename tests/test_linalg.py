@@ -15,6 +15,7 @@ from nogosim.linalg import (
     _decompose,
     _fixed_columns,
     as_state,
+    hermitian_part,
     is_unitary,
     jacobi_decompose,
     matrix_exponential_skew,
@@ -433,3 +434,17 @@ def test_spectral_decomposition_is_readonly():
 def test_tensor_ket_is_bitwise_kron(x, y):
     x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
     assert tensor_ket(x, y).tobytes() == np.kron(x, y).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hermitian_part_has_the_bits_of_the_written_out_forms(seed):
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 10):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        assert hermitian_part(a).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+        stack = rng.standard_normal((3, 2, dim, dim)) + 1j * rng.standard_normal((3, 2, dim, dim))
+        assert hermitian_part(stack).tobytes() == ((stack + stack.conj().swapaxes(-1, -2)) / 2.0).tobytes()
+        for b, k in np.ndindex(3, 2):
+            h = hermitian_part(stack)[b, k]
+            assert h.tobytes() == hermitian_part(stack[b, k]).tobytes()
+            assert np.array_equal(h, h.conj().T)  # exact, up to the sign of a zero imaginary part on the diagonal

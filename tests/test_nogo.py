@@ -495,6 +495,26 @@ class TestArrayAuditEqualsPerInstancePath:
         for mode in ("degenerate", "generic"):
             assert_same_instances(random_audit(30, 9, mode), per_instance_audit(30, 9, mode))
 
+    @pytest.mark.parametrize("mode", ["degenerate", "generic"])
+    @pytest.mark.parametrize("tol_deg", [TOL_DEG, 0.5])
+    def test_each_group_builds_its_draws_once(self, mode, tol_deg, monkeypatch):
+        # the factors and kets do not depend on tol_deg: only the system stacks and the means are redone,
+        # once more, at a tol_deg other than TOL_DEG
+        calls = {"_factors": [], "_unit": [], "_spectral_stacks": [], "_means": []}
+        for name, seen in calls.items():
+            original = getattr(nogo, name)
+            monkeypatch.setattr(nogo, name, lambda *a, _f=original, _seen=seen, **k: _seen.append(1) or _f(*a, **k))
+        groups = []
+        original_group = nogo._audit_group
+        monkeypatch.setattr(nogo, "_audit_group", lambda *a: groups.append(a[1:4]) or original_group(*a))
+        summary = random_audit(60, 5, mode, tol_deg=tol_deg)
+        assert len(groups) == len(set(groups)) > 1
+        passes = 1 if tol_deg == TOL_DEG else 2
+        assert len(calls["_factors"]) == len(groups)
+        assert len(calls["_unit"]) == 3 * len(groups)
+        assert len(calls["_spectral_stacks"]) == len(calls["_means"]) == passes * len(groups)
+        assert_same_instances(summary, per_instance_audit(60, 5, mode, tol_deg=tol_deg))
+
     def test_unreachable_floor_raises_like_the_scalar_path(self, monkeypatch):
         with pytest.raises(ZeroProbability) as scalar:
             per_instance_audit(3, 1, "degenerate", min_postselect=1.1)
