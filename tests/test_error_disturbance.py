@@ -250,7 +250,7 @@ class TestMeanSquares:
 
     def test_mean_squares_equal_the_report(self):
         # the report reads each side's kernel row, bit for bit; the direct route <Psi|N^2|Psi> sums the same
-        # mean in another order, so it agrees to rounding (3.7e-14 relative at most, measured on random models)
+        # mean in another order, so it agrees to rounding (1.7e-14 of max(1, |value|) at most on 2000 random models)
         rng = np.random.default_rng(2024)
         cases = []
         for _ in range(300):
