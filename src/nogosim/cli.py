@@ -9,8 +9,8 @@ built-in degeneracy/verification tolerances when flags and config stay
 silent.
 
 Only the no-go core is imported at the top; each ``cmd_*`` imports the
-layers it runs (``config``, ``error_disturbance``, ``oracle``, ``csv``,
-``json``), so a subcommand never compiles or runs modules it does not call.
+layers it runs (``config``, ``error_disturbance``, ``oracle``, ``json``),
+so a subcommand never compiles or runs modules it does not call.
 """
 
 from __future__ import annotations
@@ -140,8 +140,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cnot_sweep(args) -> int:
-    import csv
-    import io
     import itertools
 
     from .error_disturbance import DEFAULT_STRENGTH_GRID, DEFAULT_THETA_GRID, DEFAULT_VARPHI_GRID, cnot_sweep
@@ -170,12 +168,9 @@ def cmd_cnot_sweep(args) -> int:
         payload = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(value)) for value in row])
-        _emit(buffer.getvalue(), args.out)
+        # csv.writer's bytes: repr of a float never needs quoting, and every value is already a Python float
+        lines = [",".join(SWEEP_COLUMNS), *(",".join(map(repr, row)) for row in rows)]
+        _emit("\r\n".join(lines) + "\r\n", args.out)
     return 0
 
 

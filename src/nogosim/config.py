@@ -69,9 +69,7 @@ def parse_matrix(obj, dim: int, where: str) -> np.ndarray:
 
 def encode_complex_array(arr: np.ndarray) -> list:
     arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [encode_complex_array(row) for row in arr]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,18 +237,12 @@ def config_sha256(path) -> str:
 
 def to_jsonable(obj):
     """Recursive conversion to JSON-safe values; complex data becomes [re, im]."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.generic):  # np.bool_, integer, floating and complex scalars
+        return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             return encode_complex_array(obj)

@@ -205,9 +205,9 @@ def sample_two_step(
     pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
     _, vectors = _term_product_vectors(scenario.observable, term)
     outcome, joint = _outcome_weights(vectors, psi_joint, pi)
-    accept_probs = np.divide(joint, outcome, out=np.zeros_like(joint), where=outcome > 0.0)
-    accept_probs = np.clip(accept_probs, 0.0, 1.0).reshape(-1)
-    outcome_probs = np.clip(outcome, 0.0, None).reshape(-1)
+    # no clip: a uniform v in [0, 1) meets v < a exactly when it meets v < clip(a, 0, 1)
+    accept_probs = np.divide(joint, outcome, out=np.zeros_like(joint), where=outcome > 0.0).reshape(-1)
+    outcome_probs = outcome.reshape(-1)  # P(i, j) = ||c_ij||^2, a sum of squares, so >= 0
     outcome_probs /= outcome_probs.sum()
     counts = _accepted_counts(int(seed), shots, shards, _outcome_cdf(outcome_probs), accept_probs)
 
