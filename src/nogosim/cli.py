@@ -227,8 +227,11 @@ def cmd_sample(args) -> int:
     if config.phi is None:
         raise ConfigError("sample needs a 'phi' postselection state")
     seed = args.seed if args.seed is not None else (config.seed if config.seed is not None else 0)
+    tol_deg = _resolve_tol(None, "--tol-deg", config.tol_deg, TOL_DEG)  # the basis verify reports on
     try:
-        result = sample_two_step(scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards)
+        result = sample_two_step(
+            scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards, tol_deg=tol_deg
+        )
     except ValueError as exc:  # --shots, --shards, --seed or --term out of range
         raise ConfigError(str(exc)) from exc
     grid = product_spectral(scenario.observable).grids[args.term]

@@ -22,33 +22,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroProbability
-from .linalg import TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket
+from .linalg import TOL_DEG, TOL_POSTSELECT, jacobi_decompose, outer, readonly, tensor_ket
 from .measurement import JointObservable, MeasurementScenario, PostselectionProjector, _require_postselect
 
 
 def _term_product_vectors(
-    observable: JointObservable, k: int
+    observable: JointObservable, k: int, tol_deg: float
 ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, ...], ...]]:
     """Factor eigenvalue grid and product eigenvectors of term k, straight from the factors.
 
-    Decomposed once per observable and term by the oracle's own solver, then
-    returned from the observable's ``_oracle_terms`` memo, which is separate
-    from ``product_spectral``'s. The factors are read-only and so is the
-    result, so the enumeration and the sampler can share it.
+    Decomposed once per observable, term and tol_deg by the oracle's own
+    solver, which gives each tol_deg eigenspace the basis the formula path
+    gives it at that tol_deg. Then returned from the observable's
+    ``_oracle_terms`` memo, which is separate from ``product_spectral``'s. The
+    factors are read-only and so is the result, so the enumeration and the
+    sampler can share it. A NaN or negative tol_deg raises ValueError before
+    the memo stores anything.
     """
     memo = observable._oracle_terms
-    entry = memo.get(k)
+    entry = memo.get((k, tol_deg))
     if entry is None:
         sys_op, dev_op = observable.terms[k]
-        sys_dec = jacobi_decompose(sys_op)
-        dev_dec = jacobi_decompose(dev_op)
+        sys_dec = jacobi_decompose(sys_op, tol_deg)
+        dev_dec = jacobi_decompose(dev_op, tol_deg)
         grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
         sys_vecs, dev_vecs = sys_dec.eigenvectors, dev_dec.eigenvectors
         vectors = tuple(
             tuple(readonly(tensor_ket(sys_vecs[:, i], dev_vecs[:, j])) for j in range(dev_dec.dim))
             for i in range(sys_dec.dim)
         )
-        entry = memo[k] = (readonly(grid), vectors)
+        entry = memo[k, tol_deg] = (readonly(grid), vectors)
     return entry
 
 
@@ -82,8 +85,14 @@ def _outcome_weights(vectors, psi_joint: np.ndarray, pi: np.ndarray) -> tuple[np
     return outcome, joint
 
 
-def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT) -> EnumerationResult:
-    """Collapse-then-postselect enumeration over every outcome of every term."""
+def enumerate_two_step(
+    scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT, tol_deg: float = TOL_DEG
+) -> EnumerationResult:
+    """Collapse-then-postselect enumeration over every outcome of every term.
+
+    Each factor is measured in the eigenbasis ``jacobi_decompose`` gives it at
+    tol_deg, the grouping tolerance ``verify_nogo`` takes.
+    """
     phi = _require_postselect(scenario)
     psi_joint = scenario.joint_state()
     pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
@@ -91,7 +100,7 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
     joint = np.zeros((num_terms, scenario.n, scenario.m))
     values = np.zeros_like(joint)
     for k in range(num_terms):
-        grid, vectors = _term_product_vectors(scenario.observable, k)
+        grid, vectors = _term_product_vectors(scenario.observable, k, tol_deg)
         values[k] = grid
         joint[k] = _outcome_weights(vectors, psi_joint, pi)[1]
 
@@ -185,12 +194,14 @@ def sample_two_step(
     seed: int,
     term: int = 0,
     shards: int = 1,
+    tol_deg: float = TOL_DEG,
 ) -> SamplingResult:
     """Monte Carlo draw of the projective outcome followed by postselection.
 
-    Shard s uses the generator seeded by (seed, s), so shard results are
-    independent and the merge is a plain sum. Identical arguments reproduce
-    identical counts.
+    The outcome is measured in the factors' eigenbases at tol_deg, as in
+    ``enumerate_two_step``. Shard s uses the generator seeded by (seed, s),
+    so shard results are independent and the merge is a plain sum. Identical
+    arguments reproduce identical counts.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -203,9 +214,9 @@ def sample_two_step(
     phi = _require_postselect(scenario)
     psi_joint = scenario.joint_state()
     pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
-    _, vectors = _term_product_vectors(scenario.observable, term)
+    _, vectors = _term_product_vectors(scenario.observable, term, tol_deg)
     outcome, joint = _outcome_weights(vectors, psi_joint, pi)
-    # no clip: a uniform v in [0, 1) meets v < a exactly when it meets v < clip(a, 0, 1)
+    # a ratio rounded below 0 or above 1 needs no clip: a uniform v in [0, 1) meets v < a exactly when v < clip(a, 0, 1)
     accept_probs = np.divide(joint, outcome, out=np.zeros_like(joint), where=outcome > 0.0).reshape(-1)
     outcome_probs = outcome.reshape(-1)  # P(i, j) = ||c_ij||^2, a sum of squares, so >= 0
     outcome_probs /= outcome_probs.sum()

@@ -2,15 +2,19 @@
 
 import ast
 import csv
+import io
+import itertools
 import json
 import math
 import re
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nogosim
-from nogosim import cli, config
+from nogosim import cli, config, error_disturbance
 from nogosim.cli import SWEEP_COLUMNS, build_parser, main, parse_grid
 from nogosim.error_disturbance import (
     DEFAULT_STRENGTH_GRID,
@@ -18,12 +22,23 @@ from nogosim.error_disturbance import (
     DEFAULT_VARPHI_GRID,
     CnotScenario,
     cnot_report,
+    cnot_sweep,
 )
 from nogosim.errors import ConfigError
-from nogosim.nogo import instance_rng, random_scenario, verify_nogo
+from nogosim.nogo import instance_rng, random_audit, random_scenario, verify_nogo
 
 FIXTURES = Path(nogosim.__file__).parent / "fixtures"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def csv_writer_bytes(rows) -> bytes:
+    """The sweep CSV as ``csv.writer`` writes it, one ``repr(float(value))`` per field."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([repr(float(value)) for value in row])
+    return buffer.getvalue().encode()
 
 
 def load_fixture(name):
@@ -410,6 +425,41 @@ class TestCnotSweep:
             )
             assert tuple(float(value) for value in row[3:]) == expected
 
+    @pytest.mark.parametrize("grid_args", [[], ["--theta-grid=-0.0,0.0"]], ids=["default", "signed-zero-theta"])
+    def test_csv_has_the_bytes_of_csv_writer(self, tmp_path, grid_args):
+        out = tmp_path / "sweep.csv"
+        assert main(["cnot-sweep", *grid_args, "--out", str(out)]) == 0
+        grids = (DEFAULT_STRENGTH_GRID, (-0.0, 0.0) if grid_args else DEFAULT_THETA_GRID, DEFAULT_VARPHI_GRID)
+        rows = [
+            (*point, r.epsilon_sq, r.epsilon_sq_post, r.eta_sq, r.eta_sq_post, r.nogo_gap_error, r.nogo_gap_disturbance)
+            for point, r in zip(itertools.product(*grids), cnot_sweep(*grids))
+        ]
+        assert out.read_bytes() == csv_writer_bytes(rows)
+
+    def test_csv_of_extreme_floats_has_the_bytes_of_csv_writer(self, tmp_path, monkeypatch):
+        # the writer formats whatever floats the sweep returns: subnormal, signed zero, tiny and huge values
+        rng = np.random.default_rng(23)
+        pool = [5e-324, -5e-324, -0.0, 0.0, 1e-17, -1e-17, 1e300, -1e300, 0.1, 1 / 3, 2.0**-1074 * 3]
+        fields = ("epsilon_sq", "epsilon_sq_post", "eta_sq", "eta_sq_post", "nogo_gap_error", "nogo_gap_disturbance")
+
+        def value():
+            if rng.random() < 0.5:
+                return pool[rng.integers(len(pool))]
+            return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 300))
+
+        def fake_sweep(s_grid, theta_grid, varphi_grid, **kwargs):
+            count = len(s_grid) * len(theta_grid) * len(varphi_grid)
+            return [types.SimpleNamespace(**{name: value() for name in fields}) for _ in range(count)]
+
+        monkeypatch.setattr(error_disturbance, "cnot_sweep", fake_sweep)
+        grids = ["--s-grid", "0,5e-324,1e-17,1", "--theta-grid=-0.0,0.0,5e-324,1e-17,1e300", "--varphi-grid=-1e300,0.5"]
+        out = tmp_path / "sweep.csv"
+        assert main(["cnot-sweep", *grids, "--out", str(out)]) == 0
+        lines = out.read_bytes().decode().split("\r\n")
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:-1]]
+        assert len(rows) == 4 * 5 * 2
+        assert out.read_bytes() == csv_writer_bytes(rows)
+
     def test_invalid_strength_grid(self):
         assert main(["cnot-sweep", "--s-grid", "0:2:5"]) == 2
 
@@ -716,3 +766,56 @@ def test_a_config_builds_its_scenario_once(monkeypatch):
     with pytest.raises(ConfigError, match="configuration has no 'observable' block"):
         cfg.scenario()
     assert "_scenario" not in repr(cfg)
+
+
+def recursive_encode(arr) -> list:
+    """The per-row recursion ``config.encode_complex_array`` replaced."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in arr]
+    return [recursive_encode(row) for row in arr]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4)])
+def test_encode_complex_array_gives_the_recursive_lists(shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    arr.flat[0] = complex(-0.0, -0.0)
+    arr.flat[-1] = complex(0.0, -0.0)
+    encoded = config.encode_complex_array(arr)
+    # repr tells -0.0 from 0.0, and a numpy scalar from a Python float
+    assert repr(encoded) == repr(recursive_encode(arr))
+    assert json.dumps(encoded) == json.dumps(recursive_encode(arr))
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [
+        np.bool_(True),
+        np.int8(-7),
+        np.int64(2**62),
+        np.uint64(2**64 - 1),
+        np.float32(0.1),
+        np.float64(-0.0),
+        np.float64(1 / 3),
+        np.complex128(1.5 - 0.0j),
+    ],
+    ids=repr,
+)
+def test_numpy_scalars_serialize_as_their_python_values(scalar):
+    if isinstance(scalar, np.bool_):
+        expected = bool(scalar)
+    elif isinstance(scalar, np.integer):
+        expected = int(scalar)
+    elif isinstance(scalar, np.complexfloating):
+        expected = [float(scalar.real), float(scalar.imag)]
+    else:
+        expected = float(scalar)
+    assert json.dumps(config.to_jsonable(scalar)) == json.dumps(expected)
+    assert config.report_json({"x": scalar}) == config.report_json({"x": expected})
+
+
+def test_an_audit_with_numpy_integer_arguments_serializes_as_with_python_ints():
+    assert config.report_json(random_audit(np.int64(3), np.int64(1), "generic")) == config.report_json(
+        random_audit(3, 1, "generic")
+    )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nogosim import error_disturbance, linalg, measurement, nogo
+from nogosim import error_disturbance, linalg, measurement, nogo, oracle
 from nogosim.errors import (
     DimensionMismatch,
     ZeroProbability,
@@ -143,6 +143,8 @@ TOL_DEG_READERS = {
     "postselected_error_disturbance": lambda scen, data, tol_deg: error_disturbance.postselected_error_disturbance(
         *error_disturbance._cnot_model_setup(), scen.psi, scen.xi, scen.postselect, tol_deg=tol_deg
     ),
+    "enumerate_two_step": lambda scen, data, tol_deg: oracle.enumerate_two_step(scen, tol_deg=tol_deg),
+    "sample_two_step": lambda scen, data, tol_deg: oracle.sample_two_step(scen, 10, 1, tol_deg=tol_deg),
 }
 
 
@@ -154,7 +156,7 @@ def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg)
     verify_nogo(scen)
     check_rank_m_degeneracy(data)
     both = error_disturbance._cnot_squared_observables().both
-    memos = (scen.observable._spectral, data._degeneracy, scen._means, both._spectral)
+    memos = (scen.observable._spectral, scen.observable._oracle_terms, data._degeneracy, scen._means, both._spectral)
     sizes = [len(memo) for memo in memos]
     with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
         call(scen, data, tol_deg)

@@ -1,5 +1,6 @@
 """Brute-force enumeration and Monte Carlo sampling against the formula path."""
 
+import json
 import math
 from pathlib import Path
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 import nogosim
 from nogosim import oracle
-from nogosim.config import ScenarioConfig
+from nogosim.cli import main
+from nogosim.config import ScenarioConfig, encode_complex_array
 from nogosim.errors import MissingPostselection, ZeroProbability
+from nogosim.linalg import TOL_DEG
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -151,7 +154,7 @@ class TestSampling:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_a_non_distribution(self, monkeypatch):
         # zero eigenvectors give every outcome probability 0, so normalizing yields NaN
-        def zero_vectors(sys_op, dev_op):
+        def zero_vectors(observable, k, tol_deg):
             return None, [[np.zeros(4, dtype=complex)] * 2] * 2
 
         monkeypatch.setattr(oracle, "_term_product_vectors", zero_vectors)
@@ -187,6 +190,61 @@ class TestSampling:
         result = sample_two_step(scen, shots=200_000, seed=4)
         target = abl_conditional_grid(scen, 0)
         assert np.max(np.abs(result.frequencies() - target)) < 0.01
+
+
+def near_degenerate_config(path):
+    """A config whose system factor Q diag(1, 1 + 1e-7) Q^dag is degenerate at its tolerances.deg of 1e-6.
+
+    At that tol_deg the factor is measured in e_1, e_2 and the postselection
+    denominator is 1/2; at the default tol_deg it is measured in the columns of
+    Q and the denominator is about 0.3148.
+    """
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    system = q @ np.diag([1.0, 1.0 + 1e-7]) @ q.conj().T
+    raw = {
+        "n": 2,
+        "m": 2,
+        "psi": encode_complex_array(np.array([1.0, 1.0j]) / math.sqrt(2)),
+        "xi": encode_complex_array([math.sqrt(0.75), 0.5]),
+        "phi": encode_complex_array([math.cos(0.7), math.sin(0.7)]),
+        "observable": {
+            "terms": [{"system": encode_complex_array(system), "device": encode_complex_array(np.diag([0.0, 1.0]))}]
+        },
+        "tolerances": {"deg": 1e-6},
+    }
+    path.write_text(json.dumps(raw))
+    return path
+
+
+class TestRunTolerance:
+    """The oracle measures in the eigenbases the formula path uses at the same tol_deg."""
+
+    def test_enumeration_denominator_equals_the_formula_path_at_the_config_tolerance(self, tmp_path):
+        cfg = ScenarioConfig.from_path(near_degenerate_config(tmp_path / "near.json"))
+        scen = cfg.scenario()
+        formula = postselection_denominator(scen, 0, product_spectral(scen.observable, cfg.tol_deg))
+        assert formula == pytest.approx(0.5, abs=1e-12)
+        assert enumerate_two_step(scen, tol_deg=cfg.tol_deg).denominators[0] == pytest.approx(formula, abs=1e-12)
+        # the default tol_deg splits the pair, so the default measurement basis is another one
+        assert enumerate_two_step(scen).denominators[0] == pytest.approx(0.3148, abs=1e-4)
+        assert set(scen.observable._oracle_terms) == {(0, cfg.tol_deg), (0, TOL_DEG)}
+
+    def test_sample_cli_accepts_at_the_verify_denominator(self, tmp_path, capsys):
+        path = near_degenerate_config(tmp_path / "near.json")
+        shots = 200_000
+        assert main(["sample", "--config", str(path), "--shots", str(shots), "--seed", "3"]) == 0
+        rate = json.loads(capsys.readouterr().out)["acceptance_rate"]
+        assert abs(rate - 0.5) < 5 * math.sqrt(0.25 / shots)
+
+    def test_sample_at_a_tolerance_equals_sample_on_the_tolerance_basis(self, tmp_path):
+        scen = ScenarioConfig.from_path(near_degenerate_config(tmp_path / "near.json")).scenario()
+        # merged at 1e-6, the system factor is measured in e_1, e_2, as the system factor I measures
+        obs = JointObservable(n=2, m=2, terms=((I2, np.diag([0.0, 1.0])),))
+        standard = MeasurementScenario(psi=scen.psi, xi=scen.xi, observable=obs, postselect=scen.postselect)
+        a = sample_two_step(scen, shots=5000, seed=11, tol_deg=1e-6)
+        b = sample_two_step(standard, shots=5000, seed=11)
+        assert a.counts.tolist() == b.counts.tolist()
 
 
 FIXTURES = Path(nogosim.__file__).parent / "fixtures"
