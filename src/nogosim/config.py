@@ -237,12 +237,12 @@ def config_sha256(path) -> str:
 
 def to_jsonable(obj):
     """Recursive conversion to JSON-safe values; complex data becomes [re, im]."""
+    if isinstance(obj, np.generic):  # a numpy scalar as its Python value; a long double has none and is refused
+        obj = obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.generic):  # np.bool_, integer, floating and complex scalars
-        return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             return encode_complex_array(obj)

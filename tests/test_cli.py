@@ -447,16 +447,17 @@ class TestCnotSweep:
                 return pool[rng.integers(len(pool))]
             return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 300))
 
-        def fake_sweep(s_grid, theta_grid, varphi_grid, **kwargs):
-            count = len(s_grid) * len(theta_grid) * len(varphi_grid)
-            return [types.SimpleNamespace(**{name: value() for name in fields}) for _ in range(count)]
+        rows = []
+
+        def fake_sweep(*grids, **kwargs):
+            for point in itertools.product(*grids):
+                rows.append((*point, *(value() for _ in fields)))
+            return [types.SimpleNamespace(**dict(zip(fields, row[3:]))) for row in rows]
 
         monkeypatch.setattr(error_disturbance, "cnot_sweep", fake_sweep)
         grids = ["--s-grid", "0,5e-324,1e-17,1", "--theta-grid=-0.0,0.0,5e-324,1e-17,1e300", "--varphi-grid=-1e300,0.5"]
         out = tmp_path / "sweep.csv"
         assert main(["cnot-sweep", *grids, "--out", str(out)]) == 0
-        lines = out.read_bytes().decode().split("\r\n")
-        rows = [tuple(map(float, line.split(","))) for line in lines[1:-1]]
         assert len(rows) == 4 * 5 * 2
         assert out.read_bytes() == csv_writer_bytes(rows)
 
@@ -785,7 +786,6 @@ def test_encode_complex_array_gives_the_recursive_lists(shape):
     encoded = config.encode_complex_array(arr)
     # repr tells -0.0 from 0.0, and a numpy scalar from a Python float
     assert repr(encoded) == repr(recursive_encode(arr))
-    assert json.dumps(encoded) == json.dumps(recursive_encode(arr))
 
 
 @pytest.mark.parametrize(
@@ -813,6 +813,12 @@ def test_numpy_scalars_serialize_as_their_python_values(scalar):
         expected = float(scalar)
     assert json.dumps(config.to_jsonable(scalar)) == json.dumps(expected)
     assert config.report_json({"x": scalar}) == config.report_json({"x": expected})
+
+
+@pytest.mark.parametrize("scalar", [np.longdouble(1.5), np.clongdouble(1.5 + 2j)], ids=repr)
+def test_a_long_double_has_no_python_value_and_is_refused(scalar):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        config.to_jsonable(scalar)
 
 
 def test_an_audit_with_numpy_integer_arguments_serializes_as_with_python_ints():
