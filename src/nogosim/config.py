@@ -237,8 +237,11 @@ def config_sha256(path) -> str:
 
 def to_jsonable(obj):
     """Recursive conversion to JSON-safe values; complex data becomes [re, im]."""
-    if isinstance(obj, np.generic):  # a numpy scalar as its Python value; a long double has none and is refused
-        obj = obj.item()
+    if isinstance(obj, np.generic):  # a numpy scalar as its Python value
+        if isinstance(obj, np.inexact):  # not .item(): it returns a long double itself where that is wider than float64
+            obj = complex(obj) if isinstance(obj, np.complexfloating) else float(obj)
+        else:
+            obj = obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, complex):

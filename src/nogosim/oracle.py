@@ -85,14 +85,8 @@ def _outcome_weights(vectors, psi_joint: np.ndarray, pi: np.ndarray) -> tuple[np
     return outcome, joint
 
 
-def enumerate_two_step(
-    scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT, tol_deg: float = TOL_DEG
-) -> EnumerationResult:
-    """Collapse-then-postselect enumeration over every outcome of every term.
-
-    Each factor is measured in the eigenbasis ``jacobi_decompose`` gives it at
-    tol_deg, the grouping tolerance ``verify_nogo`` takes.
-    """
+def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT) -> EnumerationResult:
+    """Collapse-then-postselect enumeration over every outcome of every term."""
     phi = _require_postselect(scenario)
     psi_joint = scenario.joint_state()
     pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
@@ -100,7 +94,7 @@ def enumerate_two_step(
     joint = np.zeros((num_terms, scenario.n, scenario.m))
     values = np.zeros_like(joint)
     for k in range(num_terms):
-        grid, vectors = _term_product_vectors(scenario.observable, k, tol_deg)
+        grid, vectors = _term_product_vectors(scenario.observable, k, TOL_DEG)
         values[k] = grid
         joint[k] = _outcome_weights(vectors, psi_joint, pi)[1]
 
@@ -198,10 +192,11 @@ def sample_two_step(
 ) -> SamplingResult:
     """Monte Carlo draw of the projective outcome followed by postselection.
 
-    The outcome is measured in the factors' eigenbases at tol_deg, as in
-    ``enumerate_two_step``. Shard s uses the generator seeded by (seed, s),
-    so shard results are independent and the merge is a plain sum. Identical
-    arguments reproduce identical counts.
+    The outcome is measured in the eigenbasis ``jacobi_decompose`` gives each
+    factor at tol_deg, the grouping tolerance ``verify_nogo`` takes. Shard s
+    uses the generator seeded by (seed, s), so shard results are independent
+    and the merge is a plain sum. Identical arguments reproduce identical
+    counts.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")

@@ -143,7 +143,6 @@ TOL_DEG_READERS = {
     "postselected_error_disturbance": lambda scen, data, tol_deg: error_disturbance.postselected_error_disturbance(
         *error_disturbance._cnot_model_setup(), scen.psi, scen.xi, scen.postselect, tol_deg=tol_deg
     ),
-    "enumerate_two_step": lambda scen, data, tol_deg: oracle.enumerate_two_step(scen, tol_deg=tol_deg),
     "sample_two_step": lambda scen, data, tol_deg: oracle.sample_two_step(scen, 10, 1, tol_deg=tol_deg),
 }
 

@@ -18,6 +18,7 @@ from nogosim.linalg import TOL_DEG
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
+    PostselectionProjector,
     abl_conditional_grid,
     conditional_expectation,
     expectation,
@@ -220,14 +221,20 @@ def near_degenerate_config(path):
 class TestRunTolerance:
     """The oracle measures in the eigenbases the formula path uses at the same tol_deg."""
 
-    def test_enumeration_denominator_equals_the_formula_path_at_the_config_tolerance(self, tmp_path):
+    def test_the_oracle_denominator_equals_the_formula_path_at_the_config_tolerance(self, tmp_path):
         cfg = ScenarioConfig.from_path(near_degenerate_config(tmp_path / "near.json"))
         scen = cfg.scenario()
+        pi = PostselectionProjector(phi=scen.postselect, device_dim=scen.m).matrix
+
+        def oracle_denominator(tol_deg):  # the weight pass the sampler and the enumeration share
+            _, vectors = oracle._term_product_vectors(scen.observable, 0, tol_deg)
+            return oracle._outcome_weights(vectors, scen.joint_state(), pi)[1].sum()
+
         formula = postselection_denominator(scen, 0, product_spectral(scen.observable, cfg.tol_deg))
         assert formula == pytest.approx(0.5, abs=1e-12)
-        assert enumerate_two_step(scen, tol_deg=cfg.tol_deg).denominators[0] == pytest.approx(formula, abs=1e-12)
-        # the default tol_deg splits the pair, so the default measurement basis is another one
-        assert enumerate_two_step(scen).denominators[0] == pytest.approx(0.3148, abs=1e-4)
+        assert oracle_denominator(cfg.tol_deg) == pytest.approx(formula, abs=1e-12)
+        # the default tol_deg, the enumeration's, splits the pair, so its measurement basis is another one
+        assert oracle_denominator(TOL_DEG) == enumerate_two_step(scen).denominators[0] == pytest.approx(0.3148, abs=1e-4)
         assert set(scen.observable._oracle_terms) == {(0, cfg.tol_deg), (0, TOL_DEG)}
 
     def test_sample_cli_accepts_at_the_verify_denominator(self, tmp_path, capsys):
