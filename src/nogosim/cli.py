@@ -4,7 +4,9 @@ Subcommands: verify (run the invariance checks on a JSON scenario),
 cnot-sweep (emit the analytic error/disturbance table over parameter grids),
 random-audit (batch random-instance verification), sample (Monte Carlo
 counts for one scenario term). Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error. NOGO_DEFAULT_TOL overrides the
+failure, 2 usage or configuration error, 141 (128 + SIGPIPE, as a shell
+reports a process that SIGPIPE ended) when the reader closes stdout
+early, as ``| head`` does. NOGO_DEFAULT_TOL overrides the
 built-in degeneracy/verification tolerances when flags and config stay
 silent.
 
@@ -107,11 +109,8 @@ def cmd_verify(args) -> int:
     scenario = config.scenario()
     if config.phi is None:
         raise ConfigError("verify needs a 'phi' postselection state")
-    spectral = product_spectral(scenario.observable, tol_deg)
-    degeneracy = check_rank_m_degeneracy(spectral, tol_deg)
-    verdict = verify_nogo(
-        scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=config.tol_postselect, spectral=spectral
-    )
+    degeneracy = check_rank_m_degeneracy(product_spectral(scenario.observable, tol_deg), tol_deg)
+    verdict = verify_nogo(scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=config.tol_postselect)
 
     error_disturbance = None
     if config.interaction is not None:  # from_dict admits interaction and setup only together
@@ -301,6 +300,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -346,14 +346,14 @@ def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     return _decomposition(values[0], rows[0], groups[0])
 
 
-def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS) -> SpectralDecomposition:
+def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     """Eigendecomposition via cyclic complex Jacobi rotations.
 
     The oracle's own solver, kept independent of LAPACK so the oracle
     cross-checks the formula path. It ends in the same canonicalisation as
     ``spectral_decompose``, so both measure a degenerate factor in the same
     basis. Raises NonHermitian on bad input and NoConvergence if the sweep
-    budget is exhausted.
+    budget, ``_MAX_SWEEPS`` as it reads at call time, is exhausted.
     """
     mat = require_hermitian(h)
     dim = mat.shape[0]
@@ -365,7 +365,7 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
 
     if dim > 1:
         converged = False
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             if _off_norm(a) <= target:
                 converged = True
                 break
@@ -376,7 +376,7 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG, max_sweeps: int = _MAX_SWEEPS)
         else:
             converged = _off_norm(a) <= target
         if not converged:
-            raise NoConvergence(f"Jacobi sweep budget of {max_sweeps} exhausted at dim {dim}")
+            raise NoConvergence(f"Jacobi sweep budget of {_MAX_SWEEPS} exhausted at dim {dim}")
 
     eigenvalues = np.diag(a).real.copy()
     order = np.argsort(eigenvalues, kind="stable")

@@ -19,6 +19,11 @@ wbar_k = sum_i u_i p_i x_i / sum_i p_i x_i. The oracle module re-derives the
 same quantities by explicit matrix arithmetic so the two paths can be
 compared in tests.
 
+Spectral data has one owner, the observable: every reader of a scenario
+takes its observable's ``product_spectral`` itself, so no caller can pass
+the data of another observable, and the kernel row is memoized on the
+scenario by tol_deg, as the data is on the observable.
+
 The dataclasses here hold numpy arrays, so they compare and hash by identity
 (``eq=False``): a field-wise ``==`` over arrays has no truth value.
 """
@@ -206,7 +211,7 @@ class MeasurementScenario:
         if self.postselect is not None:
             phi = _state_of_dim(self.postselect, self.observable.n, "postselect")
             object.__setattr__(self, "postselect", readonly(phi))
-        # _scenario_row's memo, keyed by the observable's own spectral data; a plain attribute like
+        # _scenario_row's memo, keyed by tol_deg; a plain attribute like
         # JointObservable._spectral, so fields() and repr see only the four fields
         object.__setattr__(self, "_means", {})
 
@@ -235,16 +240,6 @@ class PostselectionProjector:
         object.__setattr__(self, "phi", readonly(phi))
         mat = tensor_product(outer(phi), np.eye(self.device_dim))
         object.__setattr__(self, "matrix", readonly(mat))
-
-
-def _resolve_spectral(scenario: MeasurementScenario, spectral, tol_deg: float = TOL_DEG) -> ProductSpectralData:
-    """``spectral``, or the observable's ``product_spectral`` at tol_deg when None; data of other dims is refused."""
-    if spectral is None:
-        return product_spectral(scenario.observable, tol_deg)
-    dims = spectral.system_values.shape[-1], spectral.device_values.shape[-1]
-    if dims != (scenario.n, scenario.m):
-        raise DimensionMismatch(f"spectral data has (n, m) = {dims}, scenario has {(scenario.n, scenario.m)}")
-    return spectral
 
 
 def _require_postselect(scenario: MeasurementScenario) -> np.ndarray:
@@ -305,34 +300,26 @@ def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
     return _Means(denom.tolist(), conditional.tolist(), unconditional, closed)
 
 
-def _scenario_row(scenario: MeasurementScenario, data: ProductSpectralData) -> _Means:
-    """The kernel's row for a scenario's kets (phi when it has one); both are read-only.
-
-    The row is memoized only for the data in the scenario's own observable's
-    ``product_spectral`` memo, which lives as long as the scenario does. Other
-    data gets the same row computed afresh, so a caller that builds new
-    spectral data per call neither grows the memo nor keeps that data alive.
-    """
-    means = scenario._means.get(data)
+def _scenario_row(scenario: MeasurementScenario, tol_deg: float = TOL_DEG) -> _Means:
+    """The kernel's row for a scenario's kets (phi when it has one) on its observable's ``product_spectral`` at
+    tol_deg, memoized on the scenario by tol_deg as ``product_spectral`` is on the observable; a NaN or negative
+    tol_deg is refused there before anything is stored."""
+    means = scenario._means.get(tol_deg)
     if means is None:
         kets = (ket if ket is None else ket[None] for ket in (scenario.psi, scenario.xi, scenario.postselect))
-        means = _means(data, *kets)
-        if any(data is own for own in scenario.observable._spectral.values()):
-            scenario._means[data] = means
+        means = scenario._means[tol_deg] = _means(product_spectral(scenario.observable, tol_deg), *kets)
     return means
 
 
-def outcome_probability_grid(
-    scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
-) -> np.ndarray:
+def outcome_probability_grid(scenario: MeasurementScenario, k: int) -> np.ndarray:
     """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid; the device eigenvectors are those of the ``device`` view."""
-    data = _resolve_spectral(scenario, spectral)
+    data = product_spectral(scenario.observable)
     return _product_grid(_weights(data.system_adjoint[k], scenario.psi), _weights(data.device[k], scenario.xi))
 
 
-def expectation(scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None) -> float:
+def expectation(scenario: MeasurementScenario, k: int) -> float:
     """Mean of one term, <psi|S_k|psi> <xi|M_k|xi>: slot k of the kernel."""
-    return _scenario_row(scenario, _resolve_spectral(scenario, spectral)).unconditional[0][k]
+    return _scenario_row(scenario).unconditional[0][k]
 
 
 def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
@@ -355,47 +342,33 @@ def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POS
     return updated / np.trace(updated).real
 
 
-def joint_probability_grid(
-    scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
-) -> np.ndarray:
+def joint_probability_grid(scenario: MeasurementScenario, k: int) -> np.ndarray:
     """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid; the device eigenvectors
     are those of the ``device`` view."""
     phi = _require_postselect(scenario)
-    data = _resolve_spectral(scenario, spectral)
+    data = product_spectral(scenario.observable)
     system = data.system_adjoint[k]
     return _product_grid(_weights(system, scenario.psi) * _weights(system, phi), _weights(data.device[k], scenario.xi))
 
 
-def postselection_denominator(
-    scenario: MeasurementScenario, k: int, spectral: ProductSpectralData | None = None
-) -> float:
+def postselection_denominator(scenario: MeasurementScenario, k: int) -> float:
     """Probability of passing postselection after the term-k measurement, sum_i p_i x_i: slot k of the kernel."""
     _require_postselect(scenario)
-    return _scenario_row(scenario, _resolve_spectral(scenario, spectral)).denominators[0][k]
+    return _scenario_row(scenario).denominators[0][k]
 
 
-def abl_conditional_grid(
-    scenario: MeasurementScenario,
-    k: int,
-    spectral: ProductSpectralData | None = None,
-    tol_p: float = TOL_POSTSELECT,
-) -> np.ndarray:
+def abl_conditional_grid(scenario: MeasurementScenario, k: int, *, tol_p: float = TOL_POSTSELECT) -> np.ndarray:
     """P(r_ij | pre- and postselection) as an (n, m) grid: the joint grid over its total."""
-    joint = joint_probability_grid(scenario, k, spectral)
+    joint = joint_probability_grid(scenario, k)
     denom = float(joint.sum())
     _require_denominator(denom, tol_p)
     return joint / denom
 
 
-def conditional_expectation(
-    scenario: MeasurementScenario,
-    k: int,
-    spectral: ProductSpectralData | None = None,
-    tol_p: float = TOL_POSTSELECT,
-) -> float:
+def conditional_expectation(scenario: MeasurementScenario, k: int, *, tol_p: float = TOL_POSTSELECT) -> float:
     """Postselected mean of one term, wbar_k <xi|M_k|xi>: slot k of the kernel, its denominator checked first."""
     _require_postselect(scenario)
-    means = _scenario_row(scenario, _resolve_spectral(scenario, spectral))
+    means = _scenario_row(scenario)
     _require_denominator(means.denominators[0][k], tol_p)
     return means.conditional[0][k]
 

@@ -6,15 +6,18 @@ i, i'. Column j is u_i v_j over i, so the check reads the factor spectra
 alone and forms no grid. When every term of an observable passes that test,
 and the diagonal of the transformed postselection projector keeps its
 block-constant pattern, the conditional expectation under any postselection
-must equal the unconditional one; this module computes both sides, the
-closed-form device average, and reports the gaps. Random instance generation
+must equal the unconditional one; this module computes both sides and the
+closed-form device average, each from the observable's own spectral data,
+and reports the gaps. Random instance generation
 for batch audits lives here too.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .measurement import (
     _means,
     _require_denominator,
     _require_postselect,
-    _resolve_spectral,
     _scenario_row,
     _spectral_stacks,
     product_spectral,
@@ -191,30 +193,42 @@ def verify_nogo(
     """Compare conditional vs unconditional expectation and the closed form.
 
     Both means and the closed form are the sums over the terms of one kernel
-    row (``_scenario_row``, memoized on the scenario for its own observable's data) on
-    ``spectral``, default ``product_spectral`` of the observable at tol_deg
-    (data of other dims raises DimensionMismatch): ``conditional_expectation``
-    and ``expectation`` read the same row, and ``random_scenario``'s
-    postselection check made it for the default tol_deg. The closed form is
-    the row's closed column added by ``sum``, and None when the hypothesis
-    fails. The hypothesis is ``_within`` on the factor spectra, the one column
-    rule of ``check_rank_m_degeneracy`` and of the audit's rows, so no
-    per-term report is built; a NaN or negative tol_deg raises ValueError.
+    row, ``_scenario_row`` at tol_deg, on ``product_spectral`` of the
+    scenario's observable at tol_deg: ``conditional_expectation`` and
+    ``expectation`` read the same row at the default tol_deg, and
+    ``random_scenario``'s postselection check made it. The closed form is the
+    row's closed column added in order, and None when the hypothesis fails.
+    The hypothesis is ``_within`` on the factor spectra, the one column rule
+    of ``check_rank_m_degeneracy`` and of the audit's rows, so no per-term
+    report is built; a NaN or negative tol_deg raises ValueError.
+
+    ``spectral`` takes only the object ``product_spectral(scenario.observable,
+    tol_deg)`` returns, the data read without it; anything else raises
+    ValueError. It stays only while the benchmark passes it, and goes then.
     """
     _require_postselect(scenario)
-    data = _resolve_spectral(scenario, spectral, tol_deg)
+    data = product_spectral(scenario.observable, tol_deg)
+    if spectral is not None and spectral is not data:
+        raise ValueError("spectral must be product_spectral(scenario.observable, tol_deg) or left out")
     holds = bool(_within(data.system_values, data.device_values, tol_deg).all())
-    return _row_verdict(_scenario_row(scenario, data), holds, 0, tol_verify, tol_p)
+    return _row_verdict(_scenario_row(scenario, tol_deg), holds, 0, tol_verify, tol_p)
+
+
+def _fold(values: list) -> float:
+    """The floats added left to right from 0.0, the bits of Python 3.11's ``sum``. From 3.12 on, ``sum`` of
+    floats compensates (``sum([1e16, 1.0, -1e16])`` is 1.0 there, 0.0 in this fold), so with it a verdict
+    would depend on the Python version."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _row_verdict(means: _Means, holds, b: int, tol_verify: float, tol_p: float, slots=slice(None)) -> TheoremVerdict:
     """Row b's verdict on one observable's term slots, whose terms are all column-constant iff ``holds``:
-    denominators checked, then means added by ``sum``, in order; the closed form only when ``holds``."""
+    denominators checked, then means added in order (``_fold``); the closed form only when ``holds``."""
     for denom in means.denominators[b][slots]:
         _require_denominator(denom, tol_p)
-    conditional = sum(means.conditional[b][slots])
-    unconditional = sum(means.unconditional[b][slots])
-    closed = sum(means.closed[b][slots]) if holds else None
+    conditional = _fold(means.conditional[b][slots])
+    unconditional = _fold(means.unconditional[b][slots])
+    closed = _fold(means.closed[b][slots]) if holds else None
     closed_gap = None if closed is None else max(abs(closed - conditional), abs(closed - unconditional))
     return TheoremVerdict(
         hypothesis_holds=holds,
@@ -331,7 +345,7 @@ def random_scenario(
             observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
             postselect=phi,
         )
-        if min(_scenario_row(scenario, product_spectral(scenario.observable)).denominators[0]) >= min_postselect:
+        if min(_scenario_row(scenario).denominators[0]) >= min_postselect:
             return scenario
     raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
 

@@ -166,8 +166,8 @@ def test_criterion_07_oracle_equivalence():
         for k in range(len(data)):
             worst = max(
                 worst,
-                float(np.max(np.abs(result.conditional[k] - abl_conditional_grid(scen, k, data)))),
-                abs(result.conditional_expectation(k) - conditional_expectation(scen, k, data)),
+                float(np.max(np.abs(result.conditional[k] - abl_conditional_grid(scen, k)))),
+                abs(result.conditional_expectation(k) - conditional_expectation(scen, k)),
             )
     formula_ok = worst <= 1e-12
 

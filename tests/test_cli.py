@@ -6,7 +6,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -697,6 +700,24 @@ def test_random_audit_checks_out_before_it_runs(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write output: [Errno ") and str(out) in captured.err
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # 3000 instance lines are about 200 KiB, more than a pipe holds (64 KiB), so the writer meets the closed pipe
+    env = {k: v for k, v in os.environ.items() if k != "NOGO_DEFAULT_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(nogosim.__file__).parents[1]), env.get("PYTHONPATH"))))
+    with subprocess.Popen(
+        [sys.executable, "-m", "nogosim", "random-audit", "--count", "3000"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"instance 0 seed=(0,0) ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err, err
+    assert (code, err) == (141, "")
 
 
 def _readme_synopsis() -> dict[str, set[str]]:

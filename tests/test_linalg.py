@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nogosim import linalg
 from nogosim.errors import NoConvergence, NonHermitian
 from nogosim.linalg import (
     TOL_DEG,
@@ -133,10 +134,11 @@ class TestSpectralDecompose:
         with pytest.raises(NonHermitian):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_sweep_budget(self):
-        # the sweep budget belongs to the Jacobi solver the oracle keeps
-        with pytest.raises(NoConvergence):
-            jacobi_decompose(X, max_sweeps=0)
+    def test_sweep_budget(self, monkeypatch):
+        # the sweep budget belongs to the Jacobi solver the oracle keeps, which reads it at call time
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence, match="budget of 0"):
+            jacobi_decompose(X)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("solver", [spectral_decompose, jacobi_decompose])

@@ -13,7 +13,6 @@ import nogosim
 from nogosim.config import RunReport, ScenarioConfig
 from nogosim.error_disturbance import CnotScenario, cnot_report, cnot_scenario
 from nogosim.errors import (
-    DimensionMismatch,
     MissingPostselection,
     NonHermitian,
     OrthogonalPostselection,
@@ -554,27 +553,31 @@ def test_postselection_projector_invariants():
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
 
-SPECTRAL_TAKERS = {
-    "outcome_probability_grid": lambda scen, data: outcome_probability_grid(scen, 0, data),
-    "expectation": lambda scen, data: expectation(scen, 0, data),
-    "joint_probability_grid": lambda scen, data: joint_probability_grid(scen, 0, data),
-    "postselection_denominator": lambda scen, data: postselection_denominator(scen, 0, data),
-    "abl_conditional_grid": lambda scen, data: abl_conditional_grid(scen, 0, data),
-    "conditional_expectation": lambda scen, data: conditional_expectation(scen, 0, data),
-    "verify_nogo": lambda scen, data: verify_nogo(scen, spectral=data),
+#: The per-term readers: each reads product_spectral(scenario.observable) and takes no spectral data.
+READERS = {
+    "outcome_probability_grid": outcome_probability_grid,
+    "expectation": expectation,
+    "joint_probability_grid": joint_probability_grid,
+    "postselection_denominator": postselection_denominator,
+    "abl_conditional_grid": abl_conditional_grid,
+    "conditional_expectation": conditional_expectation,
 }
 
 
-@pytest.mark.parametrize("dims", [(3, 2), (2, 3), (1, 1)])
-@pytest.mark.parametrize("call", SPECTRAL_TAKERS.values(), ids=SPECTRAL_TAKERS.keys())
-def test_spectral_data_of_other_dims_is_refused(call, dims):
-    # numpy's matmul used to raise its own ValueError on the mismatched stacks
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_spectral_data_passed_to_a_reader_fails_at_the_call(reader):
+    # data of another observable with the same dims used to give that observable's mean on these kets
     scen = cnot_error_scenario(0.4)
-    n, m = dims
-    other = product_spectral(JointObservable(n=n, m=m, terms=((np.eye(n), np.eye(m)),)))
-    with pytest.raises(DimensionMismatch, match=rf"spectral data has \(n, m\) = \({n}, {m}\)"):
-        call(scen, other)
-    call(scen, product_spectral(JointObservable(n=2, m=2, terms=((4 * I2, P1),))))  # same dims: accepted
+    other = product_spectral(JointObservable(n=2, m=2, terms=((Z, I2),)))
+    for call in (lambda: reader(scen, 0, other), lambda: reader(scen, 0, spectral=other)):
+        with pytest.raises(TypeError):
+            call()
+    assert scen._means == {}  # refused before anything ran
+    if reader in (abl_conditional_grid, conditional_expectation):
+        with pytest.raises(TypeError):  # tol_p is keyword-only, so a stale positional argument cannot land in it
+            reader(scen, 0, 1e-12)
+        reader(scen, 0, tol_p=1e-12)
+    reader(scen, 0)
 
 
 def test_scenario_rejects_unnormalized_states():

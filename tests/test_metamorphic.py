@@ -31,13 +31,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nogosim import measurement
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
     conditional_expectation,
     expectation,
     postselection_denominator,
-    product_spectral,
 )
 from nogosim.nogo import random_scenario, verify_nogo
 
@@ -221,12 +221,12 @@ def test_a_device_unitary_inside_one_tol_deg_group_changes_nothing(draw, tol_deg
     )
     found = []
     for case in (grouped, rotated):
-        data = product_spectral(case.observable, tol_deg)
-        denominators = [postselection_denominator(case, k, data) for k in range(len(data))]
+        row = measurement._scenario_row(case, tol_deg)
+        denominators = row.denominators[0]
         # the system side is shared, so a draw whose denominators vanish at this tol_deg's system frame does so twice
         assume(min(denominators) > 1e-6)
         verdict = verify_nogo(case, tol_deg=tol_deg)
-        per_term = [(conditional_expectation(case, k, data), expectation(case, k, data)) for k in range(len(data))]
+        per_term = list(zip(row.conditional[0], row.unconditional[0]))
         found.append((verdict, denominators, per_term))
     (verdict, denominators, per_term), (ref_verdict, ref_denominators, ref_per_term) = found
     assert verdict.hypothesis_holds == ref_verdict.hypothesis_holds

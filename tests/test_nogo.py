@@ -1,9 +1,7 @@
 """Degeneracy reports, basis requirement, invariance verdicts, corollaries."""
 
 import dataclasses
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -45,6 +43,14 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 #: tol_deg values refused where they are read: NaN, a negative just below zero, and -inf
 BAD_TOL_DEG = [math.nan, -1e-12, -math.inf]
+
+
+def in_order(values) -> float:
+    """The values added left to right from 0.0, as Python 3.11's ``sum`` adds floats; later ``sum`` compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
@@ -134,7 +140,9 @@ TOL_DEG_READERS = {
     "jacobi_decompose": lambda scen, data, tol_deg: linalg.jacobi_decompose(np.diag([1.0, 1.0, 2.0]), tol_deg),
     "check_rank_m_degeneracy": lambda scen, data, tol_deg: check_rank_m_degeneracy(data, tol_deg),
     "verify_nogo": lambda scen, data, tol_deg: verify_nogo(scen, tol_deg=tol_deg),
-    "verify_nogo-spectral": lambda scen, data, tol_deg: verify_nogo(scen, tol_deg=tol_deg, spectral=data),
+    "verify_nogo-spectral": lambda scen, data, tol_deg: verify_nogo(
+        scen, tol_deg=tol_deg, spectral=product_spectral(scen.observable, tol_deg)
+    ),
     "random_audit": lambda scen, data, tol_deg: random_audit(3, 1, "degenerate", tol_deg=tol_deg),
     "cnot_report": lambda scen, data, tol_deg: error_disturbance.cnot_report(
         error_disturbance.CnotScenario(0.4), tol_deg
@@ -362,7 +370,7 @@ class TestClosedFormIdentities:
         report = check_rank_m_degeneracy(data)
         assert report.all_degenerate
         for k in range(len(data)):
-            joint = joint_probability_grid(scen, k, data)
+            joint = joint_probability_grid(scen, k)
             psi_amp = np.abs(data.system[k] @ scen.psi) ** 2
             phi_amp = np.abs(data.system[k] @ scen.postselect) ** 2
             xi_amp = np.abs(data.device[k] @ scen.xi) ** 2
@@ -531,7 +539,7 @@ def test_random_scenario_postselection_floor():
         scen = random_scenario(rng, 2, 2, degenerate=False)
         data = product_spectral(scen.observable)
         for k in range(len(data)):
-            assert float(joint_probability_grid(scen, k, data).sum()) >= 1e-6
+            assert float(joint_probability_grid(scen, k).sum()) >= 1e-6
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
@@ -595,7 +603,7 @@ def test_the_item_path_forms_no_eigenvector_it_does_not_show(monkeypatch, mode):
             getattr(data, view)
 
 
-def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
+def test_verify_nogo_makes_one_pass_per_tol_deg(monkeypatch):
     drawn = random_scenario(np.random.default_rng(3), 3, 2, degenerate=False, num_terms=2)
     obs = drawn.observable
     # a fresh scenario: random_scenario's pass stays memoized on drawn
@@ -604,56 +612,58 @@ def test_verify_nogo_makes_one_pass_per_spectral_data(monkeypatch):
     means = measurement._means
     monkeypatch.setattr(measurement, "_means", lambda *args: passes.append(args) or means(*args))
     before = repr(scen)
-    # data of an equal but distinct observable: computed on every call, never stored on scen
-    coarse = product_spectral(JointObservable(n=obs.n, m=obs.m, terms=obs.terms), 100.0)
-    default_data = product_spectral(obs)
     calls = [
-        ({"spectral": coarse}, 1),
-        ({"spectral": coarse}, 2),
+        ({}, 1),
+        ({}, 1),
+        ({"tol_deg": TOL_DEG}, 1),  # the default: same key
+        ({"spectral": product_spectral(obs)}, 1),  # the data read without it: same key
+        ({"tol_deg": 100.0}, 2),
+        ({"tol_deg": 100.0, "spectral": product_spectral(obs, 100.0)}, 2),
+        ({"tol_deg": 1e-7}, 3),
         ({}, 3),
-        ({}, 3),
-        ({"spectral": default_data}, 3),  # the default is this data: same key
-        ({"tol_deg": 100.0}, 4),  # product_spectral(obs, 100.0) is not coarse
-        # the means do not depend on tol_deg beyond the data: only the degeneracy report reads it
-        ({"tol_deg": 100.0, "spectral": coarse}, 5),
-        ({"tol_deg": 1e-7, "spectral": default_data}, 5),
-        ({"spectral": coarse}, 6),
+        ({"tol_deg": 100.0}, 3),
     ]
     verdicts = {}
     for kwargs, count in calls:
         verdict = verify_nogo(scen, **kwargs)
         assert len(passes) == count, kwargs
-        key = (id(kwargs.get("spectral")), kwargs.get("tol_deg"))
-        assert verdicts.setdefault(key, verdict) == verdict
-    assert len(scen._means) == 2  # default_data and product_spectral(obs, 100.0)
-    # the public per-term means read the same row: afresh for coarse, from the memo for the default
+        assert verdicts.setdefault(kwargs.get("tol_deg", TOL_DEG), verdict) == verdict
+    assert list(scen._means) == [TOL_DEG, 100.0, 1e-7]
+    # each row is the kernel on the observable's own data at its tol_deg
+    for tol_deg, row in scen._means.items():
+        assert row == means(product_spectral(obs, tol_deg), scen.psi[None], scen.xi[None], scen.postselect[None])
+    # the public per-term means read the default row from the memo
     for k in range(obs.num_terms):
-        assert expectation(scen, k, coarse) == means(coarse, scen.psi[None], scen.xi[None], None).unconditional[0][k]
-        conditional_expectation(scen, k)
-    assert len(passes) == 6 + obs.num_terms  # one per expectation on coarse; conditional_expectation reads the memo
+        assert expectation(scen, k) == scen._means[TOL_DEG].unconditional[0][k]
+        assert conditional_expectation(scen, k) == scen._means[TOL_DEG].conditional[0][k]
+    assert len(passes) == 3
     assert repr(scen) == before
     assert [f.name for f in dataclasses.fields(scen)] == ["psi", "xi", "observable", "postselect"]
 
 
-def test_spectral_data_of_another_observable_is_not_memoized():
+#: Spectral data that verify_nogo does not read for its scenario at the default tol_deg.
+FOREIGN_SPECTRAL = {
+    "other-dims": lambda scen: product_spectral(JointObservable(n=3, m=2, terms=((np.eye(3), I2),))),
+    "other-observable": lambda scen: product_spectral(JointObservable(n=2, m=2, terms=((Z, X),))),
+    "equal-copy": lambda scen: product_spectral(JointObservable(n=2, m=2, terms=scen.observable.terms)),
+    "other-tol_deg": lambda scen: product_spectral(scen.observable, 1e-7),
+}
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_SPECTRAL.values(), ids=FOREIGN_SPECTRAL.keys())
+def test_verify_nogo_refuses_spectral_data_it_would_not_read(foreign):
+    # the means of another observable on this scenario's kets used to pass for its own
     scen = random_scenario(np.random.default_rng(8), 2, 2, degenerate=False, num_terms=2)
     stored = verify_nogo(scen)  # the row random_scenario memoized
-    size = len(scen._means)
-
-    def fresh():
-        return product_spectral(JointObservable(n=2, m=2, terms=scen.observable.terms))
-
-    for _ in range(3):
-        assert verify_nogo(scen, spectral=fresh()) == stored
-    for k in (0, 1, 0):
-        assert expectation(scen, k, fresh()) == expectation(scen, k)
-    assert len(scen._means) == size
-    data = fresh()
-    verify_nogo(scen, spectral=data)
-    ref = weakref.ref(data)
-    del data
-    gc.collect()
-    assert ref() is None  # the scenario keeps no reference to it
+    data = foreign(scen)
+    rows = dict(scen._means)
+    with pytest.raises(ValueError, match=r"spectral must be product_spectral\(scenario.observable, tol_deg\)"):
+        verify_nogo(scen, spectral=data)
+    for tol_deg in BAD_TOL_DEG:  # refused before the data is looked at
+        with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
+            verify_nogo(scen, tol_deg=tol_deg, spectral=data)
+    assert scen._means.keys() == rows.keys() and all(scen._means[key] is row for key, row in rows.items())
+    assert verify_nogo(scen, spectral=product_spectral(scen.observable)) == stored
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
@@ -696,19 +706,16 @@ def test_verdict_on_a_drawn_scenario_equals_a_fresh_one_from_the_same_arrays(deg
         before = repr(scen)
         # random_scenario left the default tol_deg's means on scen; a fresh scenario has none
         assert verify_nogo(scen) == verify_nogo(fresh())
-        assert verify_nogo(scen, spectral=product_spectral(scen.observable)) == verify_nogo(fresh())
         for tol_deg in (1e-7, 100.0):
             other = fresh()
             assert verify_nogo(scen, tol_deg=tol_deg) == verify_nogo(other, tol_deg=tol_deg)
-            default_data = product_spectral(scen.observable)
-            assert verify_nogo(scen, tol_deg=tol_deg, spectral=default_data) == verify_nogo(
-                other, tol_deg=tol_deg, spectral=product_spectral(other.observable)
+            # the row at tol_deg, not the default one random_scenario memoized
+            verdict, row = verify_nogo(scen, tol_deg=tol_deg), measurement._scenario_row(scen, tol_deg)
+            assert verdict.conditional == in_order(row.conditional[0])
+            assert verdict.unconditional == in_order(row.unconditional[0])
+            assert row == measurement._means(
+                product_spectral(other.observable, tol_deg), scen.psi[None], scen.xi[None], scen.postselect[None]
             )
-        # a caller's own spectral data is used, not the scenario's memo
-        coarse = product_spectral(fresh().observable, 100.0)
-        verdict = verify_nogo(scen, spectral=coarse)
-        assert verdict.conditional == sum(conditional_expectation(scen, k, coarse) for k in range(len(coarse)))
-        assert verdict.unconditional == sum(expectation(scen, k, coarse) for k in range(len(coarse)))
         if not degenerate and scen.n > 1:
             # at tol_deg 100 every drawn grid is column-constant, so reading the default memo would show
             assert not verify_nogo(scen).hypothesis_holds
@@ -762,6 +769,15 @@ def test_random_hermitian_statistics():
     assert np.vdot(ket, ket).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_term_means_are_added_in_order_on_every_python_version():
+    # from Python 3.12 on, sum() of these is 1.0: it compensates; 3.11's sum() and the verdict give 0.0
+    row = [1e16, 1.0, -1e16]
+    means = measurement._Means(denominators=[[0.5] * 3], conditional=[row], unconditional=[row], closed=[row])
+    verdict = nogo._row_verdict(means, True, 0, 1e-9, 1e-12)
+    assert verdict.conditional == 0.0
+    assert (verdict.conditional, verdict.unconditional, verdict.closed_form) == (in_order(row),) * 3
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([1, 2, 3]),
@@ -775,8 +791,8 @@ def test_verdict_equals_the_public_per_term_sums(seed, n, m, num_terms, degenera
     scen = random_scenario(np.random.default_rng(seed), n, m, degenerate=degenerate, num_terms=num_terms)
     data = product_spectral(scen.observable)
     report = check_rank_m_degeneracy(data)
-    conditional = sum(conditional_expectation(scen, k, data) for k in range(len(data)))
-    unconditional = sum(expectation(scen, k, data) for k in range(len(data)))
+    conditional = in_order(conditional_expectation(scen, k) for k in range(len(data)))
+    unconditional = in_order(expectation(scen, k) for k in range(len(data)))
     verdict = verify_nogo(scen)
     assert verdict.conditional == conditional
     assert verdict.unconditional == unconditional
@@ -785,7 +801,7 @@ def test_verdict_equals_the_public_per_term_sums(seed, n, m, num_terms, degenera
     if report.all_degenerate:
         # sum_k mean(u_k) <xi|M_k|xi>: the kernel's closed column added in slot order, near the same sum
         # formed from the public column values and device weights
-        closed = sum(measurement._scenario_row(scen, data).closed[0])
+        closed = in_order(measurement._scenario_row(scen).closed[0])
         device = [np.abs(data.device[k] @ scen.xi) ** 2 for k in range(len(data))]
         public = sum(float(t.column_eigenvalues @ q) for t, q in zip(report.terms, device))
         assert verdict.closed_form == closed

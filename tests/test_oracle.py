@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nogosim
-from nogosim import oracle
+from nogosim import measurement, oracle
 from nogosim.cli import main
 from nogosim.config import ScenarioConfig, encode_complex_array
 from nogosim.errors import MissingPostselection, ZeroProbability
@@ -50,11 +50,11 @@ class TestEnumeration:
         result = enumerate_two_step(scen)
         data = product_spectral(scen.observable)
         for k in range(len(data)):
-            assert np.max(np.abs(result.joint[k] - joint_probability_grid(scen, k, data))) < 1e-12
-            assert np.max(np.abs(result.conditional[k] - abl_conditional_grid(scen, k, data))) < 1e-12
-            assert result.denominators[k] == pytest.approx(postselection_denominator(scen, k, data), abs=1e-12)
+            assert np.max(np.abs(result.joint[k] - joint_probability_grid(scen, k))) < 1e-12
+            assert np.max(np.abs(result.conditional[k] - abl_conditional_grid(scen, k))) < 1e-12
+            assert result.denominators[k] == pytest.approx(postselection_denominator(scen, k), abs=1e-12)
             assert result.conditional_expectation(k) == pytest.approx(
-                conditional_expectation(scen, k, data), abs=1e-12
+                conditional_expectation(scen, k), abs=1e-12
             )
 
     def test_trivial_system_dimension(self):
@@ -230,7 +230,7 @@ class TestRunTolerance:
             _, vectors = oracle._term_product_vectors(scen.observable, 0, tol_deg)
             return oracle._outcome_weights(vectors, scen.joint_state(), pi)[1].sum()
 
-        formula = postselection_denominator(scen, 0, product_spectral(scen.observable, cfg.tol_deg))
+        formula = measurement._scenario_row(scen, cfg.tol_deg).denominators[0][0]
         assert formula == pytest.approx(0.5, abs=1e-12)
         assert oracle_denominator(cfg.tol_deg) == pytest.approx(formula, abs=1e-12)
         # the default tol_deg, the enumeration's, splits the pair, so its measurement basis is another one
