@@ -14,10 +14,8 @@ for batch audits lives here too.
 
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -218,7 +216,10 @@ def _fold(values: list) -> float:
     """The floats added left to right from 0.0, the bits of Python 3.11's ``sum``. From 3.12 on, ``sum`` of
     floats compensates (``sum([1e16, 1.0, -1e16])`` is 1.0 there, 0.0 in this fold), so with it a verdict
     would depend on the Python version."""
-    return reduce(operator.add, values, 0.0)
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _row_verdict(means: _Means, holds, b: int, tol_verify: float, tol_p: float, slots=slice(None)) -> TheoremVerdict:
