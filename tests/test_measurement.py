@@ -580,6 +580,30 @@ def test_spectral_data_passed_to_a_reader_fails_at_the_call(reader):
     reader(scen, 0)
 
 
+#: Each call that once took spectral data, and what it raises now: readers take none, verify_nogo only its own.
+SPECTRAL_TAKERS = {
+    "outcome_probability_grid": (lambda scen, data: outcome_probability_grid(scen, 0, data), TypeError),
+    "expectation": (lambda scen, data: expectation(scen, 0, data), TypeError),
+    "joint_probability_grid": (lambda scen, data: joint_probability_grid(scen, 0, data), TypeError),
+    "postselection_denominator": (lambda scen, data: postselection_denominator(scen, 0, data), TypeError),
+    "abl_conditional_grid": (lambda scen, data: abl_conditional_grid(scen, 0, data), TypeError),
+    "conditional_expectation": (lambda scen, data: conditional_expectation(scen, 0, data), TypeError),
+    "verify_nogo": (lambda scen, data: verify_nogo(scen, spectral=data), ValueError),
+}
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3), (1, 1)])
+@pytest.mark.parametrize("call, error", SPECTRAL_TAKERS.values(), ids=SPECTRAL_TAKERS.keys())
+def test_spectral_data_of_other_dims_is_refused(call, error, dims):
+    # numpy's matmul used to raise its own ValueError on the mismatched stacks; same dims were accepted
+    scen = cnot_error_scenario(0.4)
+    n, m = dims
+    other = product_spectral(JointObservable(n=n, m=m, terms=((np.eye(n), np.eye(m)),)))
+    with pytest.raises(error):
+        call(scen, other)
+    assert scen._means == {}  # refused before any kernel row was formed
+
+
 def test_scenario_rejects_unnormalized_states():
     obs = JointObservable(n=2, m=2, terms=((I2, I2),))
     with pytest.raises(ValueError):
