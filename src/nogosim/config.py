@@ -157,13 +157,22 @@ class ScenarioConfig:
             if inter is not None:
                 from .error_disturbance import InteractionModel
 
-                # every key present is parsed, so InteractionModel sees, and refuses, both forms at once
-                interaction = InteractionModel(
-                    unitary=parse_matrix(inter["unitary"], n * m, "interaction.unitary") if "unitary" in inter else None,
-                    h_system=parse_matrix(inter["h_system"], n, "interaction.h_system") if "h_system" in inter else None,
-                    h_device=parse_matrix(inter["h_device"], m, "interaction.h_device") if "h_device" in inter else None,
-                    t=_require_number(inter["t"], "interaction.t") if "t" in inter else None,
-                )
+                # every key present is parsed before the form is judged, so a bad matrix is named first
+                u = parse_matrix(inter["unitary"], n * m, "interaction.unitary") if "unitary" in inter else None
+                h_s = parse_matrix(inter["h_system"], n, "interaction.h_system") if "h_system" in inter else None
+                h_d = parse_matrix(inter["h_device"], m, "interaction.h_device") if "h_device" in inter else None
+                t = _require_number(inter["t"], "interaction.t") if "t" in inter else None
+                generated = [key in inter for key in ("h_system", "h_device", "t")]
+                if u is not None:
+                    if any(generated):
+                        raise ConfigError("provide either a unitary or (h_system, h_device, t), not both")
+                    interaction = InteractionModel(unitary=u)
+                elif all(generated):
+                    interaction = InteractionModel.from_hamiltonians(h_s, h_d, t)
+                elif any(generated):
+                    raise ConfigError("generated form needs h_system, h_device and t")
+                else:
+                    raise ConfigError("provide a unitary or (h_system, h_device, t); neither was given")
 
             setup = None
             if setup_raw is not None:

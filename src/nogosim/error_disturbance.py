@@ -1,14 +1,16 @@
 """Heisenberg-picture noise and disturbance analysis.
 
 The measured observable on the system is compared against a device readout
-after a unitary interaction: the noise operator is the evolved readout minus
-the initial system observable, the disturbance operator is the evolved minus
-initial disturbed observable, and their squared expectations are the mean
-square error and disturbance. Squared operators are re-expressed as joint
-product-term observables, by their operator-Schmidt decomposition (the
-fewest Hermitian product terms), so the postselected (ABL) machinery and the
-no-go checks apply to them directly. The controlled-NOT example with a tunable
-device state covers the full analytic family used by the test suite.
+after an interaction, which is its joint unitary U alone (given, or
+exponentiated once from H_system (x) H_device when the model is built): the
+noise operator is the evolved readout minus the initial system observable,
+the disturbance operator is the evolved minus initial disturbed observable,
+and their squared expectations are the mean square error and disturbance.
+Squared operators are re-expressed as joint product-term observables, by
+their operator-Schmidt decomposition (the fewest Hermitian product terms), so
+the postselected (ABL) machinery and the no-go checks apply to them directly.
+The controlled-NOT example with a tunable device state covers the full
+analytic family used by the test suite.
 """
 
 from __future__ import annotations
@@ -61,31 +63,15 @@ DEFAULT_VARPHI_GRID = (0.0, math.pi / 3, math.pi)
 
 @dataclass(frozen=True, eq=False)
 class InteractionModel:
-    """Joint unitary, given directly or as exp(-i t H_system (x) H_device)."""
+    """Joint unitary of system and device, checked unitary and stored read-only."""
 
-    unitary: np.ndarray | None = None
-    h_system: np.ndarray | None = None
-    h_device: np.ndarray | None = None
-    t: float | None = None
+    unitary: np.ndarray
 
     def __post_init__(self):
-        direct = self.unitary is not None
-        generated = self.h_system is not None or self.h_device is not None or self.t is not None
-        if direct and generated:
-            raise ValueError("provide either a unitary or (h_system, h_device, t), not both")
-        if not (direct or generated):
-            raise ValueError("provide a unitary or (h_system, h_device, t); neither was given")
-        if direct:
-            u = as_operator(self.unitary, "unitary")
-            if not is_unitary(u):
-                raise ValueError(f"interaction matrix is not unitary within {TOL_UNITARY:g}")
-            object.__setattr__(self, "unitary", readonly(u))
-        else:
-            if self.h_system is None or self.h_device is None or self.t is None:
-                raise ValueError("generated form needs h_system, h_device and t")
-            object.__setattr__(self, "h_system", readonly(require_hermitian(self.h_system, name="h_system")))
-            object.__setattr__(self, "h_device", readonly(require_hermitian(self.h_device, name="h_device")))
-            object.__setattr__(self, "t", require_finite(float(self.t), "t"))
+        u = as_operator(self.unitary, "unitary")
+        if not is_unitary(u):
+            raise ValueError(f"interaction matrix is not unitary within {TOL_UNITARY:g}")
+        object.__setattr__(self, "unitary", readonly(u))
 
     @classmethod
     def from_unitary(cls, u) -> "InteractionModel":
@@ -93,12 +79,8 @@ class InteractionModel:
 
     @classmethod
     def from_hamiltonians(cls, h_system, h_device, t: float) -> "InteractionModel":
-        return cls(h_system=h_system, h_device=h_device, t=t)
-
-    def resolve_unitary(self) -> np.ndarray:
-        if self.unitary is not None:
-            return np.array(self.unitary)
-        return matrix_exponential_skew(tensor_product(self.h_system, self.h_device), self.t)
+        """U = exp(-i t H_system (x) H_device), computed once; a NaN or Inf t or overflowing phases raise ValueError."""
+        return cls(unitary=matrix_exponential_skew(_generator(h_system, h_device), t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +121,14 @@ def heisenberg_evolve(u, o0) -> np.ndarray:
     return u.conj().T @ o0 @ u
 
 
+def _generator(h_system, h_device) -> np.ndarray:
+    """H_system (x) H_device, each factor checked Hermitian."""
+    return tensor_product(require_hermitian(h_system, name="h_system"), require_hermitian(h_device, name="h_device"))
+
+
 def first_order_expansion(h_system, h_device, t: float, o0) -> np.ndarray:
     """O + i t [H_system (x) H_device, O], off exact evolution by O(t^2); NaN or Inf in O or t raises ValueError."""
-    h = tensor_product(require_hermitian(h_system, name="h_system"), require_hermitian(h_device, name="h_device"))
+    h = _generator(h_system, h_device)
     o0 = require_finite(as_operator(o0, "observable"), "observable")
     t = require_finite(float(t), "t")
     if h.shape != o0.shape:
@@ -150,7 +137,7 @@ def first_order_expansion(h_system, h_device, t: float, o0) -> np.ndarray:
 
 
 def _joint_dims(model: InteractionModel, setup: MeasurementSetup) -> tuple[np.ndarray, int, int]:
-    u = model.resolve_unitary()
+    u = model.unitary
     n, m = setup.n, setup.m
     if u.shape != (n * m, n * m):
         raise DimensionMismatch(f"unitary is {u.shape}, setup expects {(n * m, n * m)}")

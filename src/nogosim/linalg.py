@@ -390,8 +390,9 @@ def matrix_exponential_skew(h, t: float) -> np.ndarray:
     The exponential does not depend on the eigenbasis, so it skips the
     canonicalisation, whose group bases do not pair with the individual
     eigenvalues: near-degenerate H at large |t| would otherwise be off by
-    about |t| times the group's eigenvalue spread.
+    about |t| times the group's eigenvalue spread. A NaN or Inf t raises
+    ValueError: its phases would be NaN in every entry.
     """
     values, vectors = (arr[0] for arr in _eigh(require_hermitian(h)[None]))
-    phases = np.exp(-1j * float(t) * values)
+    phases = np.exp(-1j * require_finite(float(t), "t") * values)
     return (vectors * phases) @ vectors.conj().T

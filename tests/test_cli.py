@@ -23,6 +23,8 @@ from nogosim.error_disturbance import (
     DEFAULT_STRENGTH_GRID,
     DEFAULT_THETA_GRID,
     DEFAULT_VARPHI_GRID,
+    PAULI_X,
+    PAULI_Z,
     CnotScenario,
     cnot_report,
     cnot_sweep,
@@ -46,6 +48,16 @@ def csv_writer_bytes(rows) -> bytes:
 
 def load_fixture(name):
     return json.loads((FIXTURES / name).read_text())
+
+
+def generated_cnot() -> dict:
+    """The generated-form interaction block whose exponential is CNOT: H_s = I - Z, H_d = I - X, t = -pi/4."""
+    eye = np.eye(2)
+    return {
+        "h_system": config.encode_complex_array(eye - PAULI_Z),
+        "h_device": config.encode_complex_array(eye - PAULI_X),
+        "t": -math.pi / 4,
+    }
 
 
 def test_fixtures_are_bundled():
@@ -298,6 +310,59 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_partial_generated_form(self, tmp_path, capsys):
+        raw = load_fixture("cnot_error.json")
+        raw["interaction"] = {"h_system": generated_cnot()["h_system"], "t": -math.pi / 4}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: generated form needs h_system, h_device and t\n"
+
+    def test_generated_form_gives_the_unitary_form_report(self, tmp_path, capsys):
+        # exp(i pi/4 (I - Z) (x) (I - X)) is CNOT
+        raw = load_fixture("cnot_error.json")
+        raw["interaction"] = generated_cnot()
+        path = tmp_path / "generated.json"
+        path.write_text(json.dumps(raw))
+        reports = []
+        for config_path in (path, FIXTURES / "cnot_error.json"):
+            assert main(["verify", "--config", str(config_path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["wall_time_s"], report["config_sha256"]
+            reports.append(report)
+
+        def assert_close(got, want):
+            assert type(got) is type(want) or {type(got), type(want)} <= {int, float}
+            if isinstance(got, dict):
+                assert got.keys() == want.keys()
+                for key in got:
+                    assert_close(got[key], want[key])
+            elif isinstance(got, list):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert_close(g, w)
+            elif isinstance(got, (int, float)) and not isinstance(got, bool):
+                assert abs(got - want) <= 1e-12
+            else:
+                assert got == want
+
+        assert_close(*reports)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_generated_form_is_a_config_error(self, tmp_path, capsys):
+        # t * lambda overflows to NaN phases, refused as the config is read rather than at the first evolution
+        raw = load_fixture("cnot_error.json")
+        big = config.encode_complex_array(np.diag([10.0, -10.0]))
+        raw["interaction"] = {"h_system": big, "h_device": big, "t": 1e308}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: interaction matrix is not unitary within 1e-10\n")
 
     @pytest.mark.parametrize("value", ["absent", "null"])
     @pytest.mark.parametrize("dropped", ["setup", "interaction"])

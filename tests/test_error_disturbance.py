@@ -838,15 +838,30 @@ class TestBoundary:
 class TestInteractionModel:
     def test_hamiltonian_form_resolves_to_unitary(self):
         rng = np.random.default_rng(2)
-        model = InteractionModel.from_hamiltonians(random_hermitian(2, rng), random_hermitian(2, rng), 0.4)
-        u = model.resolve_unitary()
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
+        h_s, h_d = random_hermitian(2, rng), random_hermitian(2, rng)
+        u = InteractionModel.from_hamiltonians(h_s, h_d, 0.4).unitary
+        assert u.tobytes() == matrix_exponential_skew(tensor_product(h_s, h_d), 0.4).tobytes()
+        assert not u.flags.writeable
 
     def test_exactly_one_form(self):
-        with pytest.raises(ValueError, match="not both"):
-            InteractionModel(unitary=np.eye(4), h_system=PAULI_Z, h_device=PAULI_X, t=1.0)
-        with pytest.raises(ValueError, match="neither was given"):
-            InteractionModel()
+        # the unitary is the model; the JSON form rules live in the config reader
+        assert [f.name for f in dataclasses.fields(InteractionModel)] == ["unitary"]
+
+    def test_one_exponential_per_model(self, monkeypatch):
+        calls = []
+
+        def counting(h, t):
+            calls.append(t)
+            return matrix_exponential_skew(h, t)
+
+        monkeypatch.setattr(error_disturbance, "matrix_exponential_skew", counting)
+        model = InteractionModel.from_hamiltonians(PAULI_Z, PAULI_X, math.pi / 4)
+        setup = MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=PAULI_Z)
+        psi, xi = np.array([1.0, 1.0j]) / np.sqrt(2.0), np.array([0.6, 0.8])
+        postselected_error_disturbance(model, setup, psi, xi, np.array([1.0, 0.0]))
+        mean_square_error(model, setup, psi, xi)
+        mean_square_disturbance(model, setup, psi, xi)
+        assert calls == [math.pi / 4]
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

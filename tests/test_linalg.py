@@ -306,6 +306,12 @@ class TestMatrixExponential:
         want = np.cos(1.0) * np.eye(4) - 1j * np.sin(1.0) * xz
         assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_refused(self, t):
+        # its phases would be NaN in every entry, and a NaN t raises no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="^t has NaN or Inf entries$"):
+            matrix_exponential_skew(Z, t)
+
 
 class TestRequireHermitianScale:
     """TOL_HERMITIAN is absolute up to max|a_ij| = 1 and relative to max|a_ij| above it."""
