@@ -39,9 +39,10 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable, MeasurementScenario, _means, _quadratic_form, _require_postselect, _state_of_dim, product_spectral
+    JointObservable, MeasurementScenario, ProductSpectralData, _means, _quadratic_form, _require_postselect,
+    _state_of_dim, _system_side, _SystemSide, product_spectral,
 )
-from .nogo import TheoremVerdict, _row_verdict, check_rank_m_degeneracy
+from .nogo import TheoremVerdict, _row_verdict, _within
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -118,6 +119,11 @@ def heisenberg_evolve(u, o0) -> np.ndarray:
         raise DimensionMismatch(f"unitary {u.shape} does not match observable {o0.shape}")
     if not is_unitary(u):
         raise ValueError(f"evolution matrix is not unitary within {TOL_UNITARY:g}")
+    return _evolve(u, o0)
+
+
+def _evolve(u: np.ndarray, o0: np.ndarray) -> np.ndarray:
+    """U^dag O U, unchecked: for a model's U, checked unitary when the model was built, and a setup's checked O."""
     return u.conj().T @ o0 @ u
 
 
@@ -147,7 +153,7 @@ def _joint_dims(model: InteractionModel, setup: MeasurementSetup) -> tuple[np.nd
 def noise_operator(model: InteractionModel, setup: MeasurementSetup) -> np.ndarray:
     """Evolved readout minus initial measured observable on the joint space."""
     u, n, m = _joint_dims(model, setup)
-    readout_t = heisenberg_evolve(u, tensor_product(np.eye(n), setup.readout))
+    readout_t = _evolve(u, tensor_product(np.eye(n), setup.readout))
     return hermitian_part(readout_t - tensor_product(setup.measured, np.eye(m)))
 
 
@@ -155,7 +161,7 @@ def disturbance_operator(model: InteractionModel, setup: MeasurementSetup) -> np
     """Evolved minus initial disturbed observable on the joint space."""
     u, n, m = _joint_dims(model, setup)
     before = tensor_product(setup.disturbed, np.eye(m))
-    return hermitian_part(heisenberg_evolve(u, before) - before)
+    return hermitian_part(_evolve(u, before) - before)
 
 
 def _joint_state(setup: MeasurementSetup, psi, xi) -> np.ndarray:
@@ -270,26 +276,42 @@ def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _S
     )
 
 
-def _state_reports(
-    ops: _SquaredObservables, psi, xi, phi, tol_deg: float, tol_verify: float, tol_p: float
-) -> list[ErrorDisturbanceReport]:
-    """The per-state half of the report, per row of checked (B, n), (B, m), (B, n) ket stacks.
+class _Prepared(NamedTuple):
+    """What a report fixes before xi and phi: its operators, ``ops.both``'s data at one tol_deg, psi's
+    ``_system_side`` on it, and each side's term slots with whether every term in them is column-constant."""
 
-    One amplitude pass covers ``ops.both``: the error side's term slots, then
+    ops: _SquaredObservables
+    data: ProductSpectralData
+    system: _SystemSide
+    sides: tuple[tuple[slice, bool], tuple[slice, bool]]
+
+
+def _prepare(ops: _SquaredObservables, psi: np.ndarray, tol_deg: float) -> _Prepared:
+    """``_Prepared`` for a checked (B, n) or (1, n) psi stack; a NaN or negative tol_deg raises ValueError first."""
+    data = product_spectral(ops.both, tol_deg)
+    # per term: all its columns within tol_deg, the rule verify_nogo reads
+    within = _within(data.system_values, data.device_values, tol_deg).all(axis=-1)
+    split = ops.error.num_terms
+    sides = tuple((slots, bool(within[slots].all())) for slots in (slice(split), slice(split, None)))
+    # read-only, as every array of the data is: the family shares one _Prepared among all its calls
+    return _Prepared(ops, data, _SystemSide(*map(readonly, _system_side(data, psi))), sides)
+
+
+def _state_reports(prepared: _Prepared, xi, phi, tol_verify: float, tol_p: float) -> list[ErrorDisturbanceReport]:
+    """The per-state half of the report, per row of checked (B, m) xi and (B, n) phi stacks.
+
+    One kernel pass covers ``ops.both``: the error side's term slots, then
     the disturbance side's. Row b holds the bits of its kets alone. Its
     denominators are checked before row b + 1's, the error side's first.
     epsilon^2, eta^2 and the no-go gaps are the verdicts' unconditional means
     and gaps, so no joint state is formed; ``mean_square_*`` agree to rounding.
     """
-    data = product_spectral(ops.both, tol_deg)
-    means = _means(data, psi, xi, phi)
-    terms = check_rank_m_degeneracy(data, tol_deg).terms
-    split = ops.error.num_terms
-    sides = [(slots, all(t.is_rank_m_degenerate for t in terms[slots])) for slots in (slice(split), slice(split, None))]
+    ops = prepared.ops
+    means = _means(prepared.data, prepared.system, xi, phi)
     reports = []
-    for b in range(len(psi)):
+    for b in range(len(xi)):
         error_verdict, disturbance_verdict = (
-            _row_verdict(means, holds, b, tol_verify, tol_p, slots) for slots, holds in sides
+            _row_verdict(means, holds, b, tol_verify, tol_p, slots) for slots, holds in prepared.sides
         )
         reports.append(
             ErrorDisturbanceReport(
@@ -322,8 +344,8 @@ def postselected_error_disturbance(
     one ``MeasurementScenario`` checks the kets."""
     ops = _squared_observables(model, setup)
     checked = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
-    kets = checked.psi, checked.xi, _require_postselect(checked)
-    return _state_reports(ops, *(ket[None] for ket in kets), tol_deg, tol_verify, tol_p)[0]
+    prepared = _prepare(ops, checked.psi[None], tol_deg)
+    return _state_reports(prepared, checked.xi[None], _require_postselect(checked)[None], tol_verify, tol_p)[0]
 
 
 # the controlled-NOT family's kets, shared by CnotScenario and cnot_sweep
@@ -393,6 +415,19 @@ def _cnot_squared_observables() -> _SquaredObservables:
     return _squared_observables(*_cnot_model_setup())
 
 
+#: ``_cnot_prepared``'s memo, keyed by tol_deg as ``product_spectral``'s memo on ``ops.both`` is.
+_CNOT_PREPARED: dict[float, _Prepared] = {}
+
+
+def _cnot_prepared(tol_deg: float) -> _Prepared:
+    """The family's ``_Prepared`` at tol_deg, formed once: psi is a constant, so only xi and phi vary by point.
+    A NaN or negative tol_deg raises in ``_prepare`` before anything is stored."""
+    prepared = _CNOT_PREPARED.get(tol_deg)
+    if prepared is None:
+        prepared = _CNOT_PREPARED[tol_deg] = _prepare(_cnot_squared_observables(), _CNOT_PSI[None], tol_deg)
+    return prepared
+
+
 def cnot_scenario(params: CnotScenario) -> CnotBundle:
     """Measurement scenarios, interaction and setup for the controlled-NOT family."""
     model, setup = _cnot_model_setup()
@@ -428,6 +463,6 @@ def cnot_sweep(
     phis = [_cnot_phi(t, v) for t in theta_grid for v in varphi_grid]
     if not (xis and phis):
         return []
-    # rows in s, theta, varphi order
-    stacks = [_CNOT_PSI] * (len(xis) * len(phis)), [x for x in xis for _ in phis], phis * len(xis)
-    return _state_reports(_cnot_squared_observables(), *map(np.array, stacks), tol_deg, tol_verify, TOL_POSTSELECT)
+    # rows in s, theta, varphi order; psi's side is the one row every point shares
+    xi, phi = np.array([x for x in xis for _ in phis]), np.array(phis * len(xis))
+    return _state_reports(_cnot_prepared(tol_deg), xi, phi, tol_verify, TOL_POSTSELECT)

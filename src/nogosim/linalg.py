@@ -391,8 +391,12 @@ def matrix_exponential_skew(h, t: float) -> np.ndarray:
     canonicalisation, whose group bases do not pair with the individual
     eigenvalues: near-degenerate H at large |t| would otherwise be off by
     about |t| times the group's eigenvalue spread. A NaN or Inf t raises
-    ValueError: its phases would be NaN in every entry.
+    ValueError: its phases would be NaN in every entry. A finite t whose
+    t * lambda overflows gives NaN phases without a numpy warning; the
+    caller's unitarity check refuses the result.
     """
     values, vectors = (arr[0] for arr in _eigh(require_hermitian(h)[None]))
-    phases = np.exp(-1j * require_finite(float(t), "t") * values)
+    t = require_finite(float(t), "t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * t * values)
     return (vectors * phases) @ vectors.conj().T

@@ -15,9 +15,12 @@ with q_j = |<v_j|xi>|^2, and sum_j v_j q_j = <xi|M_k|xi>, so the device
 enters only through that quadratic form, which the kernel reads off M_k
 without a device eigenvector. The gap of term k is
 <xi|M_k|xi> (wbar_k - <psi|S_k|psi>) with
-wbar_k = sum_i u_i p_i x_i / sum_i p_i x_i. The oracle module re-derives the
-same quantities by explicit matrix arithmetic so the two paths can be
-compared in tests.
+wbar_k = sum_i u_i p_i x_i / sum_i p_i x_i. The kernel is split by ket:
+psi's part, p and <psi|S_k|psi> (``_system_side``), and the closed form's
+mean(u_k) (``ProductSpectralData.mean_system_values``) are formed apart, so
+a caller whose psi or data is fixed forms them once and ``_means`` then
+reads only xi and phi. The oracle module re-derives the same quantities by
+explicit matrix arithmetic so the two paths can be compared in tests.
 
 Spectral data has one owner, the observable: every reader of a scenario
 takes its observable's ``product_spectral`` itself, so no caller can pass
@@ -113,8 +116,12 @@ class ProductSpectralData:
 
     ``system`` and ``device`` are the phase-fixed V^dag stacks that
     ``spectral_decompose`` gives each factor, read-only, formed on first access
-    and kept; ``tol_deg``, the grouping tolerance the data was made at, is a
-    plain attribute like ``_degeneracy``, so fields() and repr see only the stacks.
+    and kept. ``tol_deg``, the grouping tolerance the data was made at, and
+    ``mean_system_values``, each term's read-only mean(u_k), the system factor
+    of the closed form mean(u_k) <xi|M_k|xi>, are plain attributes, so fields()
+    and repr see only the stacks. The means are formed with the data, not on
+    first access: the kernel reads them on every data it is given, and on
+    Python 3.11 a ``cached_property``'s first access costs more than the mean.
     """
 
     system_adjoint: np.ndarray
@@ -125,9 +132,10 @@ class ProductSpectralData:
 
     def __post_init__(self, tol_deg):
         object.__setattr__(self, "tol_deg", tol_deg)
-        # nogo.check_rank_m_degeneracy's memo keyed by tol_deg: a plain attribute like
-        # JointObservable._spectral, so fields() and repr see only the stacks
-        object.__setattr__(self, "_degeneracy", {})
+        u = self.system_values
+        means = u.sum(axis=-1) / u.shape[-1]
+        means.setflags(write=False)  # a fresh array: no copy needed to freeze it
+        object.__setattr__(self, "mean_system_values", means)
 
     @cached_property
     def system(self) -> np.ndarray:
@@ -263,6 +271,25 @@ def _require_denominator(denom: float, tol_p: float) -> None:
         raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
 
 
+class _SystemSide(NamedTuple):
+    """psi's part of the kernel, per row of psi and term slot: all that the means read of psi."""
+
+    weights: np.ndarray  # p_i = |<u_i|psi>|^2, (B, K, n)
+    means: np.ndarray  # <psi|S_k|psi> = sum_i u_i p_i, (B, K)
+
+
+def _system_side(data: ProductSpectralData, psi: np.ndarray) -> _SystemSide:
+    """psi's weights under every term's ``system_adjoint`` and its means <psi|S_k|psi>, per row of a (B, n) stack.
+
+    B may be 1 for any number of rows of xi and phi: ``_means`` broadcasts
+    the row, and an elementwise product or a per-row ``np.vecdot`` of a
+    broadcast row holds the bits it holds on B copies.
+    """
+    # a term slot axis on psi: its weights under each of the K adjoints
+    weights = _weights(data.system_adjoint, psi[:, None])
+    return _SystemSide(weights, np.vecdot(data.system_values, weights))
+
+
 class _Means(NamedTuple):
     """What a verdict reads: per row of the kets, per term slot, as (B, K) lists."""
 
@@ -272,31 +299,28 @@ class _Means(NamedTuple):
     closed: list  # mean(u_k) <xi|M_k|xi>, the closed form of a column-constant term
 
 
-def _means(data: ProductSpectralData, psi, xi, phi) -> _Means:
-    """Every term's means in the factored form, from one amplitude pass over every term slot.
+def _means(data: ProductSpectralData, system: _SystemSide, xi, phi) -> _Means:
+    """Every term's means in the factored form, from psi's ``_system_side`` and one pass over xi and phi.
 
-    The kets are (B, d) stacks, and phi may be None. ``data``'s stacks are
-    (K, ...), shared by every row, or carry a leading B axis, one observable
-    per row. The system side reads the eigenvalues u and the weights under
-    ``system_adjoint``; the device side is <xi|M_k|xi>, taken off the factor
-    M_k itself, so no device eigenvector enters. Each value is a product of
-    ``np.vecdot`` reductions over its own slot, in one stacked form for any B,
-    so entry (b, k) holds the bits of row b's kets and term k alone. A
-    vanishing denominator leaves a NaN or Inf conditional mean, which the
-    caller rejects with ``_require_denominator`` before reading it.
+    xi and phi are (B, d) stacks, and phi may be None; ``system`` has B rows
+    or one, shared by every row. ``data``'s stacks are (K, ...), shared by
+    every row, or carry a leading B axis, one observable per row. The device
+    side is <xi|M_k|xi>, taken off the factor M_k itself, so no device
+    eigenvector enters. Each value is a product of ``np.vecdot`` reductions
+    over its own slot, in one stacked form for any B, so entry (b, k) holds
+    the bits of row b's kets and term k alone. A vanishing denominator leaves
+    a NaN or Inf conditional mean, which the caller rejects with
+    ``_require_denominator`` before reading it.
     """
-    u = data.system_values
-    # a term slot axis on every ket: row b's weights under each of the K adjoints
-    p = _weights(data.system_adjoint, psi[:, None])
     device_mean = _quadratic_form(data.device_factors, xi[:, None])  # <xi|M_k|xi>
-    unconditional = (np.vecdot(u, p) * device_mean).tolist()
-    closed = (u.sum(axis=-1) / u.shape[-1] * device_mean).tolist()
+    unconditional = (system.means * device_mean).tolist()
+    closed = (data.mean_system_values * device_mean).tolist()
     if phi is None:
         return _Means(None, None, unconditional, closed)
     x = _weights(data.system_adjoint, phi[:, None])
-    denom = np.vecdot(p, x)
+    denom = np.vecdot(system.weights, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        conditional = np.vecdot(u, p * x) / denom * device_mean
+        conditional = np.vecdot(data.system_values, system.weights * x) / denom * device_mean
     return _Means(denom.tolist(), conditional.tolist(), unconditional, closed)
 
 
@@ -306,8 +330,9 @@ def _scenario_row(scenario: MeasurementScenario, tol_deg: float = TOL_DEG) -> _M
     tol_deg is refused there before anything is stored."""
     means = scenario._means.get(tol_deg)
     if means is None:
-        kets = (ket if ket is None else ket[None] for ket in (scenario.psi, scenario.xi, scenario.postselect))
-        means = scenario._means[tol_deg] = _means(product_spectral(scenario.observable, tol_deg), *kets)
+        data = product_spectral(scenario.observable, tol_deg)
+        xi, phi = (ket if ket is None else ket[None] for ket in (scenario.xi, scenario.postselect))
+        means = scenario._means[tol_deg] = _means(data, _system_side(data, scenario.psi[None]), xi, phi)
     return means
 
 

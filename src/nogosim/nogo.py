@@ -43,6 +43,7 @@ from .measurement import (
     _require_postselect,
     _scenario_row,
     _spectral_stacks,
+    _system_side,
     product_spectral,
 )
 
@@ -97,18 +98,14 @@ def check_rank_m_degeneracy(spectral: ProductSpectralData, tol_deg: float = TOL_
     Column j of term k's grid is u_k * v_kj, so it spreads by |v_kj| (max u_k - min u_k)
     (``_within``), and a zero device eigenvalue makes its column degenerate
     regardless of the system factor. The column values are mean(u_k) v_kj, with
-    the mean(u_k) of the kernel's closed column. The report is computed once per
-    spectral data and tol_deg, then returned from a memo on the data: its stacks
-    are read-only, so the report is a pure function of (spectral, tol_deg), and
-    it is immutable, so callers can share it.
+    the data's ``mean_system_values``, the kernel's closed column. Every other
+    reader of the hypothesis takes ``_within`` alone, so only ``verify`` builds
+    this report, once per run.
     """
-    report = spectral._degeneracy.get(tol_deg)
-    if report is None:
-        u, v = spectral.system_values, spectral.device_values
-        columns = readonly((u.sum(axis=-1) / u.shape[-1])[..., None] * v)
-        terms = tuple(map(_term_degeneracy, u, v, _within(u, v, tol_deg), columns))
-        report = spectral._degeneracy[tol_deg] = DegeneracyReport(terms=terms)
-    return report
+    u, v = spectral.system_values, spectral.device_values
+    within = _within(u, v, tol_deg)
+    columns = readonly(spectral.mean_system_values[..., None] * v)
+    return DegeneracyReport(terms=tuple(map(_term_degeneracy, u, v, within, columns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,10 +364,10 @@ def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     kets = [_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1)]
     data = ProductSpectralData(*_spectral_stacks(*factors, TOL_DEG), TOL_DEG)
-    means = accepted = _means(data, *kets)
+    means = accepted = _means(data, _system_side(data, kets[0]), *kets[1:])
     if tol_deg != TOL_DEG:
         data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
-        means = _means(data, *kets)
+        means = _means(data, _system_side(data, kets[0]), *kets[1:])
     holding = _within(data.system_values, data.device_values, tol_deg).all(axis=(1, 2)).tolist()
     return accepted.denominators, means, holding
 

@@ -12,7 +12,8 @@ eigenspaces, so agreement between the paths is a real cross-check. The
 sampler draws projective outcomes and postselection accept/reject decisions
 from a seeded PCG64 generator (identical seed, identical stream on every
 platform) and reports raw counts, equal to those of a ``Generator.choice``
-draw followed by an accept draw on the same seed (see ``_accepted_counts``).
+draw followed by an accept draw on the same seed (see ``_accepted_counts``);
+it reads both draws in fixed blocks, so its memory does not grow with shots.
 """
 
 from __future__ import annotations
@@ -126,38 +127,47 @@ def _outcome_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
+#: Shots the sampler draws and compares at a time, so its memory does not grow with the shot count.
+SAMPLE_BLOCK = 1 << 15
+
+
 def _accepted_counts(seed: int, shots: int, shards: int, cdf: np.ndarray, accept_probs: np.ndarray) -> np.ndarray:
     """Accepted shots per outcome, summed over ``shards`` near-equal shards.
 
-    Shard s draws its outcome uniforms u and then its acceptance uniforms v
-    from the generator seeded by (seed, s). Shot t draws outcome j when
+    Shard s of size N reads the stream of the generator seeded by (seed, s):
+    its first N uniforms are the outcome uniforms u, its next N the
+    acceptance uniforms v. Shot t draws outcome j when
     cdf[j-1] <= u[t] < cdf[j] (lower bound 0 for j = 0) and is accepted when
     v[t] < accept_probs[j]. Those are the comparisons
     ``searchsorted(cdf, u, side="right")`` inside ``Generator.choice`` makes
     on the same uniforms, so a shard's counts equal
     ``bincount(drawn[rng.random(size) < accept_probs[drawn]])`` with
-    ``drawn = rng.choice(k, size, p)``. The shards share one set of buffers,
-    so a call allocates and first touches them once.
+    ``drawn = rng.choice(k, size, p)``. The v stream is a second generator on
+    the same seed, advanced past the N outcome draws, so both are read in
+    blocks of ``SAMPLE_BLOCK`` shots through one set of buffers.
     """
-    base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
-    u_buf = np.empty(base + (extra > 0))
-    v_buf = np.empty_like(u_buf)
-    hit_buf = np.empty(u_buf.size, dtype=bool)
-    test_buf = np.empty_like(hit_buf)
+    block = min(SAMPLE_BLOCK, -(-shots // shards))  # no shard is larger than ceil(shots / shards)
+    u_buf, v_buf = np.empty(block), np.empty(block)
+    hit_buf, test_buf = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
     counts = np.zeros(cdf.size, dtype=np.int64)
+    base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
     for shard in range(shards):
         size = base + (shard < extra)
-        u, v, hit, test = u_buf[:size], v_buf[:size], hit_buf[:size], test_buf[:size]
-        rng = np.random.default_rng((seed, shard))
-        rng.random(out=u)
-        rng.random(out=v)
-        lower = 0.0
-        for j, (upper, accept) in enumerate(zip(cdf, accept_probs)):
-            np.greater_equal(u, lower, out=hit)
-            hit &= np.less(u, upper, out=test)
-            hit &= np.less(v, accept, out=test)
-            counts[j] += np.count_nonzero(hit)
-            lower = upper
+        outcomes = np.random.default_rng((seed, shard))
+        accepts = np.random.default_rng((seed, shard))
+        accepts.bit_generator.advance(size)  # one step per uniform: past the shard's outcome draws
+        for start in range(0, size, block):
+            width = min(block, size - start)
+            u, v, hit, test = u_buf[:width], v_buf[:width], hit_buf[:width], test_buf[:width]
+            outcomes.random(out=u)
+            accepts.random(out=v)
+            lower = 0.0
+            for j, (upper, accept) in enumerate(zip(cdf, accept_probs)):
+                np.greater_equal(u, lower, out=hit)
+                hit &= np.less(u, upper, out=test)
+                hit &= np.less(v, accept, out=test)
+                counts[j] += np.count_nonzero(hit)
+                lower = upper
     return counts
 
 

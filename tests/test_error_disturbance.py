@@ -30,6 +30,7 @@ from nogosim.error_disturbance import (
     MeasurementSetup,
     _cnot_model_setup,
     _cnot_squared_observables,
+    _prepare,
     _state_reports,
     cnot_report,
     cnot_scenario,
@@ -532,7 +533,7 @@ class TestCnotScenarioBuilder:
 
 
 class TestCnotCache:
-    @pytest.mark.parametrize("tol_deg", [TOL_DEG, 1e-7])
+    @pytest.mark.parametrize("tol_deg", [0.0, TOL_DEG, 1e-7, 0.5, 3.0])
     @pytest.mark.parametrize(
         "s, theta, varphi", [(0.0, 0.0, 0.0), (0.37, 0.7, 0.3), (0.8, 1.1, 2.5), (1.0, math.pi / 2, math.pi)]
     )
@@ -554,11 +555,46 @@ class TestCnotCache:
         calls = []
         monkeypatch.setattr(measurement, "_decompose", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(error_disturbance, "joint_observable_from_operator", lambda *a, **k: calls.append(a))
-        # the degeneracy verdict is memoized with the spectral data, so it is not re-derived either
+        # each side's hypothesis is kept with the family's data, so it is not re-read, and no report is built
+        monkeypatch.setattr(error_disturbance, "_within", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(nogo, "_term_degeneracy", lambda *a, **k: calls.append(a))
         cnot_report(CnotScenario(strength=0.6, theta=0.4, varphi=1.0))
         cnot_scenario(CnotScenario(strength=0.6))
         assert calls == []
+
+    def test_each_tol_deg_reads_its_own_family_entry(self, monkeypatch):
+        # the family memo keeps one entry per tol_deg, on that tol_deg's data: none leaks into another
+        monkeypatch.setattr(error_disturbance, "_CNOT_PREPARED", {})
+        params = CnotScenario(0.37, 0.7, 0.3)
+        both = _cnot_squared_observables().both
+        for tol_deg in (0.0, 1e-9, 0.5, 3.0, 0.0, -0.0):
+            fresh = postselected_error_disturbance(
+                *_cnot_model_setup(), params.psi(), params.xi(), params.phi(), tol_deg=tol_deg
+            )
+            assert_same_report(cnot_report(params, tol_deg=tol_deg), fresh)
+            assert error_disturbance._CNOT_PREPARED[tol_deg].data is product_spectral(both, tol_deg)
+        assert list(error_disturbance._CNOT_PREPARED) == [0.0, 1e-9, 0.5, 3.0]
+
+    def test_psi_side_is_formed_once_per_tol_deg(self, monkeypatch):
+        monkeypatch.setattr(error_disturbance, "_CNOT_PREPARED", {})
+        sides, weights = [], []
+        system_side, weigh = error_disturbance._system_side, measurement._weights
+        monkeypatch.setattr(error_disturbance, "_system_side", lambda *a: sides.append(a) or system_side(*a))
+        monkeypatch.setattr(measurement, "_weights", lambda *a: weights.append(a[1].shape) or weigh(*a))
+        cnot_report(CnotScenario(0.3, 0.5, 0.7))
+        assert len(sides) == 1 and len(weights) == 2  # psi's weights, then phi's
+        # a second point forms phi's weights alone
+        weights.clear()
+        cnot_report(CnotScenario(0.6, 0.2, 1.0))
+        assert len(sides) == 1 and weights == [(1, 1, 2)]
+        # so does a grid: one weight pass over its phi stack
+        weights.clear()
+        assert len(cnot_sweep([0.0, 0.4, 1.0], [0.1, 0.9], [0.0, 2.0])) == 12
+        assert len(sides) == 1 and weights == [(12, 1, 2)]
+        # a grid at another tol_deg forms psi's side at most once, then reuses it
+        for _ in range(2):
+            cnot_sweep([0.0, 1.0], [0.1], [0.0, 2.0], tol_deg=0.5)
+        assert len(sides) == 2
 
     def test_cached_arrays_are_read_only(self):
         ops = _cnot_squared_observables()
@@ -567,7 +603,8 @@ class TestCnotCache:
         for obs in (ops.error, ops.disturbance, ops.both):
             arrays += [factor for term in obs.terms for factor in term]
             data = product_spectral(obs)
-            arrays += [data.system, data.device, data.grids]
+            arrays += [data.system, data.device, data.grids, data.mean_system_values]
+        arrays += list(error_disturbance._cnot_prepared(TOL_DEG).system)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -617,7 +654,8 @@ class TestCnotSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the vanishing row's 0/0 raises no numpy warning either
             with pytest.raises(ZeroProbability) as stacked:
-                _state_reports(_cnot_squared_observables(), psi, xi, phi, TOL_DEG, TOL_VERIFY, TOL_POSTSELECT)
+                # one psi row per row: _prepare takes a psi stack as well as the family's one row
+                _state_reports(_prepare(_cnot_squared_observables(), psi, TOL_DEG), xi, phi, TOL_VERIFY, TOL_POSTSELECT)
         with pytest.raises(ZeroProbability) as alone:
             postselected_error_disturbance(*_cnot_model_setup(), psi[2], xi[2], phi[2])
         assert str(stacked.value) == str(alone.value) == "postselection probability 0.000e+00 at or below cutoff 1.0e-12"
@@ -733,7 +771,7 @@ class TestOnePass:
         )
 
         def report(psi, xi, phi, tol_p):
-            return _state_reports(ops, psi[None], xi[None], phi[None], TOL_DEG, TOL_VERIFY, tol_p)[0]
+            return _state_reports(_prepare(ops, psi[None], TOL_DEG), xi[None], phi[None], TOL_VERIFY, tol_p)[0]
 
         rng = np.random.default_rng(1)
         vanished, both_checked = set(), 0
@@ -778,9 +816,11 @@ class TestOnePass:
         assert len(calls) == 1
         # the one call covers every row and both sides' term slots
         ops = _cnot_squared_observables()
-        data, psi, xi, phi = calls[0]
+        data, system, xi, phi = calls[0]
         assert len(data) == ops.error.num_terms + ops.disturbance.num_terms
-        assert len(psi) == len(xi) == len(phi) == 24
+        assert len(xi) == len(phi) == 24
+        # psi's side is one row, shared by every point
+        assert system.weights.shape == (1, len(data), 2) and system.means.shape == (1, len(data))
 
 
 BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
@@ -862,6 +902,23 @@ class TestInteractionModel:
         mean_square_error(model, setup, psi, xi)
         mean_square_disturbance(model, setup, psi, xi)
         assert calls == [math.pi / 4]
+
+    def test_a_built_model_is_not_checked_again(self, monkeypatch):
+        model, setup = _cnot_model_setup()  # U is checked unitary here
+        calls = []
+        check = error_disturbance.is_unitary
+        monkeypatch.setattr(error_disturbance, "is_unitary", lambda u: calls.append(u) or check(u))
+        params = CnotScenario(0.4, 0.3, 0.2)
+        report = postselected_error_disturbance(model, setup, params.psi(), params.xi(), params.phi())
+        mean_square_error(model, setup, params.psi(), params.xi())
+        mean_square_disturbance(model, setup, params.psi(), params.xi())
+        assert calls == []
+        assert report.error_verdict.passed and report.disturbance_verdict.passed
+        # the public route takes outside input, so it still checks
+        assert np.array_equal(heisenberg_evolve(CNOT, np.eye(4)), np.eye(4))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="evolution matrix is not unitary"):
+            heisenberg_evolve(2 * CNOT, np.eye(4))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

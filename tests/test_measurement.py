@@ -23,6 +23,8 @@ from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
     PostselectionProjector,
+    _means,
+    _system_side,
     abl_conditional_grid,
     conditional_expectation,
     expectation,
@@ -670,3 +672,36 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity(part):
     assert obj != copy and not obj == copy
     assert hash(obj) == hash(obj)
     assert len({obj, copy, obj}) == 2
+
+
+def random_kets(rows, dim, rng):
+    """A (rows, dim) stack of unit kets."""
+    kets = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.integers(1, 3),
+    num_terms=st.integers(1, 2),
+    rows=st.integers(1, 6),
+    with_phi=st.booleans(),
+    degenerate=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_psi_row_gives_the_bits_of_one_copy_per_row(seed, n, m, num_terms, rows, with_phi, degenerate):
+    # the kernel broadcasts a one-row psi side over the rows of xi and phi: an elementwise product and a
+    # per-row vecdot of a broadcast row hold the bits they hold on copies, so every field is equal to the bit
+    rng = np.random.default_rng(seed)
+    terms = tuple(
+        (rng.standard_normal() * np.eye(n) if degenerate else random_hermitian(n, rng), random_hermitian(m, rng))
+        for _ in range(num_terms)
+    )
+    data = product_spectral(JointObservable(n=n, m=m, terms=terms))
+    psi, xi = random_kets(1, n, rng), random_kets(rows, m, rng)
+    phi = random_kets(rows, n, rng) if with_phi else None
+    shared = _means(data, _system_side(data, psi), xi, phi)
+    copies = _means(data, _system_side(data, np.repeat(psi, rows, axis=0)), xi, phi)
+    assert repr(shared) == repr(copies)  # a float's repr is its bits, the sign of zero and NaN included
+    assert len(shared.unconditional) == rows

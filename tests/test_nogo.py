@@ -102,20 +102,21 @@ class TestDegeneracyCheck:
         data = product_spectral(JointObservable(n=2, m=2, terms=((system.astype(complex), P1),)))
         with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
             check_rank_m_degeneracy(data, tol_deg)
-        assert data._degeneracy == {}
 
-    def test_memoized_per_tol_deg(self):
+    def test_each_tol_deg_reads_its_own_columns(self):
+        # no memo on the data: every call reads the columns at the tol_deg it is given
         data = product_spectral(JointObservable(n=2, m=2, terms=((np.diag([0.0, 1e-8]), I2),)))
-        coarse = check_rank_m_degeneracy(data, 1e-7)
-        fine = check_rank_m_degeneracy(data, 1e-9)
-        assert check_rank_m_degeneracy(data, 1e-7) is coarse
-        assert check_rank_m_degeneracy(data, 1e-9) is fine
-        assert coarse.all_degenerate
-        assert not fine.all_degenerate
-        # -0.0 == 0.0 with one hash, so the two share an entry; inf merges every eigenvalue
-        assert check_rank_m_degeneracy(data, -0.0) is check_rank_m_degeneracy(data, 0.0)
+        for _ in range(2):
+            assert check_rank_m_degeneracy(data, 1e-7).all_degenerate
+            assert not check_rank_m_degeneracy(data, 1e-9).all_degenerate
+        assert check_rank_m_degeneracy(data, 1e-7) is not check_rank_m_degeneracy(data, 1e-7)
+        # -0.0 reads as 0.0; inf merges every eigenvalue
+        witnesses = [check_rank_m_degeneracy(data, tol_deg).terms[0].witness for tol_deg in (-0.0, 0.0)]
+        assert witnesses[0] == witnesses[1] == (0, 1, 0)
         assert check_rank_m_degeneracy(data, math.inf).all_degenerate
-        assert list(data._degeneracy) == [1e-7, 1e-9, 0.0, math.inf]
+        # the column values are the data's kept mean(u_k) times v_j
+        columns = check_rank_m_degeneracy(data, 1e-7).terms[0].column_eigenvalues
+        assert columns.tolist() == (data.mean_system_values[0] * data.device_values[0]).tolist()
 
     def test_memo_is_not_a_field(self):
         data = product_spectral(JointObservable(n=2, m=2, terms=((I2, Z),)))
@@ -163,7 +164,14 @@ def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg)
     verify_nogo(scen)
     check_rank_m_degeneracy(data)
     both = error_disturbance._cnot_squared_observables().both
-    memos = (scen.observable._spectral, scen.observable._oracle_terms, data._degeneracy, scen._means, both._spectral)
+    error_disturbance.cnot_report(error_disturbance.CnotScenario(0.4))
+    memos = (
+        scen.observable._spectral,
+        scen.observable._oracle_terms,
+        scen._means,
+        both._spectral,
+        error_disturbance._CNOT_PREPARED,
+    )
     sizes = [len(memo) for memo in memos]
     with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
         call(scen, data, tol_deg)
@@ -231,12 +239,14 @@ def test_factored_degeneracy_check_equals_the_grid_check(seed, n, m, kinds, scal
             assert np.array_equal(flags_k, grid_degeneracy(u_k, v_k, tol_deg)[0])
 
 
-def test_verify_nogo_builds_no_degeneracy_report():
+def test_verify_nogo_builds_no_degeneracy_report(monkeypatch):
+    built = []
+    monkeypatch.setattr(nogo, "_term_degeneracy", lambda *a: built.append(a))
     for degenerate in (True, False):
         scen = random_scenario(np.random.default_rng(9), 3, 2, degenerate=degenerate, num_terms=2)
         for tol_deg in (TOL_DEG, 0.5):
             verify_nogo(scen, tol_deg=tol_deg)
-            assert product_spectral(scen.observable, tol_deg)._degeneracy == {}
+    assert built == []
 
 
 @given(
@@ -631,7 +641,8 @@ def test_verify_nogo_makes_one_pass_per_tol_deg(monkeypatch):
     assert list(scen._means) == [TOL_DEG, 100.0, 1e-7]
     # each row is the kernel on the observable's own data at its tol_deg
     for tol_deg, row in scen._means.items():
-        assert row == means(product_spectral(obs, tol_deg), scen.psi[None], scen.xi[None], scen.postselect[None])
+        data = product_spectral(obs, tol_deg)
+        assert row == means(data, measurement._system_side(data, scen.psi[None]), scen.xi[None], scen.postselect[None])
     # the public per-term means read the default row from the memo
     for k in range(obs.num_terms):
         assert expectation(scen, k) == scen._means[TOL_DEG].unconditional[0][k]
@@ -713,9 +724,9 @@ def test_verdict_on_a_drawn_scenario_equals_a_fresh_one_from_the_same_arrays(deg
             verdict, row = verify_nogo(scen, tol_deg=tol_deg), measurement._scenario_row(scen, tol_deg)
             assert verdict.conditional == in_order(row.conditional[0])
             assert verdict.unconditional == in_order(row.unconditional[0])
-            assert row == measurement._means(
-                product_spectral(other.observable, tol_deg), scen.psi[None], scen.xi[None], scen.postselect[None]
-            )
+            data = product_spectral(other.observable, tol_deg)
+            system = measurement._system_side(data, scen.psi[None])
+            assert row == measurement._means(data, system, scen.xi[None], scen.postselect[None])
         if not degenerate and scen.n > 1:
             # at tol_deg 100 every drawn grid is column-constant, so reading the default memo would show
             assert not verify_nogo(scen).hypothesis_holds

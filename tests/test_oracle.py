@@ -27,7 +27,7 @@ from nogosim.measurement import (
     product_spectral,
 )
 from nogosim.nogo import instance_rng, random_hermitian, random_ket, random_scenario
-from nogosim.oracle import _accepted_counts, _outcome_cdf, enumerate_two_step, sample_two_step
+from nogosim.oracle import SAMPLE_BLOCK, _accepted_counts, _outcome_cdf, enumerate_two_step, sample_two_step
 
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -316,3 +316,21 @@ class TestSamplingStream:
         expected = np.bincount(drawn[rng.random(size) < accept[drawn]], minlength=k)
 
         assert _accepted_counts(seed, size, 1, _outcome_cdf(probs), accept).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("size", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_blocks_that_cross_shard_edges_equal_choice_then_accept(self, size, shards, seed):
+        # the sampler reads each shard's draws in blocks of SAMPLE_BLOCK shots; with three shards the last is one
+        # shot short, so a shard of `size` and one of `size - 1` meet each block edge
+        probs = np.array([0.1, 0.0, 0.35, 0.05, 0.5])
+        accept = np.array([0.3, 1.0, 0.0, 1.0, 0.8])
+        shots = size * shards - (shards > 1)
+        base, extra = divmod(shots, shards)
+        expected = np.zeros(probs.size, dtype=np.int64)
+        for shard in range(shards):
+            width = base + (shard < extra)
+            rng = np.random.default_rng((seed, shard))
+            drawn = rng.choice(probs.size, size=width, p=probs)
+            expected += np.bincount(drawn[rng.random(width) < accept[drawn]], minlength=probs.size)
+        assert _accepted_counts(seed, shots, shards, _outcome_cdf(probs), accept).tolist() == expected.tolist()
