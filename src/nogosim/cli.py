@@ -23,6 +23,8 @@ import os
 import sys
 from time import perf_counter
 
+import numpy as np
+
 from .errors import ConfigError, NogoSimError, require_tolerance
 from .linalg import TOL_DEG, TOL_VERIFY
 from .measurement import product_spectral
@@ -216,9 +218,7 @@ def cmd_random_audit(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    import json
-
-    from .config import ScenarioConfig
+    from .config import ScenarioConfig, report_json
     from .oracle import sample_two_step
 
     config = ScenarioConfig.from_path(args.config)
@@ -242,7 +242,7 @@ def cmd_sample(args) -> int:
         "acceptance_rate": result.accepted / result.shots,
         "empirical_conditional_expectation": result.conditional_expectation(grid),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    _emit(report_json(payload), args.out)
     return 0
 
 
@@ -299,7 +299,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # one errstate per run, so no kernel call pays for its own; a non-finite result is still refused: report_json
+        # writes verify's and sample's reports with allow_nan=False, and the sweep and the audit read bounded inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except BrokenPipeError:
         # the reader closed stdout: point fd 1 at devnull, so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -9,8 +9,11 @@ and their squared expectations are the mean square error and disturbance.
 Squared operators are re-expressed as joint product-term observables, by
 their operator-Schmidt decomposition (the fewest Hermitian product terms), so
 the postselected (ABL) machinery and the no-go checks apply to them directly.
-The controlled-NOT example with a tunable device state covers the full
-analytic family used by the test suite.
+A report is prepared in one record, ``_Prepared``, from the model, setup,
+psi and tol_deg; xi and phi then take one kernel pass. The controlled-NOT
+example with a tunable device state covers the full analytic family used by
+the test suite; its operators and psi do not vary by point, so it keeps one
+record per tol_deg.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonDecomposable
+from .errors import DimensionMismatch, MissingPostselection, NonDecomposable
 from .linalg import (
     TOL_DEG,
     TOL_POSTSELECT,
@@ -39,8 +42,8 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable, MeasurementScenario, ProductSpectralData, _means, _quadratic_form, _require_postselect,
-    _state_of_dim, _system_side, _SystemSide, product_spectral,
+    JointObservable, MeasurementScenario, ProductSpectralData, _means, _quadratic_form, _state_of_dim, _system_side,
+    _SystemSide, product_spectral,
 )
 from .nogo import TheoremVerdict, _row_verdict, _within
 
@@ -235,7 +238,14 @@ def joint_observable_from_operator(op, n: int, m: int) -> JointObservable:
 
 @dataclass(frozen=True, eq=False)
 class ErrorDisturbanceReport:
-    """Mean square error/disturbance with their postselected counterparts."""
+    """Mean square error/disturbance with their postselected counterparts.
+
+    ``epsilon_sq_post`` is the sum, over N^2's operator-Schmidt terms, of each
+    term's own postselected mean, each term measured on its own; ``eta_sq_post``
+    is the same for D^2. Under the hypothesis (every term column-constant) it
+    equals ``epsilon_sq``. Outside it, it is not the mean of N^2 in any state:
+    it can be negative, and it depends on the split of N^2 into product terms.
+    """
 
     epsilon_sq: float
     eta_sq: float
@@ -251,62 +261,44 @@ class ErrorDisturbanceReport:
     # rounding error, about ||N||^2 eps, can put a zero value below any floor that does not scale with N.
 
 
-class _SquaredObservables(NamedTuple):
-    """What a (model, setup) pair fixes: the operators, and their squares as joint observables."""
+class _Prepared(NamedTuple):
+    """What a report fixes before xi and phi, all read-only: the noise and disturbance operators; their squares'
+    operator-Schmidt terms as one observable, the error side's slots first, and its data at one tol_deg; psi's
+    ``_system_side`` on that data; and each side's term slots with whether every term in them is column-constant."""
 
     noise: np.ndarray
     disturb: np.ndarray
-    error: JointObservable
-    disturbance: JointObservable
-    both: JointObservable  # error's terms, then disturbance's: the term slots of one amplitude pass
-
-
-def _squared_observables(model: InteractionModel, setup: MeasurementSetup) -> _SquaredObservables:
-    noise = noise_operator(model, setup)
-    disturb = disturbance_operator(model, setup)
-    n, m = setup.n, setup.m
-    error = joint_observable_from_operator(hermitian_part(noise @ noise), n, m)
-    disturbance = joint_observable_from_operator(hermitian_part(disturb @ disturb), n, m)
-    return _SquaredObservables(
-        noise=readonly(noise),
-        disturb=readonly(disturb),
-        error=error,
-        disturbance=disturbance,
-        both=JointObservable(n=n, m=m, terms=error.terms + disturbance.terms),
-    )
-
-
-class _Prepared(NamedTuple):
-    """What a report fixes before xi and phi: its operators, ``ops.both``'s data at one tol_deg, psi's
-    ``_system_side`` on it, and each side's term slots with whether every term in them is column-constant."""
-
-    ops: _SquaredObservables
+    squares: JointObservable
     data: ProductSpectralData
     system: _SystemSide
     sides: tuple[tuple[slice, bool], tuple[slice, bool]]
 
 
-def _prepare(ops: _SquaredObservables, psi: np.ndarray, tol_deg: float) -> _Prepared:
-    """``_Prepared`` for a checked (B, n) or (1, n) psi stack; a NaN or negative tol_deg raises ValueError first."""
-    data = product_spectral(ops.both, tol_deg)
+def _prepare(model: InteractionModel, setup: MeasurementSetup, psi: np.ndarray, tol_deg: float) -> _Prepared:
+    """``_Prepared`` for a checked (B, n) or (1, n) psi stack; a NaN or negative tol_deg raises ValueError."""
+    noise, disturb = noise_operator(model, setup), disturbance_operator(model, setup)
+    n, m = setup.n, setup.m
+    error, disturbance = (joint_observable_from_operator(hermitian_part(op @ op), n, m) for op in (noise, disturb))
+    squares = JointObservable(n=n, m=m, terms=error.terms + disturbance.terms)
+    data = product_spectral(squares, tol_deg)
     # per term: all its columns within tol_deg, the rule verify_nogo reads
     within = _within(data.system_values, data.device_values, tol_deg).all(axis=-1)
-    split = ops.error.num_terms
+    split = error.num_terms
     sides = tuple((slots, bool(within[slots].all())) for slots in (slice(split), slice(split, None)))
     # read-only, as every array of the data is: the family shares one _Prepared among all its calls
-    return _Prepared(ops, data, _SystemSide(*map(readonly, _system_side(data, psi))), sides)
+    system = _SystemSide(*map(readonly, _system_side(data, psi)))
+    return _Prepared(readonly(noise), readonly(disturb), squares, data, system, sides)
 
 
 def _state_reports(prepared: _Prepared, xi, phi, tol_verify: float, tol_p: float) -> list[ErrorDisturbanceReport]:
     """The per-state half of the report, per row of checked (B, m) xi and (B, n) phi stacks.
 
-    One kernel pass covers ``ops.both``: the error side's term slots, then
+    One kernel pass covers ``squares``: the error side's term slots, then
     the disturbance side's. Row b holds the bits of its kets alone. Its
     denominators are checked before row b + 1's, the error side's first.
     epsilon^2, eta^2 and the no-go gaps are the verdicts' unconditional means
     and gaps, so no joint state is formed; ``mean_square_*`` agree to rounding.
     """
-    ops = prepared.ops
     means = _means(prepared.data, prepared.system, xi, phi)
     reports = []
     for b in range(len(xi)):
@@ -319,8 +311,8 @@ def _state_reports(prepared: _Prepared, xi, phi, tol_verify: float, tol_p: float
                 eta_sq=disturbance_verdict.unconditional,
                 epsilon_sq_post=error_verdict.conditional,
                 eta_sq_post=disturbance_verdict.conditional,
-                noise_op=ops.noise,
-                disturb_op=ops.disturb,
+                noise_op=prepared.noise,
+                disturb_op=prepared.disturb,
                 nogo_gap_error=error_verdict.gap,
                 nogo_gap_disturbance=disturbance_verdict.gap,
                 error_verdict=error_verdict,
@@ -340,12 +332,14 @@ def postselected_error_disturbance(
     tol_verify: float = TOL_VERIFY,
     tol_p: float = TOL_POSTSELECT,
 ) -> ErrorDisturbanceReport:
-    """Full report: conventional and postselected means, and no-go gaps, all off one kernel row per side;
-    one ``MeasurementScenario`` checks the kets."""
-    ops = _squared_observables(model, setup)
-    checked = MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
-    prepared = _prepare(ops, checked.psi[None], tol_deg)
-    return _state_reports(prepared, checked.xi[None], _require_postselect(checked)[None], tol_verify, tol_p)[0]
+    """Full report: conventional and postselected means, and no-go gaps, all off one kernel row per side.
+    The kets are checked first, psi and phi against the setup's n and xi against its m; a None phi raises
+    MissingPostselection."""
+    psi, xi = _state_of_dim(psi, setup.n, "psi"), _state_of_dim(xi, setup.m, "xi")
+    if phi is None:
+        raise MissingPostselection("scenario has no postselection state")
+    phi = _state_of_dim(phi, setup.n, "postselect")
+    return _state_reports(_prepare(model, setup, psi[None], tol_deg), xi[None], phi[None], tol_verify, tol_p)[0]
 
 
 # the controlled-NOT family's kets, shared by CnotScenario and cnot_sweep
@@ -410,32 +404,23 @@ def _cnot_model_setup() -> tuple[InteractionModel, MeasurementSetup]:
 
 
 @functools.cache
-def _cnot_squared_observables() -> _SquaredObservables:
-    """Built once per process: the CNOT operators do not depend on (s, theta, varphi)."""
-    return _squared_observables(*_cnot_model_setup())
-
-
-#: ``_cnot_prepared``'s memo, keyed by tol_deg as ``product_spectral``'s memo on ``ops.both`` is.
-_CNOT_PREPARED: dict[float, _Prepared] = {}
-
-
 def _cnot_prepared(tol_deg: float) -> _Prepared:
-    """The family's ``_Prepared`` at tol_deg, formed once: psi is a constant, so only xi and phi vary by point.
-    A NaN or negative tol_deg raises in ``_prepare`` before anything is stored."""
-    prepared = _CNOT_PREPARED.get(tol_deg)
-    if prepared is None:
-        prepared = _CNOT_PREPARED[tol_deg] = _prepare(_cnot_squared_observables(), _CNOT_PSI[None], tol_deg)
-    return prepared
+    """The family's ``_Prepared`` at tol_deg, built once: the operators do not depend on (s, theta, varphi) and psi
+    is a constant, so only xi and phi vary by point. A NaN or negative tol_deg raises in ``_prepare``, so the cache
+    stores nothing for it; ``cnot_sweep`` reads it at float(tol_deg), so 0, 0.0 and -0.0 share one entry."""
+    return _prepare(*_cnot_model_setup(), _CNOT_PSI[None], tol_deg)
 
 
 def cnot_scenario(params: CnotScenario) -> CnotBundle:
-    """Measurement scenarios, interaction and setup for the controlled-NOT family."""
+    """Measurement scenarios, interaction and setup for the controlled-NOT family; each side's observable holds
+    its slots of the family's squared terms at the default tol_deg, so a warm process decomposes nothing here."""
     model, setup = _cnot_model_setup()
-    ops = _cnot_squared_observables()
+    prepared = _cnot_prepared(TOL_DEG)
+    error, disturbance = (JointObservable(n=2, m=2, terms=prepared.squares.terms[slots]) for slots, _ in prepared.sides)
     psi, xi, phi = params.psi(), params.xi(), params.phi()
     return CnotBundle(
-        error_scenario=MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi),
-        disturbance_scenario=MeasurementScenario(psi=psi, xi=xi, observable=ops.disturbance, postselect=phi),
+        error_scenario=MeasurementScenario(psi=psi, xi=xi, observable=error, postselect=phi),
+        disturbance_scenario=MeasurementScenario(psi=psi, xi=xi, observable=disturbance, postselect=phi),
         model=model,
         setup=setup,
     )
@@ -465,4 +450,5 @@ def cnot_sweep(
         return []
     # rows in s, theta, varphi order; psi's side is the one row every point shares
     xi, phi = np.array([x for x in xis for _ in phis]), np.array(phis * len(xis))
-    return _state_reports(_cnot_prepared(tol_deg), xi, phi, tol_verify, TOL_POSTSELECT)
+    # float: functools.cache keys an int by itself, so 0 would miss the entry of 0.0 and -0.0
+    return _state_reports(_cnot_prepared(float(tol_deg)), xi, phi, tol_verify, TOL_POSTSELECT)

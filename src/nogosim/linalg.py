@@ -359,7 +359,16 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     dim = mat.shape[0]
     a = hermitian_part(mat)
     vec = np.eye(dim, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    # Past about 1e154 the norm overflows, and inf <= inf would pass the first convergence test with nothing
+    # rotated. Such a matrix is scaled by 2^-exponent, which is exact, and its eigenvalues back by 2^exponent;
+    # a matrix whose norm is finite is left as it is, so its bits stay.
+    exponent = 0 if math.isfinite(norm) else int(np.frexp(np.abs(a.view(float)).max())[1])
+    if exponent:
+        a = a * np.ldexp(1.0, -exponent)
+        norm = float(np.linalg.norm(a))
+    scale = max(1.0, norm)
     target = 1e-14 * scale
     pivot_floor = 1e-18 * scale
 
@@ -378,7 +387,7 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
         if not converged:
             raise NoConvergence(f"Jacobi sweep budget of {_MAX_SWEEPS} exhausted at dim {dim}")
 
-    eigenvalues = np.diag(a).real.copy()
+    eigenvalues = np.ldexp(np.diag(a).real, exponent)
     order = np.argsort(eigenvalues, kind="stable")
     groups, rows = _canonical_stack(eigenvalues[order][None], vec[:, order][None], tol_deg)
     return _decomposition(eigenvalues[order], rows[0], groups[0])

@@ -29,7 +29,7 @@ from nogosim.error_disturbance import (
     InteractionModel,
     MeasurementSetup,
     _cnot_model_setup,
-    _cnot_squared_observables,
+    _cnot_prepared,
     _prepare,
     _state_reports,
     cnot_report,
@@ -382,11 +382,10 @@ class TestJointObservableFromOperator:
                 disturbed=random_hermitian(n, rng),
                 readout=random_hermitian(m, rng),
             )
-            ops = error_disturbance._squared_observables(model, setup)
             report = postselected_error_disturbance(
                 model, setup, random_ket(n, rng), random_ket(m, rng), random_ket(n, rng)
             )
-            squares = (linalg.hermitian_part(op @ op) for op in (ops.noise, ops.disturb))
+            squares = (linalg.hermitian_part(op @ op) for op in (report.noise_op, report.disturb_op))
             for op, verdict in zip(squares, (report.error_verdict, report.disturbance_verdict)):
                 reduced = np.einsum("ijil->jl", op.reshape(n, m, n, m)) / n
                 scale = max(1.0, float(np.max(np.abs(op))))
@@ -397,16 +396,43 @@ class TestJointObservableFromOperator:
 
     def test_oracle_agrees_on_the_schmidt_terms(self):
         model, setup = generic_model_setup()
-        ops = error_disturbance._squared_observables(model, setup)
+        observables = side_observables(model, setup)
         rng = np.random.default_rng(5)
         for _ in range(5):
             psi, xi, phi = random_ket(2, rng), random_ket(3, rng), random_ket(2, rng)
             report = postselected_error_disturbance(model, setup, psi, xi, phi)
             sides = (report.error_verdict, report.disturbance_verdict)
-            for verdict, scen in zip(sides, side_scenarios(ops, psi, xi, phi)):
+            for verdict, scen in zip(sides, side_scenarios(observables, psi, xi, phi)):
                 result = enumerate_two_step(scen)
                 oracle = sum(result.conditional_expectation(k) for k in range(scen.observable.num_terms))
                 assert abs(oracle - verdict.conditional) <= TOL_VERIFY
+
+    def test_the_postselected_square_is_the_fold_over_the_schmidt_terms(self):
+        # epsilon_sq_post is each Schmidt term's own postselected mean, added in order: outside the hypothesis it
+        # depends on the split, so N^2 written over the full Hermitian basis, sum c_ab G_a (x) H_b, moves it
+        # (by 0.0021 to 1.37 on these 60 models), while the conventional mean of either split is <Psi|N^2|Psi>
+        basis = hermitian_basis(2)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            unitary = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            model = InteractionModel.from_unitary(unitary)
+            setup = MeasurementSetup(
+                measured=random_hermitian(2, rng), disturbed=random_hermitian(2, rng), readout=random_hermitian(2, rng)
+            )
+            psi, xi, phi = random_ket(2, rng), random_ket(2, rng), random_ket(2, rng)
+            report = postselected_error_disturbance(model, setup, psi, xi, phi)
+            square = linalg.hermitian_part(report.noise_op @ report.noise_op)
+            full = JointObservable(
+                n=2, m=2, terms=tuple((np.trace(np.kron(g, h) @ square).real * g, h) for g in basis for h in basis)
+            )
+            schmidt, expanded = (
+                verify_nogo(MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi))
+                for obs in (joint_observable_from_operator(square, 2, 2), full)
+            )
+            assert repr(report.epsilon_sq_post) == repr(schmidt.conditional)
+            assert abs(expanded.conditional - schmidt.conditional) > 1e-3
+            assert abs(expanded.unconditional - schmidt.unconditional) <= 1e-12
+            assert repr(report.epsilon_sq) == repr(schmidt.unconditional)
 
     def test_hermitian_basis_is_orthonormal(self):
         for dim in (2, 3):
@@ -476,7 +502,7 @@ class TestPostselectedReport:
 
     def test_verify_reports_rounding_below_zero(self, tmp_path, capsys):
         model, setup, psi, xi, phi = rotated_strong_cnot(0.5, 0.9, 200.0)
-        error = error_disturbance._squared_observables(model, setup).error
+        error = side_observables(model, setup)[0]
         raw = {
             "n": 2,
             "m": 2,
@@ -562,21 +588,22 @@ class TestCnotCache:
         cnot_scenario(CnotScenario(strength=0.6))
         assert calls == []
 
-    def test_each_tol_deg_reads_its_own_family_entry(self, monkeypatch):
+    def test_each_tol_deg_reads_its_own_family_entry(self):
         # the family memo keeps one entry per tol_deg, on that tol_deg's data: none leaks into another
-        monkeypatch.setattr(error_disturbance, "_CNOT_PREPARED", {})
+        _cnot_prepared.cache_clear()
         params = CnotScenario(0.37, 0.7, 0.3)
-        both = _cnot_squared_observables().both
-        for tol_deg in (0.0, 1e-9, 0.5, 3.0, 0.0, -0.0):
+        for tol_deg in (0.0, 1e-9, 0.5, 3.0, 0, -0.0):
             fresh = postselected_error_disturbance(
                 *_cnot_model_setup(), params.psi(), params.xi(), params.phi(), tol_deg=tol_deg
             )
             assert_same_report(cnot_report(params, tol_deg=tol_deg), fresh)
-            assert error_disturbance._CNOT_PREPARED[tol_deg].data is product_spectral(both, tol_deg)
-        assert list(error_disturbance._CNOT_PREPARED) == [0.0, 1e-9, 0.5, 3.0]
+            prepared = _cnot_prepared(float(tol_deg))  # the key cnot_sweep reads
+            assert prepared.data is product_spectral(prepared.squares, tol_deg)
+            assert list(prepared.squares._spectral) == [tol_deg]
+        assert _cnot_prepared.cache_info().currsize == 4
 
     def test_psi_side_is_formed_once_per_tol_deg(self, monkeypatch):
-        monkeypatch.setattr(error_disturbance, "_CNOT_PREPARED", {})
+        _cnot_prepared.cache_clear()
         sides, weights = [], []
         system_side, weigh = error_disturbance._system_side, measurement._weights
         monkeypatch.setattr(error_disturbance, "_system_side", lambda *a: sides.append(a) or system_side(*a))
@@ -597,14 +624,14 @@ class TestCnotCache:
         assert len(sides) == 2
 
     def test_cached_arrays_are_read_only(self):
-        ops = _cnot_squared_observables()
-        assert _cnot_squared_observables() is ops
-        arrays = [ops.noise, ops.disturb]
-        for obs in (ops.error, ops.disturbance, ops.both):
+        prepared = _cnot_prepared(TOL_DEG)
+        assert _cnot_prepared(TOL_DEG) is prepared
+        arrays = [prepared.noise, prepared.disturb, *prepared.system]
+        bundle = cnot_scenario(CnotScenario(0.5))
+        for obs in (bundle.error_scenario.observable, bundle.disturbance_scenario.observable, prepared.squares):
             arrays += [factor for term in obs.terms for factor in term]
             data = product_spectral(obs)
             arrays += [data.system, data.device, data.grids, data.mean_system_values]
-        arrays += list(error_disturbance._cnot_prepared(TOL_DEG).system)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -655,7 +682,7 @@ class TestCnotSweep:
             warnings.simplefilter("error")  # the vanishing row's 0/0 raises no numpy warning either
             with pytest.raises(ZeroProbability) as stacked:
                 # one psi row per row: _prepare takes a psi stack as well as the family's one row
-                _state_reports(_prepare(_cnot_squared_observables(), psi, TOL_DEG), xi, phi, TOL_VERIFY, TOL_POSTSELECT)
+                _state_reports(_prepare(*_cnot_model_setup(), psi, TOL_DEG), xi, phi, TOL_VERIFY, TOL_POSTSELECT)
         with pytest.raises(ZeroProbability) as alone:
             postselected_error_disturbance(*_cnot_model_setup(), psi[2], xi[2], phi[2])
         assert str(stacked.value) == str(alone.value) == "postselection probability 0.000e+00 at or below cutoff 1.0e-12"
@@ -701,9 +728,15 @@ def generic_model_setup():
     return model, MeasurementSetup(measured=PAULI_Z, disturbed=PAULI_X, readout=np.diag([1.0, 0.0, -1.0]))
 
 
-def side_scenarios(ops, psi, xi, phi):
+def side_observables(model, setup):
+    """The error side's and the disturbance side's observables, each the Schmidt terms of its own operator's square."""
+    operators = noise_operator(model, setup), disturbance_operator(model, setup)
+    return [joint_observable_from_operator(linalg.hermitian_part(op @ op), setup.n, setup.m) for op in operators]
+
+
+def side_scenarios(observables, psi, xi, phi):
     """The error side's and the disturbance side's scenarios, each on its own observable."""
-    return [MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi) for obs in (ops.error, ops.disturbance)]
+    return [MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi) for obs in observables]
 
 
 def assert_same_verdict(a, b):
@@ -742,42 +775,44 @@ class TestOnePass:
     def test_cnot_sides_equal_verify_nogo_on_their_own_scenarios(self, s, theta, varphi, tol_deg):
         params = CnotScenario(s, theta, varphi)
         report = cnot_report(params, tol_deg=tol_deg)
-        scenarios = side_scenarios(_cnot_squared_observables(), params.psi(), params.xi(), params.phi())
+        scenarios = side_scenarios(side_observables(*_cnot_model_setup()), params.psi(), params.xi(), params.phi())
         for verdict, scen in zip((report.error_verdict, report.disturbance_verdict), scenarios):
             assert_same_verdict(verdict, verify_nogo(scen, tol_deg=tol_deg))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_generic_sides_equal_verify_nogo_on_their_own_scenarios(self, seed):
         model, setup = generic_model_setup()
-        ops = error_disturbance._squared_observables(model, setup)
+        observables = side_observables(model, setup)
         # unequal sides: a slot split off by one would move a term from one side to the other
-        assert (ops.error.num_terms, ops.disturbance.num_terms) == (3, 1)
+        assert [obs.num_terms for obs in observables] == [3, 1]
         rng = np.random.default_rng(seed)
         psi, xi, phi = random_ket(2, rng), random_ket(3, rng), random_ket(2, rng)
         report = postselected_error_disturbance(model, setup, psi, xi, phi)
-        for verdict, scen in zip((report.error_verdict, report.disturbance_verdict), side_scenarios(ops, psi, xi, phi)):
+        scenarios = side_scenarios(observables, psi, xi, phi)
+        for verdict, scen in zip((report.error_verdict, report.disturbance_verdict), scenarios):
             assert_same_verdict(verdict, verify_nogo(scen))
         assert report.epsilon_sq_post == report.error_verdict.conditional
         assert report.eta_sq_post == report.disturbance_verdict.conditional
 
-    def test_a_vanishing_side_raises_its_own_message(self):
+    def test_a_vanishing_side_raises_its_own_message(self, monkeypatch):
         # Qubit models expand the disturbance over c I alone, whose basis one error term shares, so the two
         # sides' lowest denominators can be put in either order only with system bases chosen apart:
-        # the error side measures in the X and Y bases, the disturbance side in the Z basis.
+        # the error side measures in the X and Y bases, the disturbance side in the Z basis. The report
+        # takes them as its squares' terms, the error side's first, as it would take the Schmidt terms.
         error = JointObservable(n=2, m=2, terms=((PAULI_X, PAULI_Z), (PAULI_Y, PAULI_X)))
         disturbance = JointObservable(n=2, m=2, terms=((PAULI_Z, PAULI_Z + PAULI_X),))
-        ops = _cnot_squared_observables()._replace(
-            error=error, disturbance=disturbance, both=JointObservable(n=2, m=2, terms=error.terms + disturbance.terms)
-        )
+        squares = itertools.cycle((error, disturbance))
+        monkeypatch.setattr(error_disturbance, "joint_observable_from_operator", lambda *args: next(squares))
+        model, setup = _cnot_model_setup()
 
         def report(psi, xi, phi, tol_p):
-            return _state_reports(_prepare(ops, psi[None], TOL_DEG), xi[None], phi[None], TOL_VERIFY, tol_p)[0]
+            return postselected_error_disturbance(model, setup, psi, xi, phi, tol_p=tol_p)
 
         rng = np.random.default_rng(1)
         vanished, both_checked = set(), 0
         for _ in range(100):
             psi, xi, phi = random_ket(2, rng), random_ket(2, rng), random_ket(2, rng)
-            scenarios = side_scenarios(ops, psi, xi, phi)
+            scenarios = side_scenarios((error, disturbance), psi, xi, phi)
             lowest = lowest_denominators(scenarios)
             if abs(lowest[0] - lowest[1]) < 0.1 * max(lowest):
                 continue  # too close to put a cutoff between them
@@ -815,9 +850,8 @@ class TestOnePass:
         assert len(reports) == 24
         assert len(calls) == 1
         # the one call covers every row and both sides' term slots
-        ops = _cnot_squared_observables()
         data, system, xi, phi = calls[0]
-        assert len(data) == ops.error.num_terms + ops.disturbance.num_terms
+        assert len(data) == sum(obs.num_terms for obs in side_observables(*_cnot_model_setup()))
         assert len(xi) == len(phi) == 24
         # psi's side is one row, shared by every point
         assert system.weights.shape == (1, len(data), 2) and system.means.shape == (1, len(data))
@@ -848,13 +882,13 @@ class TestBoundary:
     @given(kets=broken_kets())
     def test_broken_kets_are_rejected_before_the_kernel(self, kets):
         psi, xi, phi = kets
-        ops = _cnot_squared_observables()
+        observable = _cnot_prepared(TOL_DEG).squares
         with pytest.MonkeyPatch.context() as mp:
             calls = kernel_calls(mp)
             with pytest.raises(ValueError):
                 postselected_error_disturbance(*_cnot_model_setup(), psi, xi, phi)
             with pytest.raises(ValueError):
-                MeasurementScenario(psi=psi, xi=xi, observable=ops.error, postselect=phi)
+                MeasurementScenario(psi=psi, xi=xi, observable=observable, postselect=phi)
         assert calls == []
 
     @settings(max_examples=60, deadline=None)

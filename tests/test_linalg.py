@@ -233,6 +233,18 @@ class TestJacobiDecompose:
         assert np.max(np.abs(ours.eigenvalues - oracle.eigenvalues)) < 1e-12
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
 
+    @pytest.mark.parametrize("seed", [None, *range(4)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_matrix_whose_norm_overflows_is_still_rotated(self, seed, dim):
+        # the Frobenius norm is inf at 1e200: a convergence test against it used to return the unrotated diagonal
+        base = np.diag([1.0, -1.0, 0.5][:dim]) + 2.0 * np.eye(dim, k=1) + 2.0 * np.eye(dim, k=-1)
+        h = 1e200 * (base if seed is None else random_hermitian(dim, np.random.default_rng(seed)))
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(h) == np.inf
+        ours, oracle = spectral_decompose(h), jacobi_decompose(h)
+        assert np.max(np.abs(oracle.eigenvalues / ours.eigenvalues - 1.0)) <= 1e-12
+        assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
+
 
 def frame_rule_reference(vectors):
     """The canonical frame of span(vectors), written out: e_1 ... e_d projected onto the span in order, each

@@ -163,19 +163,13 @@ def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg)
     data = product_spectral(scen.observable)
     verify_nogo(scen)
     check_rank_m_degeneracy(data)
-    both = error_disturbance._cnot_squared_observables().both
     error_disturbance.cnot_report(error_disturbance.CnotScenario(0.4))
-    memos = (
-        scen.observable._spectral,
-        scen.observable._oracle_terms,
-        scen._means,
-        both._spectral,
-        error_disturbance._CNOT_PREPARED,
-    )
-    sizes = [len(memo) for memo in memos]
+    family = error_disturbance._cnot_prepared
+    memos = (scen.observable._spectral, scen.observable._oracle_terms, scen._means, family(TOL_DEG).squares._spectral)
+    sizes = [len(memo) for memo in memos], family.cache_info().currsize
     with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
         call(scen, data, tol_deg)
-    assert [len(memo) for memo in memos] == sizes
+    assert ([len(memo) for memo in memos], family.cache_info().currsize) == sizes
     for value in (0.0, math.inf):  # zero and inf bound the accepted range
         call(scen, data, value)
 
