@@ -8,7 +8,7 @@ prints one ``name prefix`` line per command, the prefix being the first 16
 hex digits of the sha256 of its stdout. ``verify`` reports carry their wall
 time, so the script drops ``wall_time_s`` and digests
 ``json.dumps(report, sort_keys=True)`` plus a newline. Run it at two commits
-and diff the outputs: equal lines mean equal bytes on this numpy build.
+and diff the outputs: equal lines mean equal outputs on this numpy build.
 """
 
 from __future__ import annotations
