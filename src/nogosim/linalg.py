@@ -357,16 +357,18 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     """
     mat = require_hermitian(h)
     dim = mat.shape[0]
-    a = hermitian_part(mat)
     vec = np.eye(dim, dtype=complex)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = hermitian_part(mat)
         norm = float(np.linalg.norm(a))
     # Past about 1e154 the norm overflows, and inf <= inf would pass the first convergence test with nothing
     # rotated. Such a matrix is scaled by 2^-exponent, which is exact, and its eigenvalues back by 2^exponent;
-    # a matrix whose norm is finite is left as it is, so its bits stay.
-    exponent = 0 if math.isfinite(norm) else int(np.frexp(np.abs(a.view(float)).max())[1])
+    # a matrix whose norm is finite is left as it is, so its bits stay. Past about 9e307, a_ij + conj(a_ji)
+    # overflows inside hermitian_part too (inf, and NaN once halved), so the exponent is read off the checked
+    # matrix, which is scaled before it.
+    exponent = 0 if math.isfinite(norm) else int(np.frexp(np.abs(mat.view(float)).max())[1])
     if exponent:
-        a = a * np.ldexp(1.0, -exponent)
+        a = hermitian_part(mat * np.ldexp(1.0, -exponent))
         norm = float(np.linalg.norm(a))
     scale = max(1.0, norm)
     target = 1e-14 * scale

@@ -25,7 +25,9 @@ explicit matrix arithmetic so the two paths can be compared in tests.
 Spectral data has one owner, the observable: every reader of a scenario
 takes its observable's ``product_spectral`` itself, so no caller can pass
 the data of another observable, and the kernel row is memoized on the
-scenario by tol_deg, as the data is on the observable.
+scenario by tol_deg, as the data is on the observable. A random draw's
+scenario (``_drawn_scenario``) is assembled with both memos seeded from the
+evaluation that accepted it.
 
 The dataclasses here hold numpy arrays, so they compare and hash by identity
 (``eq=False``): a field-wise ``==`` over arrays has no truth value.
@@ -334,6 +336,42 @@ def _scenario_row(scenario: MeasurementScenario, tol_deg: float = TOL_DEG) -> _M
         xi, phi = (ket if ket is None else ket[None] for ket in (scenario.xi, scenario.postselect))
         means = scenario._means[tol_deg] = _means(data, _system_side(data, scenario.psi[None]), xi, phi)
     return means
+
+
+def _assembled(cls, **attrs):
+    """An instance of a frozen dataclass with the given attributes, its ``__post_init__`` not run."""
+    obj = object.__new__(cls)
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _drawn_scenario(
+    system: np.ndarray, data: ProductSpectralData, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray, means: _Means
+) -> MeasurementScenario:
+    """The scenario of a draw evaluated at TOL_DEG: its (K, n, n) system factors, its ``_spectral_stacks`` data,
+    whose ``device_factors`` are the device factors, its unit kets, and their ``_means`` row on that data.
+
+    Every array is fresh, so it is frozen in place, and each term is a pair of row views of the read-only
+    stacks. The constructors' checks are not run: the caller built the factors Hermitian to the bit and the
+    kets unit within 8.9e-16 (``nogo._evaluated``). ``product_spectral`` and ``_scenario_row`` find the data
+    and the row in their memos at TOL_DEG.
+    """
+    stacks = data.system_adjoint, data.device_factors, data.system_values, data.device_values
+    for arr in (system, *stacks, psi, xi, phi):
+        arr.setflags(write=False)
+    n, m = system.shape[-1], data.device_factors.shape[-1]
+    observable = _assembled(
+        JointObservable,
+        n=n,
+        m=m,
+        terms=tuple(zip(system, data.device_factors)),
+        _spectral={TOL_DEG: data},
+        _oracle_terms={},
+    )
+    return _assembled(
+        MeasurementScenario, psi=psi, xi=xi, observable=observable, postselect=phi, _means={TOL_DEG: means}
+    )
 
 
 def outcome_probability_grid(scenario: MeasurementScenario, k: int) -> np.ndarray:

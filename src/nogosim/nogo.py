@@ -8,8 +8,11 @@ and the diagonal of the transformed postselection projector keeps its
 block-constant pattern, the conditional expectation under any postselection
 must equal the unconditional one; this module computes both sides and the
 closed-form device average, each from the observable's own spectral data,
-and reports the gaps. Random instance generation
-for batch audits lives here too.
+and reports the gaps. Random instance generation for batch audits lives
+here too: ``random_scenario`` and the audit's array engine evaluate a draw
+by the same steps (``_evaluated``), and the scenario ``random_scenario``
+returns carries that evaluation in both memos, so ``verify_nogo`` at the
+default tol_deg reads it rather than computing it again.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from .linalg import (
     tensor_product,
 )
 from .measurement import (
-    JointObservable,
     MeasurementScenario,
     PostselectionProjector,
     ProductSpectralData,
+    _drawn_scenario,
     _Means,
     _means,
     _require_denominator,
@@ -307,11 +310,21 @@ def _draw_attempt(
 
 
 def _factors(normals: np.ndarray, n: int, m: int, k: int, degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, K, n, n) system and (B, K, m, m) device factors from (B, K * ``_term_draws``) normals."""
-    terms = normals.reshape(normals.shape[0], k, -1)
+    """The (..., K, n, n) system and (..., K, m, m) device factors from (..., K * ``_term_draws``) normals."""
+    terms = normals.reshape(*normals.shape[:-1], k, -1)
     if degenerate:
         return terms[..., :1, None] * np.eye(n, dtype=complex), _hermitian(terms[..., 1:], m)
     return _hermitian(terms[..., : 2 * n * n], n), _hermitian(terms[..., 2 * n * n :], m)
+
+
+def _evaluated(factors: tuple[np.ndarray, np.ndarray], kets: list, tol_deg: float) -> tuple[ProductSpectralData, _Means]:
+    """The spectral data of drawn (..., n, n) system and (..., m, m) device factor stacks at tol_deg, and the
+    kernel's means of (B, d) psi, xi and phi stacks on it: ``product_spectral`` plus ``_scenario_row``, without
+    the constructors' checks, which hold by construction. The factors are Hermitian to the bit, as
+    ``hermitian_part`` forms them, and c * I is real; each ket is a row over its own norm, so |norm^2 - 1| <=
+    8.9e-16 (measured, d = 1..256), far inside TOL_NORM."""
+    data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
+    return data, _means(data, _system_side(data, kets[0]), *kets[1:])
 
 
 def random_scenario(
@@ -328,23 +341,21 @@ def random_scenario(
     column-constancy hypothesis by construction; degenerate=False draws
     generic Hermitian system factors. Draws whose postselection probability
     falls below min_postselect on any term are rejected and redrawn, up to
-    MAX_DRAW_TRIES times. The check reads every term's denominator from one
-    amplitude pass at the default tol_deg (``_scenario_row``), which stays
-    memoized on the returned scenario for ``verify_nogo``.
+    MAX_DRAW_TRIES times. Each attempt is evaluated by the audit's steps,
+    ``_evaluated`` at the default tol_deg: the check reads every term's
+    denominator from one amplitude pass, and a rejected attempt builds no
+    observable and no scenario. The accepted one is assembled around that
+    data and that row (``measurement._drawn_scenario``), which seed the
+    memos ``product_spectral`` and ``verify_nogo`` read at the default tol_deg.
     """
     for _ in range(MAX_DRAW_TRIES):
         k_count, normals = _draw_attempt(rng, n, m, degenerate, num_terms)
-        sys_ops, dev_ops = _factors(normals[None], n, m, k_count, degenerate)
+        system, device = _factors(normals, n, m, k_count, degenerate)
         # one random_ket call per ket: perfbench's tracer counts attempts by these calls
-        psi, xi, phi = (random_ket(dim, rng) for dim in _ket_dims(n, m))
-        scenario = MeasurementScenario(
-            psi=psi,
-            xi=xi,
-            observable=JointObservable(n=n, m=m, terms=tuple(zip(sys_ops[0], dev_ops[0]))),
-            postselect=phi,
-        )
-        if min(_scenario_row(scenario).denominators[0]) >= min_postselect:
-            return scenario
+        kets = [random_ket(dim, rng) for dim in _ket_dims(n, m)]
+        data, means = _evaluated((system, device), [ket[None] for ket in kets], TOL_DEG)
+        if min(means.denominators[0]) >= min_postselect:
+            return _drawn_scenario(system, data, *kets, means)
     raise ZeroProbability(f"no draw reached postselection probability {min_postselect:.1e} in {MAX_DRAW_TRIES} tries")
 
 
@@ -353,21 +364,18 @@ def random_scenario(
 def _audit_group(raw: np.ndarray, n: int, m: int, k: int, degenerate: bool, tol_deg: float) -> tuple[list, _Means, list]:
     """Per row of (B, size) ``_draw_attempt`` draws, the bits ``random_scenario`` plus ``verify_nogo`` give it:
     its denominators at TOL_DEG, which accept it, its means at tol_deg, and whether all its terms are
-    column-constant (``_within``). The (B, K) factor stacks go through ``_spectral_stacks``, the builder of
-    ``product_spectral``, then ``_means``. Factors and kets are built once: only the system bases depend on
-    tol_deg, so the stacks and means are redone only at another tol_deg.
+    column-constant (``_within``). The (B, K) factor stacks and the kets go through ``_evaluated``, the steps
+    ``random_scenario`` runs on each attempt. Factors and kets are built once: only the system bases depend on
+    tol_deg, so the data and means are redone only at another tol_deg.
     """
     factor_draws = k * _term_draws(n, m, degenerate)
-    # Hermitian to the bit, as ``hermitian_part`` forms them; c * I is real
     factors = _factors(raw[:, :factor_draws], n, m, k, degenerate)
-    # unit kets: a row over its own norm has |norm^2 - 1| <= 8.9e-16 (measured, d = 1..256), far inside TOL_NORM
     ket_ends = np.cumsum([2 * dim for dim in _ket_dims(n, m)])
     kets = [_unit(part) for part in np.split(raw[:, factor_draws:], ket_ends[:-1], axis=1)]
-    data = ProductSpectralData(*_spectral_stacks(*factors, TOL_DEG), TOL_DEG)
-    means = accepted = _means(data, _system_side(data, kets[0]), *kets[1:])
+    data, accepted = _evaluated(factors, kets, TOL_DEG)
+    means = accepted
     if tol_deg != TOL_DEG:
-        data = ProductSpectralData(*_spectral_stacks(*factors, tol_deg), tol_deg)
-        means = _means(data, _system_side(data, kets[0]), *kets[1:])
+        data, means = _evaluated(factors, kets, tol_deg)
     holding = _within(data.system_values, data.device_values, tol_deg).all(axis=(1, 2)).tolist()
     return accepted.denominators, means, holding
 

@@ -60,12 +60,13 @@ def generated_cnot() -> dict:
     }
 
 
-def huge_config(tmp_path) -> str:
-    """generic_violation.json with every factor entry scaled by 1e200: finite, but its eigenvalue products overflow."""
+def huge_config(tmp_path, scale: float = 1e200) -> str:
+    """generic_violation.json with every factor entry scaled by 1e200 (or scale): finite, but its eigenvalue
+    products overflow."""
     raw = load_fixture("generic_violation.json")
     for term in raw["observable"]["terms"]:
         for side in ("system", "device"):
-            term[side] = [[[1e200 * re, 1e200 * im] for re, im in row] for row in term[side]]
+            term[side] = [[[scale * re, scale * im] for re, im in row] for row in term[side]]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(raw))
     return str(path)
@@ -702,6 +703,13 @@ class TestSample:
     def test_overflowing_payload_is_not_emitted(self, tmp_path, capsys):
         # the empirical mean is inf - inf = NaN; it used to print as a bare NaN, which is not JSON, with exit 0
         assert main(["sample", "--config", huge_config(tmp_path), "--shots", "1000"]) == 1
+        assert_one_non_finite_error(capsys.readouterr())
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_factors_whose_hermitian_part_overflows_are_refused_as_non_finite(self, tmp_path, capsys, command):
+        # at 1e308, a_ij + conj(a_ji) overflows inside the oracle's Jacobi solver: sample used to exit 1 with
+        # "Jacobi sweep budget of 64 exhausted at dim 3", as its rescale read the exponent of inf
+        assert main([command, "--config", huge_config(tmp_path, 1e308)]) == 1
         assert_one_non_finite_error(capsys.readouterr())
 
     def test_config_seed_is_default(self, tmp_path, capsys):

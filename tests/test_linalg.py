@@ -244,6 +244,14 @@ class TestJacobiDecompose:
         ours, oracle = spectral_decompose(h), jacobi_decompose(h)
         assert np.max(np.abs(oracle.eigenvalues / ours.eigenvalues - 1.0)) <= 1e-12
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
+        # a real or imaginary part at 1e308: a_ij + conj(a_ji) overflows too, and the rescale used to read the
+        # exponent of inf and exhaust the sweep budget. LAPACK's reference is h * 2^-1000, an exact scaling.
+        h = 1e308 / np.abs(h.view(float)).max() * h
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(hermitian_part(h)).all()
+        ours, oracle = spectral_decompose(h * np.ldexp(1.0, -1000)), jacobi_decompose(h)
+        assert np.max(np.abs(oracle.eigenvalues / np.ldexp(ours.eigenvalues, 1000) - 1.0)) <= 1e-12
+        assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
 
 
 def frame_rule_reference(vectors):

@@ -1,6 +1,7 @@
 """Degeneracy reports, basis requirement, invariance verdicts, corollaries."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from nogosim.errors import (
     DimensionMismatch,
     ZeroProbability,
 )
-from nogosim.linalg import TOL_DEG, as_state
+from nogosim.linalg import TOL_DEG, TOL_NORM, as_state
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -565,6 +566,8 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
 
     monkeypatch.setattr(measurement, "_decompose", counting_decompose)
     monkeypatch.setattr(measurement, "_eigh", counting_eigh)
+    # random_scenario runs the kernel through nogo's binding, a memo miss in verify_nogo through measurement's
+    monkeypatch.setattr(nogo, "_means", counting_means)
     monkeypatch.setattr(measurement, "_means", counting_means)
     rng = np.random.default_rng(5)
     for num_terms in (None, 1, 2, 3):
@@ -582,6 +585,47 @@ def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, de
             verify_nogo(scen)
             assert (stacks, device_stacks) == ([(k, 3, 3)], [(k, 2, 2)])  # none inside verify_nogo
             assert len(passes) == 1
+
+
+def rebuilt(scenario):
+    """The scenario rebuilt from its own fields through the public constructors, which check every factor and ket."""
+    obs = scenario.observable
+    return MeasurementScenario(
+        psi=scenario.psi,
+        xi=scenario.xi,
+        observable=JointObservable(n=obs.n, m=obs.m, terms=obs.terms),
+        postselect=scenario.postselect,
+    )
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+def test_a_drawn_scenario_is_what_the_checked_constructors_build(degenerate):
+    # random_scenario assembles the accepted draw without the constructors' checks; each must hold of it anyway
+    shapes = list(itertools.product((1, 2, 3), (1, 2, 3), (None, 1, 2, 3)))
+    rng = np.random.default_rng(28)
+    for draw in range(6 * len(shapes)):
+        n, m, num_terms = shapes[draw % len(shapes)]
+        scen = random_scenario(rng, n, m, degenerate=degenerate, num_terms=num_terms)
+        obs, checked = scen.observable, rebuilt(scen)
+        data, row = obs._spectral[TOL_DEG], scen._means[TOL_DEG]
+        assert (obs._spectral.keys(), scen._means.keys()) == ({TOL_DEG}, {TOL_DEG})
+        # the seeded memos hold what the checked objects compute
+        fresh = product_spectral(checked.observable)
+        for name in ("system_adjoint", "device_factors", "system_values", "device_values", "mean_system_values"):
+            assert np.array_equal(getattr(data, name), getattr(fresh, name)), name
+        assert row == measurement._scenario_row(checked)
+        for tol_deg in (TOL_DEG, 0.5):
+            assert repr(verify_nogo(scen, tol_deg)) == repr(verify_nogo(checked, tol_deg))
+        stacks = (data.system_adjoint, data.device_factors, data.system_values, data.device_values)
+        arrays = (scen.psi, scen.xi, scen.postselect, *itertools.chain(*obs.terms), *stacks, data.mean_system_values)
+        assert not any(arr.flags.writeable for arr in arrays)
+        for sys_op, dev_op in obs.terms:
+            assert np.array_equal(sys_op, sys_op.conj().T) and np.array_equal(dev_op, dev_op.conj().T)
+        for ket in (scen.psi, scen.xi, scen.postselect):
+            assert abs(np.vdot(ket, ket).real - 1.0) <= TOL_NORM
+        # a memo added to either __post_init__ later is an attribute the assembled objects lack
+        assert vars(scen).keys() == vars(checked).keys()
+        assert vars(obs).keys() == vars(checked.observable).keys()
 
 
 def _no_phase_fix(rows):
