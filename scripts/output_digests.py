@@ -3,7 +3,8 @@
 Usage: python scripts/output_digests.py
 
 Each command runs in a fresh interpreter on this checkout's src/, with
-NOGO_DEFAULT_TOL removed from the environment, and must exit 0. The script
+NOGO_DEFAULT_TOL removed from the environment, and must exit 0 with nothing
+on stderr, so a numpy warning or a stray print fails the run. The script
 prints one ``name prefix`` line per command, the prefix being the first 16
 hex digits of the sha256 of its stdout. ``verify`` reports carry their wall
 time, so the script drops ``wall_time_s`` and digests
@@ -64,7 +65,7 @@ def commands(generated: Path) -> list[tuple[str, list[str]]]:
 
 def digest(name: str, args: list[str], env: dict[str, str]) -> str:
     run = subprocess.run([sys.executable, "-m", "nogosim", *args], capture_output=True, env=env, check=False)
-    if run.returncode != 0:
+    if run.returncode != 0 or run.stderr:
         raise SystemExit(f"{name}: exit {run.returncode}\n{run.stderr.decode(errors='replace')}")
     out = run.stdout
     if args[0] == "verify":

@@ -90,8 +90,11 @@ def _require_tol_deg(tol_deg: float) -> None:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A^dag)/2 per matrix of a (..., d, d) stack, the package's one Hermitian-part rule; Hermitian to the
-    bit, as entries ij and ji sum the same two floats (IEEE + commutes). A 2-D input gets the bits of ``.T``."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    bit, as entries ij and ji sum the same two floats (IEEE + commutes). A 2-D input gets the bits of ``.T``.
+    Halving first keeps a finite input's result finite, |a/2 + b/2| <= max(|a|, |b|); halving is exact unless
+    a half is subnormal, and then the bits are those of (A + A^dag) / 2.0 wherever that is finite."""
+    half = a * 0.5
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
@@ -114,8 +117,7 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
 
 def is_unitary(u) -> bool:
     arr = as_operator(u)
-    eye = np.eye(arr.shape[0])
-    return float(np.max(np.abs(arr.conj().T @ arr - eye))) <= TOL_UNITARY
+    return float(np.max(np.abs(arr.conj().T @ arr - np.eye(len(arr))))) <= TOL_UNITARY
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -303,7 +305,7 @@ def _canonical_stack(
 
 
 def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``eigh`` of the ``hermitian_part`` of every matrix in a (B, d, d) stack.
+    """LAPACK ``eigh`` of the ``hermitian_part``, finite for finite input, of every matrix in a (B, d, d) stack.
 
     Stacked ``eigh`` runs LAPACK on each matrix in turn, so row b holds the
     bits of matrix b alone. The caller vouches for Hermiticity:
@@ -349,26 +351,22 @@ def spectral_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
 def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     """Eigendecomposition via cyclic complex Jacobi rotations.
 
-    The oracle's own solver, kept independent of LAPACK so the oracle
-    cross-checks the formula path. It ends in the same canonicalisation as
-    ``spectral_decompose``, so both measure a degenerate factor in the same
-    basis. Raises NonHermitian on bad input and NoConvergence if the sweep
-    budget, ``_MAX_SWEEPS`` as it reads at call time, is exhausted.
+    The oracle's own solver, kept independent of LAPACK so the oracle cross-checks the formula path. It rotates
+    the ``hermitian_part``, scaled by an exact power of two if its Frobenius norm overflows, and ends in the
+    same canonicalisation as ``spectral_decompose``, so both measure a degenerate factor in the same basis.
+    Raises NonHermitian on bad input and NoConvergence if the sweep budget, ``_MAX_SWEEPS`` as it reads at
+    call time, is exhausted.
     """
-    mat = require_hermitian(h)
-    dim = mat.shape[0]
+    a = hermitian_part(require_hermitian(h))
+    dim = a.shape[0]
     vec = np.eye(dim, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = hermitian_part(mat)
+    with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-    # Past about 1e154 the norm overflows, and inf <= inf would pass the first convergence test with nothing
-    # rotated. Such a matrix is scaled by 2^-exponent, which is exact, and its eigenvalues back by 2^exponent;
-    # a matrix whose norm is finite is left as it is, so its bits stay. Past about 9e307, a_ij + conj(a_ji)
-    # overflows inside hermitian_part too (inf, and NaN once halved), so the exponent is read off the checked
-    # matrix, which is scaled before it.
-    exponent = 0 if math.isfinite(norm) else int(np.frexp(np.abs(mat.view(float)).max())[1])
+    # Past about 1e154 the Frobenius norm overflows, and inf <= inf would pass the first convergence test with
+    # nothing rotated: such a matrix is scaled by 2^-exponent, exactly, and its eigenvalues back by 2^exponent.
+    exponent = 0 if math.isfinite(norm) else int(np.frexp(np.abs(a.view(float)).max())[1])
     if exponent:
-        a = hermitian_part(mat * np.ldexp(1.0, -exponent))
+        a = a * np.ldexp(1.0, -exponent)
         norm = float(np.linalg.norm(a))
     scale = max(1.0, norm)
     target = 1e-14 * scale

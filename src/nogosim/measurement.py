@@ -91,9 +91,6 @@ class JointObservable:
         # product_spectral's memo, keyed by tol_deg; a plain attribute rather than a
         # field, so fields() and repr see only n, m and terms
         object.__setattr__(self, "_spectral", {})
-        # the oracle's own per-term memo (oracle._term_product_vectors), kept apart from
-        # _spectral so the oracle shares no decomposition with the formula path
-        object.__setattr__(self, "_oracle_terms", {})
 
     @property
     def num_terms(self) -> int:
@@ -349,28 +346,23 @@ def _assembled(cls, **attrs):
 def _drawn_scenario(
     system: np.ndarray, data: ProductSpectralData, psi: np.ndarray, xi: np.ndarray, phi: np.ndarray, means: _Means
 ) -> MeasurementScenario:
-    """The scenario of a draw evaluated at TOL_DEG: its (K, n, n) system factors, its ``_spectral_stacks`` data,
+    """The scenario of a draw: its (K, n, n) system factors, its ``_spectral_stacks`` data,
     whose ``device_factors`` are the device factors, its unit kets, and their ``_means`` row on that data.
 
     Every array is fresh, so it is frozen in place, and each term is a pair of row views of the read-only
     stacks. The constructors' checks are not run: the caller built the factors Hermitian to the bit and the
     kets unit within 8.9e-16 (``nogo._evaluated``). ``product_spectral`` and ``_scenario_row`` find the data
-    and the row in their memos at TOL_DEG.
+    and the row in their memos at the data's tol_deg.
     """
     stacks = data.system_adjoint, data.device_factors, data.system_values, data.device_values
     for arr in (system, *stacks, psi, xi, phi):
         arr.setflags(write=False)
     n, m = system.shape[-1], data.device_factors.shape[-1]
     observable = _assembled(
-        JointObservable,
-        n=n,
-        m=m,
-        terms=tuple(zip(system, data.device_factors)),
-        _spectral={TOL_DEG: data},
-        _oracle_terms={},
+        JointObservable, n=n, m=m, terms=tuple(zip(system, data.device_factors)), _spectral={data.tol_deg: data}
     )
     return _assembled(
-        MeasurementScenario, psi=psi, xi=xi, observable=observable, postselect=phi, _means={TOL_DEG: means}
+        MeasurementScenario, psi=psi, xi=xi, observable=observable, postselect=phi, _means={data.tol_deg: means}
     )
 
 

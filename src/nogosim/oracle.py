@@ -34,13 +34,13 @@ def _term_product_vectors(
 
     Decomposed once per observable, term and tol_deg by the oracle's own
     solver, which gives each tol_deg eigenspace the basis the formula path
-    gives it at that tol_deg. Then returned from the observable's
-    ``_oracle_terms`` memo, which is separate from ``product_spectral``'s. The
-    factors are read-only and so is the result, so the enumeration and the
-    sampler can share it. A NaN or negative tol_deg raises ValueError before
-    the memo stores anything.
+    gives it at that tol_deg. Then returned from the ``_oracle_terms`` memo,
+    which the oracle adds to the observable on first use, apart from
+    ``product_spectral``'s. The factors are read-only and so is the result,
+    so the enumeration and the sampler can share it. A NaN or negative
+    tol_deg raises ValueError before the memo stores anything.
     """
-    memo = observable._oracle_terms
+    memo = vars(observable).setdefault("_oracle_terms", {})
     entry = memo.get((k, tol_deg))
     if entry is None:
         sys_op, dev_op = observable.terms[k]

@@ -707,8 +707,8 @@ class TestSample:
 
     @pytest.mark.parametrize("command", ["verify", "sample"])
     def test_factors_whose_hermitian_part_overflows_are_refused_as_non_finite(self, tmp_path, capsys, command):
-        # at 1e308, a_ij + conj(a_ji) overflows inside the oracle's Jacobi solver: sample used to exit 1 with
-        # "Jacobi sweep budget of 64 exhausted at dim 3", as its rescale read the exponent of inf
+        # at 1e308 the factors still decompose, as hermitian_part halves before it sums, but the grid and mean
+        # products overflow
         assert main([command, "--config", huge_config(tmp_path, 1e308)]) == 1
         assert_one_non_finite_error(capsys.readouterr())
 

@@ -26,8 +26,8 @@ from nogosim.linalg import (
     tensor_ket,
     tensor_product,
 )
-from nogosim.error_disturbance import CNOT, first_order_expansion, heisenberg_evolve
-from nogosim.measurement import JointObservable, luders_update, projective_probability, weak_value
+from nogosim.error_disturbance import CNOT, InteractionModel, first_order_expansion, heisenberg_evolve
+from nogosim.measurement import JointObservable, luders_update, product_spectral, projective_probability, weak_value
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,11 +244,10 @@ class TestJacobiDecompose:
         ours, oracle = spectral_decompose(h), jacobi_decompose(h)
         assert np.max(np.abs(oracle.eigenvalues / ours.eigenvalues - 1.0)) <= 1e-12
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
-        # a real or imaginary part at 1e308: a_ij + conj(a_ji) overflows too, and the rescale used to read the
-        # exponent of inf and exhaust the sweep budget. LAPACK's reference is h * 2^-1000, an exact scaling.
+        # a real or imaginary part at 1e308, where a_ij + conj(a_ji) is past the float range: halving before the
+        # sum keeps the Hermitian part finite. LAPACK's reference is h * 2^-1000, an exact scaling.
         h = 1e308 / np.abs(h.view(float)).max() * h
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(hermitian_part(h)).all()
+        assert np.isfinite(hermitian_part(h)).all()
         ours, oracle = spectral_decompose(h * np.ldexp(1.0, -1000)), jacobi_decompose(h)
         assert np.max(np.abs(oracle.eigenvalues / np.ldexp(ours.eigenvalues, 1000) - 1.0)) <= 1e-12
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
@@ -462,6 +461,62 @@ def test_spectral_decomposition_is_readonly():
 def test_tensor_ket_is_bitwise_kron(x, y):
     x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
     assert tensor_ket(x, y).tobytes() == np.kron(x, y).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hermitian_part_halves_first_and_cannot_overflow(dim):
+    # (B, d, d) stacks at every scale 2^e, up to entries just below the float range: the bits of the written-out
+    # form wherever that is finite and no half is subnormal (halving is exact there), and elsewhere the exact
+    # rescale of a finite result
+    rng = np.random.default_rng(dim)
+    tiny = np.finfo(float).tiny
+    compared = overflowed = 0
+    for e in range(-1000, 1024):
+        a = (rng.uniform(-2.0, 2.0, (4, dim, dim)) + 1j * rng.uniform(-2.0, 2.0, (4, dim, dim))) * 2.0**e
+        with np.errstate(over="ignore", invalid="ignore"):
+            written = (a + a.conj().swapaxes(-1, -2)) / 2.0
+        ours = hermitian_part(a)
+        assert np.isfinite(ours).all()
+        halves = np.abs((a * 0.5).view(float))
+        normal = ((halves >= tiny) | (halves == 0.0)).all(axis=(-1, -2))
+        finite = np.isfinite(written).all(axis=(-1, -2))
+        assert ours[finite & normal].tobytes() == written[finite & normal].tobytes()
+        rescaled = np.ldexp(hermitian_part(a[~finite] * 2.0**-2).view(float), 2)
+        assert ours[~finite].view(float).tobytes() == rescaled.tobytes()
+        compared += int((finite & normal).sum())
+        overflowed += int((~finite).sum())
+    assert compared > 8000 and overflowed > 0
+
+
+#: 1e308 [[1, .5], [.5, -1]]: a_ii + conj(a_ii) = 2e308 is past the float range, its eigenvalues +-1.118e308 are not
+AT_THE_FLOAT_RANGE = 1e308 * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+
+
+class TestOperatorsAtTheFloatRange:
+    # each reference is the operator scaled by 2^-1000, which is exact; LAPACK scales internally, so eigenvalues
+    # agree to rounding, not to the bit. A numpy warning fails these tests (pyproject's filterwarnings).
+    def test_spectral_decompose(self):
+        ours, scaled = spectral_decompose(AT_THE_FLOAT_RANGE), spectral_decompose(AT_THE_FLOAT_RANGE * 2.0**-1000)
+        assert np.max(np.abs(ours.eigenvalues / np.ldexp(scaled.eigenvalues, 1000) - 1.0)) <= 1e-12
+        assert np.max(np.abs(ours.eigenvectors - scaled.eigenvectors)) < 1e-10
+        assert ours.eigenspace_groups == scaled.eigenspace_groups
+
+    def test_product_spectral(self):
+        big, small = AT_THE_FLOAT_RANGE, AT_THE_FLOAT_RANGE * 2.0**-1000
+        ours = product_spectral(JointObservable(2, 2, ((big, big), (Z, big))))
+        scaled = product_spectral(JointObservable(2, 2, ((small, small), (Z, small))))
+        assert np.max(np.abs(ours.system_values[0] / np.ldexp(scaled.system_values[0], 1000) - 1.0)) <= 1e-12
+        assert np.array_equal(ours.system_values[1], scaled.system_values[1])
+        assert np.max(np.abs(ours.device_values / np.ldexp(scaled.device_values, 1000) - 1.0)) <= 1e-12
+        for view in ("system", "device"):
+            assert np.max(np.abs(getattr(ours, view) - getattr(scaled, view))) < 1e-10
+
+    def test_from_hamiltonians(self):
+        # t * lambda is about 1.1: a valid model, whose unitary passes the unitarity check
+        ours = InteractionModel.from_hamiltonians(AT_THE_FLOAT_RANGE, Z, 1e-308).unitary
+        scaled = InteractionModel.from_hamiltonians(AT_THE_FLOAT_RANGE * 2.0**-1000, Z, 1e-308 * 2.0**1000).unitary
+        assert np.max(np.abs(ours - scaled)) <= 1e-14
+        assert is_unitary(ours)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -165,6 +165,7 @@ def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg)
     verify_nogo(scen)
     check_rank_m_degeneracy(data)
     error_disturbance.cnot_report(error_disturbance.CnotScenario(0.4))
+    oracle.enumerate_two_step(scen)  # the oracle adds its memo to the observable on first use
     family = error_disturbance._cnot_prepared
     memos = (scen.observable._spectral, scen.observable._oracle_terms, scen._means, family(TOL_DEG).squares._spectral)
     sizes = [len(memo) for memo in memos], family.cache_info().currsize
@@ -545,6 +546,25 @@ def test_random_scenario_postselection_floor():
         data = product_spectral(scen.observable)
         for k in range(len(data)):
             assert float(joint_probability_grid(scen, k).sum()) >= 1e-6
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
+@pytest.mark.parametrize(
+    "n, m, num_terms, message",
+    [
+        *(pytest.param(v, 2, None, "system and device dimensions must be positive", id=f"n={v}") for v in (0, -1)),
+        *(pytest.param(2, v, 2, "system and device dimensions must be positive", id=f"m={v}") for v in (0, -1)),
+        *(pytest.param(2, 2, v, "observable needs at least one term", id=f"num_terms={v}") for v in (0, -1)),
+    ],
+)
+def test_random_scenario_refuses_non_positive_sizes_before_drawing(degenerate, n, m, num_terms, message):
+    # the messages JointObservable gives, before the generator is read
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch) as excinfo:
+        random_scenario(rng, n, m, degenerate=degenerate, num_terms=num_terms)
+    assert str(excinfo.value) == message
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
