@@ -49,6 +49,12 @@ def commands(generated: Path) -> list[tuple[str, list[str]]]:
             (f"sample/{name}", ["sample", "--config", path, "--shots", "100000", "--seed", "3"])
             for name, path in configs
         ),
+        (
+            "sample/generic_violation_shards_4",
+            # the shape perfbench's fixture_oracle samples: four shards, each read in several blocks
+            ["sample", "--config", dict(configs)["generic_violation"]]
+            + ["--shots", "400000", "--seed", "3", "--shards", "4"],
+        ),
         ("cnot-sweep/csv", ["cnot-sweep"]),
         ("cnot-sweep/json", ["cnot-sweep", "--format", "json"]),
         ("cnot-sweep/tol_deg_0.5", ["cnot-sweep", "--tol-deg", "0.5", "--s-grid", "0:1:7"]),

@@ -17,6 +17,7 @@ default tol_deg reads it rather than computing it again.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -347,12 +348,15 @@ def random_scenario(
     observable and no scenario. The accepted one is assembled around that
     data and that row (``measurement._drawn_scenario``), which seed the
     memos ``product_spectral`` and ``verify_nogo`` read at the default tol_deg.
-    Non-positive dims or num_terms raise DimensionMismatch before anything is drawn.
+    Non-positive dims or num_terms raise DimensionMismatch, and a NaN
+    min_postselect (which no denominator meets) ValueError, before anything is drawn.
     """
     if n < 1 or m < 1:
         raise DimensionMismatch("system and device dimensions must be positive")
     if num_terms is not None and num_terms < 1:
         raise DimensionMismatch("observable needs at least one term")
+    if math.isnan(min_postselect):
+        raise ValueError(f"min_postselect must be a number, got {min_postselect!r}")
     for _ in range(MAX_DRAW_TRIES):
         k_count, normals = _draw_attempt(rng, n, m, degenerate, num_terms)
         system, device = _factors(normals, n, m, k_count, degenerate)

@@ -13,7 +13,9 @@ sampler draws projective outcomes and postselection accept/reject decisions
 from a seeded PCG64 generator (identical seed, identical stream on every
 platform) and reports raw counts, equal to those of a ``Generator.choice``
 draw followed by an accept draw on the same seed (see ``_accepted_counts``);
-it reads both draws in fixed blocks, so its memory does not grow with shots.
+it reads each shard's draws in equal blocks of at most ``SAMPLE_BLOCK`` shots,
+so its memory does not grow with shots, and compares each outcome boundary
+once per shot.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _outcome_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-#: Shots the sampler draws and compares at a time, so its memory does not grow with the shot count.
+#: Most shots the sampler draws and compares at a time, so its memory does not grow with the shot count.
 SAMPLE_BLOCK = 1 << 15
 
 
@@ -143,31 +145,40 @@ def _accepted_counts(seed: int, shots: int, shards: int, cdf: np.ndarray, accept
     on the same uniforms, so a shard's counts equal
     ``bincount(drawn[rng.random(size) < accept_probs[drawn]])`` with
     ``drawn = rng.choice(k, size, p)``. The v stream is a second generator on
-    the same seed, advanced past the N outcome draws, so both are read in
-    blocks of ``SAMPLE_BLOCK`` shots through one set of buffers.
+    the same seed, advanced past the N outcome draws, so both are read
+    through one set of buffers, in ceil(N / ``SAMPLE_BLOCK``) near-equal
+    blocks of at most ``SAMPLE_BLOCK`` shots. Each boundary cdf[j] is compared
+    once per shot: outcome j is u < cdf[j] and not u < cdf[j-1], the mask
+    kept from outcome j - 1. The bounds 0 <= u and u < cdf[-1] always hold,
+    since u lies in [0, 1) and ``_outcome_cdf`` makes cdf[-1] exactly 1.0.
     """
     block = min(SAMPLE_BLOCK, -(-shots // shards))  # no shard is larger than ceil(shots / shards)
     u_buf, v_buf = np.empty(block), np.empty(block)
-    hit_buf, test_buf = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
+    hit_buf, below_buf, earlier_buf = (np.empty(block, dtype=bool) for _ in range(3))
     counts = np.zeros(cdf.size, dtype=np.int64)
+    last = cdf.size - 1
     base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
     for shard in range(shards):
         size = base + (shard < extra)
         outcomes = np.random.default_rng((seed, shard))
         accepts = np.random.default_rng((seed, shard))
         accepts.bit_generator.advance(size)  # one step per uniform: past the shard's outcome draws
-        for start in range(0, size, block):
-            width = min(block, size - start)
-            u, v, hit, test = u_buf[:width], v_buf[:width], hit_buf[:width], test_buf[:width]
+        blocks = -(-size // SAMPLE_BLOCK)
+        width_base, wider = divmod(size, blocks)  # as shots split into shards: no block is a short tail
+        for b in range(blocks):
+            width = width_base + (b < wider)
+            u, v, hit = u_buf[:width], v_buf[:width], hit_buf[:width]
+            below, earlier = below_buf[:width], earlier_buf[:width]
             outcomes.random(out=u)
             accepts.random(out=v)
-            lower = 0.0
-            for j, (upper, accept) in enumerate(zip(cdf, accept_probs)):
-                np.greater_equal(u, lower, out=hit)
-                hit &= np.less(u, upper, out=test)
-                hit &= np.less(v, accept, out=test)
+            for j, accept in enumerate(accept_probs):
+                np.less(v, accept, out=hit)
+                if j < last:
+                    hit &= np.less(u, cdf[j], out=below)
+                if j:
+                    np.greater(hit, earlier, out=hit)  # and not u < cdf[j-1]
                 counts[j] += np.count_nonzero(hit)
-                lower = upper
+                below, earlier = earlier, below
     return counts
 
 

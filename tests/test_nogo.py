@@ -568,6 +568,18 @@ def test_random_scenario_refuses_non_positive_sizes_before_drawing(degenerate, n
 
 
 @pytest.mark.parametrize("degenerate", [True, False])
+@pytest.mark.parametrize("nan", [math.nan, np.float64("nan"), -math.nan], ids=["math", "numpy", "negative"])
+def test_random_scenario_refuses_a_nan_postselection_floor_before_drawing(degenerate, nan):
+    # no denominator is >= NaN, so without the check every one of MAX_DRAW_TRIES attempts would be drawn and rejected
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as excinfo:
+        random_scenario(rng, 2, 2, degenerate=degenerate, min_postselect=nan)
+    assert str(excinfo.value) == f"min_postselect must be a number, got {nan!r}"
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("degenerate", [True, False])
 def test_random_scenario_and_verify_nogo_share_one_decomposition(monkeypatch, degenerate):
     stacks, device_stacks, passes = [], [], []
     decompose, eigh, means = measurement._decompose, measurement._eigh, measurement._means

@@ -294,35 +294,55 @@ class TestSamplingStream:
         assert result.counts.tolist() == counts
         assert result.accepted == accepted
 
-    @given(data=st.data(), size=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    @given(
+        data=st.data(),
+        shots=st.one_of(st.integers(1, 5000), st.sampled_from([SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1])),
+        seed=st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_shard_counts_equal_choice_then_accept(self, data, size, seed):
+    def test_shard_counts_equal_choice_then_accept(self, data, shots, seed):
+        shards = data.draw(st.integers(1, min(4, shots)), label="shards")
         k = data.draw(st.integers(1, 9), label="k")
         weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), label="weights")
         for index in data.draw(st.sets(st.sampled_from([0, k // 2, k - 1])), label="zeroed"):
             weights[index] = 0.0
         assume(sum(weights) > 0.0)
+        # sample_two_step passes its acceptance ratios unclipped, so one rounded just below 0 or above 1 must
+        # count as 0 or 1 does
+        edges = st.sampled_from([0.0, 1.0, -5e-324, -1e-17, 1.0 + 2**-52])
         accept = np.array(
-            data.draw(
-                st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=k, max_size=k),
-                label="accept",
-            )
+            data.draw(st.lists(st.one_of(edges, st.floats(0.0, 1.0)), min_size=k, max_size=k), label="accept")
         )
         probs = np.array(weights) / sum(weights)
 
-        # reference: one shard of the sampler as it was written with Generator.choice
-        rng = np.random.default_rng((seed, 0))
-        drawn = rng.choice(k, size=size, p=probs)
-        expected = np.bincount(drawn[rng.random(size) < accept[drawn]], minlength=k)
+        # reference: each shard of the sampler as it was written with Generator.choice
+        base, extra = divmod(shots, shards)
+        expected = np.zeros(k, dtype=np.int64)
+        for shard in range(shards):
+            size = base + (shard < extra)
+            rng = np.random.default_rng((seed, shard))
+            drawn = rng.choice(k, size=size, p=probs)
+            expected += np.bincount(drawn[rng.random(size) < accept[drawn]], minlength=k)
 
-        assert _accepted_counts(seed, size, 1, _outcome_cdf(probs), accept).tolist() == expected.tolist()
+        assert _accepted_counts(seed, shots, shards, _outcome_cdf(probs), accept).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("size", [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3])
+    @pytest.mark.parametrize(
+        "size",
+        [
+            SAMPLE_BLOCK - 1,
+            SAMPLE_BLOCK,
+            SAMPLE_BLOCK + 1,
+            2 * SAMPLE_BLOCK + 1,
+            2 * SAMPLE_BLOCK + 3,
+            3 * SAMPLE_BLOCK - 1,
+        ],
+    )
     @pytest.mark.parametrize("seed", [0, 11])
     def test_blocks_that_cross_shard_edges_equal_choice_then_accept(self, size, shards, seed):
-        # the sampler reads each shard's draws in blocks of SAMPLE_BLOCK shots; with three shards the last is one
-        # shot short, so a shard of `size` and one of `size - 1` meet each block edge
+        # the sampler reads a shard of N shots in ceil(N / SAMPLE_BLOCK) blocks whose sizes differ by at most one;
+        # with three shards the last is one shot short, so a shard of `size` and one of `size - 1` are split,
+        # evenly or not, at different shots
         probs = np.array([0.1, 0.0, 0.35, 0.05, 0.5])
         accept = np.array([0.3, 1.0, 0.0, 1.0, 0.8])
         shots = size * shards - (shards > 1)
