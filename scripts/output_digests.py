@@ -51,7 +51,7 @@ def commands(generated: Path) -> list[tuple[str, list[str]]]:
         ),
         (
             "sample/generic_violation_shards_4",
-            # the shape perfbench's fixture_oracle samples: four shards, each read in several blocks
+            # the shape perfbench's fixture_oracle samples: four shards, each one multinomial draw
             ["sample", "--config", dict(configs)["generic_violation"]]
             + ["--shots", "400000", "--seed", "3", "--shards", "4"],
         ),

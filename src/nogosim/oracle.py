@@ -9,13 +9,11 @@ ratios from those weights. The oracle keeps its own eigensolver, the cyclic
 Jacobi iteration ``jacobi_decompose``, where the formula path runs LAPACK
 ``eigh``; the two share only the canonical basis given to degenerate
 eigenspaces, so agreement between the paths is a real cross-check. The
-sampler draws projective outcomes and postselection accept/reject decisions
-from a seeded PCG64 generator (identical seed, identical stream on every
-platform) and reports raw counts, equal to those of a ``Generator.choice``
-draw followed by an accept draw on the same seed (see ``_accepted_counts``);
-it reads each shard's draws in equal blocks of at most ``SAMPLE_BLOCK`` shots,
-so its memory does not grow with shots, and compares each outcome boundary
-once per shot.
+sampler reports raw accepted counts: the accepted shots of N projective
+outcomes, each kept or discarded by postselection, are jointly multinomial
+in the cells P(i, j and postselection) plus one reject cell, so each shard
+draws them with one ``Generator.multinomial`` call on a seeded PCG64
+generator, in time and memory that do not grow with the shot count.
 """
 
 from __future__ import annotations
@@ -116,70 +114,8 @@ def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSEL
     )
 
 
-#: ``Generator.choice`` accepts probabilities whose sum is within this of 1.
+#: Farthest from 1 that the P(i, j) of one term may sum before the sampler refuses them.
 _SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-
-
-def _outcome_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative distribution of ``probs``, built as ``Generator.choice(p=probs)`` builds it."""
-    if not abs(probs.sum() - 1.0) <= _SUM_ATOL:  # also rejects NaN and Inf entries
-        raise ValueError("outcome probabilities are not a distribution")
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-#: Most shots the sampler draws and compares at a time, so its memory does not grow with the shot count.
-SAMPLE_BLOCK = 1 << 15
-
-
-def _accepted_counts(seed: int, shots: int, shards: int, cdf: np.ndarray, accept_probs: np.ndarray) -> np.ndarray:
-    """Accepted shots per outcome, summed over ``shards`` near-equal shards.
-
-    Shard s of size N reads the stream of the generator seeded by (seed, s):
-    its first N uniforms are the outcome uniforms u, its next N the
-    acceptance uniforms v. Shot t draws outcome j when
-    cdf[j-1] <= u[t] < cdf[j] (lower bound 0 for j = 0) and is accepted when
-    v[t] < accept_probs[j]. Those are the comparisons
-    ``searchsorted(cdf, u, side="right")`` inside ``Generator.choice`` makes
-    on the same uniforms, so a shard's counts equal
-    ``bincount(drawn[rng.random(size) < accept_probs[drawn]])`` with
-    ``drawn = rng.choice(k, size, p)``. The v stream is a second generator on
-    the same seed, advanced past the N outcome draws, so both are read
-    through one set of buffers, in ceil(N / ``SAMPLE_BLOCK``) near-equal
-    blocks of at most ``SAMPLE_BLOCK`` shots. Each boundary cdf[j] is compared
-    once per shot: outcome j is u < cdf[j] and not u < cdf[j-1], the mask
-    kept from outcome j - 1. The bounds 0 <= u and u < cdf[-1] always hold,
-    since u lies in [0, 1) and ``_outcome_cdf`` makes cdf[-1] exactly 1.0.
-    """
-    block = min(SAMPLE_BLOCK, -(-shots // shards))  # no shard is larger than ceil(shots / shards)
-    u_buf, v_buf = np.empty(block), np.empty(block)
-    hit_buf, below_buf, earlier_buf = (np.empty(block, dtype=bool) for _ in range(3))
-    counts = np.zeros(cdf.size, dtype=np.int64)
-    last = cdf.size - 1
-    base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
-    for shard in range(shards):
-        size = base + (shard < extra)
-        outcomes = np.random.default_rng((seed, shard))
-        accepts = np.random.default_rng((seed, shard))
-        accepts.bit_generator.advance(size)  # one step per uniform: past the shard's outcome draws
-        blocks = -(-size // SAMPLE_BLOCK)
-        width_base, wider = divmod(size, blocks)  # as shots split into shards: no block is a short tail
-        for b in range(blocks):
-            width = width_base + (b < wider)
-            u, v, hit = u_buf[:width], v_buf[:width], hit_buf[:width]
-            below, earlier = below_buf[:width], earlier_buf[:width]
-            outcomes.random(out=u)
-            accepts.random(out=v)
-            for j, accept in enumerate(accept_probs):
-                np.less(v, accept, out=hit)
-                if j < last:
-                    hit &= np.less(u, cdf[j], out=below)
-                if j:
-                    np.greater(hit, earlier, out=hit)  # and not u < cdf[j-1]
-                counts[j] += np.count_nonzero(hit)
-                below, earlier = earlier, below
-    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +147,23 @@ def sample_two_step(
     shards: int = 1,
     tol_deg: float = TOL_DEG,
 ) -> SamplingResult:
-    """Monte Carlo draw of the projective outcome followed by postselection.
+    """Accepted counts of ``shots`` runs of the projective outcome followed by postselection.
 
     The outcome is measured in the eigenbasis ``jacobi_decompose`` gives each
-    factor at tol_deg, the grouping tolerance ``verify_nogo`` takes. Shard s
-    uses the generator seeded by (seed, s), so shard results are independent
-    and the merge is a plain sum. Identical arguments reproduce identical
-    counts.
+    factor at tol_deg, the grouping tolerance ``verify_nogo`` takes. The
+    accepted counts of N independent shots are jointly multinomial, with one
+    cell P(i, j and postselection) per outcome and one reject cell, so shard s
+    of the ``divmod(shots, shards)`` split draws
+    ``default_rng((seed, s)).multinomial(N, cells)``, where ``cells`` is
+    ``joint.reshape(-1) / outcome.sum()`` of ``_outcome_weights``, clipped at 0,
+    followed by the reject cell ``max(0, 1 - cells.sum())``. The counts are the
+    sum over shards without the reject cell. Time and memory do not grow with
+    ``shots``. Identical arguments reproduce identical counts on one numpy
+    build; NEP 19 does not promise ``Generator.multinomial`` the same values
+    across numpy versions.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if not 1 <= shots <= np.iinfo(np.int64).max:  # numpy draws counts as int64
+        raise ValueError(f"shots must be in [1, {np.iinfo(np.int64).max}]")
     if shards < 1 or shards > shots:
         raise ValueError("shards must be in [1, shots]")
     if seed < 0:
@@ -232,15 +175,20 @@ def sample_two_step(
     pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
     _, vectors = _term_product_vectors(scenario.observable, term, tol_deg)
     outcome, joint = _outcome_weights(vectors, psi_joint, pi)
-    # a ratio rounded below 0 or above 1 needs no clip: a uniform v in [0, 1) meets v < a exactly when v < clip(a, 0, 1)
-    accept_probs = np.divide(joint, outcome, out=np.zeros_like(joint), where=outcome > 0.0).reshape(-1)
-    outcome_probs = outcome.reshape(-1)  # P(i, j) = ||c_ij||^2, a sum of squares, so >= 0
-    outcome_probs /= outcome_probs.sum()
-    counts = _accepted_counts(int(seed), shots, shards, _outcome_cdf(outcome_probs), accept_probs)
+    total = outcome.sum()  # 1 up to the kets' norm tolerance, as the outcome projectors resolve the identity
+    if not abs(total - 1.0) <= _SUM_ATOL:  # also rejects NaN and Inf
+        raise ValueError("outcome probabilities are not a distribution")
+    cells = np.maximum(joint.reshape(-1) / total, 0.0)  # multinomial refuses a cell rounded below 0
+    # explicit, since multinomial gives its last cell what the others leave and refuses a rounded 1 - sum below 0
+    cells = np.append(cells, max(0.0, 1.0 - cells.sum()))
+    counts = np.zeros(cells.size, dtype=np.int64)
+    base, extra = divmod(shots, shards)  # base >= 1, since shards <= shots
+    for shard in range(shards):
+        counts += np.random.default_rng((seed, shard)).multinomial(base + (shard < extra), cells)
 
     return SamplingResult(
         seed=int(seed),
         shots=int(shots),
-        counts=readonly(counts.reshape(outcome.shape)),
-        accepted=int(counts.sum()),
+        counts=readonly(counts[:-1].reshape(outcome.shape)),
+        accepted=int(counts[:-1].sum()),
     )

@@ -693,8 +693,8 @@ class TestSample:
         assert out_a.read_text() == out_b.read_text()
 
     def test_no_accepted_shot_reports_no_mean(self, capsys):
-        # one shot that fails the postselection: there is no accepted outcome to average
-        code = main(["sample", "--config", str(FIXTURES / "generic_violation.json"), "--shots", "1", "--seed", "1"])
+        # seed 5 draws its one shot into the reject cell: there is no accepted outcome to average
+        code = main(["sample", "--config", str(FIXTURES / "generic_violation.json"), "--shots", "1", "--seed", "5"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accepted"] == 0
@@ -720,8 +720,15 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--term", "5"], ["--term", "-1"], ["--shots", "0"], ["--shards", "0"], ["--seed", "-1"]],
-        ids=["term-past-end", "negative-term", "zero-shots", "zero-shards", "negative-seed"],
+        [
+            ["--term", "5"],
+            ["--term", "-1"],
+            ["--shots", "0"],
+            ["--shots", "9223372036854775808"],
+            ["--shards", "0"],
+            ["--seed", "-1"],
+        ],
+        ids=["term-past-end", "negative-term", "zero-shots", "shots-past-int64", "zero-shards", "negative-seed"],
     )
     def test_bad_flag_is_usage_error(self, capsys, flags):
         code = main(["sample", "--config", str(FIXTURES / "cnot_error.json"), "--shots", "100", *flags])
