@@ -608,6 +608,8 @@ class TestRandomAudit:
     def test_bad_dims(self):
         assert main(["random-audit", "--count", "1", "--dims", "2"]) == 2
         assert main(["random-audit", "--count", "1", "--dims", "a,b"]) == 2
+        assert main(["random-audit", "--count", "1", "--dims", "0,2"]) == 2
+        assert main(["random-audit", "--count", "1", "--dims", "2,-1"]) == 2
 
     def test_pinned_dims(self, capsys):
         assert main(["random-audit", "--count", "3", "--dims", "2,3", "--seed", "5"]) == 0
@@ -699,6 +701,33 @@ class TestSample:
         payload = json.loads(capsys.readouterr().out)
         assert payload["accepted"] == 0
         assert payload["empirical_conditional_expectation"] is None
+
+    def test_an_outcome_that_holds_every_shot_is_sampled(self, tmp_path, capsys):
+        # psi = phi is numpy's eigenvector of S for its lowest eigenvalue and xi = e_1 is Z's, so one outcome holds
+        # every shot and passes postselection; its cell rounds to 1 + 2**-52, which multinomial refused (exit 2)
+        ket = [[-0.7882054380161092, 0.0], [0.6154122094026357, 0.0]]
+        raw = {
+            "n": 2,
+            "m": 2,
+            "psi": ket,
+            "xi": [[1.0, 0.0], [0.0, 0.0]],
+            "phi": ket,
+            "observable": {
+                "terms": [
+                    {
+                        "system": [[[-2.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [-1.0, 0.0]]],
+                        "device": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+                    }
+                ]
+            },
+        }
+        path = tmp_path / "eigenvector.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sample", "--config", str(path), "--shots", "1000", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["accepted"] == payload["shots"] == 1000
 
     def test_overflowing_payload_is_not_emitted(self, tmp_path, capsys):
         # the empirical mean is inf - inf = NaN; it used to print as a bare NaN, which is not JSON, with exit 0

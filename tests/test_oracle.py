@@ -16,7 +16,6 @@ from nogosim.linalg import TOL_DEG
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
-    PostselectionProjector,
     abl_conditional_grid,
     conditional_expectation,
     expectation,
@@ -40,11 +39,9 @@ def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
 
 
 def documented_cells(scen, term=0):
-    """The cells ``sample_two_step`` documents: P(i, j and post) / sum P(i, j), clipped at 0, then the reject cell."""
-    pi = PostselectionProjector(phi=scen.postselect, device_dim=scen.m).matrix
-    _, vectors = oracle._term_product_vectors(scen.observable, term, TOL_DEG)
-    outcome, joint = oracle._outcome_weights(vectors, scen.joint_state(), pi)
-    cells = np.maximum(joint.reshape(-1) / outcome.sum(), 0.0)
+    """The cells ``sample_two_step`` documents: P(i, j and post) / sum P(i, j) in [0, 1], then the reject cell."""
+    _, outcome, joint = oracle._outcome_weights(scen, term, TOL_DEG)
+    cells = np.clip(joint.reshape(-1) / outcome.sum(), 0.0, 1.0)
     return np.append(cells, max(0.0, 1.0 - cells.sum()))
 
 
@@ -169,13 +166,11 @@ class TestSampling:
             sample_two_step(scen, **{"shots": 10, "seed": 1, **kwargs})
 
     def test_rejects_a_non_distribution(self, monkeypatch):
-        # zero eigenvectors give every outcome probability 0, a sum of 0
-        def zero_vectors(observable, k, tol_deg):
-            return None, [[np.zeros(4, dtype=complex)] * 2] * 2
-
-        monkeypatch.setattr(oracle, "_term_product_vectors", zero_vectors)
+        # a zero product basis, stored in the oracle's memo, gives every outcome probability 0, a sum of 0
+        scen = cnot_error_scenario(0.5)
+        vars(scen.observable)["_oracle_terms"] = {(0, TOL_DEG): (np.zeros((2, 2)), np.zeros((4, 4), dtype=complex))}
         with pytest.raises(ValueError):
-            sample_two_step(cnot_error_scenario(0.5), shots=10, seed=1)
+            sample_two_step(scen, shots=10, seed=1)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, float("nan")], ids=["off-by-1e-6", "nan"])
     def test_rejects_outcome_weights_that_do_not_sum_to_one(self, monkeypatch, scale):
@@ -185,14 +180,19 @@ class TestSampling:
             sample_two_step(cnot_error_scenario(0.5), shots=10, seed=1)
 
     def test_cells_rounded_past_their_bounds_are_clipped(self, monkeypatch):
-        # multinomial refuses a cell below 0: here P(0, 0 and post) rounded to -1e-17, and a reject cell
-        # 1 - sum rounded to -2**-52, as when every shot of an outcome passes postselection
+        # multinomial refuses a cell below 0 or above 1: here P(0, 0 and post) rounded to -1e-17, and a reject
+        # cell 1 - sum rounded to -2**-52, as when every shot of an outcome passes postselection
         outcome = np.full((2, 2), 0.25)
         joint = np.array([[-1e-17, 0.25], [0.25, 0.5 + 2**-52]])
-        monkeypatch.setattr(oracle, "_outcome_weights", lambda *args: (outcome, joint))
+        monkeypatch.setattr(oracle, "_outcome_weights", lambda *args: (None, outcome, joint))
         result = sample_two_step(cnot_error_scenario(0.5), shots=10_000, seed=1, shards=2)
         assert result.counts[0, 0] == 0
         assert result.accepted == 10_000
+        # and a cell rounded to 1 + 2**-52, as when one outcome holds every shot and passes postselection
+        one = np.array([[0.0, 0.0], [0.0, 1.0 + 2**-52]])
+        monkeypatch.setattr(oracle, "_outcome_weights", lambda *args: (None, outcome, one))
+        result = sample_two_step(cnot_error_scenario(0.5), shots=10_000, seed=1, shards=2)
+        assert result.counts[1, 1] == result.accepted == 10_000
 
     def test_the_largest_shot_count_costs_one_draw(self):
         shots = 2**63 - 1
@@ -262,11 +262,9 @@ class TestRunTolerance:
     def test_the_oracle_denominator_equals_the_formula_path_at_the_config_tolerance(self, tmp_path):
         cfg = ScenarioConfig.from_path(near_degenerate_config(tmp_path / "near.json"))
         scen = cfg.scenario()
-        pi = PostselectionProjector(phi=scen.postselect, device_dim=scen.m).matrix
 
         def oracle_denominator(tol_deg):  # the weight pass the sampler and the enumeration share
-            _, vectors = oracle._term_product_vectors(scen.observable, 0, tol_deg)
-            return oracle._outcome_weights(vectors, scen.joint_state(), pi)[1].sum()
+            return oracle._outcome_weights(scen, 0, tol_deg)[2].sum()
 
         formula = measurement._scenario_row(scen, cfg.tol_deg).denominators[0][0]
         assert formula == pytest.approx(0.5, abs=1e-12)
