@@ -40,7 +40,32 @@ def generated_cnot_config(path: Path) -> None:
     path.write_text(json.dumps(raw))
 
 
-def commands(generated: Path) -> list[tuple[str, list[str]]]:
+def generated_3x3_config(path: Path) -> None:
+    """The largest oracle case, n = m = 3 (n*m = 9): one term whose device factor I - 2|w><w| has the
+    eigenvalue 1 twice, so the sampler measures in the canonical basis of a degenerate eigenspace.
+
+    Each ket is a rational unit vector (a, b, c)/3 with |a|^2 + |b|^2 + |c|^2 = 9. The file is written
+    outside the fixtures directory, which perfbench's fixture_oracle reads whole.
+    """
+
+    def pairs(entries):  # complex entries as the [re, im] pairs a config holds
+        return [[complex(x).real, complex(x).imag] for x in entries]
+
+    w = [x / 3 for x in (1, 2j, 2)]
+    system = [[0.8, 0.3 - 0.2j, 0.1], [0.3 + 0.2j, -0.5, 0.4j], [0.1, -0.4j, 0.2]]
+    device = [[(i == j) - 2 * w[i] * w[j].conjugate() for j in range(3)] for i in range(3)]
+    raw = {
+        "n": 3,
+        "m": 3,
+        "psi": pairs(x / 3 for x in (1, 2, 2j)),
+        "xi": pairs(x / 3 for x in (2, -1, 2j)),
+        "phi": pairs(x / 3 for x in (2j, 2, 1)),
+        "observable": {"terms": [{"system": list(map(pairs, system)), "device": list(map(pairs, device))}]},
+    }
+    path.write_text(json.dumps(raw))
+
+
+def commands(generated: Path, generated_3x3: Path) -> list[tuple[str, list[str]]]:
     configs = [(name, str(FIXTURES / f"{name}.json")) for name in FIXTURE_NAMES]
     return [
         *((f"verify/{name}", ["verify", "--config", path]) for name, path in configs),
@@ -55,6 +80,7 @@ def commands(generated: Path) -> list[tuple[str, list[str]]]:
             ["sample", "--config", dict(configs)["generic_violation"]]
             + ["--shots", "400000", "--seed", "3", "--shards", "4"],
         ),
+        ("sample/generated_3x3", ["sample", "--config", str(generated_3x3), "--shots", "100000", "--seed", "3"]),
         ("cnot-sweep/csv", ["cnot-sweep"]),
         ("cnot-sweep/json", ["cnot-sweep", "--format", "json"]),
         ("cnot-sweep/tol_deg_0.5", ["cnot-sweep", "--tol-deg", "0.5", "--s-grid", "0:1:7"]),
@@ -85,9 +111,10 @@ def main() -> int:
     env = {key: value for key, value in os.environ.items() if key != "NOGO_DEFAULT_TOL"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
-        generated = Path(tmp) / "generated_cnot.json"
+        generated, generated_3x3 = Path(tmp) / "generated_cnot.json", Path(tmp) / "generated_3x3.json"
         generated_cnot_config(generated)
-        for name, args in commands(generated):
+        generated_3x3_config(generated_3x3)
+        for name, args in commands(generated, generated_3x3):
             print(name, digest(name, args, env), flush=True)
     return 0
 

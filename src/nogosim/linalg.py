@@ -4,9 +4,9 @@ Operators and kets are plain complex numpy arrays. ``spectral_decompose``
 runs LAPACK ``eigh`` and then gives every degenerate eigenspace (eigenvalues
 within ``tol_deg``) a canonical basis, so a degenerate factor is measured in a
 basis fixed by its eigenspace, not by whichever basis the solver happened to
-return. A cyclic Jacobi
-solver (``jacobi_decompose``) ending in the same canonicalisation is kept for
-the oracle, so the oracle shares no eigensolver with the formula path.
+return. A cyclic Jacobi solver (``jacobi_decompose``), whose rotations run on
+Python complex scalars and which ends in the same canonicalisation, is kept
+for the oracle, so the oracle shares no eigensolver with the formula path.
 
 An eigenvector's phase is fixed (``_fixed_columns``: first non-negligible
 component real positive) only where eigenvectors are shown: in
@@ -121,8 +121,14 @@ def is_unitary(u) -> bool:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; joint index (i, j) sits at flat position i*m + j."""
-    return np.kron(as_operator(a, "left factor"), as_operator(b, "right factor"))
+    """Kronecker product; joint index (i, j) sits at flat position i*m + j.
+
+    One broadcast product a_ik * b_jl, reshaped: the same single products as ``np.kron``, so the same bits,
+    without its reshaping overhead.
+    """
+    a, b = as_operator(a, "left factor"), as_operator(b, "right factor")
+    size = len(a) * len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def tensor_ket(x, y) -> np.ndarray:
@@ -158,43 +164,43 @@ class SpectralDecomposition:
         return int(self.eigenvalues.size)
 
 
-def _rotate(a: np.ndarray, vec: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q], accumulated into vec."""
-    apq = a[p, q]
+def _rotate(a: list, vec: list, p: int, q: int) -> None:
+    """One complex Jacobi rotation zeroing a[p][q], accumulated into vec; both are lists of rows of Python complex.
+
+    Each real-times-complex product is formed part by part, complex(c * z.real, c * z.imag), so its bits do
+    not hang on Python's mixed-mode rule, which Python 3.14 changed for float * complex.
+    """
+    apq = a[p][q]
     r = abs(apq)
-    phase = apq / r
+    phase = complex(apq.real / r, apq.imag / r)
     # smaller-magnitude root of t^2 - 2*zeta*t - 1 = 0 keeps the rotation angle small
-    zeta = (a[q, q].real - a[p, p].real) / (2.0 * r)
+    zeta = (a[q][q].real - a[p][p].real) / (2.0 * r)
     if zeta == 0.0:
         t = 1.0
     else:
         t = -math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
     c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
-    conj_phase = phase.conjugate()
+    s_phase = complex(s * phase.real, s * phase.imag)
+    s_conj = s_phase.conjugate()
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * conj_phase * col_q
-    a[:, q] = -s * phase * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * conj_phase * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = vec[:, p].copy()
-    vec_q = vec[:, q].copy()
-    vec[:, p] = c * vec_p + s * conj_phase * vec_q
-    vec[:, q] = -s * phase * vec_p + c * vec_q
+    # columns p and q of a and of vec, then rows p and q of a
+    for row in a + vec:
+        x, y = row[p], row[q]
+        row[p] = complex(c * x.real, c * x.imag) + s_conj * y
+        row[q] = complex(c * y.real, c * y.imag) - s_phase * x
+    row_p, row_q = a[p], a[q]
+    for j, (x, y) in enumerate(zip(row_p, row_q)):
+        row_p[j] = complex(c * x.real, c * x.imag) + s_phase * y
+        row_q[j] = complex(c * y.real, c * y.imag) - s_conj * x
+    row_p[q] = row_q[p] = 0j
+    row_p[p] = complex(row_p[p].real)
+    row_q[q] = complex(row_q[q].real)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _off_norm(a: list) -> float:
+    """Frobenius norm of the off-diagonal part of a list of rows, by ``math.hypot``, which does not overflow."""
+    return math.hypot(*(abs(z) for i, row in enumerate(a) for j, z in enumerate(row) if i != j))
 
 
 def _fixed_columns(rows: np.ndarray) -> np.ndarray:
@@ -354,12 +360,13 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     The oracle's own solver, kept independent of LAPACK so the oracle cross-checks the formula path. It rotates
     the ``hermitian_part``, scaled by an exact power of two if its Frobenius norm overflows, and ends in the
     same canonicalisation as ``spectral_decompose``, so both measure a degenerate factor in the same basis.
-    Raises NonHermitian on bad input and NoConvergence if the sweep budget, ``_MAX_SWEEPS`` as it reads at
-    call time, is exhausted.
+    The checks and the scaling run in numpy; the rotations run on lists of rows of Python complex, where one
+    scalar operation costs a fraction of a numpy call on a 2x2 or 3x3 view, and the result goes back to one
+    array for the canonicalisation. Raises NonHermitian on bad input and NoConvergence if the sweep budget,
+    ``_MAX_SWEEPS`` as it reads at call time, is exhausted.
     """
     a = hermitian_part(require_hermitian(h))
     dim = a.shape[0]
-    vec = np.eye(dim, dtype=complex)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
     # Past about 1e154 the Frobenius norm overflows, and inf <= inf would pass the first convergence test with
@@ -372,24 +379,21 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     target = 1e-14 * scale
     pivot_floor = 1e-18 * scale
 
-    if dim > 1:
-        converged = False
-        for _ in range(_MAX_SWEEPS):
-            if _off_norm(a) <= target:
-                converged = True
-                break
-            for p in range(dim - 1):
-                for q in range(p + 1, dim):
-                    if abs(a[p, q]) > pivot_floor:
-                        _rotate(a, vec, p, q)
-        else:
-            converged = _off_norm(a) <= target
-        if not converged:
+    a, vec = a.tolist(), np.eye(dim, dtype=complex).tolist()
+    pairs = [(p, q) for p in range(dim - 1) for q in range(p + 1, dim)]
+    for _ in range(_MAX_SWEEPS):
+        if _off_norm(a) <= target:
+            break
+        for p, q in pairs:
+            if abs(a[p][q]) > pivot_floor:
+                _rotate(a, vec, p, q)
+    else:
+        if not _off_norm(a) <= target:
             raise NoConvergence(f"Jacobi sweep budget of {_MAX_SWEEPS} exhausted at dim {dim}")
 
-    eigenvalues = np.ldexp(np.diag(a).real, exponent)
+    eigenvalues = np.ldexp([row[i].real for i, row in enumerate(a)], exponent)
     order = np.argsort(eigenvalues, kind="stable")
-    groups, rows = _canonical_stack(eigenvalues[order][None], vec[:, order][None], tol_deg)
+    groups, rows = _canonical_stack(eigenvalues[order][None], np.array(vec)[:, order][None], tol_deg)
     return _decomposition(eigenvalues[order], rows[0], groups[0])
 
 

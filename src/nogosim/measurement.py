@@ -265,9 +265,18 @@ def _quadratic_form(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return np.vecdot(ket, (op @ ket[..., None])[..., 0]).real
 
 
+def _failed_cutoff(tol_p: float) -> str:
+    """How a value failed ``value > tol_p >= 0``, the test of every postselection gate.
+
+    The gates fail closed: a NaN value, and a NaN or negative cutoff, pass nothing. A negative
+    cutoff would pass a zero probability into a 0/0 mean.
+    """
+    return f"refused at negative cutoff {tol_p:.1e}" if tol_p < 0.0 else f"at or below cutoff {tol_p:.1e}"
+
+
 def _require_denominator(denom: float, tol_p: float) -> None:
-    if not denom > tol_p:  # fails closed: a NaN denominator or tol_p raises
-        raise ZeroProbability(f"postselection probability {denom:.3e} at or below cutoff {tol_p:.1e}")
+    if not denom > tol_p >= 0.0:
+        raise ZeroProbability(f"postselection probability {denom:.3e} {_failed_cutoff(tol_p)}")
 
 
 class _SystemSide(NamedTuple):
@@ -391,8 +400,8 @@ def projective_probability(rho: np.ndarray, projector: np.ndarray) -> float:
 def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POSTSELECT) -> np.ndarray:
     """State update rho -> P rho P / Tr[P rho P] after outcome P; NaN or Inf input raises ValueError."""
     prob = projective_probability(rho, projector)
-    if not prob > tol_p:  # a NaN tol_p raises
-        raise ZeroProbability(f"outcome probability {prob:.3e} at or below cutoff {tol_p:.1e}")
+    if not prob > tol_p >= 0.0:
+        raise ZeroProbability(f"outcome probability {prob:.3e} {_failed_cutoff(tol_p)}")
     updated = hermitian_part(as_operator(projector) @ as_operator(rho) @ as_operator(projector))
     return updated / np.trace(updated).real
 
@@ -436,6 +445,6 @@ def weak_value(psi, phi, a, tol_p: float = TOL_POSTSELECT) -> complex:
     if op.shape[0] != psi.size or phi.size != psi.size:
         raise DimensionMismatch("weak value inputs have inconsistent dimensions")
     overlap = complex(np.vdot(phi, psi))
-    if not abs(overlap) > tol_p:  # a NaN tol_p raises
-        raise OrthogonalPostselection(f"|<phi|psi>| = {abs(overlap):.3e} at or below cutoff {tol_p:.1e}")
+    if not abs(overlap) > tol_p >= 0.0:
+        raise OrthogonalPostselection(f"|<phi|psi>| = {abs(overlap):.3e} {_failed_cutoff(tol_p)}")
     return complex(np.vdot(phi, op @ psi) / overlap)

@@ -1,21 +1,25 @@
 """Brute-force reference paths for the two-step measurement process.
 
-Enumeration and sampling share one weight pass per term (``_outcome_weights``).
-The term's factors are decomposed by the oracle's own eigensolver, the cyclic
-Jacobi iteration ``jacobi_decompose``, where the formula path runs LAPACK
+Enumeration and sampling share one weight pass per term (``_outcome_weights``),
+kept on the scenario by (term, tol_deg), so a sample after an enumeration
+reads the pass the enumeration made. The term's factors are decomposed by the
+oracle's own eigensolver, the cyclic Jacobi iteration ``jacobi_decompose``,
+whose rotations run on Python scalars, where the formula path runs LAPACK
 ``eigh``; the two share only the canonical basis given to degenerate
 eigenspaces, so agreement between the paths is a real cross-check. Column
-i*m + j of the Kronecker product ``kron(V_sys, V_dev)`` is the product ket
-v_i (x) v_j; each one's explicit outer product collapses the joint ket by a
-matrix-vector product, and P(i, j) and P(i, j and postselection) are read off
-the collapsed ket with the explicit postselection projector |phi><phi| (x) I.
-The enumeration stacks that pass over the terms and forms the Bayesian ratios.
-The sampler reports raw accepted counts: the accepted shots of N projective
-outcomes, each kept or discarded by postselection, are jointly multinomial in
-the cells P(i, j and postselection) plus one reject cell, so each shard draws
-them with one ``Generator.multinomial`` call on its own seeded PCG64
-generator: time grows with the shard count, and neither time nor memory with
-the shot count.
+i*m + j of the product basis ``tensor_product(V_sys, V_dev)`` is the product
+ket v_i (x) v_j. The stack of their explicit projectors |v_ij><v_ij| collapses
+the joint ket for every outcome in one matmul, and P(i, j) and P(i, j and
+postselection) are read off the collapsed kets with the explicit projector
+|phi><phi| (x) I that ``PostselectionProjector`` builds: the oracle applies
+the operators the two-step process names, where the formula path reads
+factored weights off amplitudes. The enumeration stacks that pass over the
+terms and forms the Bayesian ratios. The sampler reports raw accepted counts:
+the accepted shots of N projective outcomes, each kept or discarded by
+postselection, are jointly multinomial in the cells P(i, j and postselection)
+plus one reject cell, so each shard draws them with one
+``Generator.multinomial`` call on its own seeded PCG64 generator: time grows
+with the shard count, and neither time nor memory with the shot count.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbability
-from .linalg import TOL_DEG, TOL_POSTSELECT, jacobi_decompose, outer, readonly
-from .measurement import MeasurementScenario, PostselectionProjector, _require_postselect
+from .linalg import TOL_DEG, TOL_POSTSELECT, jacobi_decompose, readonly, tensor_product
+from .measurement import MeasurementScenario, PostselectionProjector, _require_denominator, _require_postselect
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,44 +48,54 @@ class EnumerationResult:
 def _outcome_weights(
     scenario: MeasurementScenario, k: int, tol_deg: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalue grid, P(i, j) and P(i, j and postselection) per outcome of term k.
+    """Eigenvalue grid, P(i, j) and P(i, j and postselection) per outcome of term k, as read-only (n, m) arrays.
 
-    Raises MissingPostselection first when the scenario has none. Each factor
-    is decomposed once per observable, term and tol_deg by ``jacobi_decompose``,
-    which gives each tol_deg eigenspace the basis the formula path gives it at
-    that tol_deg; the read-only grid and product basis ``kron(V_sys, V_dev)``
-    are kept in the ``_oracle_terms`` memo, which the oracle adds to the
-    observable on first use, apart from ``product_spectral``'s. A NaN or
-    negative tol_deg raises ValueError before the memo stores anything. The
-    projector |v_ij><v_ij| of column i*m + j collapses |Psi> to c_ij; then
-    P(i, j) = <c_ij|c_ij> and P(i, j and postselection) = <c_ij|Pi|c_ij>.
+    Raises MissingPostselection first when the scenario has none. The three
+    are kept in the ``_oracle_weights`` memo, keyed by (k, tol_deg), which
+    the oracle adds to the scenario on first use, as ``scenario._means`` keeps
+    the formula path's row; so sampling after enumeration reads the pass that
+    enumeration made. On a miss each factor is decomposed by
+    ``jacobi_decompose``, which gives each tol_deg eigenspace the basis the
+    formula path gives it at that tol_deg; a NaN or negative tol_deg raises
+    ValueError there, before the memo stores anything. Column i*m + j of the
+    product basis ``tensor_product(V_sys, V_dev)`` is v_ij = v_i (x) v_j, and
+    the (n*m, d, d) stack of its explicit projectors |v_ij><v_ij| collapses
+    |Psi> to every c_ij in one stacked matmul. Then P(i, j) = <c_ij|c_ij> and
+    P(i, j and postselection) = <c_ij|Pi|c_ij>, with Pi the explicit
+    ``PostselectionProjector`` matrix. |<v_ij|Psi>|^2 would give P(i, j) with
+    less work, but the oracle stays the explicit collapse-then-postselect
+    reference: the formula path already reads the weights off the amplitudes.
+    Pi is built by ``PostselectionProjector``, not written out here, because
+    that class is the package's one public |phi><phi| (x) I, the operator
+    ``nogo.basis_transform`` applies too; it costs once per memo miss.
     """
-    phi = _require_postselect(scenario)
-    psi_joint = scenario.joint_state()
-    pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
-    memo = vars(scenario.observable).setdefault("_oracle_terms", {})
+    memo = vars(scenario).setdefault("_oracle_weights", {})
     entry = memo.get((k, tol_deg))
     if entry is None:
+        phi = _require_postselect(scenario)
         sys_dec, dev_dec = (jacobi_decompose(op, tol_deg) for op in scenario.observable.terms[k])
-        entry = memo[k, tol_deg] = (
-            readonly(np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)),
-            readonly(np.kron(sys_dec.eigenvectors, dev_dec.eigenvectors)),
-        )
-    grid, basis = entry
-    collapsed = [outer(v) @ psi_joint for v in basis.T]
-    outcome = np.array([np.vdot(c, c).real for c in collapsed]).reshape(grid.shape)
-    joint = np.array([np.vdot(c, pi @ c).real for c in collapsed]).reshape(grid.shape)
-    return grid, outcome, joint
+        grid = np.outer(sys_dec.eigenvalues, dev_dec.eigenvalues)
+        kets = tensor_product(sys_dec.eigenvectors, dev_dec.eigenvectors).T  # row i*m + j is v_ij
+        projectors = kets[:, :, None] * kets.conj()[:, None, :]
+        collapsed = projectors @ scenario.joint_state()
+        pi = PostselectionProjector(phi=phi, device_dim=scenario.m).matrix
+        outcome = np.vecdot(collapsed, collapsed).real
+        # row r of collapsed @ Pi^T is Pi c_r
+        joint = np.vecdot(collapsed, collapsed @ pi.T).real
+        entry = memo[k, tol_deg] = tuple(readonly(arr.reshape(grid.shape)) for arr in (grid, outcome, joint))
+    return entry
 
 
 def enumerate_two_step(scenario: MeasurementScenario, tol_p: float = TOL_POSTSELECT) -> EnumerationResult:
-    """Collapse-then-postselect enumeration over every outcome of every term."""
+    """Collapse-then-postselect enumeration over every outcome of every term.
+
+    A denominator at or below tol_p, and a NaN or negative tol_p, raise ZeroProbability.
+    """
     weights = [_outcome_weights(scenario, k, TOL_DEG) for k in range(scenario.observable.num_terms)]
     values, _, joint = (np.array(stack) for stack in zip(*weights))
     denominators = joint.sum(axis=(1, 2))
-    for k, denominator in enumerate(denominators):
-        if not denominator > tol_p:  # a NaN tol_p raises
-            raise ZeroProbability(f"postselection probability vanishes for term {k}")
+    for denominator in denominators.tolist():
+        _require_denominator(denominator, tol_p)
 
     return EnumerationResult(
         joint=readonly(joint),

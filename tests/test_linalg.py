@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nogosim import linalg
 from nogosim.errors import NoConvergence, NonHermitian
@@ -253,6 +254,41 @@ class TestJacobiDecompose:
         assert np.max(np.abs(ours.eigenvectors - oracle.eigenvectors)) < 1e-10
 
 
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9), degenerate=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_jacobi_agrees_with_lapack_up_to_dim_9(seed, dim, degenerate):
+    # the oracle's scalar rotations against LAPACK eigh at every joint dimension the package meets; the degenerate
+    # spectra draw their levels from five integers, so most of them repeat and get the canonical eigenspace basis
+    rng = np.random.default_rng(seed)
+    h = rotated_spectrum(rng.integers(-2, 3, size=dim), rng) if degenerate else random_hermitian(dim, rng)
+    ours, oracle = spectral_decompose(h), jacobi_decompose(h)
+    scale = max(1.0, float(np.linalg.norm(h, 2)))
+    assert oracle.eigenspace_groups == ours.eigenspace_groups
+    assert np.max(np.abs(oracle.eigenvalues - ours.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(oracle.eigenvectors - ours.eigenvectors)) <= 1e-10
+    vectors, values = oracle.eigenvectors, oracle.eigenvalues
+    assert np.linalg.norm(h @ vectors - vectors * values, 2) <= 1e-12 * scale
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(dim), 2) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 9), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_jacobi_rotation_zeroes_its_pivot_and_is_a_similarity(seed, dim, data):
+    # one rotation on lists of rows of Python complex: the pivot pair becomes exactly 0, not a rounding residual
+    # that later sweeps would rotate again, the two diagonal entries exactly real, and a becomes V^dag H V for the
+    # unitary V accumulated in vec
+    p = data.draw(st.integers(0, dim - 2))
+    q = data.draw(st.integers(p + 1, dim - 1))
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    a, vec = h.tolist(), np.eye(dim, dtype=complex).tolist()
+    linalg._rotate(a, vec, p, q)
+    assert a[p][q] == a[q][p] == 0.0
+    assert a[p][p].imag == a[q][q].imag == 0.0
+    v = np.array(vec)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-14
+    assert np.max(np.abs(np.array(a) - v.conj().T @ h @ v)) <= 1e-14 * max(1.0, float(np.abs(h).max()))
+
+
 def frame_rule_reference(vectors):
     """The canonical frame of span(vectors), written out: e_1 ... e_d projected onto the span in order, each
     residual against the kept vectors kept when its norm exceeds 1/(2 sqrt d), and each kept vector's first
@@ -461,6 +497,14 @@ def test_spectral_decomposition_is_readonly():
 def test_tensor_ket_is_bitwise_kron(x, y):
     x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
     assert tensor_ket(x, y).tobytes() == np.kron(x, y).tobytes()
+
+
+@given(n=st.integers(1, 9), m=st.integers(1, 9), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tensor_product_is_bitwise_kron(n, m, data):
+    entries = st.complex_numbers(max_magnitude=1e100, allow_nan=False)
+    a, b = (data.draw(hnp.arrays(complex, (d, d), elements=entries)) for d in (n, m))
+    assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

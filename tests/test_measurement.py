@@ -485,10 +485,11 @@ POSTSELECTION_GATES = {
 }
 
 
-@pytest.mark.parametrize("tol_p", [math.nan, 0.0, 1e-12])
+@pytest.mark.parametrize("tol_p", [math.nan, -1.0, 0.0, 1e-12])
 @pytest.mark.parametrize("gate", POSTSELECTION_GATES)
 def test_every_postselection_gate_fails_closed(gate, tol_p):
-    # written as not (x > tol_p): a NaN cutoff rejects every probability instead of passing a 0/0 mean
+    # written as not (x > tol_p >= 0): a NaN or negative cutoff rejects every probability instead of passing a
+    # 0/0 mean
     error, call = POSTSELECTION_GATES[gate]
     with pytest.raises(error):
         call(tol_p)

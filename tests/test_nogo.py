@@ -165,9 +165,9 @@ def test_nan_or_negative_tol_deg_is_refused_before_any_memo_entry(call, tol_deg)
     verify_nogo(scen)
     check_rank_m_degeneracy(data)
     error_disturbance.cnot_report(error_disturbance.CnotScenario(0.4))
-    oracle.enumerate_two_step(scen)  # the oracle adds its memo to the observable on first use
+    oracle.enumerate_two_step(scen)  # the oracle adds its memo to the scenario on first use
     family = error_disturbance._cnot_prepared
-    memos = (scen.observable._spectral, scen.observable._oracle_terms, scen._means, family(TOL_DEG).squares._spectral)
+    memos = (scen.observable._spectral, scen._oracle_weights, scen._means, family(TOL_DEG).squares._spectral)
     sizes = [len(memo) for memo in memos], family.cache_info().currsize
     with pytest.raises(ValueError, match="tol_deg must be a non-negative number"):
         call(scen, data, tol_deg)

@@ -166,9 +166,9 @@ class TestSampling:
             sample_two_step(scen, **{"shots": 10, "seed": 1, **kwargs})
 
     def test_rejects_a_non_distribution(self, monkeypatch):
-        # a zero product basis, stored in the oracle's memo, gives every outcome probability 0, a sum of 0
+        # zero outcome weights, stored in the oracle's memo, sum to 0
         scen = cnot_error_scenario(0.5)
-        vars(scen.observable)["_oracle_terms"] = {(0, TOL_DEG): (np.zeros((2, 2)), np.zeros((4, 4), dtype=complex))}
+        vars(scen)["_oracle_weights"] = {(0, TOL_DEG): (np.zeros((2, 2)),) * 3}
         with pytest.raises(ValueError):
             sample_two_step(scen, shots=10, seed=1)
 
@@ -201,14 +201,20 @@ class TestSampling:
         assert abs(result.accepted / shots - 0.5) <= 5 * math.sqrt(0.25 / shots)
 
     def test_enumeration_and_sampling_decompose_each_factor_once(self, monkeypatch):
-        calls = []
-        original = oracle.jacobi_decompose
+        calls, projectors = [], []
+        original, projector = oracle.jacobi_decompose, oracle.PostselectionProjector
 
         def counting(h, *args, **kwargs):
             calls.append(h.shape)
             return original(h, *args, **kwargs)
 
+        def counting_projector(**kwargs):
+            projectors.append(kwargs["device_dim"])
+            return projector(**kwargs)
+
         monkeypatch.setattr(oracle, "jacobi_decompose", counting)
+        # one explicit projector per weight pass: the sampler reads the pass that the enumeration made
+        monkeypatch.setattr(oracle, "PostselectionProjector", counting_projector)
         rng = np.random.default_rng(31)
         terms = tuple((random_hermitian(3, rng), random_hermitian(2, rng)) for _ in range(3))
         scen = MeasurementScenario(
@@ -221,7 +227,17 @@ class TestSampling:
         sample_two_step(scen, shots=100, seed=1, term=1)
         sample_two_step(scen, shots=100, seed=2, term=0)
         assert len(calls) == 2 * scen.observable.num_terms
+        assert len(projectors) == scen.observable.num_terms
+        assert set(scen._oracle_weights) == {(k, TOL_DEG) for k in range(scen.observable.num_terms)}
         assert scen.observable._spectral == {}  # the formula path's memo stays untouched
+
+    def test_the_weight_memo_belongs_to_the_scenario(self):
+        # two scenarios on one observable have their own weights: the memo is keyed by the scenario's kets too
+        first = cnot_error_scenario(0.5, theta=0.3)  # phi = (cos 0.3, sin 0.3): denominators 1/2 and cos^2 0.3
+        second = MeasurementScenario(psi=[1.0, 0.0], xi=first.xi, observable=first.observable, postselect=first.postselect)
+        assert enumerate_two_step(first).denominators[0] == pytest.approx(0.5, abs=1e-12)
+        assert enumerate_two_step(second).denominators[0] == pytest.approx(abs(first.postselect[0]) ** 2, abs=1e-12)
+        assert "_oracle_weights" not in vars(first.observable)
 
     def test_empirical_frequencies_track_formula(self):
         rng = instance_rng(55, 1)
@@ -271,7 +287,7 @@ class TestRunTolerance:
         assert oracle_denominator(cfg.tol_deg) == pytest.approx(formula, abs=1e-12)
         # the default tol_deg, the enumeration's, splits the pair, so its measurement basis is another one
         assert oracle_denominator(TOL_DEG) == enumerate_two_step(scen).denominators[0] == pytest.approx(0.3148, abs=1e-4)
-        assert set(scen.observable._oracle_terms) == {(0, cfg.tol_deg), (0, TOL_DEG)}
+        assert set(scen._oracle_weights) == {(0, cfg.tol_deg), (0, TOL_DEG)}
 
     def test_sample_cli_accepts_at_the_verify_denominator(self, tmp_path, capsys):
         path = near_degenerate_config(tmp_path / "near.json")
