@@ -11,8 +11,8 @@ for the oracle, so the oracle shares no eigensolver with the formula path.
 An eigenvector's phase is fixed (``_fixed_columns``: first non-negligible
 component real positive) only where eigenvectors are shown: in
 ``_decomposition``, behind ``spectral_decompose`` and ``jacobi_decompose``,
-and in the ``ProductSpectralData`` views. No probability |<u_i|psi>|^2
-depends on it, so the formula path's stacks (``_decompose``) stop before it.
+the two places that form them. No probability |<u_i|psi>|^2 depends on it,
+so the formula path's stacks (``_decompose``) stop before it.
 """
 
 from __future__ import annotations
@@ -159,10 +159,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     eigenspace_groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.size)
-
 
 def _rotate(a: list, vec: list, p: int, q: int) -> None:
     """One complex Jacobi rotation zeroing a[p][q], accumulated into vec; both are lists of rows of Python complex.
@@ -204,27 +200,23 @@ def _off_norm(a: list) -> float:
 
 
 def _fixed_columns(rows: np.ndarray) -> np.ndarray:
-    """Every row of every matrix in a (B, d, d) stack of unit rows, with its first
-    non-negligible component made real positive.
+    """Every row of a (d, d) matrix of unit rows, with its first non-negligible component made real positive.
 
     The phase is applied in Python complex arithmetic, one row at a time:
     numpy's complex multiply rounds differently from Python's.
     """
-    stack = []
-    for matrix in rows.tolist():
-        fixed_rows = []
-        for row in matrix:
-            # a unit row always has a component above the cutoff
-            for i, z in enumerate(row):
-                size = abs(z)
-                if size > _PHASE_CUTOFF:
-                    break
-            phase = z.conjugate() / size
-            fixed = [c * phase for c in row]
-            fixed[i] = size
-            fixed_rows.append(fixed)
-        stack.append(fixed_rows)
-    return np.array(stack, dtype=complex)
+    fixed_rows = []
+    for row in rows.tolist():
+        # a unit row always has a component above the cutoff
+        for i, z in enumerate(row):
+            size = abs(z)
+            if size > _PHASE_CUTOFF:
+                break
+        phase = z.conjugate() / size
+        fixed = [c * phase for c in row]
+        fixed[i] = size
+        fixed_rows.append(fixed)
+    return np.array(fixed_rows, dtype=complex)
 
 
 def _tolerance_groups(merged: list[bool]) -> tuple[tuple[int, ...], ...]:
@@ -336,7 +328,7 @@ def _decompose(mats: np.ndarray, tol_deg: float) -> tuple[np.ndarray, np.ndarray
 def _decomposition(values: np.ndarray, rows: np.ndarray, groups) -> SpectralDecomposition:
     """One matrix's decomposition from its (d,) values and (d, d) canonical columns as rows, phases fixed here."""
     return SpectralDecomposition(
-        eigenvalues=readonly(values), eigenvectors=readonly(_fixed_columns(rows[None])[0].T), eigenspace_groups=groups
+        eigenvalues=readonly(values), eigenvectors=readonly(_fixed_columns(rows).T), eigenspace_groups=groups
     )
 
 
@@ -375,9 +367,10 @@ def jacobi_decompose(h, tol_deg: float = TOL_DEG) -> SpectralDecomposition:
     if exponent:
         a = a * np.ldexp(1.0, -exponent)
         norm = float(np.linalg.norm(a))
-    scale = max(1.0, norm)
-    target = 1e-14 * scale
-    pivot_floor = 1e-18 * scale
+    # relative to the norm, so a factor at any scale converges as far as at unit norm; a zero matrix, whose
+    # off-norm is 0 <= 0, stops at once
+    target = 1e-14 * norm
+    pivot_floor = 1e-18 * norm
 
     a, vec = a.tolist(), np.eye(dim, dtype=complex).tolist()
     pairs = [(p, q) for p in range(dim - 1) for q in range(p + 1, dim)]

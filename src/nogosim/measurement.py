@@ -36,7 +36,6 @@ The dataclasses here hold numpy arrays, so they compare and hash by identity
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +51,6 @@ from .linalg import (
     TOL_POSTSELECT,
     _decompose,
     _eigh,
-    _fixed_columns,
     as_operator,
     as_state,
     hermitian_part,
@@ -60,6 +58,7 @@ from .linalg import (
     readonly,
     require_finite,
     require_hermitian,
+    spectral_decompose,
     tensor_ket,
     tensor_product,
 )
@@ -112,10 +111,10 @@ class ProductSpectralData:
     with: no probability |<u_i|ket>|^2 reads a phase. The device side enters
     every mean only as <xi|M_k|xi>, so no device eigenvector is kept, and no
     mean and no degeneracy verdict reads a (K, n, m) grid: both come from u and v.
+    A reader that shows an eigenvector takes it from ``spectral_decompose`` of
+    the factor, the one place the formula path forms a phase-fixed basis.
 
-    ``system`` and ``device`` are the phase-fixed V^dag stacks that
-    ``spectral_decompose`` gives each factor, read-only, formed on first access
-    and kept. ``tol_deg``, the grouping tolerance the data was made at, and
+    ``tol_deg``, the grouping tolerance the data was made at, and
     ``mean_system_values``, each term's read-only mean(u_k), the system factor
     of the closed form mean(u_k) <xi|M_k|xi>, are plain attributes, so fields()
     and repr see only the stacks. The means are formed with the data, not on
@@ -135,20 +134,6 @@ class ProductSpectralData:
         means = u.sum(axis=-1) / u.shape[-1]
         means.setflags(write=False)  # a fresh array: no copy needed to freeze it
         object.__setattr__(self, "mean_system_values", means)
-
-    @cached_property
-    def system(self) -> np.ndarray:
-        """Each system factor's V^dag, with the phase of each eigenvector fixed: its term's eigenbasis V is
-        ``system[k].conj().T``."""
-        rows = self.system_adjoint.conj()  # conj undoes conj to the bit
-        return readonly(_fixed_columns(rows.reshape(-1, *rows.shape[-2:])).conj().reshape(rows.shape))
-
-    @cached_property
-    def device(self) -> np.ndarray:
-        """Each device factor's V^dag, decomposed here at ``tol_deg``, with the phase of each eigenvector fixed."""
-        factors = self.device_factors
-        rows = _decompose(factors.reshape(-1, *factors.shape[-2:]), self.tol_deg)[1]
-        return readonly(_fixed_columns(rows).conj().reshape(factors.shape))
 
     @property
     def grids(self) -> np.ndarray:
@@ -375,10 +360,15 @@ def _drawn_scenario(
     )
 
 
+def _device_weights(data: ProductSpectralData, k: int, xi: np.ndarray) -> np.ndarray:
+    """q_j = |<v_j|xi>|^2 of term k, the v_j the eigenvectors ``spectral_decompose`` gives its device factor."""
+    return _weights(spectral_decompose(data.device_factors[k]).eigenvectors.conj().T, xi)
+
+
 def outcome_probability_grid(scenario: MeasurementScenario, k: int) -> np.ndarray:
-    """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid; the device eigenvectors are those of the ``device`` view."""
+    """P(r_ij) = |<u_i v_j|Psi>|^2 as an (n, m) grid, the device eigenvectors those of ``spectral_decompose``."""
     data = product_spectral(scenario.observable)
-    return _product_grid(_weights(data.system_adjoint[k], scenario.psi), _weights(data.device[k], scenario.xi))
+    return _product_grid(_weights(data.system_adjoint[k], scenario.psi), _device_weights(data, k, scenario.xi))
 
 
 def expectation(scenario: MeasurementScenario, k: int) -> float:
@@ -407,12 +397,12 @@ def luders_update(rho: np.ndarray, projector: np.ndarray, tol_p: float = TOL_POS
 
 
 def joint_probability_grid(scenario: MeasurementScenario, k: int) -> np.ndarray:
-    """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid; the device eigenvectors
-    are those of the ``device`` view."""
+    """P(r_ij and postselection) = |psi'_i|^2 |xi'_j|^2 |phi'_i|^2 as an (n, m) grid, the device eigenvectors
+    those of ``spectral_decompose``."""
     phi = _require_postselect(scenario)
     data = product_spectral(scenario.observable)
     system = data.system_adjoint[k]
-    return _product_grid(_weights(system, scenario.psi) * _weights(system, phi), _weights(data.device[k], scenario.xi))
+    return _product_grid(_weights(system, scenario.psi) * _weights(system, phi), _device_weights(data, k, scenario.xi))
 
 
 def postselection_denominator(scenario: MeasurementScenario, k: int) -> float:

@@ -34,6 +34,7 @@ from .linalg import (
     hermitian_part,
     is_unitary,
     readonly,
+    spectral_decompose,
     tensor_product,
 )
 from .measurement import (
@@ -134,15 +135,16 @@ def basis_transform(columns, phi, device_dim: int) -> BasisTransform:
     return BasisTransform(matrix=readonly(mat), transformed_projector=readonly(mat.conj().T @ pi @ mat))
 
 
-def term_basis_transform(spectral: ProductSpectralData, k: int, phi) -> BasisTransform:
-    """Transform T = V_sys (x) V_dev of term k (flat index i*m + j); each V is the adjoint of the data's
-    ``system`` or ``device`` view, the phase-fixed eigenvectors ``spectral_decompose`` shows.
+def term_basis_transform(scenario: MeasurementScenario, k: int) -> BasisTransform:
+    """Transform T = V_sys (x) V_dev of the scenario's term k (flat index i*m + j), with its postselection
+    state; each V holds the phase-fixed eigenvectors ``spectral_decompose`` gives the factor at the default tol_deg.
 
     Such a product transform always meets the basis requirement, which is why
     ``verify_nogo`` does not build it.
     """
-    system, device = spectral.system[k], spectral.device[k]
-    return basis_transform(tensor_product(system.conj().T, device.conj().T), phi, device.shape[0])
+    phi = _require_postselect(scenario)
+    system, device = (spectral_decompose(factor).eigenvectors for factor in scenario.observable.terms[k])
+    return basis_transform(tensor_product(system, device), phi, scenario.m)
 
 
 def check_basis_requirement(transform: BasisTransform, n: int, m: int) -> bool:

@@ -729,6 +729,17 @@ class TestSample:
         payload = json.loads(captured.out)
         assert payload["accepted"] == payload["shots"] == 1000
 
+    def test_the_largest_int64_shot_count_is_sampled(self, capsys):
+        # 2^63 - 1 shots, one multinomial call per shard: exit 0, no warning, and every accepted shot counted once;
+        # one shot more is refused (test_bad_flag_is_usage_error[shots-past-int64])
+        shots = 2**63 - 1
+        assert main(["sample", "--config", str(FIXTURES / "cnot_error.json"), "--shots", str(shots)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["shots"] == shots
+        assert sum(sum(row) for row in payload["counts"]) == payload["accepted"] <= shots
+
     def test_overflowing_payload_is_not_emitted(self, tmp_path, capsys):
         # the empirical mean is inf - inf = NaN; it used to print as a bare NaN, which is not JSON, with exit 0
         assert main(["sample", "--config", huge_config(tmp_path), "--shots", "1000"]) == 1

@@ -56,19 +56,11 @@ from nogosim.measurement import (
 from nogosim.nogo import TheoremVerdict, check_rank_m_degeneracy, verify_nogo
 from nogosim.oracle import enumerate_two_step
 
+from helpers import random_hermitian, random_ket
+
 I2 = np.eye(2, dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 KET1 = np.array([0.0, 1.0])
-
-
-def random_hermitian(dim, rng):
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    return (g + g.conj().T) / 2
-
-
-def random_ket(dim, rng):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def rotated_strong_cnot(v_angle, w_angle, scale):
@@ -631,7 +623,8 @@ class TestCnotCache:
         for obs in (bundle.error_scenario.observable, bundle.disturbance_scenario.observable, prepared.squares):
             arrays += [factor for term in obs.terms for factor in term]
             data = product_spectral(obs)
-            arrays += [data.system, data.device, data.grids, data.mean_system_values]
+            arrays += [data.system_adjoint, data.device_factors, data.system_values, data.device_values]
+            arrays += [data.grids, data.mean_system_values]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0

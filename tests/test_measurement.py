@@ -18,7 +18,7 @@ from nogosim.errors import (
     OrthogonalPostselection,
     ZeroProbability,
 )
-from nogosim.linalg import TOL_DEG, outer, spectral_decompose, tensor_product
+from nogosim.linalg import TOL_DEG, _decompose, outer, spectral_decompose, tensor_product
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
@@ -46,15 +46,12 @@ from nogosim.nogo import (
 )
 from nogosim.oracle import enumerate_two_step, sample_two_step
 
+from helpers import cnot_error_scenario, random_hermitian, random_ket
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
-
-
-def random_hermitian(dim, rng):
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    return (g + g.conj().T) / 2
 
 
 #: Factor dimensions the stacked decomposition is checked on.
@@ -69,23 +66,10 @@ def near_pairs(dim, rng):
     return (h + h.conj().T) / 2
 
 
-def random_ket(dim, rng):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def product_vector(data, k, i, j):
-    """|u_i> (x) |v_j> of term k: row i of V^dag is <u_i|, so its conjugate is |u_i>."""
-    return np.kron(data.system[k, i].conj(), data.device[k, j].conj())
-
-
-def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
-    """Squared-noise observable of the controlled-NOT family, 4 I (x) |1><1|."""
-    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-    xi = np.array([np.sqrt((1 + s) / 2), np.sqrt((1 - s) / 2)], dtype=complex)
-    phi = np.array([math.cos(theta), np.exp(-1j * varphi) * math.sin(theta)])
-    obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
-    return MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
+def product_vector(obs, k, i, j):
+    """|u_i> (x) |v_j> of term k: columns i and j of the eigenvectors ``spectral_decompose`` gives its factors."""
+    sys_op, dev_op = obs.terms[k]
+    return np.kron(spectral_decompose(sys_op).eigenvectors[:, i], spectral_decompose(dev_op).eigenvectors[:, j])
 
 
 class TestProductSpectral:
@@ -93,8 +77,9 @@ class TestProductSpectral:
         obs = JointObservable(n=2, m=2, terms=((I2, Z),))
         data = product_spectral(obs)
         # the identity keeps the standard basis; Z's eigenvalues ascend, so |1> comes first
-        assert np.allclose(data.system[0], I2)
-        assert np.allclose(data.device[0], X)
+        assert np.array_equal(data.system_adjoint[0], I2)
+        assert np.array_equal(data.device_factors[0], Z)
+        assert np.allclose(spectral_decompose(Z).eigenvectors.conj().T, X)
         assert np.allclose(data.grids[0], [[-1.0, 1.0], [-1.0, 1.0]])
 
     def test_scaled_projector_term(self):
@@ -114,14 +99,13 @@ class TestProductSpectral:
             (1, 0): np.kron(e1, plus),
             (1, 1): np.kron(e1, minus),
         }.items():
-            assert np.max(np.abs(product_vector(data, 0, i, j) - vec)) < 1e-14
+            assert np.max(np.abs(product_vector(obs, 0, i, j) - vec)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(4))
     def test_projector_orthonormality_and_completeness(self, seed):
         rng = np.random.default_rng(seed)
         obs = JointObservable(n=2, m=3, terms=((random_hermitian(2, rng), random_hermitian(3, rng)),))
-        data = product_spectral(obs)
-        projectors = [outer(product_vector(data, 0, i, j)) for i in range(2) for j in range(3)]
+        projectors = [outer(product_vector(obs, 0, i, j)) for i in range(2) for j in range(3)]
         for a, pa in enumerate(projectors):
             for b, pb in enumerate(projectors):
                 want = pa if a == b else np.zeros((6, 6))
@@ -135,9 +119,12 @@ class TestProductSpectral:
         fine = product_spectral(obs, 1e-9)
         assert product_spectral(obs, 1e-7) is coarse
         assert product_spectral(obs, 1e-9) is fine
-        # one group spanning the plane keeps the standard basis; two groups give |->, |+>
-        assert np.allclose(coarse.system[0], I2)
-        assert np.allclose(fine.system[0], np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2))
+        # one group spanning the plane keeps the standard basis; two groups give |->, |+>, each up to the phase
+        # it was found with, which no projector |u_i><u_i| reads
+        assert np.array_equal(coarse.system_adjoint[0], I2)
+        minus = np.array([1.0, -1.0]) / np.sqrt(2)
+        for row, want in zip(fine.system_adjoint[0], (minus, plus)):
+            assert np.allclose(outer(row.conj()), outer(want))
 
     @pytest.mark.parametrize("num_terms", [1, 2, 3])
     @pytest.mark.parametrize("dim", STACK_DIMS)
@@ -147,14 +134,24 @@ class TestProductSpectral:
         rng = np.random.default_rng(10 * dim + num_terms)
         kinds = (random_hermitian, lambda d, rng: -1.5 * np.eye(d, dtype=complex), near_pairs)
         terms = tuple((kinds[k % 3](n, rng), kinds[(k + 1) % 3](m, rng)) for k in range(num_terms))
-        data = product_spectral(JointObservable(n=n, m=m, terms=terms))
+        obs = JointObservable(n=n, m=m, terms=terms)
+        data = product_spectral(obs)
+        psi, xi, phi = random_ket(n, rng), random_ket(m, rng), random_ket(n, rng)
+        scen = MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
         assert len(data) == num_terms
         for k, (sys_op, dev_op) in enumerate(terms):
+            # the stacked rows are the lone factor's canonical rows, phases as found, conjugated
+            alone = _decompose(sys_op[None], TOL_DEG)[1][0]
+            assert data.system_adjoint[k].tobytes() == alone.conj().tobytes()
             want_sys, want_dev = spectral_decompose(sys_op), spectral_decompose(dev_op)
-            assert data.system[k].tobytes() == want_sys.eigenvectors.conj().T.tobytes()
-            assert data.device[k].tobytes() == want_dev.eigenvectors.conj().T.tobytes()
             grid = np.outer(want_sys.eigenvalues, want_dev.eigenvalues)
             assert data.grids[k].tobytes() == grid.tobytes()
+            # the one place a term's eigenvectors are shown is spectral_decompose of each factor
+            transform = term_basis_transform(scen, k).matrix
+            assert transform.tobytes() == tensor_product(want_sys.eigenvectors, want_dev.eigenvectors).tobytes()
+            for column in transform.T:
+                lead = column[np.flatnonzero(np.abs(column) > 1e-12)[0]]
+                assert lead.imag == 0.0 and lead.real > 0.0
         if num_terms == 3 and n >= 4:
             # the pair 0.5 tol_deg apart is one group, the pair 2 tol_deg apart two
             assert spectral_decompose(terms[2][0]).eigenspace_groups[:3] == ((0, 1), (2,), (3,))
@@ -336,13 +333,12 @@ class TestJointProbability:
         obs = JointObservable(n=2, m=2, terms=((random_hermitian(2, rng), random_hermitian(2, rng)),))
         psi, xi, phi = random_ket(2, rng), random_ket(2, rng), random_ket(2, rng)
         scen = MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
-        data = product_spectral(obs)
         joint_state = scen.joint_state()
         pi = tensor_product(outer(phi), I2)
         grid = joint_probability_grid(scen, 0)
         for i in range(2):
             for j in range(2):
-                proj = outer(product_vector(data, 0, i, j))
+                proj = outer(product_vector(obs, 0, i, j))
                 brute = float(np.vdot(joint_state, proj @ pi @ proj @ joint_state).real)
                 assert grid[i, j] == pytest.approx(brute, abs=1e-12)
 
@@ -653,7 +649,7 @@ PARTS = {
     "postselection projector": lambda scen: PostselectionProjector(phi=scen.postselect, device_dim=scen.m),
     "term degeneracy": lambda scen: check_rank_m_degeneracy(product_spectral(scen.observable)).terms[0],
     "degeneracy report": lambda scen: check_rank_m_degeneracy(product_spectral(scen.observable)),
-    "basis transform": lambda scen: term_basis_transform(product_spectral(scen.observable), 0, scen.postselect),
+    "basis transform": lambda scen: term_basis_transform(scen, 0),
     "enumeration": enumerate_two_step,
     "sampling": lambda scen: sample_two_step(scen, 100, 0),
     "run report": run_report,

@@ -14,13 +14,14 @@ from nogosim.errors import (
     DimensionMismatch,
     ZeroProbability,
 )
-from nogosim.linalg import TOL_DEG, TOL_NORM, as_state
+from nogosim.linalg import TOL_DEG, TOL_NORM, as_state, spectral_decompose
 from nogosim.measurement import (
     JointObservable,
     MeasurementScenario,
     conditional_expectation,
     expectation,
     joint_probability_grid,
+    outcome_probability_grid,
     product_spectral,
 )
 from nogosim.nogo import (
@@ -38,6 +39,8 @@ from nogosim.nogo import (
     verify_nogo,
 )
 
+from helpers import cnot_error_scenario
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -52,14 +55,6 @@ def in_order(values) -> float:
     for value in values:
         total += value
     return total
-
-
-def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
-    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-    xi = np.array([np.sqrt((1 + s) / 2), np.sqrt((1 - s) / 2)], dtype=complex)
-    phi = np.array([math.cos(theta), np.exp(-1j * varphi) * math.sin(theta)])
-    obs = JointObservable(n=2, m=2, terms=((4 * I2, P1),))
-    return MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
 
 
 class TestDegeneracyCheck:
@@ -124,9 +119,8 @@ class TestDegeneracyCheck:
         before = repr(data)
         check_rank_m_degeneracy(data)
         assert repr(data) == before
-        for view in (data.system, data.device):  # kept outside the fields too
-            assert not view.flags.writeable
-        assert repr(data) == before
+        # eigenvectors are shown by spectral_decompose alone: the data keeps no view of them
+        assert not hasattr(data, "system") and not hasattr(data, "device")
         assert [f.name for f in dataclasses.fields(data)] == [
             "system_adjoint",
             "device_factors",
@@ -300,7 +294,7 @@ class TestBasisRequirement:
 
     def test_term_transform_from_factor_eigenvectors(self):
         scen = cnot_error_scenario(0.5, theta=0.7)
-        tr = term_basis_transform(product_spectral(scen.observable), 0, scen.postselect)
+        tr = term_basis_transform(scen, 0)
         # T = V_sys (x) V_dev, the factors' eigenvectors as columns
         want = np.kron(linalg.spectral_decompose(4 * I2).eigenvectors, linalg.spectral_decompose(P1).eigenvectors)
         assert tr.matrix.tobytes() == want.tobytes()
@@ -375,11 +369,11 @@ class TestClosedFormIdentities:
         data = product_spectral(scen.observable)
         report = check_rank_m_degeneracy(data)
         assert report.all_degenerate
-        for k in range(len(data)):
+        for k, (_, dev_op) in enumerate(scen.observable.terms):
             joint = joint_probability_grid(scen, k)
-            psi_amp = np.abs(data.system[k] @ scen.psi) ** 2
-            phi_amp = np.abs(data.system[k] @ scen.postselect) ** 2
-            xi_amp = np.abs(data.device[k] @ scen.xi) ** 2
+            psi_amp = np.abs(data.system_adjoint[k] @ scen.psi) ** 2
+            phi_amp = np.abs(data.system_adjoint[k] @ scen.postselect) ** 2
+            xi_amp = np.abs(spectral_decompose(dev_op).eigenvectors.conj().T @ scen.xi) ** 2
             denominator = float(np.dot(psi_amp, phi_amp))
             assert float(joint.sum()) == pytest.approx(denominator, abs=1e-10)
             numerator = float(np.sum(data.grids[k] * joint))
@@ -666,21 +660,20 @@ def _no_phase_fix(rows):
 
 @pytest.mark.parametrize("mode", ["degenerate", "generic"])
 def test_the_item_path_forms_no_eigenvector_it_does_not_show(monkeypatch, mode):
-    # the phase fix runs only where eigenvectors are shown, and the device view is the one place that
-    # forms a device eigenvector: random_scenario, verify_nogo and the audit reach neither
-    for module in (linalg, measurement):
-        monkeypatch.setattr(module, "_fixed_columns", _no_phase_fix)
+    # the phase fix runs only where eigenvectors are shown, behind spectral_decompose and jacobi_decompose, the
+    # only places that form a device eigenvector: random_scenario, verify_nogo and the audit reach neither
+    monkeypatch.setattr(linalg, "_fixed_columns", _no_phase_fix)
+    assert not hasattr(measurement, "_fixed_columns")
     rng = np.random.default_rng(12)
     for num_terms in (1, 2, 3):
         scen = random_scenario(rng, 3, 2, degenerate=mode == "degenerate", num_terms=num_terms)
         verify_nogo(scen)
-        data = product_spectral(scen.observable)
-        assert "system" not in data.__dict__ and "device" not in data.__dict__
+        product_spectral(scen.observable)
     assert random_audit(50, 1, mode).count == 50
-    # the views are where the patch bites
-    for view in ("system", "device"):
+    # the readers that show eigenvectors are where the patch bites
+    for shown in (outcome_probability_grid, joint_probability_grid, term_basis_transform):
         with pytest.raises(AssertionError, match="phase was fixed"):
-            getattr(data, view)
+            shown(scen, 0)
 
 
 def test_verify_nogo_makes_one_pass_per_tol_deg(monkeypatch):
@@ -883,7 +876,8 @@ def test_verdict_equals_the_public_per_term_sums(seed, n, m, num_terms, degenera
         # sum_k mean(u_k) <xi|M_k|xi>: the kernel's closed column added in slot order, near the same sum
         # formed from the public column values and device weights
         closed = in_order(measurement._scenario_row(scen).closed[0])
-        device = [np.abs(data.device[k] @ scen.xi) ** 2 for k in range(len(data))]
+        adjoints = [spectral_decompose(dev_op).eigenvectors.conj().T for _, dev_op in scen.observable.terms]
+        device = [np.abs(adjoint @ scen.xi) ** 2 for adjoint in adjoints]
         public = sum(float(t.column_eigenvalues @ q) for t, q in zip(report.terms, device))
         assert verdict.closed_form == closed
         assert closed == pytest.approx(public, rel=1e-12, abs=1e-12)

@@ -26,16 +26,10 @@ from nogosim.measurement import (
 from nogosim.nogo import instance_rng, random_hermitian, random_ket, random_scenario
 from nogosim.oracle import enumerate_two_step, sample_two_step
 
+from helpers import cnot_error_scenario
+
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def cnot_error_scenario(s, theta=np.pi / 4, varphi=0.0):
-    psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-    xi = np.array([np.sqrt((1 + s) / 2), np.sqrt((1 - s) / 2)], dtype=complex)
-    phi = np.array([math.cos(theta), np.exp(-1j * varphi) * math.sin(theta)])
-    obs = JointObservable(n=2, m=2, terms=((4 * I2, np.diag([0.0, 1.0])),))
-    return MeasurementScenario(psi=psi, xi=xi, observable=obs, postselect=phi)
 
 
 def documented_cells(scen, term=0):
