@@ -2,13 +2,12 @@
 
 Usage: python scripts/output_digests.py
 
-Each command runs in a fresh interpreter on this checkout's src/, with
-NOGO_DEFAULT_TOL removed from the environment, and must exit 0 with nothing
-on stderr, so a numpy warning or a stray print fails the run. The script
-prints one ``name prefix`` line per command, the prefix being the first 16
-hex digits of the sha256 of its stdout. ``verify`` reports carry their wall
-time, so the script drops ``wall_time_s`` and digests
-``json.dumps(report, sort_keys=True)`` plus a newline. Run it at two commits
+Each command runs in a fresh interpreter on this checkout's src/, and must
+exit 0 with nothing on stderr, so a numpy warning or a stray print fails the
+run. The script prints one ``name prefix`` line per command, the prefix
+being the first 16 hex digits of the sha256 of its stdout. ``verify``
+reports carry their wall time, so the script drops ``wall_time_s`` and
+digests ``json.dumps(report, sort_keys=True)`` plus a newline. Run it at two commits
 and diff the outputs: equal lines mean equal outputs on this numpy build.
 """
 
@@ -108,7 +107,7 @@ def digest(name: str, args: list[str], env: dict[str, str]) -> str:
 
 
 def main() -> int:
-    env = {key: value for key, value in os.environ.items() if key != "NOGO_DEFAULT_TOL"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as tmp:
         generated, generated_3x3 = Path(tmp) / "generated_cnot.json", Path(tmp) / "generated_3x3.json"

@@ -6,9 +6,9 @@ random-audit (batch random-instance verification), sample (Monte Carlo
 counts for one scenario term). Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error, 141 (128 + SIGPIPE, as a shell
 reports a process that SIGPIPE ended) when the reader closes stdout
-early, as ``| head`` does. NOGO_DEFAULT_TOL overrides the
-built-in degeneracy/verification tolerances when flags and config stay
-silent.
+early, as ``| head`` does. A tolerance flag wins over the config's value,
+which ``ScenarioConfig`` fills with the built-in default when the file
+gives none.
 
 Only the no-go core is imported at the top; each ``cmd_*`` imports the
 layers it runs (``config``, ``error_disturbance``, ``oracle``, ``json``),
@@ -18,7 +18,6 @@ so a subcommand never compiles or runs modules it does not call.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from time import perf_counter
@@ -43,24 +42,9 @@ SWEEP_COLUMNS = (
 )
 
 
-def _env_default(builtin: float) -> float:
-    raw = os.environ.get("NOGO_DEFAULT_TOL")
-    if raw is None:
-        return builtin
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NOGO_DEFAULT_TOL is not a number: {raw!r}") from exc
-    return require_tolerance(value, "NOGO_DEFAULT_TOL")
-
-
-def _resolve_tol(flag_value: float | None, flag: str, config_value: float | None, builtin: float) -> float:
-    """Flag, then config (validated on load), then environment, then built-in default."""
-    if flag_value is not None:
-        return require_tolerance(flag_value, flag)
-    if config_value is not None:
-        return config_value
-    return _env_default(builtin)
+def _resolve_tol(flag_value: float | None, flag: str, default: float) -> float:
+    """The checked flag, else the default: the config's value (checked on load) or the built-in one."""
+    return default if flag_value is None else require_tolerance(flag_value, flag)
 
 
 def parse_grid(spec: str, where: str) -> list[float]:
@@ -105,12 +89,10 @@ def cmd_verify(args) -> int:
 
     t0 = perf_counter()
     config = ScenarioConfig.from_path(args.config)
-    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", config.tol_deg, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", config.tol_verify, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", config.tol_deg)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", config.tol_verify)
 
     scenario = config.scenario()
-    if config.phi is None:
-        raise ConfigError("verify needs a 'phi' postselection state")
     degeneracy = check_rank_m_degeneracy(product_spectral(scenario.observable, tol_deg), tol_deg)
     verdict = verify_nogo(scenario, tol_deg=tol_deg, tol_verify=tol_verify, tol_p=config.tol_postselect)
 
@@ -145,19 +127,15 @@ def cmd_cnot_sweep(args) -> int:
 
     from .error_disturbance import DEFAULT_STRENGTH_GRID, DEFAULT_THETA_GRID, DEFAULT_VARPHI_GRID, cnot_sweep
 
-    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", TOL_DEG)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", TOL_VERIFY)
     s_grid = parse_grid(args.s_grid, "--s-grid") if args.s_grid else list(DEFAULT_STRENGTH_GRID)
     theta_grid = parse_grid(args.theta_grid, "--theta-grid") if args.theta_grid else list(DEFAULT_THETA_GRID)
     varphi_grid = parse_grid(args.varphi_grid, "--varphi-grid") if args.varphi_grid else list(DEFAULT_VARPHI_GRID)
-    for s in s_grid:
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"--s-grid: strength {s!r} outside [0, 1]")
-    for value in (*theta_grid, *varphi_grid):
-        if not math.isfinite(value):
-            raise ConfigError("angle grids must be finite")
-
-    reports = cnot_sweep(s_grid, theta_grid, varphi_grid, tol_deg=tol_deg, tol_verify=tol_verify)
+    try:
+        reports = cnot_sweep(s_grid, theta_grid, varphi_grid, tol_deg=tol_deg, tol_verify=tol_verify)
+    except ValueError as exc:  # a strength outside [0, 1] or an angle that is not finite
+        raise ConfigError(str(exc)) from exc
     rows = [
         (*point, r.epsilon_sq, r.epsilon_sq_post, r.eta_sq, r.eta_sq_post, r.nogo_gap_error, r.nogo_gap_disturbance)
         for point, r in zip(itertools.product(s_grid, theta_grid, varphi_grid), reports)
@@ -180,8 +158,8 @@ def cmd_random_audit(args) -> int:
         raise ConfigError("--count must be at least 1")
     if args.seed < 0:
         raise ConfigError("--seed must be non-negative")
-    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", None, TOL_DEG)
-    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", None, TOL_VERIFY)
+    tol_deg = _resolve_tol(args.tol_deg, "--tol-deg", TOL_DEG)
+    tol_verify = _resolve_tol(args.tol_verify, "--tol-verify", TOL_VERIFY)
     n = m = None
     if args.dims:
         parts = args.dims.split(",")
@@ -223,13 +201,10 @@ def cmd_sample(args) -> int:
 
     config = ScenarioConfig.from_path(args.config)
     scenario = config.scenario()
-    if config.phi is None:
-        raise ConfigError("sample needs a 'phi' postselection state")
     seed = args.seed if args.seed is not None else (config.seed if config.seed is not None else 0)
-    tol_deg = _resolve_tol(None, "--tol-deg", config.tol_deg, TOL_DEG)  # the basis verify reports on
     try:
-        result = sample_two_step(
-            scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards, tol_deg=tol_deg
+        result = sample_two_step(  # at config.tol_deg, the basis verify reports on
+            scenario, shots=args.shots, seed=seed, term=args.term, shards=args.shards, tol_deg=config.tol_deg
         )
     except ValueError as exc:  # --shots, --shards, --seed or --term out of range
         raise ConfigError(str(exc)) from exc

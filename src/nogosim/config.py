@@ -1,9 +1,11 @@
 """JSON scenario configuration and report serialization.
 
 Complex numbers are encoded as [re, im] pairs everywhere: a ket is a list of
-pairs, a matrix a list of rows of pairs. Reports are serialized with sorted
-keys and default float formatting (shortest round-trip), so identical inputs
-produce byte-identical output.
+pairs, a matrix a list of rows of pairs. A configuration must give ``psi``,
+``xi``, ``phi`` and ``observable``; absent tolerances take the built-in
+defaults as it loads, so every setting has its value once it is read.
+Reports are serialized with sorted keys and default float formatting
+(shortest round-trip), so identical inputs produce byte-identical output.
 
 ``error_disturbance`` is imported only where an interaction or setup block is
 built, so a config without them never loads it; its types are annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NogoSimError, _require_number, require_tolerance
-from .linalg import TOL_POSTSELECT
+from .linalg import TOL_DEG, TOL_POSTSELECT, TOL_VERIFY
 from .measurement import JointObservable, MeasurementScenario
 from .nogo import DegeneracyReport, TheoremVerdict
 
@@ -80,20 +82,18 @@ class ScenarioConfig:
     m: int
     psi: np.ndarray
     xi: np.ndarray
-    phi: np.ndarray | None
-    observable: JointObservable | None
+    phi: np.ndarray
+    observable: JointObservable
     interaction: InteractionModel | None
     setup: MeasurementSetup | None
-    tol_deg: float | None
-    tol_verify: float | None
+    tol_deg: float
+    tol_verify: float
     tol_postselect: float
     seed: int | None
 
     def __post_init__(self):
         # scenario()'s one checked scenario: a plain attribute like JointObservable's memos, so fields() skip it
-        scenario = None
-        if self.observable is not None:
-            scenario = MeasurementScenario(psi=self.psi, xi=self.xi, observable=self.observable, postselect=self.phi)
+        scenario = MeasurementScenario(psi=self.psi, xi=self.xi, observable=self.observable, postselect=self.phi)
         object.__setattr__(self, "_scenario", scenario)
 
     @classmethod
@@ -113,39 +113,39 @@ class ScenarioConfig:
             raise ConfigError("'n' and 'm' must be positive")
 
         tolerances = _optional_block(raw, "tolerances", ("deg", "verify", "postselect")) or {}
-        # absent entries stay None so the CLI can fall back to env/builtin defaults
-        tol_deg = require_tolerance(tolerances["deg"], "tolerances.deg") if "deg" in tolerances else None
-        tol_verify = require_tolerance(tolerances["verify"], "tolerances.verify") if "verify" in tolerances else None
+        tol_deg = require_tolerance(tolerances.get("deg", TOL_DEG), "tolerances.deg")
+        tol_verify = require_tolerance(tolerances.get("verify", TOL_VERIFY), "tolerances.verify")
         tol_post = require_tolerance(tolerances.get("postselect", TOL_POSTSELECT), "tolerances.postselect")
 
         seed = raw.get("seed")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ConfigError("'seed' must be an integer")
 
-        try:
-            psi = parse_ket(raw["psi"], n, "psi") if "psi" in raw else None
-            xi = parse_ket(raw["xi"], m, "xi") if "xi" in raw else None
-            if psi is None or xi is None:
-                raise ConfigError("configuration needs 'psi' and 'xi'")
-            phi = parse_ket(raw["phi"], n, "phi") if raw.get("phi") is not None else None
+        # verify and sample both need all four; a null counts as absent, as it does for 'tolerances'
+        missing = [key for key in ("psi", "xi", "phi", "observable") if raw.get(key) is None]
+        if missing:
+            raise ConfigError(f"configuration needs {', '.join(map(repr, missing))}")
 
-            observable = None
+        try:
+            psi = parse_ket(raw["psi"], n, "psi")
+            xi = parse_ket(raw["xi"], m, "xi")
+            phi = parse_ket(raw["phi"], n, "phi")
+
             obs_raw = _optional_block(raw, "observable", ("terms",))
-            if obs_raw is not None:
-                if not isinstance(obs_raw.get("terms"), list) or not obs_raw["terms"]:
-                    raise ConfigError("'observable.terms' must be a non-empty list")
-                terms = []
-                for k, entry in enumerate(obs_raw["terms"]):
-                    if not isinstance(entry, dict):
-                        raise ConfigError(f"observable.terms[{k}] must be an object")
-                    _require_known_keys(entry, ("system", "device"), f"observable.terms[{k}]")
-                    terms.append(
-                        (
-                            parse_matrix(entry.get("system"), n, f"observable.terms[{k}].system"),
-                            parse_matrix(entry.get("device"), m, f"observable.terms[{k}].device"),
-                        )
+            if not isinstance(obs_raw.get("terms"), list) or not obs_raw["terms"]:
+                raise ConfigError("'observable.terms' must be a non-empty list")
+            terms = []
+            for k, entry in enumerate(obs_raw["terms"]):
+                if not isinstance(entry, dict):
+                    raise ConfigError(f"observable.terms[{k}] must be an object")
+                _require_known_keys(entry, ("system", "device"), f"observable.terms[{k}]")
+                terms.append(
+                    (
+                        parse_matrix(entry.get("system"), n, f"observable.terms[{k}].system"),
+                        parse_matrix(entry.get("device"), m, f"observable.terms[{k}].device"),
                     )
-                observable = JointObservable(n=n, m=m, terms=tuple(terms))
+                )
+            observable = JointObservable(n=n, m=m, terms=tuple(terms))
 
             inter = _optional_block(raw, "interaction", ("unitary", "h_system", "h_device", "t"))
             setup_raw = _optional_block(raw, "setup", ("measured", "disturbed", "readout"))
@@ -216,8 +216,6 @@ class ScenarioConfig:
 
     def scenario(self) -> MeasurementScenario:
         """The scenario built and checked with the configuration, the same object on every call."""
-        if self._scenario is None:
-            raise ConfigError("configuration has no 'observable' block")
         return self._scenario
 
 

@@ -1,8 +1,8 @@
 """Exception types shared across the library, and the number checks that raise ``ConfigError``.
 
 The checks live here, beside the error they raise, because every subcommand
-loads this module: the CLI validates its tolerance flags and
-``NOGO_DEFAULT_TOL`` with them without loading ``config``.
+loads this module: the CLI validates its tolerance flags with them without
+loading ``config``.
 """
 
 import math

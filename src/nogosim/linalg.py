@@ -52,6 +52,8 @@ def as_operator(a, name: str = "operator") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionMismatch(f"{name} must be non-empty")
     return arr
 
 

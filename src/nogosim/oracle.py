@@ -24,6 +24,7 @@ with the shard count, and neither time nor memory with the shot count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,10 @@ def sample_two_step(
     seeded generator and one draw, so time grows with ``shards``. Identical
     arguments reproduce identical counts on one numpy build; NEP 19 does not
     promise ``Generator.multinomial`` the same values across numpy versions.
+    A ``shots`` or ``shards`` that is not an integer raises TypeError.
     """
+    # a float count passes the range checks, and then the shard split draws 11 shots for 10.5 and reports 10
+    shots, shards = operator.index(shots), operator.index(shards)
     if not 1 <= shots <= np.iinfo(np.int64).max:  # numpy draws counts as int64
         raise ValueError(f"shots must be in [1, {np.iinfo(np.int64).max}]")
     if shards < 1 or shards > shots:

@@ -74,7 +74,7 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", ["cnot_sweep", "random_audit", "fixture_oracle"])
-def test_workload_output_contract(workloads, name, capsys, monkeypatch):
+def test_workload_output_contract(workloads, name, capsys):
     """The benchmark's checks pass on what the library and the CLI print today.
 
     The first 2 items must pass ``check`` and repeat their ``digest``; the
@@ -84,7 +84,6 @@ def test_workload_output_contract(workloads, name, capsys, monkeypatch):
     """
     from nogosim.cli import main
 
-    monkeypatch.delenv("NOGO_DEFAULT_TOL", raising=False)
     workload = workloads[name]
     items = workload.items(3)
     references = {}

@@ -30,6 +30,7 @@ from nogosim.error_disturbance import (
     cnot_sweep,
 )
 from nogosim.errors import ConfigError
+from nogosim.linalg import TOL_DEG, TOL_POSTSELECT, TOL_VERIFY
 from nogosim.nogo import instance_rng, random_audit, random_scenario, verify_nogo
 
 FIXTURES = Path(nogosim.__file__).parent / "fixtures"
@@ -205,24 +206,6 @@ class TestVerify:
         rep_b.pop("wall_time_s")
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOGO_DEFAULT_TOL", "100")
-        raw = load_fixture("generic_violation.json")
-        raw.pop("tolerances", None)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
-        out = tmp_path / "report.json"
-        # the huge default tolerance makes the non-degenerate grid count as
-        # hypothesis-satisfying and loosens the gap bound in the same stroke
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["verdict"]["hypothesis_holds"] is True
-        assert report["verdict"]["tol_verify"] == 100.0
-        # a flag still wins over the environment
-        assert main(["verify", "--config", str(cfg), "--tol-verify", "1e-9", "--out", str(out)]) == 1
-        monkeypatch.setenv("NOGO_DEFAULT_TOL", "not-a-number")
-        assert main(["verify", "--config", str(cfg)]) == 2
-
     @pytest.mark.parametrize(
         "flags",
         [
@@ -273,6 +256,36 @@ class TestVerify:
             del report["wall_time_s"], report["config_sha256"]  # the file's bytes differ
             outputs.append(report)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("value", ["absent", "null"])
+    @pytest.mark.parametrize("key", ["psi", "xi", "phi", "observable"])
+    def test_a_config_needs_every_input_of_the_scenario(self, key, value):
+        raw = load_fixture("generic_violation.json")
+        if value == "absent":
+            del raw[key]
+        else:
+            raw[key] = None
+        with pytest.raises(ConfigError, match=f"^configuration needs {key!r}$"):
+            config.ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("key", ["psi", "xi", "phi", "observable"])
+    def test_a_config_without_a_scenario_input_exits_2(self, tmp_path, capsys, key, command):
+        raw = load_fixture("cnot_error.json")
+        del raw[key]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: configuration needs {key!r}\n")
+
+    def test_absent_tolerances_take_the_builtin_defaults(self):
+        raw = load_fixture("generic_violation.json")
+        raw.pop("tolerances", None)
+        cfg = config.ScenarioConfig.from_dict(raw)
+        assert (cfg.tol_deg, cfg.tol_verify, cfg.tol_postselect) == (TOL_DEG, TOL_VERIFY, TOL_POSTSELECT)
+        raw["tolerances"] = {"verify": 0.5}
+        cfg = config.ScenarioConfig.from_dict(raw)
+        assert (cfg.tol_deg, cfg.tol_verify, cfg.tol_postselect) == (TOL_DEG, 0.5, TOL_POSTSELECT)
 
     @pytest.mark.parametrize(
         "fixture, block, key",
@@ -417,15 +430,6 @@ class TestVerify:
         assert captured.out == ""
         assert "integer fields 'n' and 'm'" in captured.err
 
-    @pytest.mark.parametrize("bad", ["nan", "-inf", "-1"])
-    def test_bad_env_tolerance(self, tmp_path, monkeypatch, bad):
-        monkeypatch.setenv("NOGO_DEFAULT_TOL", bad)
-        raw = load_fixture("generic_violation.json")
-        raw.pop("tolerances", None)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        assert main(["verify", "--config", str(path)]) == 2
-
     def test_zero_tolerance_is_allowed(self, tmp_path):
         # the CNOT error grid 4*I (x) diag(0, 1) is exactly column-constant
         out = tmp_path / "report.json"
@@ -543,6 +547,20 @@ class TestCnotSweep:
     def test_invalid_strength_grid(self):
         assert main(["cnot-sweep", "--s-grid", "0:2:5"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--s-grid", "1.5", "strength must lie in [0, 1], got 1.5"),
+            ("--s-grid", "nan", "strength must lie in [0, 1], got nan"),
+            ("--theta-grid", "inf", "theta and varphi must be finite, got inf"),
+            ("--varphi-grid", "0,-inf", "theta and varphi must be finite, got -inf"),
+        ],
+    )
+    def test_cnot_sweep_refuses_a_bad_grid_value(self, capsys, flag, value, message):
+        # the values are checked once, by cnot_sweep, whose ValueError is a usage error here
+        assert main(["cnot-sweep", f"{flag}={value}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_empty_grid(self):
         assert main(["cnot-sweep", "--s-grid", ","]) == 2
 
@@ -617,27 +635,12 @@ class TestRandomAudit:
         assert "n=2 m=3" in stdout
 
 
-#: One cheap run of each subcommand that reads a tolerance from a flag or NOGO_DEFAULT_TOL.
+#: One cheap run of each subcommand that takes tolerance flags.
 TOLERANCE_COMMANDS = {
     "verify": ["verify", "--config", str(FIXTURES / "generic_violation.json")],
     "cnot-sweep": ["cnot-sweep", "--s-grid", "0.5"],
     "random-audit": ["random-audit", "--count", "1"],
 }
-
-
-@pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
-@pytest.mark.parametrize(
-    "raw,message",
-    [
-        ("nan", "NOGO_DEFAULT_TOL: expected a finite number, got nan"),
-        ("-1", "NOGO_DEFAULT_TOL: expected a non-negative tolerance, got -1.0"),
-        ("abc", "NOGO_DEFAULT_TOL is not a number: 'abc'"),
-    ],
-)
-def test_bad_env_tolerance_message(monkeypatch, capsys, command, raw, message):
-    monkeypatch.setenv("NOGO_DEFAULT_TOL", raw)
-    assert main(TOLERANCE_COMMANDS[command]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", sorted(TOLERANCE_COMMANDS))
@@ -839,7 +842,7 @@ def test_random_audit_checks_out_before_it_runs(tmp_path, capsys, monkeypatch):
 
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # 3000 instance lines are about 200 KiB, more than a pipe holds (64 KiB), so the writer meets the closed pipe
-    env = {k: v for k, v in os.environ.items() if k != "NOGO_DEFAULT_TOL"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(nogosim.__file__).parents[1]), env.get("PYTHONPATH"))))
     with subprocess.Popen(
         [sys.executable, "-m", "nogosim", "random-audit", "--count", "3000"],
@@ -917,11 +920,6 @@ def test_a_config_builds_its_scenario_once(monkeypatch):
         assert scen.observable is cfg.observable
         for ket, given in ((scen.psi, cfg.psi), (scen.xi, cfg.xi), (scen.postselect, cfg.phi)):
             assert ket.tobytes() == given.tobytes()
-    raw = load_fixture("cnot_error.json")
-    del raw["observable"]
-    cfg = config.ScenarioConfig.from_dict(raw)
-    with pytest.raises(ConfigError, match="configuration has no 'observable' block"):
-        cfg.scenario()
     assert "_scenario" not in repr(cfg)
 
 

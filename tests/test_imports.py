@@ -108,7 +108,7 @@ print(code, *sorted(name for name in sys.modules if name.startswith("nogosim")),
 
 def _child(source: str, *argv: str) -> list[str]:
     """stderr of a fresh interpreter running source on src/, split into words."""
-    env = {k: v for k, v in os.environ.items() if k != "NOGO_DEFAULT_TOL"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", source, *argv],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nogosim import linalg
-from nogosim.errors import NoConvergence, NonHermitian
+from nogosim.errors import DimensionMismatch, NoConvergence, NonHermitian
 from nogosim.linalg import (
     TOL_DEG,
     TOL_HERMITIAN,
@@ -27,7 +27,13 @@ from nogosim.linalg import (
     tensor_ket,
     tensor_product,
 )
-from nogosim.error_disturbance import CNOT, InteractionModel, first_order_expansion, heisenberg_evolve
+from nogosim.error_disturbance import (
+    CNOT,
+    InteractionModel,
+    first_order_expansion,
+    heisenberg_evolve,
+    joint_observable_from_operator,
+)
 from nogosim.measurement import JointObservable, luders_update, product_spectral, projective_probability, weak_value
 
 from helpers import random_hermitian
@@ -454,6 +460,26 @@ def test_non_finite_input_is_rejected_at_the_boundary(boundary, data):
     arg[entry] = data.draw(NON_FINITE.filter(lambda bad: name != "t" or isinstance(bad, float)))
     with pytest.raises(ValueError, match=rf"^{name} has NaN or Inf entries$"):
         call(arg)
+
+
+EMPTY = np.zeros((0, 0))
+
+#: Entry points that check an operator through `as_operator` before any numpy reduction over its entries.
+EMPTY_OPERATOR_CALLS = {
+    "require_hermitian": lambda: require_hermitian(EMPTY),
+    "spectral_decompose": lambda: spectral_decompose(EMPTY),
+    "jacobi_decompose": lambda: jacobi_decompose(EMPTY),
+    "matrix_exponential_skew": lambda: matrix_exponential_skew(EMPTY, 1.0),
+    "JointObservable": lambda: JointObservable(n=1, m=1, terms=((EMPTY, EMPTY),)),
+    "joint_observable_from_operator": lambda: joint_observable_from_operator(EMPTY, 0, 2),
+}
+
+
+@pytest.mark.parametrize("call", EMPTY_OPERATOR_CALLS)
+def test_an_empty_operator_is_refused_as_a_dimension_mismatch(call):
+    # numpy's max over no entries used to raise its own "zero-size array" ValueError
+    with pytest.raises(DimensionMismatch, match="must be non-empty$"):
+        EMPTY_OPERATOR_CALLS[call]()
 
 
 def test_outer_matches_manual():

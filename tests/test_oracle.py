@@ -159,6 +159,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_two_step(scen, **{"shots": 10, "seed": 1, **kwargs})
 
+    @pytest.mark.parametrize("kwargs", [{"shots": 10.5}, {"shots": 10.9}, {"shots": 10.0}, {"shards": 2.5}], ids=repr)
+    def test_rejects_a_count_that_is_not_an_integer(self, monkeypatch, kwargs):
+        # shots=10.5 used to draw 11 shots and report 10
+        def no_draw(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sample_two_step(cnot_error_scenario(0.5), **{"shots": 10, "seed": 1, **kwargs})
+
+    def test_an_integer_of_any_type_is_a_count(self):
+        scen = cnot_error_scenario(0.5)
+        want = sample_two_step(scen, shots=10, seed=1, shards=2)
+        got = sample_two_step(scen, shots=np.int64(10), seed=1, shards=np.int32(2))
+        assert (type(got.shots), got.shots, got.counts.tolist()) == (int, 10, want.counts.tolist())
+
     def test_rejects_a_non_distribution(self, monkeypatch):
         # zero outcome weights, stored in the oracle's memo, sum to 0
         scen = cnot_error_scenario(0.5)
